@@ -1,4 +1,4 @@
-"""The repo-specific lint rules (RA01-RA09).
+"""The repo-specific lint rules (RA01-RA08).
 
 Each rule encodes an invariant the paper's pipeline depends on but generic
 linters cannot see — which modules are the compressed hot path, which
@@ -593,61 +593,4 @@ class StorageModelPrivacy(Rule):
                     "use the public surface (max_width_bits(), "
                     "block_sizes(), decode_blocks(), iter_blocks()) so the "
                     "layout can evolve",
-                )
-
-
-# ---------------------------------------------------------------------- #
-# RA09 — persistence goes through repro.storage, not the deprecated
-# free functions
-# ---------------------------------------------------------------------- #
-#: the pre-bundle persistence surface, kept only as deprecated shims.
-#: New code saves and opens through ``SimilarityEngine.save``/``open``
-#: (or ``repro.storage.save_index``/``open_index``) so every call site
-#: gains mmap loading, dynamic snapshots and the compaction path.
-_RA09_DEPRECATED = {
-    "dump_index",
-    "load_index",
-    "dump_sharded",
-    "load_sharded",
-}
-
-#: where the shims live (their *definitions* are not calls, but the
-#: modules may re-export or exercise the names while delegating to the
-#: ``repro.storage.legacy`` implementations).
-_RA09_WHITELIST = (
-    "repro.storage",
-    "repro.compression.serialize",
-)
-
-
-@register_rule
-class DeprecatedPersistenceCalls(Rule):
-    code = "RA09"
-    summary = (
-        "dump_index/load_index/dump_sharded/load_sharded are deprecated; "
-        "persist through SimilarityEngine.save/open or repro.storage"
-    )
-
-    def check(self, module: Module) -> Iterator[Violation]:
-        if not module.in_package("repro"):
-            return
-        if module.in_package(*_RA09_WHITELIST):
-            return
-        for node in _walk(module):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name):
-                called = func.id
-            elif isinstance(func, ast.Attribute):
-                called = func.attr
-            else:
-                continue
-            if called in _RA09_DEPRECATED:
-                yield self.violation(
-                    module,
-                    node,
-                    f"call to deprecated {called}(); use "
-                    "SimilarityEngine.save/open, ShardedEngine.save/open "
-                    "or the repro.storage bundle API",
                 )

@@ -3,8 +3,9 @@
 The static rule RA10 *infers* which attributes a class guards with which
 lock; this module turns that same inference into runtime assertions.
 :func:`install` re-runs the whole-program pass over the installed sources,
-takes the guarded-attribute map of each target class (the coalescer, both
-engines, the decode cache, the tracer, the metrics registry), and patches
+takes the guarded-attribute map of each target class (the coalescer, the
+engines' worker pool, the decode cache, the tracer, the metrics registry),
+and patches
 the class's ``__setattr__`` so that every write of a guarded attribute
 checks lock ownership — raising :class:`LockDisciplineError` from the
 exact offending frame instead of corrupting shared state silently.
@@ -46,8 +47,7 @@ class LockDisciplineError(AssertionError):
 #: the guarded classes of the serving/engine/observability stack
 _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("repro.serve.coalescer", "BatchCoalescer"),
-    ("repro.engine.core", "SimilarityEngine"),
-    ("repro.engine.sharded", "ShardedEngine"),
+    ("repro.engine.pool", "WorkerPool"),
     ("repro.engine.cache", "DecodeCache"),
     ("repro.obs.trace", "Tracer"),
     ("repro.obs.registry", "MetricsRegistry"),

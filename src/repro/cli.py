@@ -5,8 +5,8 @@ per line):
 
 * ``generate`` — write a synthetic dataset (DESIGN.md §2 stand-ins),
 * ``stats``    — per-scheme index sizes and compression ratios for a corpus,
-* ``index``    — build and persist a compressed inverted index (a
-  directory bundle, or the legacy ``.npz`` for ``.npz`` output paths),
+* ``index``    — build and persist a compressed inverted index as a
+  bundle directory,
 * ``search``   — query a corpus (Jaccard or edit distance), optionally
   through a persisted index (``--mmap`` serves bundles zero-copy),
 * ``serve``    — HTTP serving layer over an index: concurrent
@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .core.framework import OFFLINE_SCHEMES, ONLINE_SCHEMES
 from .datasets import dataset_names, load_dataset
-from .engine import ShardedEngine, SimilarityEngine
+from .engine import ShardedEngine, SimilarityEngine, open_engine
 from .obs import (
     METRICS,
     TRACER,
@@ -84,6 +84,22 @@ def _read_lines(path: str) -> List[str]:
             file=sys.stderr,
         )
     return lines
+
+
+def _reject_non_bundle(path, must_exist: bool = True) -> bool:
+    """Print the one error for a path that cannot be an index bundle.
+
+    A path ending in ``.npz`` never is; with ``must_exist`` neither is
+    anything but a directory.  Callers exit 2 on ``True``.
+    """
+    path = Path(path)
+    if path.suffix == ".npz" or (must_exist and not path.is_dir()):
+        print(
+            f"error: {path} is not an index bundle directory (the legacy "
+            ".npz format was removed; rebuild with `repro index CORPUS OUT`)"
+        )
+        return True
+    return False
 
 
 def _integral_threshold(value: float, what: str) -> Optional[int]:
@@ -277,8 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("corpus")
     index.add_argument(
         "output",
-        help="output path: a bundle directory (mmap-able, self-contained), "
-        "or the legacy monolithic format for paths ending in .npz",
+        help="output path: a bundle directory (mmap-able, self-contained)",
     )
     _add_tokenize_args(index)
     index.add_argument(
@@ -327,8 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--load-index",
         default=None,
         help="persisted index to reuse: a bundle directory (saved with "
-        "SimilarityEngine.save / ShardedEngine.save / `repro index OUT`) "
-        "or a legacy .npz file",
+        "SimilarityEngine.save / ShardedEngine.save / `repro index OUT`)",
     )
     search.add_argument(
         "--mmap",
@@ -511,18 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="validate the integrity of a persisted index"
     )
     check.add_argument(
-        "index",
-        help="an index bundle / sharded bundle directory, a .npz file "
-        "written by `repro index`, or a legacy sharded .npz directory",
+        "index", help="an index bundle / sharded bundle directory"
     )
-    check.add_argument(
-        "corpus",
-        nargs="?",
-        default=None,
-        help="optionally, the corpus the index was built from (binds the "
-        "loaded index to it; structural checks run without one)",
-    )
-    _add_tokenize_args(check)
 
     lint = commands.add_parser(
         "lint", help="run the repo-specific static analysis rules (RA01-RA13)"
@@ -683,19 +687,14 @@ def _cmd_stats(args) -> int:
 
 
 def _cmd_index(args) -> int:
+    from .storage import save_index
+
+    if _reject_non_bundle(args.output, must_exist=False):
+        return 2
     strings = _read_lines(args.corpus)
     collection = tokenize_collection(strings, mode=args.mode, q=args.q)
     index = InvertedIndex(collection, scheme=args.scheme)
-    if str(args.output).endswith(".npz"):
-        # the legacy monolithic container: posting lists only, needs the
-        # corpus again at load time, cannot be memory-mapped
-        from .storage.legacy import dump_index_npz
-
-        dump_index_npz(index, args.output)
-    else:
-        from .storage import save_index
-
-        save_index(index, args.output)
+    save_index(index, args.output)
     print(
         f"indexed {len(strings)} records under {args.scheme}: "
         f"{len(index)} lists, {index.size_mb():.3f} MB (paper accounting), "
@@ -731,19 +730,12 @@ def _cmd_search(args) -> int:
             "SimilarityEngine.save) and pass --load-index OUT"
         )
         return 2
-    if args.mmap and not Path(args.load_index).is_dir():
-        print(
-            f"error: --mmap cannot serve {args.load_index}: the legacy "
-            ".npz is a zip archive and cannot be memory-mapped. Migrate "
-            "it to a bundle directory — rebuild with `repro index CORPUS "
-            "OUT` (a non-.npz OUT writes the mmap-able bundle format) — "
-            "and pass --load-index OUT"
-        )
+    if args.load_index and _reject_non_bundle(args.load_index):
         return 2
     strings = _read_lines(args.corpus)
     mode = "qgram" if args.metric == "ed" else args.mode
     q = 2 if args.metric == "ed" and args.mode == "word" else args.q
-    if args.load_index and Path(args.load_index).is_dir():
+    if args.load_index:
         # self-contained bundle: the collection rides inside it
         collection = None
     else:
@@ -759,48 +751,20 @@ def _cmd_search(args) -> int:
             algorithm=args.algorithm,
             metric=args.metric,
         )
-    elif args.load_index and Path(args.load_index).is_dir():
-        from .storage.bundle import BUNDLE_KIND
-        from .storage.legacy import read_manifest
-        from .storage.sharded import SHARDED_BUNDLE_KIND
-
-        kind = (read_manifest(args.load_index) or {}).get("kind")
+    elif args.load_index:
         try:
-            if kind == BUNDLE_KIND:
-                engine = SimilarityEngine.open(
-                    args.load_index,
-                    mmap=args.mmap,
-                    algorithm=args.algorithm,
-                    metric=args.metric,
-                )
-            elif kind == SHARDED_BUNDLE_KIND:
-                engine = ShardedEngine.open(
-                    args.load_index,
-                    mmap=args.mmap,
-                    algorithm=args.algorithm,
-                    metric=args.metric,
-                )
-            else:
-                print(
-                    f"error: {args.load_index} is not an index bundle "
-                    f"(manifest kind {kind!r})"
-                )
-                return 1
+            engine = open_engine(
+                args.load_index,
+                mmap=args.mmap,
+                algorithm=args.algorithm,
+                metric=args.metric,
+            )
         except ValueError as error:
             print(f"error: {error}")
             return 1
         engine_factory = lambda: engine  # noqa: E731
     else:
-        if args.load_index:
-            from .storage.legacy import load_index_npz
-
-            try:
-                index = load_index_npz(args.load_index, collection)
-            except ValueError as error:
-                print(f"error: {error}")
-                return 1
-        else:
-            index = InvertedIndex(collection, scheme=args.scheme)
+        index = InvertedIndex(collection, scheme=args.scheme)
         engine_factory = lambda: SimilarityEngine(  # noqa: E731
             index=index, algorithm=args.algorithm, metric=args.metric
         )
@@ -853,6 +817,8 @@ def _cmd_serve(args) -> int:
         print(f"error: --shards must be >= 1, got {args.shards}")
         return 2
     path = Path(args.path)
+    if _reject_non_bundle(path, must_exist=False):
+        return 2
     app_kwargs = dict(
         window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
@@ -879,13 +845,6 @@ def _cmd_serve(args) -> int:
         except ValueError as error:
             print(f"error: {error}")
             return 1
-    elif path.suffix == ".npz":
-        print(
-            f"error: cannot serve {path}: the legacy .npz holds posting "
-            "lists only (no collection). Migrate it to a bundle directory "
-            "— rebuild with `repro index CORPUS OUT` — and serve OUT"
-        )
-        return 2
     else:
         if args.mmap:
             print(
@@ -929,13 +888,10 @@ def _cmd_serve(args) -> int:
 
 def _describe_served(app) -> str:
     engine = app.engine
-    records = getattr(engine, "num_records", None)
-    if records is None:
-        records = len(engine.index.collection)
     shards = getattr(engine, "num_shards", 1)
     source = f" from {app.bundle_path}" if app.bundle_path else ""
     return (
-        f"{records} records ({engine.metric}, "
+        f"{engine.num_records} records ({engine.metric}, "
         f"{shards} shard{'s' if shards != 1 else ''}){source}"
     )
 
@@ -1122,40 +1078,22 @@ def _cmd_top(args) -> int:
 
 
 def _cmd_compact(args) -> int:
-    from .storage.bundle import BUNDLE_KIND
-    from .storage.legacy import read_manifest
-    from .storage.sharded import SHARDED_BUNDLE_KIND
-
     target = Path(args.index)
-    if not target.is_dir():
-        print(
-            f"error: {target} is not a bundle directory (the legacy .npz "
-            "holds offline indexes, which are already optimally partitioned)"
-        )
-        return 2
-    manifest = read_manifest(target)
-    kind = (manifest or {}).get("kind")
-    if kind not in (BUNDLE_KIND, SHARDED_BUNDLE_KIND):
-        print(f"error: {target} is not an index bundle (manifest kind {kind!r})")
-        return 2
-    if not manifest.get("dynamic"):
-        print(
-            f"error: {target} holds a static (offline) index; compaction "
-            "applies to dynamic bundles with online two-region lists"
-        )
+    if _reject_non_bundle(target):
         return 2
     output = args.output or target
     try:
-        if kind == BUNDLE_KIND:
-            engine = SimilarityEngine.open(target, mmap=False)
-            all_stats = [engine.compact()]
-        else:
-            engine = ShardedEngine.open(target, mmap=False)
-            all_stats = engine.compact()
+        engine = open_engine(target, mmap=False)
+        try:
+            stats = engine.compact()
+        except TypeError as error:  # a static (offline) index
+            print(f"error: {target}: {error}")
+            return 2
         engine.save(output)
     except ValueError as error:
         print(f"error: {error}")
         return 1
+    all_stats = stats if isinstance(stats, list) else [stats]
     lists = sum(stats.lists_compacted for stats in all_stats)
     skipped = sum(stats.lists_skipped for stats in all_stats)
     postings = sum(stats.postings for stats in all_stats)
@@ -1171,41 +1109,17 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .compression.validate import check_index, check_path
+    from .compression.validate import check_path
 
-    if args.corpus is None or Path(args.index).is_dir():
-        # structural mode: bundles, sharded directories and saved .npz
-        # files; bundles are self-contained so a corpus adds nothing
-        issues = check_path(args.index)
-        if issues:
-            print(f"{len(issues)} integrity violations:")
-            for issue in issues[:50]:
-                print(f"  - {issue}")
-            return 1
-        print(f"ok: {args.index}, no violations")
-        return 0
-
-    strings = _read_lines(args.corpus)
-    collection = tokenize_collection(strings, mode=args.mode, q=args.q)
-    from .storage.legacy import load_index_npz
-
-    try:
-        index = load_index_npz(args.index, collection)
-    except ValueError as error:
-        # load-time validation rejected the file outright
-        print("1 integrity violations:")
-        print(f"  - {error}")
-        return 1
-    issues = check_index(index)
+    if _reject_non_bundle(args.index):
+        return 2
+    issues = check_path(args.index)
     if issues:
         print(f"{len(issues)} integrity violations:")
         for issue in issues[:50]:
             print(f"  - {issue}")
         return 1
-    print(
-        f"ok: {len(index.lists)} lists, {index.size_mb():.3f} MB, "
-        "no violations"
-    )
+    print(f"ok: {args.index}, no violations")
     return 0
 
 

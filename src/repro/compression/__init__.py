@@ -21,7 +21,6 @@ from .groupvarint import GroupVarintList
 from .introspect import LayoutStats, index_layout, list_layout
 from .karytree import EytzingerIndex
 from .milc import DEFAULT_BLOCK_SIZE, MILCList
-from .serialize import dump_index, load_index
 from .storage import DRAM, HDD, SSD, StorageDevice, estimate_lookup_us
 from .partition import optimal_partition, partition_savings
 from .pfordelta import PForDeltaList
@@ -55,8 +54,6 @@ __all__ = [
     "LayoutStats",
     "index_layout",
     "list_layout",
-    "dump_index",
-    "load_index",
     "StorageDevice",
     "HDD",
     "SSD",

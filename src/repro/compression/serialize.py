@@ -1,4 +1,4 @@
-"""Array-form (de)serialization of two-layer stores, plus legacy wrappers.
+"""Array-form (de)serialization of two-layer stores.
 
 The paper's SSD discussion (§6.1) assumes the offline index is "constructed
 in the offline step and dumped to SSD at once" and later queried in place.
@@ -10,33 +10,18 @@ layout vectors alias the caller's arrays, which is how
 :mod:`repro.storage` serves memory-mapped bundles — N engines opened from
 one on-disk bundle share a single file-backed copy of the posting-list
 payloads.
-
-The four free functions ``dump_index`` / ``load_index`` / ``dump_sharded``
-/ ``load_sharded`` are the *old* persistence API.  They are deprecated thin
-wrappers around :mod:`repro.storage.legacy` — new code goes through
-``SimilarityEngine.save`` / ``.open`` and ``ShardedEngine.save`` / ``.open``
-(or the :mod:`repro.storage` functions they delegate to).
 """
 
 from __future__ import annotations
 
-import warnings
-from pathlib import Path
-from typing import Any, Callable, Dict, List, Sequence, Tuple, Union
+from typing import Dict
 
 import numpy as np
 
 from .bitpack import BitBuffer
 from .twolayer import FrozenTwoLayerStore, TwoLayerStore
 
-__all__ = [
-    "dump_index",
-    "load_index",
-    "dump_sharded",
-    "load_sharded",
-    "store_to_arrays",
-    "store_from_arrays",
-]
+__all__ = ["store_to_arrays", "store_from_arrays"]
 
 
 def store_to_arrays(store: TwoLayerStore) -> Dict[str, np.ndarray]:
@@ -111,55 +96,3 @@ def _frozen_store_from_arrays(
         words=words,
         num_bits=num_bits,
     )
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def dump_index(index: Any, path: Union[str, Path]) -> None:
-    """Deprecated: use ``SimilarityEngine.save`` (or
-    :func:`repro.storage.save_index`) instead."""
-    from ..storage import legacy
-
-    _deprecated("dump_index", "SimilarityEngine.save / repro.storage")
-    legacy.dump_index_npz(index, path)
-
-
-def load_index(path: Union[str, Path], collection: Any) -> Any:
-    """Deprecated: use ``SimilarityEngine.open`` (or
-    :func:`repro.storage.open_index`) instead."""
-    from ..storage import legacy
-
-    _deprecated("load_index", "SimilarityEngine.open / repro.storage")
-    return legacy.load_index_npz(path, collection)
-
-
-def dump_sharded(
-    indexes: Sequence,
-    assignments: Sequence[Sequence[int]],
-    path: Union[str, Path],
-    routing: str = "contiguous",
-) -> None:
-    """Deprecated: use ``ShardedEngine.save`` (or
-    :func:`repro.storage.save_sharded`) instead."""
-    from ..storage import legacy
-
-    _deprecated("dump_sharded", "ShardedEngine.save / repro.storage")
-    legacy.dump_sharded_npz(indexes, assignments, path, routing)
-
-
-def load_sharded(
-    path: Union[str, Path],
-    collection_for_shard: Callable[[int, np.ndarray], object],
-) -> Tuple[List, List[np.ndarray], Dict]:
-    """Deprecated: use ``ShardedEngine.open`` (or
-    :func:`repro.storage.open_sharded`) instead."""
-    from ..storage import legacy
-
-    _deprecated("load_sharded", "ShardedEngine.open / repro.storage")
-    return legacy.load_sharded_npz(path, collection_for_shard)

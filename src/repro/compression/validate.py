@@ -22,13 +22,7 @@ from .base import MAX_ELEMENT, SortedIDList
 from .constants import MAX_DELTA_WIDTH
 from .twolayer import TwoLayerList
 
-__all__ = [
-    "check_list",
-    "check_index",
-    "check_file",
-    "check_sharded_dir",
-    "check_path",
-]
+__all__ = ["check_list", "check_index", "check_path"]
 
 
 def check_list(lst: SortedIDList, sample: int = 64) -> List[str]:
@@ -138,77 +132,30 @@ def check_index(index: Any, max_lists: int = 0) -> List[str]:
     return issues
 
 
-def check_file(path: Union[str, Path], max_lists: int = 0) -> List[str]:
-    """Violations of a serialized ``.npz`` index at ``path``.
-
-    Loads the file (the loader's container/extent validation runs first —
-    any load-time rejection is reported as a violation rather than raised),
-    then runs :func:`check_index` over the reconstituted posting lists.
-    The collection is not needed for list-level integrity, so none is bound.
-    """
-    from ..storage.legacy import load_index_npz
-
-    try:
-        index = load_index_npz(path, None)
-    # repro: noqa RA07 -- load failure on untrusted input is the finding itself
-    except Exception as error:
-        return [f"load failed ({type(error).__name__}): {error}"]
-    return check_index(index, max_lists=max_lists)
-
-
-def check_sharded_dir(path: Union[str, Path], max_lists: int = 0) -> List[str]:
-    """Violations of a sharded index directory (manifest + shard files).
-
-    Manifest/assignment cross-checks run via the sharded loader; every
-    shard's posting lists are then checked individually.  Violations are
-    prefixed with the shard file they belong to.
-    """
-    from ..storage.legacy import load_sharded_npz
-
-    try:
-        indexes, _assignments, _manifest = load_sharded_npz(
-            path, lambda shard_id, global_ids: None
-        )
-    # repro: noqa RA07 -- load failure on untrusted input is the finding itself
-    except Exception as error:
-        return [f"load failed ({type(error).__name__}): {error}"]
-    issues: List[str] = []
-    for position, index in enumerate(indexes):
-        for issue in check_index(index, max_lists=max_lists):
-            issues.append(f"shard {position}: {issue}")
-    return issues
-
-
 def check_path(path: Union[str, Path], max_lists: int = 0) -> List[str]:
-    """Dispatch on what lives at ``path``: a directory is routed by its
-    ``manifest.json`` kind (legacy sharded ``.npz`` layout, index bundle,
-    or sharded bundle), a file is checked as a monolithic ``.npz``.  A
-    missing path or unrecognizable directory is reported as a violation.
+    """Route the bundle directory at ``path`` to its checker by the kind
+    its ``manifest.json`` declares (index bundle or sharded bundle).  A
+    missing path, a non-directory or an unrecognizable manifest is
+    reported as a violation.
     """
-    path = Path(path)
-    if path.is_dir():
-        from ..storage import check_bundle, check_sharded_bundle
-        from ..storage.bundle import BUNDLE_KIND
-        from ..storage.legacy import SHARDED_KIND, read_manifest
-        from ..storage.sharded import SHARDED_BUNDLE_KIND
+    from ..storage import (
+        BUNDLE_KIND,
+        SHARDED_BUNDLE_KIND,
+        check_bundle,
+        check_sharded_bundle,
+        read_manifest,
+    )
 
-        try:
-            manifest = read_manifest(path)
-        # repro: noqa RA07 -- an unparseable manifest is the finding itself
-        except Exception as error:
-            return [
-                f"load failed ({type(error).__name__}): manifest.json: {error}"
-            ]
-        kind = (manifest or {}).get("kind")
-        if kind == BUNDLE_KIND:
-            return check_bundle(path, max_lists=max_lists)
-        if kind == SHARDED_BUNDLE_KIND:
-            return check_sharded_bundle(path, max_lists=max_lists)
-        if kind == SHARDED_KIND:
-            return check_sharded_dir(path, max_lists=max_lists)
-        if manifest is None:
-            return [f"{path} has no manifest.json; not an index directory"]
-        return [f"{path}: unrecognized manifest kind {kind!r}"]
-    if path.is_file():
-        return check_file(path, max_lists=max_lists)
-    return [f"no such index file or sharded directory: {path}"]
+    path = Path(path)
+    if not path.is_dir():
+        return [f"no such index bundle directory: {path}"]
+    try:
+        kind = read_manifest(path).get("kind")
+    # repro: noqa RA07 -- an unparseable manifest is the finding itself
+    except Exception as error:
+        return [f"load failed ({type(error).__name__}): manifest.json: {error}"]
+    if kind == BUNDLE_KIND:
+        return check_bundle(path, max_lists=max_lists)
+    if kind == SHARDED_BUNDLE_KIND:
+        return check_sharded_bundle(path, max_lists=max_lists)
+    return [f"{path}: unrecognized manifest kind {kind!r}"]

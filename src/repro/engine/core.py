@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import multiprocessing
 import pickle
-import threading
 from pathlib import Path
 from concurrent.futures import (
     BrokenExecutor,
@@ -39,11 +38,11 @@ from typing import Dict, List, Optional, Sequence
 
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
-from ..search.dynamic import DynamicInvertedIndex
 from ..search.edsearch import EditDistanceSearcher
 from ..search.result import SearchResult
 from ..search.searcher import InvertedIndex, JaccardSearcher
 from .cache import DecodeCache
+from .pool import PoolOwner, WorkerPool
 
 __all__ = ["SimilarityEngine"]
 
@@ -63,15 +62,8 @@ def _init_worker(engine: "SimilarityEngine") -> None:
     _WORKER_ENGINE = engine
     # under fork the worker inherits the parent's engine object verbatim,
     # including its executor handle; drop it so worker-side teardown never
-    # touches the parent's pool machinery.  The lifecycle lock is replaced
-    # outright — a fork can snapshot it mid-acquire by another parent
-    # thread, and a lock held by a thread that does not exist here would
-    # deadlock the worker's own teardown.
-    engine._pool_lock = threading.RLock()
-    with engine._pool_lock:
-        engine._pool = None
-        engine._pool_kind = None
-        engine._pool_workers = 0
+    # touches the parent's pool machinery
+    engine._pool.forget()
     # the worker records into its own fork-inherited registry; each chunk
     # resets it, runs profiled, and ships the delta back (see _run_chunk)
     _METRICS.enabled = False
@@ -92,6 +84,12 @@ def _obs_config():
         _TRACER.sample_rate,
         _TRACER.slow_ms,
     )
+
+
+def _check_kernel(kernel: str) -> str:
+    if kernel not in ("auto", "serial"):
+        raise ValueError(f"kernel must be 'auto' or 'serial', got {kernel!r}")
+    return kernel
 
 
 def _answer_chunk(searcher, chunk: List[str], threshold, use_kernel: bool):
@@ -143,7 +141,7 @@ def _run_chunk(chunk: List[str], threshold, obs=None, use_kernel=False):
     return results, delta
 
 
-class SimilarityEngine:
+class SimilarityEngine(PoolOwner):
     """Index + searcher + decode cache + worker pool behind one API.
 
     Parameters
@@ -206,27 +204,12 @@ class SimilarityEngine:
             self.searcher = JaccardSearcher(
                 index, algorithm=algorithm, metric=metric, cache=self.cache
             )
-        if kernel not in ("auto", "serial"):
-            raise ValueError(
-                f"kernel must be 'auto' or 'serial', got {kernel!r}"
-            )
-        self.kernel = kernel
-        self._pool: Optional[Executor] = None
-        self._pool_kind: Optional[str] = None
-        self._pool_workers = 0
-        # pool lifecycle is the one piece of engine state mutated by the
-        # batch path; guarding it makes concurrent search_batch callers
-        # (the serve-layer coalescer thread plus direct callers) safe.
-        # RLock: _ensure_pool retires a stale pool via close() while held.
-        self._pool_lock = threading.RLock()
+        self.kernel = _check_kernel(kernel)
+        self._pool = WorkerPool()
 
     def _use_batch_kernel(self, kernel: Optional[str]) -> bool:
         """Resolve a per-call ``kernel`` override against the engine default."""
-        kernel = kernel or self.kernel
-        if kernel not in ("auto", "serial"):
-            raise ValueError(
-                f"kernel must be 'auto' or 'serial', got {kernel!r}"
-            )
+        kernel = _check_kernel(kernel or self.kernel)
         # getattr: test doubles and custom searchers may not expose the flag
         return kernel == "auto" and getattr(
             self.searcher, "supports_batch_kernel", False
@@ -288,7 +271,7 @@ class SimilarityEngine:
         worker_chunks = 0
         try:
             try:
-                pool = self._ensure_pool(workers)
+                pool = self._pool.get(workers, self._make_pool)
             except _POOL_FAILURES:
                 infrastructure_broken = True
             if pool is not None:
@@ -362,9 +345,7 @@ class SimilarityEngine:
             return _answer_chunk(self.searcher, queries, threshold, use_kernel)
 
     def _chunk_task(self, chunk: List[str], threshold, use_kernel: bool):
-        with self._pool_lock:
-            pool_kind = self._pool_kind
-        if pool_kind == "process":
+        if self._pool.kind == "process":
             # workers record telemetry into their own registries and ship
             # the delta back with the results (see _run_chunk)
             return (_run_chunk, chunk, threshold, _obs_config(), use_kernel)
@@ -372,71 +353,20 @@ class SimilarityEngine:
         # parent registry/tracer, so there is no delta to ship
         return (_run_chunk_shared, self.searcher, chunk, threshold, use_kernel)
 
-    # ------------------------------------------------------------------ #
-    # pool lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self, workers: int) -> Executor:
-        with self._pool_lock:
-            if self._pool is not None and self._pool_workers == workers:
-                return self._pool
-            self.close()
-            pool: Optional[Executor] = None
-            try:
-                context = multiprocessing.get_context("fork")
-                pool = ProcessPoolExecutor(
-                    max_workers=workers,
-                    mp_context=context,
-                    initializer=_init_worker,
-                    initargs=(self,),
-                )
-                self._pool_kind = "process"
-            except (ValueError, OSError, ImportError):
-                pool = None
-            if pool is None:
-                pool = ThreadPoolExecutor(
-                    max_workers=workers, thread_name_prefix="repro-engine"
-                )
-                self._pool_kind = "thread"
-            self._pool = pool
-            self._pool_workers = workers
-            return pool
-
-    def close(self) -> None:
-        """Shut the worker pool down (the engine stays usable serially)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._pool_kind = None
-            self._pool_workers = 0
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "SimilarityEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC ordering dependent
+    def _make_pool(self, workers: int):
+        """A fork process pool (workers inherit the index copy-on-write),
+        else threads."""
         try:
-            self.close()
-        except (RuntimeError, OSError, AttributeError):
-            # interpreter teardown: pool internals may already be reclaimed
-            pass
-
-    # forked/pickled engine images must not carry the parent's pool (or
-    # its lifecycle lock — locks do not pickle and must never be shared
-    # across process images anyway)
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_pool"] = None
-        state["_pool_kind"] = None
-        state["_pool_workers"] = 0
-        state["_pool_lock"] = None
-        return state
-
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-        self._pool_lock = threading.RLock()
+            return "process", ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(self,),
+            )
+        except (ValueError, OSError, ImportError):
+            return "thread", ThreadPoolExecutor(
+                max_workers=workers, thread_name_prefix="repro-engine"
+            )
 
     # ------------------------------------------------------------------ #
     # dynamic ingest
@@ -444,9 +374,7 @@ class SimilarityEngine:
     def add(self, text: str) -> int:
         """Ingest one record (dynamic indexes only) and invalidate exactly
         the cached posting lists the record touched."""
-        if not isinstance(self.index, DynamicInvertedIndex) and not hasattr(
-            self.index, "add"
-        ):
+        if not hasattr(self.index, "add"):
             raise TypeError(
                 "dynamic ingest requires a DynamicInvertedIndex-backed "
                 "engine; this one serves a static InvertedIndex"
@@ -539,11 +467,8 @@ class SimilarityEngine:
     # introspection
     # ------------------------------------------------------------------ #
     @property
-    def pool_workers(self) -> int:
-        """Size of the live batch worker pool (0 when none is up) —
-        what the serving layer's pool-size gauge reads."""
-        with self._pool_lock:
-            return self._pool_workers
+    def num_records(self) -> int:
+        return len(self.index.collection)
 
     def cache_stats(self) -> Dict[str, int]:
         """Decode-cache counters (all zero when the cache is disabled)."""

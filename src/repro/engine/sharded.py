@@ -10,11 +10,13 @@ encoders compose cleanly when each shard keeps *local* ids (Vigna,
 delta widths stay small and any offline scheme works unchanged.
 
 :class:`ShardedEngine` partitions a
-:class:`~repro.similarity.tokenize.TokenizedCollection` into N shards, each
-owning its own :class:`~repro.search.searcher.InvertedIndex` (or
-:class:`~repro.search.dynamic.DynamicInvertedIndex`), its own searcher and
-its own :class:`~repro.engine.cache.DecodeCache`.  Queries fan out to every
-shard and the per-shard results are merged with local→global id remapping —
+:class:`~repro.similarity.tokenize.TokenizedCollection` into N shards.  A
+shard *is* a small :class:`~repro.engine.core.SimilarityEngine` over its own
+:class:`~repro.search.searcher.InvertedIndex` (or
+:class:`~repro.search.dynamic.DynamicInvertedIndex`), so searcher and
+decode-cache construction, ingest invalidation and compaction exist once.
+Queries fan out to every shard and the per-shard results are merged with
+local→global id remapping —
 answers are **bit-identical** to a single-shard
 :class:`~repro.engine.core.SimilarityEngine` (same ids, same ascending
 order), because the count filter and exact verification are both local to a
@@ -45,11 +47,11 @@ wall-clock.
 
 from __future__ import annotations
 
+import dataclasses
 import multiprocessing
 import os
-import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,12 +60,11 @@ import numpy as np
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
 from ..search.dynamic import DynamicInvertedIndex
-from ..search.edsearch import EditDistanceSearcher
 from ..search.result import SearchResult, SearchStats
-from ..search.searcher import InvertedIndex, JaccardSearcher
+from ..search.searcher import InvertedIndex
 from ..similarity.tokenize import TokenizedCollection
-from .cache import DecodeCache
-from .core import _POOL_FAILURES
+from .core import _POOL_FAILURES, SimilarityEngine, _answer_chunk
+from .pool import PoolOwner, WorkerPool
 
 __all__ = ["ShardedEngine", "partition_records", "subcollection"]
 
@@ -134,74 +135,27 @@ def _build_one_shard(shard_id: int) -> Tuple[InvertedIndex, Optional[dict]]:
     return index, delta
 
 
-def _shard_batch(searcher, queries: Sequence[str], threshold, use_kernel=False):
-    """Answer a whole sub-batch on one shard's searcher (pool payload).
+def _timed_shard_batch(searcher, queries: List[str], threshold, use_kernel):
+    """One shard's sub-batch plus its own wall-clock interval (pool payload).
 
-    Module-level (rule RA04) so the payload stays executor-agnostic: the
-    fan-out pool is threads today, but nothing here would break under a
-    spawn-based process pool.  With ``use_kernel`` the shard answers its
-    sub-batch through the batch T-occurrence kernels.
-    """
-    if use_kernel:
-        return searcher.search_many_batched(queries, threshold)
-    return [searcher.search(query, threshold) for query in queries]
-
-
-def _timed_shard_batch(
-    searcher, queries: Sequence[str], threshold, use_kernel=False
-):
-    """``_shard_batch`` plus its own wall-clock interval.
-
-    The fan-out pool threads have no access to the submitting thread's
+    Module-level (rule RA04) so the payload stays executor-agnostic.  The
+    fan-out pool threads have no access to the submitting thread's
     active trace, so each sub-batch measures itself and the submitter
     attaches the interval as a per-shard span after gathering (see
     :meth:`ShardedEngine._fan_out`).
     """
     started = time.perf_counter()
-    results = _shard_batch(searcher, queries, threshold, use_kernel)
+    results = _answer_chunk(searcher, queries, threshold, use_kernel)
     return results, started, time.perf_counter()
 
 
-class _Shard:
-    """One partition: index + searcher + decode cache + id remap."""
-
-    __slots__ = ("shard_id", "index", "searcher", "cache", "local_to_global")
-
-    def __init__(
-        self,
-        shard_id: int,
-        index,
-        local_to_global: List[int],
-        *,
-        algorithm: str,
-        metric: str,
-        cache_entries: Optional[int],
-        cache_bytes: Optional[int],
-        cache_admit_after: int,
-    ) -> None:
-        self.shard_id = shard_id
-        self.index = index
-        self.local_to_global = local_to_global
-        self.cache: Optional[DecodeCache] = (
-            None
-            if cache_entries == 0
-            else DecodeCache(
-                max_entries=cache_entries,
-                max_bytes=cache_bytes,
-                admit_after=cache_admit_after,
-            )
-        )
-        if metric == "ed":
-            self.searcher = EditDistanceSearcher(
-                index, algorithm=algorithm, cache=self.cache
-            )
-        else:
-            self.searcher = JaccardSearcher(
-                index, algorithm=algorithm, metric=metric, cache=self.cache
-            )
+def _thread_pool(workers: int):
+    return "thread", ThreadPoolExecutor(
+        max_workers=workers, thread_name_prefix="repro-shard"
+    )
 
 
-class ShardedEngine:
+class ShardedEngine(PoolOwner):
     """Fan-out/merge serving engine over N index shards.
 
     Parameters
@@ -231,6 +185,9 @@ class ShardedEngine:
         per-query path (see :class:`~repro.engine.core.SimilarityEngine`).
     """
 
+    #: wall-clock of the static shard build (0.0 for dynamic or opened engines)
+    build_seconds = 0.0
+
     def __init__(
         self,
         collection: Optional[TokenizedCollection] = None,
@@ -256,23 +213,6 @@ class ShardedEngine:
             raise ValueError(
                 f"routing must be one of {ROUTINGS}, got {routing!r}"
             )
-        if kernel not in ("auto", "serial"):
-            raise ValueError(
-                f"kernel must be 'auto' or 'serial', got {kernel!r}"
-            )
-        self.kernel = kernel
-        self.num_shards = shards
-        self.routing = routing
-        self.dynamic = dynamic
-        self.metric = metric
-        self.algorithm = algorithm
-        self._cache_knobs = (cache_entries, cache_bytes, cache_admit_after)
-        self._pool: Optional[Executor] = None
-        self._pool_workers = 0
-        self._pool_lock = threading.RLock()
-        self.shards: List[_Shard] = []
-        self.build_seconds = 0.0
-
         if dynamic:
             if routing != "hash":
                 raise ValueError(
@@ -285,50 +225,71 @@ class ShardedEngine:
                     "pass strings through add()/add_many(), not a collection"
                 )
             scheme = scheme or "adapt"
-            self.scheme = scheme
-            self._num_records = 0
-            for shard_id in range(shards):
-                index = DynamicInvertedIndex(
+            indexes = [
+                DynamicInvertedIndex(
                     mode=mode, q=q, scheme=scheme, **scheme_kwargs
                 )
-                self.shards.append(
-                    self._make_shard(shard_id, index, [])
+                for _ in range(shards)
+            ]
+            assignments: List[List[int]] = [[] for _ in range(shards)]
+        else:
+            if collection is None:
+                raise ValueError(
+                    "provide a tokenized collection (or dynamic=True)"
                 )
-            return
-
-        if collection is None:
-            raise ValueError("provide a tokenized collection (or dynamic=True)")
-        scheme = scheme or "css"
-        self.scheme = scheme
-        assignments = partition_records(len(collection), shards, routing)
-        self._num_records = len(collection)
-        started = time.perf_counter()
-        with _METRICS.span("engine.shard.build"):
-            indexes = self._build_indexes(
-                collection, assignments, scheme, scheme_kwargs, build_workers
-            )
-        self.build_seconds = time.perf_counter() - started
-        if _METRICS.enabled:
-            _METRICS.inc("engine.shard.builds", shards)
-        for shard_id, (index, assignment) in enumerate(
-            zip(indexes, assignments)
-        ):
-            self.shards.append(
-                self._make_shard(shard_id, index, assignment.tolist())
-            )
-
-    def _make_shard(self, shard_id: int, index, local_to_global) -> _Shard:
-        entries, max_bytes, admit_after = self._cache_knobs
-        return _Shard(
-            shard_id,
-            index,
-            local_to_global,
-            algorithm=self.algorithm,
-            metric=self.metric,
-            cache_entries=entries,
-            cache_bytes=max_bytes,
-            cache_admit_after=admit_after,
+            scheme = scheme or "css"
+            partition = partition_records(len(collection), shards, routing)
+            started = time.perf_counter()
+            with _METRICS.span("engine.shard.build"):
+                indexes = self._build_indexes(
+                    collection, partition, scheme, scheme_kwargs, build_workers
+                )
+            self.build_seconds = time.perf_counter() - started
+            if _METRICS.enabled:
+                _METRICS.inc("engine.shard.builds", shards)
+            assignments = [assignment.tolist() for assignment in partition]
+        self._from_indexes(
+            indexes,
+            assignments,
+            routing=routing,
+            dynamic=dynamic,
+            scheme=scheme,
+            algorithm=algorithm,
+            metric=metric,
+            cache_entries=cache_entries,
+            cache_bytes=cache_bytes,
+            cache_admit_after=cache_admit_after,
+            kernel=kernel,
         )
+
+    def _from_indexes(
+        self,
+        indexes: Sequence,
+        assignments: List[List[int]],
+        *,
+        routing: str,
+        dynamic: bool,
+        scheme: str,
+        **engine_kwargs,
+    ) -> None:
+        """The one constructor path: wrap each shard index in an engine.
+
+        ``assignments[k][local]`` is the global id of shard ``k``'s record
+        ``local``; ``engine_kwargs`` are the ``SimilarityEngine`` serving
+        knobs (algorithm, metric, cache capacity, kernel).
+        """
+        self.shards: List[SimilarityEngine] = [
+            SimilarityEngine(index=index, **engine_kwargs) for index in indexes
+        ]
+        self._remaps = assignments
+        self.num_shards = len(self.shards)
+        self.routing = routing
+        self.dynamic = dynamic
+        self.scheme = scheme
+        self.algorithm = engine_kwargs["algorithm"]
+        self.metric = engine_kwargs["metric"]
+        self.kernel = engine_kwargs["kernel"]
+        self._pool = WorkerPool()
 
     # ------------------------------------------------------------------ #
     # build
@@ -389,8 +350,7 @@ class ShardedEngine:
         with _TRACER.trace("search.sharded", query=query, shards=self.num_shards):
             with _METRICS.span("engine.shard.search"):
                 shard_results = [
-                    shard.searcher.search(query, threshold)
-                    for shard in self.shards
+                    shard.search(query, threshold) for shard in self.shards
                 ]
                 merged = self._merge(query, threshold, shard_results, started)
         if _METRICS.enabled:
@@ -413,21 +373,17 @@ class ShardedEngine:
         queries = list(queries)
         if not queries:
             return []
-        kernel = kernel or self.kernel
-        if kernel not in ("auto", "serial"):
-            raise ValueError(
-                f"kernel must be 'auto' or 'serial', got {kernel!r}"
-            )
-        use_kernel = kernel == "auto" and all(
-            getattr(shard.searcher, "supports_batch_kernel", False)
-            for shard in self.shards
+        use_kernel = all(
+            shard._use_batch_kernel(kernel) for shard in self.shards
         )
         workers = len(self.shards) if workers is None else int(workers)
         started = time.perf_counter()
         with _METRICS.span("engine.shard.batch"):
             if workers <= 1 or len(self.shards) == 1:
+                # straight to each shard's searcher, not shard.search_batch:
+                # engine.batch.* telemetry describes one batch, not N shards
                 per_shard = [
-                    _shard_batch(shard.searcher, queries, threshold, use_kernel)
+                    _answer_chunk(shard.searcher, queries, threshold, use_kernel)
                     for shard in self.shards
                 ]
             else:
@@ -448,17 +404,8 @@ class ShardedEngine:
             _METRICS.inc("engine.shard.fanout", len(queries) * len(self.shards))
         # spread the batch wall-clock over the per-query seconds uniformly:
         # per-query timing is not observable under the shard-parallel path
-        elapsed = time.perf_counter() - started
-        return [
-            SearchResult(
-                query=r.query,
-                threshold=r.threshold,
-                ids=r.ids,
-                stats=r.stats,
-                seconds=elapsed / len(queries),
-            )
-            for r in merged
-        ]
+        seconds = (time.perf_counter() - started) / len(queries)
+        return [dataclasses.replace(result, seconds=seconds) for result in merged]
 
     def _fan_out(
         self,
@@ -485,7 +432,9 @@ class ShardedEngine:
         futures = []
         try:
             try:
-                pool = self._ensure_pool(min(workers, len(self.shards)))
+                pool = self._pool.get(
+                    min(workers, len(self.shards)), _thread_pool
+                )
                 for shard in self.shards:
                     futures.append(
                         pool.submit(
@@ -525,7 +474,7 @@ class ShardedEngine:
         return [
             answers
             if answers is not None
-            else _shard_batch(
+            else _answer_chunk(
                 self.shards[position].searcher, queries, threshold, use_kernel
             )
             for position, answers in enumerate(per_shard)
@@ -540,8 +489,7 @@ class ShardedEngine:
     ) -> SearchResult:
         ids: List[int] = []
         stats = SearchStats()
-        for shard, result in zip(self.shards, shard_results):
-            remap = shard.local_to_global
+        for remap, result in zip(self._remaps, shard_results):
             ids.extend(remap[local] for local in result.ids)
             stats.lists_probed += result.stats.lists_probed
             stats.postings_available += result.stats.postings_available
@@ -566,10 +514,10 @@ class ShardedEngine:
         """The shard that owns ``global_id`` under this engine's routing."""
         if self.routing == "hash":
             return global_id % self.num_shards
-        for shard in self.shards:  # contiguous: ranges are ascending
-            remap = shard.local_to_global
+        for position, remap in enumerate(self._remaps):
+            # contiguous: ranges are ascending
             if remap and remap[0] <= global_id <= remap[-1]:
-                return shard.shard_id
+                return position
         raise KeyError(f"record {global_id} is not owned by any shard")
 
     def add(self, text: str) -> int:
@@ -580,16 +528,10 @@ class ShardedEngine:
                 "dynamic ingest requires a ShardedEngine(dynamic=True); "
                 "this one serves static InvertedIndex shards"
             )
-        global_id = self._num_records
-        shard = self.shards[global_id % self.num_shards]
-        local_id = shard.index.add(text)
-        shard.local_to_global.append(global_id)
-        self._num_records += 1
-        if shard.cache is not None:
-            for token in shard.index.collection.records[local_id].tolist():
-                posting = shard.index.lists.get(token)
-                if posting is not None:
-                    shard.cache.invalidate(posting)
+        global_id = self.num_records
+        owner = global_id % self.num_shards
+        self.shards[owner].add(text)
+        self._remaps[owner].append(global_id)
         if _METRICS.enabled:
             _METRICS.inc("engine.shard.adds")
         return global_id
@@ -603,16 +545,16 @@ class ShardedEngine:
     def save(self, path) -> "Path":
         """Persist every shard as a self-contained bundle under ``path``.
 
-        Unlike the legacy :meth:`dump`, the bundles carry their shard
-        collections, so :meth:`open` needs no corpus argument.  Dynamic
-        engines snapshot every shard and keep journaling into the
-        per-shard append logs.  Returns the bundle path.
+        The bundles carry their shard collections, so :meth:`open` needs
+        no corpus argument.  Dynamic engines snapshot every shard and keep
+        journaling into the per-shard append logs.  Returns the bundle
+        path.
         """
         from .. import storage
 
         return storage.save_sharded(
             [shard.index for shard in self.shards],
-            [shard.local_to_global for shard in self.shards],
+            self._remaps,
             path,
             routing=self.routing,
             dynamic=self.dynamic,
@@ -644,176 +586,38 @@ class ShardedEngine:
             path, mmap=mmap
         )
         engine = cls.__new__(cls)
-        engine.num_shards = int(manifest["shards"])
-        engine.routing = manifest["routing"]
-        engine.dynamic = bool(manifest.get("dynamic"))
-        engine.metric = metric
-        engine.algorithm = algorithm
-        engine.kernel = kernel
-        engine.scheme = manifest["scheme"]
-        engine._cache_knobs = (cache_entries, cache_bytes, cache_admit_after)
-        engine._pool_lock = threading.RLock()
-        with engine._pool_lock:
-            engine._pool = None
-            engine._pool_workers = 0
-        engine._num_records = sum(int(a.size) for a in assignments)
-        engine.build_seconds = 0.0
-        engine.shards = [
-            engine._make_shard(shard_id, index, assignment.tolist())
-            for shard_id, (index, assignment) in enumerate(
-                zip(indexes, assignments)
-            )
-        ]
+        engine._from_indexes(
+            indexes,
+            [assignment.tolist() for assignment in assignments],
+            routing=manifest["routing"],
+            dynamic=bool(manifest.get("dynamic")),
+            scheme=manifest["scheme"],
+            algorithm=algorithm,
+            metric=metric,
+            cache_entries=cache_entries,
+            cache_bytes=cache_bytes,
+            cache_admit_after=cache_admit_after,
+            kernel=kernel,
+        )
         return engine
 
     def compact(self):
-        """Compact every dynamic shard (see ``SimilarityEngine.compact``).
+        """Compact every dynamic shard (see ``SimilarityEngine.compact``,
+        whose ``TypeError`` for a static index applies shard by shard).
 
         Returns the per-shard
         :class:`~repro.storage.compaction.CompactionStats` list.
         """
-        if not self.dynamic:
-            raise TypeError(
-                "compaction applies to dynamic shards; this engine serves "
-                "static InvertedIndex shards (already optimally partitioned)"
-            )
-        stats = []
-        for shard in self.shards:
-            stats.append(shard.index.compact())
-            if shard.cache is not None:
-                shard.cache.clear()
+        stats = [shard.compact() for shard in self.shards]
         self.close()
         return stats
-
-    # ------------------------------------------------------------------ #
-    # legacy persistence (deprecated wrappers)
-    # ------------------------------------------------------------------ #
-    def dump(self, path) -> None:
-        """Deprecated: use :meth:`save` (self-contained bundles) instead."""
-        import warnings
-
-        from ..storage import legacy
-
-        warnings.warn(
-            "ShardedEngine.dump is deprecated; use ShardedEngine.save",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        legacy.dump_sharded_npz(
-            [shard.index for shard in self.shards],
-            [shard.local_to_global for shard in self.shards],
-            path,
-            routing=self.routing,
-        )
-
-    @classmethod
-    def load(
-        cls,
-        path,
-        collection: TokenizedCollection,
-        *,
-        algorithm: str = "mergeskip",
-        metric: str = "jaccard",
-        cache_entries: Optional[int] = 1024,
-        cache_bytes: Optional[int] = 64 << 20,
-        cache_admit_after: int = 2,
-        kernel: str = "auto",
-    ) -> "ShardedEngine":
-        """Deprecated: use :meth:`open` (no collection argument) instead.
-
-        Reconstitutes a :meth:`dump` directory, bound to ``collection``
-        (the corpus the shards were built from).
-        """
-        import warnings
-
-        from ..storage import legacy
-
-        warnings.warn(
-            "ShardedEngine.load is deprecated; use ShardedEngine.open",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-
-        def shard_collection(shard_id: int, ids: np.ndarray):
-            if ids.size and int(ids[-1]) >= len(collection):
-                raise ValueError(
-                    f"sharded index references record {int(ids[-1])} but "
-                    f"the supplied collection holds {len(collection)} records"
-                )
-            return subcollection(collection, ids)
-
-        indexes, assignments, manifest = legacy.load_sharded_npz(
-            path, shard_collection
-        )
-        if manifest["num_records"] != len(collection):
-            raise ValueError(
-                f"sharded index holds {manifest['num_records']} records but "
-                f"the supplied collection holds {len(collection)}"
-            )
-        engine = cls.__new__(cls)
-        engine.num_shards = manifest["shards"]
-        engine.routing = manifest["routing"]
-        engine.dynamic = False
-        engine.metric = metric
-        engine.algorithm = algorithm
-        engine.kernel = kernel
-        engine.scheme = manifest["scheme"]
-        engine._cache_knobs = (cache_entries, cache_bytes, cache_admit_after)
-        engine._pool_lock = threading.RLock()
-        with engine._pool_lock:
-            engine._pool = None
-            engine._pool_workers = 0
-        engine._num_records = manifest["num_records"]
-        engine.build_seconds = 0.0
-        engine.shards = [
-            engine._make_shard(shard_id, index, assignment.tolist())
-            for shard_id, (index, assignment) in enumerate(
-                zip(indexes, assignments)
-            )
-        ]
-        return engine
-
-    # ------------------------------------------------------------------ #
-    # pool lifecycle
-    # ------------------------------------------------------------------ #
-    def _ensure_pool(self, workers: int) -> Executor:
-        with self._pool_lock:
-            if self._pool is not None and self._pool_workers == workers:
-                return self._pool
-            self.close()
-            self._pool = ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-shard"
-            )
-            self._pool_workers = workers
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the fan-out pool down (the engine stays usable serially)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-            self._pool_workers = 0
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "ShardedEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - GC ordering dependent
-        try:
-            self.close()
-        except (RuntimeError, OSError, AttributeError):
-            # interpreter teardown: pool internals may already be reclaimed
-            pass
 
     # ------------------------------------------------------------------ #
     # introspection
     # ------------------------------------------------------------------ #
     @property
     def num_records(self) -> int:
-        return self._num_records
+        return sum(len(remap) for remap in self._remaps)
 
     def __len__(self) -> int:
         return self.num_shards
@@ -829,29 +633,12 @@ class ShardedEngine:
 
     def shard_sizes(self) -> List[int]:
         """Records per shard (the routing balance, for dashboards)."""
-        return [len(shard.local_to_global) for shard in self.shards]
-
-    @property
-    def pool_workers(self) -> int:
-        """Size of the live fan-out pool (0 when none is up) — what the
-        serving layer's pool-size gauge reads."""
-        with self._pool_lock:
-            return self._pool_workers
+        return [len(remap) for remap in self._remaps]
 
     def cache_stats(self) -> Dict[str, int]:
         """Decode-cache counters summed over every shard's cache."""
-        totals = {
-            "entries": 0,
-            "bytes": 0,
-            "hits": 0,
-            "misses": 0,
-            "evictions": 0,
-            "insertions": 0,
-            "invalidations": 0,
-        }
+        totals: Dict[str, int] = {}
         for shard in self.shards:
-            if shard.cache is None:
-                continue
-            for name, value in shard.cache.stats().items():
-                totals[name] += value
+            for name, value in shard.cache_stats().items():
+                totals[name] = totals.get(name, 0) + value
         return totals

@@ -60,7 +60,7 @@ import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
-from ..engine import ShardedEngine, SimilarityEngine
+from ..engine import SimilarityEngine, open_engine
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
 from ..obs.export import to_prometheus, traces_to_jsonl
@@ -202,7 +202,7 @@ class ServeApp:
         )
         self.metrics.register_gauge(
             "engine.pool.workers",
-            lambda: getattr(self.engine, "pool_workers", 0),
+            lambda: self.engine.pool_workers,
         )
 
     # ------------------------------------------------------------------ #
@@ -441,7 +441,7 @@ class ServeApp:
         issues = await asyncio.to_thread(self._check_health)
         document = {
             "status": "ok" if not issues else "unhealthy",
-            "records": _num_records(self.engine),
+            "records": self.engine.num_records,
             "bundle": str(self.bundle_path) if self.bundle_path else None,
             "issues": issues[:20],
         }
@@ -532,7 +532,7 @@ class ServeApp:
             "algorithm": engine.algorithm,
             "kernel": self.kernel or engine.kernel,
             "shards": getattr(engine, "num_shards", 1),
-            "records": _num_records(engine),
+            "records": engine.num_records,
             "bundle": str(self.bundle_path) if self.bundle_path else None,
             "window_ms": self.window_ms,
             "max_batch": self.max_batch,
@@ -552,12 +552,6 @@ class ServeApp:
             self.metrics.observe(
                 f"serve.route.{route}.latency_ms", 1000.0 * seconds
             )
-
-
-def _num_records(engine) -> int:
-    if hasattr(engine, "num_records"):  # ShardedEngine
-        return int(engine.num_records)
-    return len(engine.index.collection)
 
 
 def _rss_bytes() -> float:
@@ -790,23 +784,5 @@ def create_app(
     ``repro index`` (the CLI's ``repro serve`` also accepts raw corpora
     and builds the index on the fly — that logic lives in the CLI).
     """
-    from ..storage.bundle import BUNDLE_KIND
-    from ..storage.legacy import read_manifest
-    from ..storage.sharded import SHARDED_BUNDLE_KIND
-
-    kind = (read_manifest(path) or {}).get("kind")
-    if kind == BUNDLE_KIND:
-        engine = SimilarityEngine.open(
-            path, mmap=mmap, algorithm=algorithm, metric=metric
-        )
-    elif kind == SHARDED_BUNDLE_KIND:
-        engine = ShardedEngine.open(
-            path, mmap=mmap, algorithm=algorithm, metric=metric
-        )
-    else:
-        raise ValueError(
-            f"{path} is not an index bundle (manifest kind {kind!r}); "
-            "save one with SimilarityEngine.save / ShardedEngine.save or "
-            "`repro index CORPUS OUT`"
-        )
+    engine = open_engine(path, mmap=mmap, algorithm=algorithm, metric=metric)
     return ServeApp(engine, bundle_path=path, **app_kwargs)

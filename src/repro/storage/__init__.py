@@ -21,32 +21,25 @@ package is that lifecycle made real, for both halves of the paper:
 * **sharded bundles** (:mod:`~repro.storage.sharded`) hold one
   self-contained bundle per shard, so a sharded engine reopens without a
   caller-supplied collection.
-* the **legacy** ``.npz`` formats (:mod:`~repro.storage.legacy`) stay
-  readable and writable forever; the free functions in
-  :mod:`repro.compression.serialize` are deprecated wrappers over them.
 
 Entry points for applications are ``SimilarityEngine.save`` / ``.open`` /
-``.compact`` and their :class:`~repro.engine.sharded.ShardedEngine`
-counterparts; the functions here are the engine-free core.
+``.compact``, their :class:`~repro.engine.sharded.ShardedEngine`
+counterparts and :func:`repro.engine.open_engine`; the functions here are
+the engine-free core.
 """
 
-from . import legacy
 from .bundle import (
     BUNDLE_KIND,
     BUNDLE_VERSION,
+    SHARDED_BUNDLE_KIND,
+    SHARDED_BUNDLE_VERSION,
     open_index,
-    read_bundle_manifest,
+    read_manifest,
     save_index,
 )
 from .check import check_bundle, check_sharded_bundle
 from .compaction import CompactionStats, compact_index, compact_list
-from .sharded import (
-    SHARDED_BUNDLE_KIND,
-    SHARDED_BUNDLE_VERSION,
-    open_sharded,
-    read_sharded_manifest,
-    save_sharded,
-)
+from .sharded import open_sharded, save_sharded
 
 __all__ = [
     "BUNDLE_KIND",
@@ -58,11 +51,9 @@ __all__ = [
     "check_sharded_bundle",
     "compact_index",
     "compact_list",
-    "legacy",
     "open_index",
     "open_sharded",
-    "read_bundle_manifest",
-    "read_sharded_manifest",
+    "read_manifest",
     "save_index",
     "save_sharded",
 ]

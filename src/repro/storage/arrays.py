@@ -1,17 +1,17 @@
-"""Array-level helpers shared by every on-disk index format.
+"""Array-level helpers of the bundle formats.
 
 The bundle formats (:mod:`repro.storage.bundle`,
-:mod:`repro.storage.sharded`) and the legacy ``.npz`` format
-(:mod:`repro.storage.legacy`) all reduce a two-layer store to the same
-named arrays (:func:`repro.compression.serialize.store_to_arrays`).  This
-module holds the pieces they share: the corruption-error builder that
-names the offending *file* and *array key* (not just a token), the
-store-array consistency validator, and the reconstituted list wrapper.
+:mod:`repro.storage.sharded`) reduce a two-layer store to named arrays
+(:func:`repro.compression.serialize.store_to_arrays`).  This module holds
+the pieces they share: the corruption-error builder that names the
+offending *file* and *array key* (not just a token), the store-array
+consistency validator, and the reconstituted list wrappers.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Union
+from pathlib import Path
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -26,8 +26,6 @@ __all__ = [
     "LoadedTwoLayerList",
     "LoadedUncompressedList",
 ]
-
-_Context = Union[str, "object", None]
 
 
 def corruption_error(
@@ -70,10 +68,8 @@ def require(
 
 def validate_store_arrays(
     arrays: Dict[str, np.ndarray],
-    token: Optional[int] = None,
-    *,
-    file: Optional[object] = None,
-    directory: Optional[object] = None,
+    token: Optional[int],
+    directory: Path,
 ) -> None:
     """Cheap consistency checks before trusting on-disk extents.
 
@@ -81,18 +77,12 @@ def validate_store_arrays(
     not return garbage ids from a later ``gather``: block starts must be a
     monotone prefix-count ramp, every block's packed deltas must lie
     inside the data words, and widths must be in the encoder's [1, 32]
-    range.  Violations name the file and the array key they were found in.
-
-    ``file`` is a single container holding every array (the legacy
-    ``.npz``); ``directory`` is a bundle directory, where each array key
-    lives in its own ``<key>.npy`` — violations are attributed to the
-    failing key's file.
+    range.  Violations name the array key they were found in and that
+    key's ``<key>.npy`` file in the bundle ``directory``.
     """
 
-    def _file(key: str) -> Optional[object]:
-        if directory is None:
-            return file
-        return directory / f"{key.split('/')[0]}.npy"  # type: ignore[operator]
+    def _file(key: str) -> Path:
+        return directory / f"{key.split('/')[0]}.npy"
 
     bases = arrays["bases"]
     offsets = arrays["offsets"]

@@ -2,9 +2,9 @@
 
 One bundle directory holds everything an engine needs to come back up —
 ``manifest.json``, the consolidated posting-list arrays as *plain* ``.npy``
-files (the legacy ``.npz`` is a zip archive, which numpy cannot
-memory-map), and the tokenized collection (strings, dictionary in id
-order, per-record token arrays).  Two layouts share the container:
+files (an ``.npz`` is a zip archive, which numpy cannot memory-map), and
+the tokenized collection (strings, dictionary in id order, per-record
+token arrays).  Two layouts share the container:
 
 * **static** (``"dynamic": false``) — an offline
   :class:`~repro.search.searcher.InvertedIndex`.  Opened with
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -46,14 +46,23 @@ from .arrays import (
 __all__ = [
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
+    "SHARDED_BUNDLE_KIND",
+    "SHARDED_BUNDLE_VERSION",
     "LOG_NAME",
     "save_index",
     "open_index",
-    "read_bundle_manifest",
+    "read_manifest",
+    "write_manifest",
 ]
 
 BUNDLE_KIND = "repro.index_bundle"
 BUNDLE_VERSION = 1
+SHARDED_BUNDLE_KIND = "repro.sharded_bundle"
+SHARDED_BUNDLE_VERSION = 1
+_MANIFEST_VERSIONS = {
+    BUNDLE_KIND: BUNDLE_VERSION,
+    SHARDED_BUNDLE_KIND: SHARDED_BUNDLE_VERSION,
+}
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "log.jsonl"
 
@@ -84,24 +93,37 @@ _DYNAMIC_ARRAY_DTYPES = {
 }
 
 
-def read_bundle_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and sanity-check ``manifest.json`` of an index bundle."""
+def read_manifest(
+    path: Union[str, Path], kind: Optional[str] = None
+) -> Dict[str, Any]:
+    """Parse ``manifest.json`` of the bundle directory at ``path``.
+
+    With ``kind`` the manifest must declare that kind at the version this
+    code reads; without it the caller dispatches on ``manifest["kind"]``.
+    """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValueError(f"{path} is not an index bundle (no {MANIFEST_NAME})")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("kind") != BUNDLE_KIND:
-        raise ValueError(
-            f"{manifest_path} is not a {BUNDLE_KIND} manifest "
-            f"(kind={manifest.get('kind')!r})"
-        )
-    if manifest.get("version") != BUNDLE_VERSION:
-        raise ValueError(
-            f"unsupported index bundle version {manifest.get('version')} "
-            f"in {manifest_path}"
-        )
+    if kind is not None:
+        if manifest.get("kind") != kind:
+            raise ValueError(
+                f"{manifest_path} is not a {kind} manifest "
+                f"(kind={manifest.get('kind')!r})"
+            )
+        if manifest.get("version") != _MANIFEST_VERSIONS[kind]:
+            raise ValueError(
+                f"unsupported {kind} version {manifest.get('version')} "
+                f"in {manifest_path}"
+            )
     return manifest
+
+
+def write_manifest(path: Path, manifest: Dict[str, Any]) -> None:
+    (path / MANIFEST_NAME).write_text(
+        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
+    )
 
 
 # ---------------------------------------------------------------------- #
@@ -197,8 +219,7 @@ def _prepare_directory(path: Union[str, Path]) -> Path:
     path = Path(path)
     if path.exists() and not path.is_dir():
         raise ValueError(
-            f"{path} exists and is not a directory (bundles are directories; "
-            "use a .npz path for the legacy monolithic format)"
+            f"{path} exists and is not a directory (bundles are directories)"
         )
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -267,9 +288,7 @@ def _save_static(index: Any, path: Union[str, Path]) -> Path:
     # stale logs from an earlier dynamic bundle at this path must not be
     # replayed into a static index
     (path / LOG_NAME).unlink(missing_ok=True)
-    (path / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_manifest(path, manifest)
     return path
 
 
@@ -313,9 +332,7 @@ def _save_dynamic(index: Any, path: Union[str, Path]) -> Path:
     )
     _save_arrays(path, _collection_arrays(collection))
     _write_collection_json(path, collection)
-    (path / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_manifest(path, manifest)
     # fresh snapshot: the log restarts empty, journaling from here on
     log_path = path / LOG_NAME
     log_path.write_text("", encoding="utf-8")
@@ -414,7 +431,7 @@ def _load_collection(
 
 def _iter_list_arrays(path: Path, arrays: Dict[str, np.ndarray]):
     """Yield ``(position, token, kind, store_arrays_or_values)`` per list,
-    validating the consolidated extents exactly like the legacy loader."""
+    validating the consolidated extents."""
     tokens = arrays["tokens"]
     kinds = arrays["kinds"]
     block_counts = arrays["block_counts"]
@@ -478,7 +495,7 @@ def _iter_list_arrays(path: Path, arrays: Dict[str, np.ndarray]):
                     [bit_counts[twolayer_seen]], dtype=np.int64
                 ),
             }
-            validate_store_arrays(store_arrays, token, directory=path)
+            validate_store_arrays(store_arrays, token, path)
             yield position, token, _KIND_TWOLAYER, store_arrays
             b += nb
             s += ns
@@ -507,7 +524,7 @@ def open_index(path: Union[str, Path], *, mmap: bool = True) -> Any:
     the append log before re-arming it.
     """
     path = Path(path)
-    manifest = read_bundle_manifest(path)
+    manifest = read_manifest(path, BUNDLE_KIND)
     with _METRICS.span("storage.open"):
         if manifest.get("dynamic"):
             index = _open_dynamic(path, manifest)

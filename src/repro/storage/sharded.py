@@ -9,10 +9,9 @@ Layout::
         assignment.npy         local->global record ids (static shards)
       shard-00001/ ...
 
-Unlike the legacy ``.npz`` shard directory, every shard bundle carries its
-own tokenized sub-collection, so opening needs **no** caller-supplied
-collection — ``ShardedEngine.open(path)`` is enough.  Static shards honor
-``mmap=True``: N shard bundles under one directory opened by N fork
+Every shard bundle carries its own tokenized sub-collection, so opening
+needs **no** caller-supplied collection — ``ShardedEngine.open(path)`` is
+enough.  Static shards honor ``mmap=True``: N shard bundles under one directory opened by N fork
 workers all serve their posting lists off the shared page cache.
 
 Dynamic shards (``"dynamic": true``) are snapshots of per-shard
@@ -24,7 +23,6 @@ correct for records replayed from the logs after the snapshot.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Any, Dict, List, Sequence, Tuple, Union
 
@@ -32,21 +30,23 @@ import numpy as np
 
 from ..obs import METRICS as _METRICS
 from .arrays import corruption_error, require
-from .bundle import open_index, save_index
-from .legacy import validate_assignments
+from .bundle import (
+    MANIFEST_NAME,
+    SHARDED_BUNDLE_KIND,
+    SHARDED_BUNDLE_VERSION,
+    open_index,
+    read_manifest,
+    save_index,
+    write_manifest,
+)
 
 __all__ = [
-    "SHARDED_BUNDLE_KIND",
-    "SHARDED_BUNDLE_VERSION",
     "save_sharded",
     "open_sharded",
-    "read_sharded_manifest",
     "shard_dir",
+    "validate_assignments",
 ]
 
-SHARDED_BUNDLE_KIND = "repro.sharded_bundle"
-SHARDED_BUNDLE_VERSION = 1
-MANIFEST_NAME = "manifest.json"
 ASSIGNMENT_NAME = "assignment.npy"
 
 
@@ -54,26 +54,24 @@ def shard_dir(position: int) -> str:
     return f"shard-{position:05d}"
 
 
-def read_sharded_manifest(path: Union[str, Path]) -> Dict[str, Any]:
-    """Parse and sanity-check ``manifest.json`` of a sharded bundle."""
-    path = Path(path)
-    manifest_path = path / MANIFEST_NAME
-    if not manifest_path.is_file():
+def validate_assignments(assignments: List[np.ndarray]) -> int:
+    """Check the shard assignment is a partition of ``0..N-1``; returns N."""
+    total = sum(int(a.size) for a in assignments)
+    if total == 0:
+        return 0
+    flat = np.concatenate(assignments)
+    if flat.size and not np.array_equal(
+        np.sort(flat), np.arange(total, dtype=np.int64)
+    ):
         raise ValueError(
-            f"{path} is not a sharded bundle (no {MANIFEST_NAME})"
+            "shard assignments must cover record ids 0..N-1 exactly once"
         )
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if manifest.get("kind") != SHARDED_BUNDLE_KIND:
-        raise ValueError(
-            f"{manifest_path} is not a {SHARDED_BUNDLE_KIND} manifest "
-            f"(kind={manifest.get('kind')!r})"
-        )
-    if manifest.get("version") != SHARDED_BUNDLE_VERSION:
-        raise ValueError(
-            f"unsupported sharded bundle version {manifest.get('version')} "
-            f"in {manifest_path}"
-        )
-    return manifest
+    for position, assignment in enumerate(assignments):
+        if assignment.size > 1 and not np.all(np.diff(assignment) > 0):
+            raise ValueError(
+                f"shard {position} assignment is not strictly ascending"
+            )
+    return total
 
 
 def save_sharded(
@@ -127,9 +125,7 @@ def save_sharded(
         "num_records": total,
         "shard_records": [int(a.size) for a in arrays],
     }
-    (path / MANIFEST_NAME).write_text(
-        json.dumps(manifest, indent=2) + "\n", encoding="utf-8"
-    )
+    write_manifest(path, manifest)
     return path
 
 
@@ -143,7 +139,7 @@ def open_sharded(
     (possibly log-extended) assignments from the hash routing.
     """
     path = Path(path)
-    manifest = read_sharded_manifest(path)
+    manifest = read_manifest(path, SHARDED_BUNDLE_KIND)
     shards = int(manifest["shards"])
     shard_records = [int(n) for n in manifest["shard_records"]]
     if shards < 1 or len(shard_records) != shards:

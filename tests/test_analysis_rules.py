@@ -1,4 +1,4 @@
-"""Tests for the repo-specific lint engine (repro.analysis, rules RA01-RA09).
+"""Tests for the repo-specific lint engine (repro.analysis, rules RA01-RA08).
 
 Each rule gets a failing and a passing fixture snippet, written into a
 ``tmp/repro/...`` tree so the engine derives the same dotted module names
@@ -513,71 +513,6 @@ class TestRA08StorageModelPrivacy:
             """
             def dump(store):
                 return list(store._widths)
-            """,
-        )
-        assert found == []
-
-
-class TestRA09DeprecatedPersistenceCalls:
-    def test_bare_dump_index_call_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/tools/export.py",
-            """
-            def export(index, path):
-                dump_index(index, path)
-            """,
-        )
-        assert codes(found) == ["RA09"]
-        assert "SimilarityEngine.save" in found[0].message
-
-    def test_attribute_load_sharded_call_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/engine/warm.py",
-            """
-            def warm(serialize, path):
-                return serialize.load_sharded(path, lambda s, g: None)
-            """,
-        )
-        assert codes(found) == ["RA09"]
-
-    def test_bundle_api_passes(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/tools/export.py",
-            """
-            from repro import storage
-
-            def export(index, path):
-                storage.save_index(index, path)
-
-            def reopen(path):
-                return storage.open_index(path, mmap=True)
-            """,
-        )
-        assert found == []
-
-    def test_storage_package_is_whitelisted(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/storage/migrate.py",
-            """
-            def migrate(path, collection):
-                return load_index(path, collection)
-            """,
-        )
-        assert found == []
-
-    def test_mere_reference_without_call_passes(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/tools/export.py",
-            """
-            DEPRECATED_NAMES = {"dump_index", "load_index"}
-
-            def names():
-                return sorted(DEPRECATED_NAMES)
             """,
         )
         assert found == []

@@ -1,12 +1,11 @@
 """Integrity checking of persisted indexes: `repro check` + bit-flip fuzz.
 
 The paper's losslessness requirement means a corrupted on-disk index must
-never silently serve wrong ids.  These tests corrupt saved ``.npz`` indexes
-and sharded manifest directories — semantically (tampered arrays re-saved
-through the container, always caught) and physically (random byte flips,
-caught for the overwhelming majority of positions; zip containers have a
-few semantically-dead bytes) — and assert the checkers flag them while a
-pristine file stays clean.
+never silently serve wrong ids.  These tests corrupt saved bundle
+directories and sharded bundles — semantically (tampered arrays re-saved
+as valid ``.npy`` files) and physically (random bit flips in the layout
+arrays) — and assert the checkers flag them, and the loader refuses them,
+while a pristine bundle stays clean.
 """
 
 import json
@@ -15,14 +14,10 @@ import shutil
 import numpy as np
 import pytest
 
+from repro import storage
 from repro.cli import main as cli_main
-from repro.compression.serialize import dump_index, dump_sharded
-from repro.compression.validate import (
-    check_file,
-    check_path,
-    check_sharded_dir,
-)
-from repro.engine.sharded import partition_records, subcollection
+from repro.compression.validate import check_path
+from repro.engine import ShardedEngine, open_engine
 from repro.search.searcher import InvertedIndex
 from repro.similarity.tokenize import tokenize_collection
 
@@ -38,125 +33,146 @@ def collection():
     return tokenize_collection(strings)
 
 
-@pytest.fixture()
-def saved_index(collection, tmp_path):
-    path = tmp_path / "index.npz"
-    dump_index(InvertedIndex(collection, scheme="css"), path)
-    return path
+def tamper(bundle, key, mutate):
+    """Rewrite the bundle's ``<key>.npy`` with ``mutate(array)``."""
+    file = bundle / f"{key}.npy"
+    np.save(file, mutate(np.load(file).copy()))
 
 
-def resave_with(path, out, **overrides):
-    """Round-trip the ``.npz`` through numpy with some arrays replaced."""
-    with np.load(path) as bundle:
-        arrays = {key: bundle[key] for key in bundle.files}
-    arrays.update(overrides)
-    np.savez_compressed(out, **arrays)
-    return out
+def assign(index, value):
+    def mutate(array):
+        array[index] = value
+        return array
+
+    return mutate
 
 
 class TestPristine:
-    def test_clean_file_has_no_violations(self, saved_index):
-        assert check_file(saved_index) == []
-        assert check_path(saved_index) == []
-
     def test_missing_path_is_a_violation(self, tmp_path):
-        issues = check_path(tmp_path / "nope.npz")
+        issues = check_path(tmp_path / "nope")
         assert len(issues) == 1
         assert "no such index" in issues[0]
 
 
 class TestSemanticCorruption:
-    """Tampered arrays re-saved through a valid container: always caught."""
+    """Tampered arrays re-saved as valid ``.npy`` files: always caught."""
 
-    def test_out_of_range_widths(self, saved_index, tmp_path):
-        with np.load(saved_index) as bundle:
-            widths = bundle["widths"].copy()
-        widths[:] = 99
-        out = resave_with(saved_index, tmp_path / "bad.npz", widths=widths)
-        issues = check_file(out)
+    def test_out_of_range_widths(self, saved_bundle):
+        tamper(saved_bundle, "widths", assign(slice(None), 99))
+        issues = check_path(saved_bundle)
         assert issues and "delta width" in issues[0]
 
-    def test_broken_starts_ramp(self, saved_index, tmp_path):
-        with np.load(saved_index) as bundle:
-            starts = bundle["starts"].copy()
-        starts[0] = 5
-        out = resave_with(saved_index, tmp_path / "bad.npz", starts=starts)
-        issues = check_file(out)
+    @pytest.mark.parametrize(
+        "key, mutate, message",
+        [
+            ("starts", assign(0, 5), "starts"),
+            ("starts", assign(slice(None), 0), "non-positive block size|starts"),
+            ("words", lambda words: words[: words.size // 2], "extent"),
+            ("kinds", lambda kinds: kinds[:-1], "tokens/kinds"),
+            ("widths", assign(0, 50), "delta width"),
+            ("bit_counts", assign(slice(None), 10**9), "num_bits"),
+        ],
+    )
+    def test_loader_rejects_broken_extents(
+        self, saved_bundle, key, mutate, message
+    ):
+        tamper(saved_bundle, key, mutate)
+        issues = check_path(saved_bundle)
         assert issues and "load failed" in issues[0]
+        # and the serving path refuses the bundle instead of answering
+        with pytest.raises(ValueError, match=message):
+            open_engine(saved_bundle)
 
-    def test_truncated_data_words(self, saved_index, tmp_path):
-        with np.load(saved_index) as bundle:
-            words = bundle["words"].copy()
-        out = resave_with(
-            saved_index, tmp_path / "bad.npz", words=words[: words.size // 2]
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda c: assign(0, c[0] + 5)(c), "extent"),
+            # -1 for list 0, the total kept so the container checks pass
+            (
+                lambda c: assign(slice(0, 2), [-1, c[0] + c[1] + 1])(c),
+                "uncompressed extent",
+            ),
+        ],
+    )
+    def test_loader_rejects_broken_uncompressed_extents(
+        self, collection, tmp_path, mutate, message
+    ):
+        bundle = storage.save_index(
+            InvertedIndex(collection, scheme="uncomp"), tmp_path / "uncomp"
         )
-        issues = check_file(out)
-        assert issues and "load failed" in issues[0]
+        tamper(bundle, "uncomp_counts", mutate)
+        with pytest.raises(ValueError, match=message):
+            open_engine(bundle)
 
-    def test_disordered_bases(self, saved_index, tmp_path):
-        with np.load(saved_index) as bundle:
-            bases = bundle["bases"].copy()
-            block_counts = bundle["block_counts"]
+    def test_disordered_bases(self, saved_bundle):
+        block_counts = np.load(saved_bundle / "block_counts.npy")
         # find a list with >= 2 metadata blocks and swap its first two bases
         multi = np.nonzero(block_counts >= 2)[0]
         if multi.size == 0:
             pytest.skip("corpus produced only single-block lists")
         offset = int(block_counts[: multi[0]].sum())
-        bases[offset], bases[offset + 1] = bases[offset + 1], bases[offset]
-        out = resave_with(saved_index, tmp_path / "bad.npz", bases=bases)
-        issues = check_file(out)
-        assert issues
+
+        def swap(bases):
+            bases[[offset, offset + 1]] = bases[[offset + 1, offset]]
+            return bases
+
+        tamper(saved_bundle, "bases", swap)
+        assert check_path(saved_bundle)
 
 
 class TestBitFlipFuzz:
-    """Random single-byte flips across the container: majority caught.
+    """Random single-bit flips in a bundle's layout arrays: majority caught.
 
-    A compressed ``.npz`` is a zip of deflate streams: flips in payload
-    are caught by CRC/extent checks at load time, but a zip container
-    carries semantically dead bytes (zip64 extra fields, central-directory
-    timestamps) that no checker can see, so the assertion is a majority
-    bound rather than 100%.  Flips guaranteed to matter — the array
-    contents themselves — are covered by :class:`TestSemanticCorruption`.
+    A bundle's ``.npy`` files carry no checksum, so a flip that leaves a
+    *payload* array well-formed — one packed delta in ``words``, one token
+    id — is invisible to any structural checker.  What the checker does
+    promise is the layout: every array holding counts, extents, offsets,
+    bases or widths.  Flips there are caught by the extent and contract
+    checks, bar the few that land in ``.npy`` header padding or yield
+    another valid layout, so the assertion is a majority bound.  Flips
+    guaranteed to matter are covered by :class:`TestSemanticCorruption`.
     """
 
     TRIALS = 50
+    PAYLOAD = {"words.npy", "tokens.npy", "records_values.npy"}
 
-    def test_flips_are_detected(self, saved_index, tmp_path):
-        pristine = saved_index.read_bytes()
+    def test_flips_are_detected(self, saved_bundle):
+        layout = sorted(
+            file
+            for file in saved_bundle.glob("*.npy")
+            if file.name not in self.PAYLOAD
+        )
         rng = np.random.default_rng(0xC0FFEE)
-        target = tmp_path / "flipped.npz"
         detected = 0
         for trial in range(self.TRIALS):
+            target = layout[int(rng.integers(0, len(layout)))]
+            pristine = target.read_bytes()
             corrupt = bytearray(pristine)
             position = int(rng.integers(0, len(corrupt)))
             corrupt[position] ^= 1 << int(rng.integers(0, 8))
             target.write_bytes(bytes(corrupt))
-            if check_path(target):
+            if check_path(saved_bundle):
                 detected += 1
-        assert detected >= int(0.6 * self.TRIALS), (
-            f"only {detected}/{self.TRIALS} byte flips detected"
+            target.write_bytes(pristine)
+        assert detected >= int(0.8 * self.TRIALS), (
+            f"only {detected}/{self.TRIALS} bit flips detected"
         )
-
-    def test_pristine_still_passes_after_fuzzing(self, saved_index):
-        assert check_file(saved_index) == []
+        # every flip was undone: the pristine bundle still passes
+        assert check_path(saved_bundle) == []
 
 
 @pytest.fixture()
 def saved_sharded(collection, tmp_path):
-    assignments = partition_records(len(collection), 2)
-    indexes = [
-        InvertedIndex(subcollection(collection, a), scheme="css")
-        for a in assignments
-    ]
-    path = tmp_path / "sharded"
-    dump_sharded(indexes, assignments, path)
-    return path
+    with ShardedEngine(collection, shards=2, build_workers=1) as engine:
+        return engine.save(tmp_path / "sharded")
 
 
 class TestShardedChecks:
-    def test_clean_directory_has_no_violations(self, saved_sharded):
-        assert check_sharded_dir(saved_sharded) == []
+    def test_clean_then_corrupt_shard_is_attributed(self, saved_sharded):
         assert check_path(saved_sharded) == []
+        tamper(saved_sharded / "shard-00000", "widths", assign(slice(None), 99))
+        issues = check_path(saved_sharded)
+        assert issues and "shard-00000" in issues[0]
 
     def test_tampered_manifest_is_caught(self, saved_sharded):
         manifest_path = saved_sharded / "manifest.json"
@@ -165,27 +181,25 @@ class TestShardedChecks:
         manifest_path.write_text(json.dumps(manifest))
         issues = check_path(saved_sharded)
         assert issues and "load failed" in issues[0]
+        with pytest.raises(ValueError, match="manifest"):
+            open_engine(saved_sharded)
 
-    def test_missing_shard_file_is_caught(self, saved_sharded):
-        (saved_sharded / "shard-00001.npz").unlink()
+    def test_foreign_manifest_kind_is_rejected(self, saved_sharded):
+        manifest_path = saved_sharded / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["kind"] = "something.else"
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="manifest"):
+            ShardedEngine.open(saved_sharded)
+
+    def test_missing_shard_directory_is_caught(self, saved_sharded):
+        shutil.rmtree(saved_sharded / "shard-00001")
         issues = check_path(saved_sharded)
         assert issues and "load failed" in issues[0]
-
-    def test_corrupt_shard_payload_is_caught(self, saved_sharded, tmp_path):
-        shard = saved_sharded / "shard-00000.npz"
-        with np.load(shard) as bundle:
-            widths = bundle["widths"].copy()
-        widths[:] = 0
-        resave_with(shard, tmp_path / "bad-shard.npz", widths=widths)
-        shutil.move(str(tmp_path / "bad-shard.npz"), str(shard))
-        issues = check_path(saved_sharded)
-        assert issues
 
 
 @pytest.fixture()
 def saved_bundle(collection, tmp_path):
-    from repro import storage
-
     return storage.save_index(
         InvertedIndex(collection, scheme="css"), tmp_path / "bundle"
     )
@@ -193,7 +207,6 @@ def saved_bundle(collection, tmp_path):
 
 @pytest.fixture()
 def saved_dynamic_bundle(tmp_path):
-    from repro import storage
     from repro.search.dynamic import DynamicInvertedIndex
 
     index = DynamicInvertedIndex(mode="word", scheme="adapt")
@@ -241,26 +254,8 @@ class TestBundleChecks:
         issues = check_path(path)
         assert issues and "manifest.json" in issues[0]
 
-    def test_sharded_bundle_clean_and_attributed(self, collection, tmp_path):
-        from repro.engine import ShardedEngine
-
-        engine = ShardedEngine(collection, shards=2, build_workers=1)
-        path = engine.save(tmp_path / "sharded-bundle")
-        engine.close()
-        assert check_path(path) == []
-        target = path / "shard-00000" / "widths.npy"
-        widths = np.load(target).copy()
-        widths[:] = 99
-        np.save(target, widths)
-        issues = check_path(path)
-        assert issues and "shard-00000" in issues[0]
-
 
 class TestCheckCLI:
-    def test_structural_mode_passes_pristine(self, saved_index, capsys):
-        assert cli_main(["check", str(saved_index)]) == 0
-        assert "no violations" in capsys.readouterr().out
-
     def test_bundle_directory_passes(self, saved_bundle, capsys):
         assert cli_main(["check", str(saved_bundle)]) == 0
         assert "no violations" in capsys.readouterr().out
@@ -280,18 +275,11 @@ class TestCheckCLI:
         out = capsys.readouterr().out
         assert "integrity violations" in out and "log.jsonl" in out
 
-    def test_structural_mode_flags_corruption(
-        self, saved_index, tmp_path, capsys
-    ):
-        with np.load(saved_index) as bundle:
-            widths = bundle["widths"].copy()
-        widths[:] = 99
-        out = resave_with(saved_index, tmp_path / "bad.npz", widths=widths)
-        assert cli_main(["check", str(out)]) == 1
+    def test_corrupt_array_fails_the_check(self, saved_bundle, capsys):
+        tamper(saved_bundle, "widths", assign(slice(None), 99))
+        assert cli_main(["check", str(saved_bundle)]) == 1
         assert "integrity violations" in capsys.readouterr().out
 
-    def test_structural_mode_handles_sharded_dirs(
-        self, saved_sharded, capsys
-    ):
+    def test_sharded_bundle_passes(self, saved_sharded, capsys):
         assert cli_main(["check", str(saved_sharded)]) == 0
         assert "no violations" in capsys.readouterr().out

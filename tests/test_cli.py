@@ -46,7 +46,7 @@ class TestIndexAndSearch:
     def test_index_then_search_with_persisted_index(
         self, corpus, tmp_path, word_strings, capsys
     ):
-        index_path = str(tmp_path / "idx.npz")
+        index_path = str(tmp_path / "idx.bundle")
         assert main(["index", corpus, index_path, "--scheme", "css"]) == 0
         assert "saved to" in capsys.readouterr().out
 
@@ -88,27 +88,41 @@ class TestIndexAndSearch:
         assert "world" not in out
 
 
-class TestMmapFailFast:
-    """``--mmap`` only works on bundle directories; both misuse branches
-    must fail fast with an error naming the `repro index` migration."""
+class TestLegacyNpzRejected:
+    """The ``.npz`` format is gone: every subcommand that takes a bundle
+    fails once, with one message naming the rebuild command, exit code 2."""
 
-    def test_mmap_with_legacy_npz_rejected(self, corpus, tmp_path, capsys):
-        index_path = str(tmp_path / "idx.npz")
-        assert main(["index", corpus, index_path]) == 0
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "search", corpus, "tok0",
-                    "--load-index", index_path,
-                    "--mmap",
-                ]
-            )
-            == 2
-        )
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["index", "CORPUS", "NPZ"],
+            ["search", "CORPUS", "tok0", "--load-index", "NPZ"],
+            ["serve", "NPZ"],
+            ["compact", "NPZ"],
+            ["check", "NPZ"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_npz_path_rejected(self, corpus, tmp_path, capsys, argv):
+        npz = tmp_path / "idx.npz"
+        npz.write_bytes(b"PK")  # exists or not, the answer is the same
+        swap = {"CORPUS": corpus, "NPZ": str(npz)}
+        assert main([swap.get(arg, arg) for arg in argv]) == 2
         out = capsys.readouterr().out
-        assert "cannot be memory-mapped" in out
-        assert "repro index" in out  # the migration path, by name
+        assert "legacy .npz format was removed" in out
+        assert "repro index CORPUS OUT" in out
+        assert npz.read_bytes() == b"PK"  # `index` did not write into it
+
+    def test_missing_bundle_directory_rejected(self, corpus, tmp_path, capsys):
+        missing = str(tmp_path / "nowhere")
+        assert main(["search", corpus, "q", "--load-index", missing]) == 2
+        assert main(["check", missing]) == 2
+        assert "not an index bundle directory" in capsys.readouterr().out
+
+
+class TestMmapFailFast:
+    """``--mmap`` only works on ``--load-index`` bundle directories; misuse
+    must fail fast with an error naming the `repro index` command."""
 
     def test_mmap_without_load_index_rejected(self, corpus, capsys):
         assert main(["search", corpus, "tok0", "--mmap"]) == 2
@@ -183,17 +197,6 @@ class TestServeCommand:
         assert type(app.engine).__name__ == "ShardedEngine"
         assert app.engine.num_shards == 2
         assert app.bundle_path is None
-
-    def test_legacy_npz_rejected_with_migration_path(
-        self, corpus, tmp_path, served_app, capsys
-    ):
-        index_path = str(tmp_path / "idx.npz")
-        assert main(["index", corpus, index_path]) == 0
-        capsys.readouterr()
-        assert main(["serve", index_path]) == 2
-        out = capsys.readouterr().out
-        assert "repro index" in out
-        assert served_app == []
 
     def test_mmap_needs_a_bundle(self, corpus, served_app, capsys):
         assert main(["serve", corpus, "--mmap"]) == 2
@@ -291,7 +294,7 @@ class TestShardedSearch:
         assert "[" in capsys.readouterr().out
 
     def test_shards_rejects_loaded_index(self, corpus, tmp_path, capsys):
-        index_path = str(tmp_path / "idx.npz")
+        index_path = str(tmp_path / "idx.bundle")
         assert main(["index", corpus, index_path, "--scheme", "css"]) == 0
         capsys.readouterr()
         assert (
@@ -438,23 +441,21 @@ class TestBatchSearch:
 
 class TestCheck:
     def test_healthy_index_passes(self, corpus, tmp_path, capsys):
-        index_path = str(tmp_path / "i.npz")
+        index_path = str(tmp_path / "i.bundle")
         main(["index", corpus, index_path, "--scheme", "css"])
         capsys.readouterr()
-        assert main(["check", index_path, corpus]) == 0
+        assert main(["check", index_path]) == 0
         assert "no violations" in capsys.readouterr().out
 
     def test_corrupted_index_fails(self, corpus, tmp_path, capsys):
         import numpy as np
 
-        index_path = tmp_path / "i.npz"
+        index_path = tmp_path / "i.bundle"
         main(["index", corpus, str(index_path), "--scheme", "milc"])
         capsys.readouterr()
-        with np.load(index_path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        arrays["widths"] = arrays["widths"] + 40  # corrupt every delta width
-        np.savez_compressed(index_path, **arrays)
-        assert main(["check", str(index_path), corpus]) == 1
+        widths = np.load(index_path / "widths.npy")
+        np.save(index_path / "widths.npy", widths + 40)  # every delta width
+        assert main(["check", str(index_path)]) == 1
         assert "violations" in capsys.readouterr().out
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import storage
 from repro.bench.tables import format_value
 from repro.compression import (
     CSSList,
@@ -12,7 +13,6 @@ from repro.compression import (
 )
 from repro.compression.base import MAX_ELEMENT, ListCursor
 from repro.compression.online import AdaptList, FixList
-from repro.compression.serialize import dump_index, load_index
 from repro.core.listops import contains_all
 from repro.search import InvertedIndex, JaccardSearcher, merge_skip
 
@@ -72,8 +72,7 @@ class TestLoadedIndexBehaviour:
     def test_mergeskip_runs_on_loaded_index(self, tmp_path, word_collection):
         """Cursors (and therefore MergeSkip) must work on deserialized lists."""
         index = InvertedIndex(word_collection, scheme="css")
-        dump_index(index, tmp_path / "i.npz")
-        loaded = load_index(tmp_path / "i.npz", word_collection)
+        loaded = storage.open_index(storage.save_index(index, tmp_path / "i"))
         lists = list(loaded.lists.values())[:6]
         populated = [l for l in lists if len(l) >= 1]
         out = merge_skip(populated, 1)
@@ -84,8 +83,7 @@ class TestLoadedIndexBehaviour:
 
     def test_loaded_searcher_stats(self, tmp_path, word_collection):
         index = InvertedIndex(word_collection, scheme="milc")
-        dump_index(index, tmp_path / "i.npz")
-        loaded = load_index(tmp_path / "i.npz", word_collection)
+        loaded = storage.open_index(storage.save_index(index, tmp_path / "i"))
         searcher = JaccardSearcher(loaded)
         result = searcher.search(word_collection.strings[0], 0.8)
         assert result.stats.lists_probed > 0

@@ -1,6 +1,7 @@
 """Tests for `repro.engine.SimilarityEngine` and the redesigned search API."""
 
 import dataclasses
+import pickle
 import warnings
 
 import pytest
@@ -182,16 +183,16 @@ class TestSearchBatch:
         results = engine.search_batch(
             word_collection.strings[:3], 0.8, workers=4
         )
-        assert engine._pool is None  # below the parallel cutoff: no pool
+        assert engine._pool._executor is None  # below the parallel cutoff: no pool
         assert len(results) == 3
 
     def test_pool_reused_across_batches(self, word_collection):
         queries = word_collection.strings[:16]
         with SimilarityEngine(word_collection, scheme="css") as engine:
             engine.search_batch(queries, 0.7, workers=2)
-            pool = engine._pool
+            pool = engine._pool._executor
             engine.search_batch(queries, 0.7, workers=2)
-            assert engine._pool is pool
+            assert engine._pool._executor is pool
 
     def test_parallel_batch_records_query_counters(self, word_collection):
         queries = word_collection.strings[:16]
@@ -226,7 +227,7 @@ class TestWorkerTelemetry:
         ) as engine:
             with enabled_metrics() as registry:
                 engine.search_batch(queries, 0.6, workers=2)
-            assert engine._pool_kind == "process"
+            assert engine._pool.kind == "process"
         # these are recorded only inside the workers; > 0 proves the
         # deltas shipped back and folded into the parent registry
         assert registry.counter("twolayer.blocks_decoded") > 0
@@ -285,7 +286,7 @@ class TestWorkerTelemetry:
         try:
             with SimilarityEngine(word_collection, scheme="css") as engine:
                 engine.search_batch(queries, 0.6, workers=2)
-                assert engine._pool_kind == "process"
+                assert engine._pool.kind == "process"
             documents = TRACER.drain()
         finally:
             TRACER.configure(enabled=False)
@@ -361,8 +362,8 @@ class TestBatchFailureSemantics:
             # pool was not torn down (the transport is healthy)
             assert wrapper.calls.count("!!poison!!") == 1
             assert len(wrapper.calls) <= len(queries)
-            assert engine._pool is not None
-            assert engine._pool_kind == "thread"
+            assert engine._pool._executor is not None
+            assert engine._pool.kind == "thread"
 
     def test_query_error_propagates_process_mode(self, word_collection):
         queries = list(word_collection.strings[:15])
@@ -372,11 +373,11 @@ class TestBatchFailureSemantics:
             engine.searcher = wrapper
             with pytest.raises(RuntimeError, match="poisoned"):
                 engine.search_batch(queries, 0.7, workers=2)
-            if engine._pool_kind == "process":
+            if engine._pool.kind == "process":
                 # all work happened in the fork workers — a serial rerun
                 # would have re-executed queries in this process
                 assert wrapper.calls == []
-                assert engine._pool is not None
+                assert engine._pool._executor is not None
 
     def test_infrastructure_failure_counters_thread_mode(
         self, word_collection, thread_mode
@@ -386,14 +387,14 @@ class TestBatchFailureSemantics:
             baseline = [
                 list(r) for r in engine.search_batch(queries, 0.7, workers=1)
             ]
-            real_pool = engine._ensure_pool(2)
-            assert engine._pool_kind == "thread"
-            with engine._pool_lock:  # write discipline: sanitizer-checked
-                engine._pool = _FlakyPool(real_pool, fail_at=3)
+            real_pool = engine._pool.get(2, engine._make_pool)
+            assert engine._pool.kind == "thread"
+            with engine._pool._lock:  # write discipline: sanitizer-checked
+                engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
             with enabled_metrics() as registry:
                 results = engine.search_batch(queries, 0.7, workers=2)
             # the flaky pool was retired, answers are complete and correct
-            assert engine._pool is None
+            assert engine._pool._executor is None
             assert [list(r) for r in results] == baseline
             # pooled chunks recorded live, rerun chunks recorded serially:
             # exactly one count per query, not two
@@ -408,14 +409,14 @@ class TestBatchFailureSemantics:
             baseline = [
                 list(r) for r in engine.search_batch(queries, 0.7, workers=1)
             ]
-            real_pool = engine._ensure_pool(2)
-            if engine._pool_kind != "process":
+            real_pool = engine._pool.get(2, engine._make_pool)
+            if engine._pool.kind != "process":
                 pytest.skip("no fork pool on this platform")
-            with engine._pool_lock:  # write discipline: sanitizer-checked
-                engine._pool = _FlakyPool(real_pool, fail_at=3)
+            with engine._pool._lock:  # write discipline: sanitizer-checked
+                engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
             with enabled_metrics() as registry:
                 results = engine.search_batch(queries, 0.7, workers=2)
-            assert engine._pool is None
+            assert engine._pool._executor is None
             assert [list(r) for r in results] == baseline
             # replicated counters cover only pool-served chunks; the
             # serially-rerun remainder recorded live — one count per query
@@ -432,17 +433,17 @@ class TestBatchFailureSemantics:
                 list(r) for r in engine.search_batch(queries, 0.7, workers=1)
             ]
             engine.search_batch(queries, 0.7, workers=2)  # spawn workers
-            if engine._pool_kind != "process":
+            if engine._pool.kind != "process":
                 pytest.skip("no fork pool on this platform")
-            for process in engine._pool._processes.values():
+            for process in engine._pool._executor._processes.values():
                 process.kill()
             results = engine.search_batch(queries, 0.7, workers=2)
             assert [list(r) for r in results] == baseline
-            assert engine._pool is None  # broken executor retired
+            assert engine._pool._executor is None  # broken executor retired
             results = engine.search_batch(queries, 0.7, workers=2)
             assert [list(r) for r in results] == baseline
-            assert engine._pool is not None  # recreated and healthy again
-            assert engine._pool_kind == "process"
+            assert engine._pool._executor is not None  # recreated and healthy again
+            assert engine._pool.kind == "process"
 
     def test_broken_pool_disposed_when_query_error_propagates(
         self, word_collection, thread_mode
@@ -455,14 +456,45 @@ class TestBatchFailureSemantics:
         with SimilarityEngine(word_collection, scheme="css") as engine:
             wrapper = _PoisonedSearcher(engine.searcher, "!!poison!!")
             engine.searcher = wrapper
-            real_pool = engine._ensure_pool(2)
-            assert engine._pool_kind == "thread"
-            with engine._pool_lock:  # write discipline: sanitizer-checked
-                engine._pool = _FlakyPool(real_pool, fail_at=3)
+            real_pool = engine._pool.get(2, engine._make_pool)
+            assert engine._pool.kind == "thread"
+            with engine._pool._lock:  # write discipline: sanitizer-checked
+                engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
             with pytest.raises(RuntimeError, match="poisoned"):
                 engine.search_batch(queries, 0.7, workers=2)
             assert wrapper.calls.count("!!poison!!") == 1
-            assert engine._pool is None  # retired despite the propagation
+            assert engine._pool._executor is None  # retired despite the propagation
+
+
+class TestPoolSurvivesPickleAndFork:
+    """``WorkerPool`` owns how the executor handle crosses process images."""
+
+    def test_pickled_engine_comes_back_with_an_empty_pool(
+        self, word_collection, thread_mode
+    ):
+        queries = word_collection.strings[:16]
+        with SimilarityEngine(word_collection, scheme="css") as engine:
+            expected = engine.search_batch(queries, 0.7, workers=2)
+            assert engine.pool_workers == 2
+            clone = pickle.loads(pickle.dumps(engine))
+            assert engine.pool_workers == 2  # the original keeps its pool
+        with clone:
+            assert clone.pool_workers == 0 and clone._pool.kind is None
+            assert clone.search_batch(queries, 0.7, workers=2) == expected
+            assert clone.pool_workers == 2  # fresh lock, fresh executor
+
+    def test_forget_drops_the_handle_without_shutting_it_down(
+        self, word_collection, thread_mode
+    ):
+        with SimilarityEngine(word_collection, scheme="css") as engine:
+            executor = engine._pool.get(2, engine._make_pool)
+            stale_lock = engine._pool._lock
+            engine._pool.forget()  # what a forked worker does
+            assert engine.pool_workers == 0
+            assert engine._pool._lock is not stale_lock
+            # still alive: the parent image owns its shutdown
+            assert executor.submit(len, "ab").result(timeout=10) == 2
+            executor.shutdown(wait=True)
 
 
 class TestDynamicIngest:

@@ -39,13 +39,13 @@ class TestPlans:
     def test_plans_cover_the_guarded_classes(self):
         plans = sanitize.guarded_plans()
         assert "DecodeCache" in plans
-        assert "SimilarityEngine" in plans
+        assert "WorkerPool" in plans
         assert "BatchCoalescer" in plans
         assert "Tracer" in plans
         # counters are guarded by the cache ring lock
         assert plans["DecodeCache"]["hits"] == ("_lock",)
-        # the engine pool trio is guarded by the pool lock
-        assert plans["SimilarityEngine"]["_pool"] == ("_pool_lock",)
+        # the engines' pool trio is guarded by the pool lock
+        assert plans["WorkerPool"]["_executor"] == ("_lock",)
 
     def test_condition_alias_is_an_accepted_candidate(self):
         # BatchCoalescer._wake is Condition(self._lock); holding either

@@ -1,16 +1,9 @@
-"""Tests for index serialization (dump/load without re-encoding)."""
+"""Tests for store serialization (arrays out and back without re-encoding)."""
 
 import numpy as np
-import pytest
 
 from repro.compression import CSSList, MILCList, TwoLayerStore
-from repro.compression.serialize import (
-    dump_index,
-    load_index,
-    store_from_arrays,
-    store_to_arrays,
-)
-from repro.search import InvertedIndex, JaccardSearcher
+from repro.compression.serialize import store_from_arrays, store_to_arrays
 
 
 class TestStoreRoundtrip:
@@ -37,182 +30,3 @@ class TestStoreRoundtrip:
         rebuilt = store_from_arrays(store_to_arrays(lst.store))
         rebuilt.append_block(np.asarray([10**7, 10**7 + 5]))
         assert rebuilt.last_value() == 10**7 + 5
-
-
-class TestIndexDumpLoad:
-    @pytest.mark.parametrize("scheme", ["uncomp", "milc", "css"])
-    def test_roundtrip_preserves_everything(
-        self, tmp_path, word_collection, scheme
-    ):
-        index = InvertedIndex(word_collection, scheme=scheme)
-        path = tmp_path / "index.npz"
-        dump_index(index, path)
-        loaded = load_index(path, word_collection)
-        assert loaded.scheme == scheme
-        assert set(loaded.lists) == set(index.lists)
-        assert loaded.size_bits() == index.size_bits()
-        for token in list(index.lists)[:20]:
-            assert np.array_equal(
-                loaded.lists[token].to_array(), index.lists[token].to_array()
-            )
-
-    def test_loaded_index_answers_queries(self, tmp_path, word_collection):
-        index = InvertedIndex(word_collection, scheme="css")
-        path = tmp_path / "index.npz"
-        dump_index(index, path)
-        loaded = load_index(path, word_collection)
-        query = word_collection.strings[5]
-        expected = JaccardSearcher(index).search(query, 0.7)
-        assert JaccardSearcher(loaded).search(query, 0.7) == expected
-
-    def test_unsupported_scheme_rejected(self, tmp_path, word_collection):
-        index = InvertedIndex(word_collection, scheme="pfordelta")
-        with pytest.raises(TypeError, match="serialize"):
-            dump_index(index, tmp_path / "bad.npz")
-
-    def test_version_check(self, tmp_path, word_collection):
-        import json
-
-        index = InvertedIndex(word_collection, scheme="milc")
-        path = tmp_path / "index.npz"
-        dump_index(index, path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        manifest = json.loads(bytes(arrays["manifest"]).decode())
-        manifest["version"] = 999
-        arrays["manifest"] = np.frombuffer(
-            json.dumps(manifest).encode(), dtype=np.uint8
-        )
-        np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError, match="version"):
-            load_index(path, word_collection)
-
-    def test_file_is_compact(self, tmp_path, word_collection):
-        index = InvertedIndex(word_collection, scheme="css")
-        path = tmp_path / "index.npz"
-        dump_index(index, path)
-        # the on-disk file should be in the ballpark of the logical size
-        # (npz adds zlib on top, so it is usually smaller)
-        assert path.stat().st_size < 4 * index.size_bits() / 8 + 65536
-
-    def test_dynamic_index_rejected_with_contract_error(self, tmp_path):
-        """Online two-region lists are transient by design — dumping one
-        must fail with the contract explanation, not a codec TypeError."""
-        from repro.search import DynamicInvertedIndex
-
-        index = DynamicInvertedIndex(mode="word", scheme="adapt")
-        for text in ("alpha beta", "beta gamma", "gamma delta"):
-            index.add(text)
-        with pytest.raises(ValueError, match="transient"):
-            dump_index(index, tmp_path / "dynamic.npz")
-
-    def test_empty_collection_roundtrip(self, tmp_path):
-        from repro.similarity import tokenize_collection
-
-        collection = tokenize_collection([], mode="word")
-        index = InvertedIndex(collection, scheme="css")
-        path = tmp_path / "empty.npz"
-        dump_index(index, path)
-        loaded = load_index(path, collection)
-        assert loaded.lists == {}
-        assert loaded.size_bits() == index.size_bits()
-        assert list(JaccardSearcher(loaded).search("anything", 0.5).ids) == []
-
-
-class TestCorruptedLoad:
-    """A truncated or bit-flipped file must fail loudly at load time."""
-
-    def _tampered(self, tmp_path, word_collection, scheme, mutate):
-        index = InvertedIndex(word_collection, scheme=scheme)
-        path = tmp_path / "index.npz"
-        dump_index(index, path)
-        with np.load(path) as bundle:
-            arrays = {k: bundle[k] for k in bundle.files}
-        mutate(arrays)
-        np.savez_compressed(path, **arrays)
-        return path
-
-    def _assert_rejected(self, tmp_path, word_collection, mutate, match,
-                         scheme="css"):
-        path = self._tampered(tmp_path, word_collection, scheme, mutate)
-        with pytest.raises(ValueError, match=match):
-            load_index(path, word_collection)
-
-    def test_truncated_data_words(self, tmp_path, word_collection):
-        self._assert_rejected(
-            tmp_path, word_collection,
-            lambda a: a.update(words=a["words"][:-1]),
-            "consolidated array extents",
-        )
-
-    def test_tokens_kinds_mismatch(self, tmp_path, word_collection):
-        self._assert_rejected(
-            tmp_path, word_collection,
-            lambda a: a.update(kinds=a["kinds"][:-1]),
-            "tokens/kinds",
-        )
-
-    def test_width_out_of_range(self, tmp_path, word_collection):
-        def mutate(a):
-            widths = a["widths"].copy()
-            widths[0] = 50  # encoder never emits widths above 32
-            a["widths"] = widths
-
-        self._assert_rejected(
-            tmp_path, word_collection, mutate, "delta width"
-        )
-
-    def test_num_bits_past_data_words(self, tmp_path, word_collection):
-        def mutate(a):
-            bits = a["bit_counts"].copy()
-            bits[:] = 10**9
-            a["bit_counts"] = bits
-
-        self._assert_rejected(
-            tmp_path, word_collection, mutate, "num_bits|past num_bits"
-        )
-
-    def test_non_monotone_block_starts(self, tmp_path, word_collection):
-        def mutate(a):
-            starts = a["starts"].copy()
-            starts[:] = 0  # block sizes collapse to zero
-            a["starts"] = starts
-
-        self._assert_rejected(
-            tmp_path, word_collection, mutate,
-            "non-positive block size|starts",
-        )
-
-    def test_uncomp_extent_mismatch(self, tmp_path, word_collection):
-        def mutate(a):
-            counts = a["uncomp_counts"].copy()
-            counts[0] += 5
-            a["uncomp_counts"] = counts
-
-        self._assert_rejected(
-            tmp_path, word_collection, mutate,
-            "consolidated array extents", scheme="uncomp",
-        )
-
-    def test_negative_uncomp_extent(self, tmp_path, word_collection):
-        def mutate(a):
-            counts = a["uncomp_counts"].copy()
-            shift = counts[0] + 1
-            counts[0] -= shift  # now -1
-            counts[1] += shift  # keep the total so container checks pass
-            a["uncomp_counts"] = counts
-
-        self._assert_rejected(
-            tmp_path, word_collection, mutate,
-            "uncompressed extent", scheme="uncomp",
-        )
-
-    def test_loaded_random_access_flag_reflects_lists(
-        self, tmp_path, word_collection
-    ):
-        for scheme, expected in (("css", True), ("uncomp", True)):
-            index = InvertedIndex(word_collection, scheme=scheme)
-            path = tmp_path / f"{scheme}.npz"
-            dump_index(index, path)
-            loaded = load_index(path, word_collection)
-            assert loaded.supports_random_access is expected

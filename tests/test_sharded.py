@@ -4,21 +4,22 @@ The contract under test is *parity*: a sharded engine returns bit-identical
 answers (same ids, same ascending order) to a single-shard
 :class:`SimilarityEngine` over the same corpus, for every routing mode,
 shard count, scheme and algorithm combination — plus the routing/ingest
-mechanics, the decode-cache invalidation on sharded ingest, the obs
-counters, and the dump/load manifest round-trip.
+mechanics, the decode-cache invalidation on sharded ingest and the obs
+counters.  (The save/open round trip lives in ``tests/test_storage.py``.)
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 import pytest
 
 from repro.engine import ShardedEngine, SimilarityEngine
-from repro.engine.sharded import partition_records, subcollection
+from repro.engine.sharded import (
+    _thread_pool,
+    partition_records,
+    subcollection,
+)
 from repro.obs import enabled_metrics
-from repro.similarity import tokenize_collection
 
 
 @pytest.fixture(scope="module")
@@ -138,17 +139,18 @@ class TestStaticParity:
         with ShardedEngine(
             word_collection, shards=3, routing="hash", scheme="css"
         ) as engine:
-            engine._ensure_pool(3).shutdown(wait=True)  # poisoned executor
+            # a poisoned executor
+            engine._pool.get(3, _thread_pool).shutdown(wait=True)
             batch = engine.search_batch(queries, 0.5, workers=3)
             assert [list(r.ids) for r in batch] == [
                 expected[(q, 0.5)] for q in queries
             ]
-            assert engine._pool is None  # broken executor retired
+            assert engine._pool._executor is None  # broken executor retired
             batch = engine.search_batch(queries, 0.5, workers=3)
             assert [list(r.ids) for r in batch] == [
                 expected[(q, 0.5)] for q in queries
             ]
-            assert engine._pool is not None  # rebuilt and healthy
+            assert engine._pool._executor is not None  # rebuilt and healthy
 
     def test_fan_out_propagates_genuine_query_errors(self, word_collection):
         with ShardedEngine(
@@ -157,7 +159,7 @@ class TestStaticParity:
             with pytest.raises(ValueError, match="threshold"):
                 engine.search_batch(["tok0 tok1"] * 8, -2.0, workers=3)
             # the pool is healthy: a query error must not tear it down
-            assert engine._pool is not None
+            assert engine._pool._executor is not None
 
     def test_edit_distance_metric(self, qgram_collection, char_strings):
         mono = SimilarityEngine(qgram_collection, scheme="css", metric="ed")
@@ -257,8 +259,8 @@ class TestDynamicSharding:
         assert sharded.num_records == 60
         assert sorted(
             gid
-            for shard in sharded.shards
-            for gid in shard.local_to_global
+            for remap in sharded._remaps
+            for gid in remap
         ) == list(range(60))
 
     def test_add_routes_by_hash(self):
@@ -267,8 +269,7 @@ class TestDynamicSharding:
             gid = engine.add(f"record number {expected_gid}")
             assert gid == expected_gid
             assert engine.route(gid) == gid % 4
-            owner = engine.shards[gid % 4]
-            assert owner.local_to_global[-1] == gid
+            assert engine._remaps[gid % 4][-1] == gid
         assert engine.shard_sizes() == [3, 3, 2, 2]
 
     def test_add_many(self):
@@ -373,58 +374,3 @@ class TestObservability:
         # per-shard query traces nest under the fan-out root
         assert names.count("search") == 2
         assert "engine.shard.search" in names
-
-
-class TestDumpLoad:
-    @pytest.mark.parametrize("routing", ["contiguous", "hash"])
-    def test_roundtrip(self, tmp_path, word_collection, routing):
-        engine = ShardedEngine(
-            word_collection, shards=3, routing=routing, scheme="css"
-        )
-        path = tmp_path / "sharded"
-        engine.dump(path)
-        manifest = json.loads((path / "manifest.json").read_text())
-        assert manifest["shards"] == 3
-        assert manifest["routing"] == routing
-        assert manifest["scheme"] == "css"
-        assert manifest["num_records"] == len(word_collection)
-
-        loaded = ShardedEngine.load(path, word_collection)
-        assert loaded.routing == routing
-        assert loaded.scheme == "css"
-        query = word_collection.strings[0]
-        assert list(loaded.search(query, 0.5).ids) == list(
-            engine.search(query, 0.5).ids
-        )
-        assert loaded.size_bits() == engine.size_bits()
-
-    def test_load_rejects_wrong_collection(
-        self, tmp_path, word_collection
-    ):
-        engine = ShardedEngine(word_collection, shards=2, scheme="uncomp")
-        path = tmp_path / "sharded"
-        engine.dump(path)
-        truncated = tokenize_collection(
-            word_collection.strings[:10], mode="word"
-        )
-        with pytest.raises(ValueError, match="records"):
-            ShardedEngine.load(path, truncated)
-
-    def test_load_rejects_corrupted_manifest(
-        self, tmp_path, word_collection
-    ):
-        engine = ShardedEngine(word_collection, shards=2, scheme="uncomp")
-        path = tmp_path / "sharded"
-        engine.dump(path)
-        manifest_path = path / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["kind"] = "something.else"
-        manifest_path.write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="manifest"):
-            ShardedEngine.load(path, word_collection)
-
-    def test_dynamic_engine_cannot_dump(self, tmp_path):
-        engine = ShardedEngine(shards=2, routing="hash", dynamic=True)
-        engine.add_many(["a b", "c d"])
-        with pytest.raises(ValueError, match="transient"):
-            engine.dump(tmp_path / "sharded")

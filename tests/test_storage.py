@@ -4,18 +4,16 @@ Covers the bundle directory format end to end: static round-trips (eager
 and zero-copy mmap), dynamic snapshot + append-log replay, online→offline
 compaction, the sharded layouts, the engine-level save/open/compact API,
 and the contract that every load error names the offending file and array
-key.  The legacy ``.npz`` wrappers are checked for their deprecation
-warnings only — their behaviour is pinned by test_serialize.py.
+key.
 """
 
 import json
-import warnings
 
 import numpy as np
 import pytest
 
 from repro import storage
-from repro.engine import ShardedEngine, SimilarityEngine
+from repro.engine import ShardedEngine, SimilarityEngine, open_engine
 from repro.search import (
     DynamicInvertedIndex,
     InvertedIndex,
@@ -65,6 +63,7 @@ class TestStaticBundle:
         assert loaded.scheme == scheme
         assert set(loaded.lists) == set(index.lists)
         assert loaded.size_bits() == index.size_bits()
+        assert loaded.supports_random_access is index.supports_random_access
         for token in list(index.lists)[:20]:
             assert np.array_equal(
                 loaded.lists[token].to_array(), index.lists[token].to_array()
@@ -130,7 +129,7 @@ class TestStaticBundle:
     def test_manifest_kind_and_version(self, tmp_path, word_collection):
         index = InvertedIndex(word_collection, scheme="css")
         path = storage.save_index(index, tmp_path / "bundle")
-        manifest = storage.read_bundle_manifest(path)
+        manifest = storage.read_manifest(path, storage.BUNDLE_KIND)
         assert manifest["kind"] == storage.BUNDLE_KIND
         assert manifest["version"] == storage.BUNDLE_VERSION
         manifest["version"] = 999
@@ -406,7 +405,7 @@ class TestShardedBundle:
     def test_manifest_and_shard_dirs(self, tmp_path, word_collection):
         engine = ShardedEngine(word_collection, shards=2, build_workers=1)
         path = engine.save(tmp_path / "shards")
-        manifest = storage.read_sharded_manifest(path)
+        manifest = storage.read_manifest(path, storage.SHARDED_BUNDLE_KIND)
         assert manifest["kind"] == storage.SHARDED_BUNDLE_KIND
         assert manifest["shards"] == 2
         assert (path / "shard-00000" / "manifest.json").exists()
@@ -478,6 +477,45 @@ class TestEnginePersistenceAPI:
         assert engine.search(query, 0.6) == before
         engine.close()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            SimilarityEngine,
+            lambda c: ShardedEngine(c, shards=1, build_workers=1),
+            lambda c: ShardedEngine(
+                c, shards=3, routing="hash", build_workers=1
+            ),
+        ],
+        ids=["mono", "sharded-1", "sharded-3"],
+    )
+    def test_open_engine_round_trip_has_one_surface(
+        self, tmp_path, word_collection, build
+    ):
+        """Whichever class saved the bundle, ``open_engine`` hands back an
+        engine with the same surface and the same answers."""
+        queries = word_collection.strings[:8] + ["tok0 tok1 tok2"]
+        with SimilarityEngine(word_collection) as reference:
+            expected = [reference.search(q, 0.6).ids for q in queries]
+            stat_names = set(reference.cache_stats())
+        with build(word_collection) as engine:
+            path = engine.save(tmp_path / "bundle")
+        with open_engine(path, algorithm="scancount") as opened:
+            assert type(opened) is type(engine)
+            assert opened.algorithm == "scancount"
+            assert opened.num_records == len(word_collection)
+            assert opened.pool_workers == 0
+            assert [opened.search(q, 0.6).ids for q in queries] == expected
+            batch = opened.search_batch(queries, 0.6, workers=2)
+            assert [result.ids for result in batch] == expected
+            assert set(opened.cache_stats()) == stat_names
+
+    def test_open_engine_rejects_a_foreign_directory(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"kind": "exotic"}))
+        with pytest.raises(ValueError, match="not an index bundle .*exotic"):
+            open_engine(tmp_path)
+        with pytest.raises(ValueError, match="no manifest.json"):
+            open_engine(tmp_path / "missing")
+
 
 # ---------------------------------------------------------------------- #
 # structural checking (repro check)
@@ -515,38 +553,3 @@ class TestCheckBundle:
         np.save(target, widths)
         issues = storage.check_sharded_bundle(path)
         assert issues and "shard-00001" in issues[0]
-
-
-# ---------------------------------------------------------------------- #
-# deprecated wrappers
-# ---------------------------------------------------------------------- #
-class TestDeprecatedWrappers:
-    def test_dump_and_load_index_warn(self, tmp_path, word_collection):
-        from repro.compression.serialize import dump_index, load_index
-
-        index = InvertedIndex(word_collection, scheme="css")
-        path = tmp_path / "legacy.npz"
-        with pytest.warns(DeprecationWarning, match="save"):
-            dump_index(index, path)
-        with pytest.warns(DeprecationWarning, match="open"):
-            loaded = load_index(path, word_collection)
-        assert loaded.size_bits() == index.size_bits()
-
-    def test_sharded_dump_and_load_warn(self, tmp_path, word_collection):
-        engine = ShardedEngine(word_collection, shards=2, build_workers=1)
-        path = tmp_path / "legacy-shards"
-        with pytest.warns(DeprecationWarning, match="save"):
-            engine.dump(path)
-        with pytest.warns(DeprecationWarning, match="open"):
-            reopened = ShardedEngine.load(path, word_collection)
-        assert reopened.num_records == engine.num_records
-        engine.close()
-        reopened.close()
-
-    def test_unified_api_does_not_warn(self, tmp_path, word_collection):
-        engine = SimilarityEngine(word_collection, scheme="css")
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            path = engine.save(tmp_path / "bundle")
-            SimilarityEngine.open(path).close()
-        engine.close()

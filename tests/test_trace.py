@@ -476,7 +476,7 @@ class TestSearchAndJoinIntegration:
         try:
             with SimilarityEngine(word_collection, scheme="css") as engine:
                 engine.search_batch(queries, 0.6, workers=2)
-                if engine._pool_kind != "process":
+                if engine._pool.kind != "process":
                     pytest.skip("no fork pool on this platform")
             log = list(global_tracer.slow_log)
             documents = global_tracer.drain()  # every slow doc (buffer)
