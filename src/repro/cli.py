@@ -318,7 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="worker pool size for --queries-file batches (default: 1, serial)",
+        help="fork-pool size for --queries-file batches; with --shards, "
+        "per shard (default: 1, the in-process batch kernels; pays on "
+        "large corpus x batch, see EXPERIMENTS.md)",
     )
     _add_tokenize_args(search)
     search.add_argument(
@@ -429,8 +431,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-workers",
         type=int,
         default=1,
-        help="worker pool size for the coalesced search_batch calls "
-        "(default: 1, batch kernels on the dispatcher thread)",
+        help="fork-pool size for the coalesced search_batch calls; with "
+        "--shards, per shard (default: 1, batch kernels on the dispatcher "
+        "thread)",
     )
     serve.add_argument(
         "--slow-ms",

@@ -5,17 +5,19 @@ dynamic), the searcher for the configured metric, a shared
 :class:`~repro.engine.cache.DecodeCache`, and a lazily-created worker pool
 that :meth:`SimilarityEngine.search_batch` reuses across calls.
 
-Batch execution prefers a ``fork``-context process pool: the index is
-inherited copy-on-write by the workers (no per-task pickling of the index),
-only query chunks go out and :class:`SearchResult` lists come back, so a
-CPU-bound Python query loop actually scales with cores.  Where ``fork`` is
-unavailable the engine falls back to a thread pool (which at least overlaps
-the numpy-released-GIL regions).  Pool-*infrastructure* failures (broken
-worker, pickling error, ``OSError``) fall back to the serial path for the
-chunks the pool did not answer; genuine query exceptions propagate exactly
-as a serial ``search`` loop would raise them — ``search_batch`` never
-returns different answers than a serial loop, it only changes how fast
-they arrive.
+A batch runs one of two ways: in this process, or (``workers > 1``) as
+chunks over a ``fork``-context process pool — the index is inherited
+copy-on-write by the workers (no per-task pickling of the index), only
+query chunks go out and :class:`SearchResult` lists come back, so a
+CPU-bound Python query loop actually scales with cores.  The pool pays
+once corpus × batch is large (EXPERIMENTS.md records the crossover); a
+platform without ``fork`` runs every batch in-process.
+Pool-*infrastructure* failures (broken worker, pickling error,
+``OSError``, an executor shut down under the batch) fall back to the
+in-process path for the chunks the pool did not answer; genuine query
+exceptions propagate exactly as a serial ``search`` loop would raise them
+— ``search_batch`` never returns different answers than a serial loop, it
+only changes how fast they arrive.
 
 Dynamic ingest (:meth:`add`) invalidates exactly the cached posting lists
 the new record touched and retires the pool (forked workers hold the
@@ -28,13 +30,8 @@ import math
 import multiprocessing
 import pickle
 from pathlib import Path
-from concurrent.futures import (
-    BrokenExecutor,
-    Executor,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
-from typing import Dict, List, Optional, Sequence
+from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
+from typing import Any, Dict, List, Optional, Sequence
 
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
@@ -42,7 +39,7 @@ from ..search.edsearch import EditDistanceSearcher
 from ..search.result import SearchResult
 from ..search.searcher import InvertedIndex, JaccardSearcher
 from .cache import DecodeCache
-from .pool import PoolOwner, WorkerPool
+from .pool import WorkerPool
 
 __all__ = ["SimilarityEngine"]
 
@@ -99,16 +96,6 @@ def _answer_chunk(searcher, chunk: List[str], threshold, use_kernel: bool):
     return [searcher.search(query, threshold) for query in chunk]
 
 
-def _run_chunk_shared(searcher, chunk: List[str], threshold, use_kernel=False):
-    """Answer one chunk on the caller's searcher (thread-pool payload).
-
-    Module-level (rule RA04) so the same payload shape works under every
-    executor: threads share the engine's searcher, cache, and registry
-    directly, so there is no telemetry delta to ship back.
-    """
-    return _answer_chunk(searcher, chunk, threshold, use_kernel), None
-
-
 def _run_chunk(chunk: List[str], threshold, obs=None, use_kernel=False):
     """Answer one chunk in a pool worker; returns ``(results, delta)``.
 
@@ -141,7 +128,7 @@ def _run_chunk(chunk: List[str], threshold, obs=None, use_kernel=False):
     return results, delta
 
 
-class SimilarityEngine(PoolOwner):
+class SimilarityEngine:
     """Index + searcher + decode cache + worker pool behind one API.
 
     Parameters
@@ -207,14 +194,6 @@ class SimilarityEngine(PoolOwner):
         self.kernel = _check_kernel(kernel)
         self._pool = WorkerPool()
 
-    def _use_batch_kernel(self, kernel: Optional[str]) -> bool:
-        """Resolve a per-call ``kernel`` override against the engine default."""
-        kernel = _check_kernel(kernel or self.kernel)
-        # getattr: test doubles and custom searchers may not expose the flag
-        return kernel == "auto" and getattr(
-            self.searcher, "supports_batch_kernel", False
-        )
-
     # ------------------------------------------------------------------ #
     # single-query path
     # ------------------------------------------------------------------ #
@@ -230,37 +209,46 @@ class SimilarityEngine(PoolOwner):
         queries: Sequence[str],
         threshold,
         workers: Optional[int] = 1,
-        chunk_size: Optional[int] = None,
         kernel: Optional[str] = None,
     ) -> List[SearchResult]:
         """Answer ``queries`` in order; identical results to serial ``search``.
 
         ``workers > 1`` partitions the batch into chunks over a reused
-        process (preferred) or thread pool.  Small batches and
-        ``workers in (None, 0, 1)`` run serially — pool overhead would
-        dominate.  ``kernel`` overrides the engine-level setting per call:
-        under ``"auto"`` every chunk (and the single-process path) runs
-        through the batch T-occurrence kernels when available; under
-        ``"serial"`` each query runs the per-query algorithm.
+        ``fork`` process pool.  Small batches, ``workers in (None, 0, 1)``
+        and platforms without ``fork`` run in-process — pool overhead would
+        dominate, or there is no pool to be had.  ``kernel`` overrides the
+        engine-level setting per call: under ``"auto"`` every chunk (and
+        the in-process path) runs through the batch T-occurrence kernels
+        when available; under ``"serial"`` each query runs the per-query
+        algorithm.
 
         Failure semantics: only *pool-infrastructure* failures (a broken
-        worker process, a pickling failure, an ``OSError``) fall back to
-        the serial path, and only for the chunks the pool did not answer —
-        chunks that already completed keep their results, so thread-mode
-        obs counters are never double-counted.  A genuine query exception
-        (bad threshold, searcher bug) propagates immediately, exactly as it
-        would from a serial ``search`` loop.
+        worker process, a pickling failure, an ``OSError``, an executor
+        that refuses work because it was shut down) fall back to the
+        in-process path, and only for the chunks the pool did not answer —
+        chunks that already completed keep their results and their merged
+        worker telemetry, so obs counters are never double-counted.  A
+        genuine query exception (bad threshold, searcher bug) propagates
+        immediately, exactly as it would from a serial ``search`` loop.
         """
         queries = list(queries)
         if not queries:
             return []
-        use_kernel = self._use_batch_kernel(kernel)
+        # getattr: test doubles and custom searchers may not expose the flag
+        use_kernel = _check_kernel(kernel or self.kernel) == "auto" and getattr(
+            self.searcher, "supports_batch_kernel", False
+        )
         workers = int(workers or 1)
-        if workers <= 1 or len(queries) < max(4, 2 * workers):
-            return self._search_serial(queries, threshold, use_kernel)
+        if (
+            workers <= 1
+            or len(queries) < max(4, 2 * workers)
+            or "fork" not in multiprocessing.get_all_start_methods()
+        ):
+            span = "engine.batch.kernel" if use_kernel else "engine.batch.serial"
+            with _METRICS.span(span):
+                return _answer_chunk(self.searcher, queries, threshold, use_kernel)
 
-        if chunk_size is None:
-            chunk_size = max(1, math.ceil(len(queries) / (workers * 4)))
+        chunk_size = max(1, math.ceil(len(queries) / (workers * 4)))
         chunks = [
             queries[i : i + chunk_size]
             for i in range(0, len(queries), chunk_size)
@@ -269,6 +257,9 @@ class SimilarityEngine(PoolOwner):
         pool: Optional[Executor] = None
         infrastructure_broken = False
         worker_chunks = 0
+        # workers record telemetry into their own registries and ship the
+        # delta back with the results (see _run_chunk)
+        obs = _obs_config()
         try:
             try:
                 pool = self._pool.get(workers, self._make_pool)
@@ -281,12 +272,14 @@ class SimilarityEngine(PoolOwner):
                         for chunk in chunks:
                             futures.append(
                                 pool.submit(
-                                    *self._chunk_task(
-                                        chunk, threshold, use_kernel
-                                    )
+                                    _run_chunk, chunk, threshold, obs, use_kernel
                                 )
                             )
-                    except _POOL_FAILURES:
+                    # a submit-time RuntimeError is the executor refusing
+                    # work ("cannot schedule new futures after shutdown":
+                    # add() / compact() / close() on another thread retired
+                    # it between get and submit), not a query
+                    except _POOL_FAILURES + (RuntimeError,):
                         infrastructure_broken = True
                     for position, future in enumerate(futures):
                         try:
@@ -337,36 +330,40 @@ class SimilarityEngine(PoolOwner):
             _METRICS.inc("engine.batch.worker_chunks", worker_chunks)
         return results
 
-    def _search_serial(
-        self, queries: List[str], threshold, use_kernel: bool = False
-    ) -> List[SearchResult]:
-        span = "engine.batch.kernel" if use_kernel else "engine.batch.serial"
-        with _METRICS.span(span):
-            return _answer_chunk(self.searcher, queries, threshold, use_kernel)
+    def _make_pool(self, workers: int) -> Executor:
+        """A fork process pool: workers inherit the index copy-on-write."""
+        return ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker,
+            initargs=(self,),
+        )
 
-    def _chunk_task(self, chunk: List[str], threshold, use_kernel: bool):
-        if self._pool.kind == "process":
-            # workers record telemetry into their own registries and ship
-            # the delta back with the results (see _run_chunk)
-            return (_run_chunk, chunk, threshold, _obs_config(), use_kernel)
-        # threads share this engine (and its cache) directly — and the
-        # parent registry/tracer, so there is no delta to ship
-        return (_run_chunk_shared, self.searcher, chunk, threshold, use_kernel)
+    # ------------------------------------------------------------------ #
+    # pool lifecycle
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Shut the worker pool down (the engine stays usable serially)."""
+        self._pool.close()
 
-    def _make_pool(self, workers: int):
-        """A fork process pool (workers inherit the index copy-on-write),
-        else threads."""
+    def __enter__(self) -> "SimilarityEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # pragma: no cover - GC ordering dependent
         try:
-            return "process", ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=multiprocessing.get_context("fork"),
-                initializer=_init_worker,
-                initargs=(self,),
-            )
-        except (ValueError, OSError, ImportError):
-            return "thread", ThreadPoolExecutor(
-                max_workers=workers, thread_name_prefix="repro-engine"
-            )
+            self.close()
+        except (RuntimeError, OSError, AttributeError):
+            # interpreter teardown: pool internals may already be reclaimed
+            pass
+
+    @property
+    def pool_workers(self) -> int:
+        """Size of the live worker pool (0 when none is up) — what the
+        serving layer's pool-size gauge reads."""
+        return self._pool.workers
 
     # ------------------------------------------------------------------ #
     # dynamic ingest

@@ -15,9 +15,10 @@ shard *is* a small :class:`~repro.engine.core.SimilarityEngine` over its own
 :class:`~repro.search.searcher.InvertedIndex` (or
 :class:`~repro.search.dynamic.DynamicInvertedIndex`), so searcher and
 decode-cache construction, ingest invalidation and compaction exist once.
-Queries fan out to every shard and the per-shard results are merged with
-local→global id remapping —
-answers are **bit-identical** to a single-shard
+Queries fan out to every shard — a sharded batch is each shard's
+``search_batch``, so the in-process kernel, the fork pool and its rescue
+loop exist once, in the shard — and the per-shard results are merged with
+local→global id remapping: answers are **bit-identical** to a single-shard
 :class:`~repro.engine.core.SimilarityEngine` (same ids, same ascending
 order), because the count filter and exact verification are both local to a
 record: sharding changes which index answers for a record, never whether it
@@ -51,9 +52,9 @@ import dataclasses
 import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,8 +64,7 @@ from ..search.dynamic import DynamicInvertedIndex
 from ..search.result import SearchResult, SearchStats
 from ..search.searcher import InvertedIndex
 from ..similarity.tokenize import TokenizedCollection
-from .core import _POOL_FAILURES, SimilarityEngine, _answer_chunk
-from .pool import PoolOwner, WorkerPool
+from .core import _POOL_FAILURES, SimilarityEngine
 
 __all__ = ["ShardedEngine", "partition_records", "subcollection"]
 
@@ -135,27 +135,7 @@ def _build_one_shard(shard_id: int) -> Tuple[InvertedIndex, Optional[dict]]:
     return index, delta
 
 
-def _timed_shard_batch(searcher, queries: List[str], threshold, use_kernel):
-    """One shard's sub-batch plus its own wall-clock interval (pool payload).
-
-    Module-level (rule RA04) so the payload stays executor-agnostic.  The
-    fan-out pool threads have no access to the submitting thread's
-    active trace, so each sub-batch measures itself and the submitter
-    attaches the interval as a per-shard span after gathering (see
-    :meth:`ShardedEngine._fan_out`).
-    """
-    started = time.perf_counter()
-    results = _answer_chunk(searcher, queries, threshold, use_kernel)
-    return results, started, time.perf_counter()
-
-
-def _thread_pool(workers: int):
-    return "thread", ThreadPoolExecutor(
-        max_workers=workers, thread_name_prefix="repro-shard"
-    )
-
-
-class ShardedEngine(PoolOwner):
+class ShardedEngine:
     """Fan-out/merge serving engine over N index shards.
 
     Parameters
@@ -289,7 +269,6 @@ class ShardedEngine(PoolOwner):
         self.algorithm = engine_kwargs["algorithm"]
         self.metric = engine_kwargs["metric"]
         self.kernel = engine_kwargs["kernel"]
-        self._pool = WorkerPool()
 
     # ------------------------------------------------------------------ #
     # build
@@ -362,34 +341,25 @@ class ShardedEngine(PoolOwner):
         self,
         queries: Sequence[str],
         threshold,
-        workers: Optional[int] = None,
+        workers: Optional[int] = 1,
         kernel: Optional[str] = None,
     ) -> List[SearchResult]:
-        """Answer ``queries`` in order, fanning each shard's sub-batch out
-        over a reused thread pool (``workers=None`` uses one thread per
-        shard; ``workers<=1`` runs serially).  Results are identical to a
-        serial loop of :meth:`search` calls.  ``kernel`` overrides the
-        engine-level kernel setting for this call."""
+        """Answer ``queries`` in order: every shard answers the whole batch
+        through its own ``search_batch`` (``workers`` and ``kernel`` mean
+        what they mean there — ``workers > 1`` is each shard's fork pool,
+        one shard at a time), then the per-shard answers are merged.
+        Results are identical to a serial loop of :meth:`search` calls."""
         queries = list(queries)
         if not queries:
             return []
-        use_kernel = all(
-            shard._use_batch_kernel(kernel) for shard in self.shards
-        )
-        workers = len(self.shards) if workers is None else int(workers)
         started = time.perf_counter()
         with _METRICS.span("engine.shard.batch"):
-            if workers <= 1 or len(self.shards) == 1:
-                # straight to each shard's searcher, not shard.search_batch:
-                # engine.batch.* telemetry describes one batch, not N shards
-                per_shard = [
-                    _answer_chunk(shard.searcher, queries, threshold, use_kernel)
-                    for shard in self.shards
-                ]
-            else:
-                per_shard = self._fan_out(
-                    queries, threshold, use_kernel, workers
+            per_shard = [
+                shard.search_batch(
+                    queries, threshold, workers=workers, kernel=kernel
                 )
+                for shard in self.shards
+            ]
             merged = [
                 self._merge(
                     query,
@@ -403,82 +373,9 @@ class ShardedEngine(PoolOwner):
             _METRICS.inc("engine.shard.queries", len(queries))
             _METRICS.inc("engine.shard.fanout", len(queries) * len(self.shards))
         # spread the batch wall-clock over the per-query seconds uniformly:
-        # per-query timing is not observable under the shard-parallel path
+        # per-query timing is not observable once the shards answer in turn
         seconds = (time.perf_counter() - started) / len(queries)
         return [dataclasses.replace(result, seconds=seconds) for result in merged]
-
-    def _fan_out(
-        self,
-        queries: List[str],
-        threshold,
-        use_kernel: bool,
-        workers: int,
-    ) -> List[List[SearchResult]]:
-        """One sub-batch per shard over the fan-out pool.
-
-        Failure semantics mirror
-        :meth:`~repro.engine.core.SimilarityEngine.search_batch`: only
-        executor-infrastructure failures (``_POOL_FAILURES``, or the
-        ``RuntimeError`` a shut-down executor raises at submit time) fall
-        back to answering the unanswered shards on the calling thread —
-        and the broken pool is disposed so the next batch lazily recreates
-        a fresh one.  A genuine query error propagates unchanged, exactly
-        as the serial path would raise it.
-        """
-        per_shard: List[Optional[List[SearchResult]]] = [None] * len(
-            self.shards
-        )
-        broken = False
-        futures = []
-        try:
-            try:
-                pool = self._pool.get(
-                    min(workers, len(self.shards)), _thread_pool
-                )
-                for shard in self.shards:
-                    futures.append(
-                        pool.submit(
-                            _timed_shard_batch,
-                            shard.searcher,
-                            queries,
-                            threshold,
-                            use_kernel,
-                        )
-                    )
-            # a submit-time RuntimeError is the executor refusing work
-            # ("cannot schedule new futures after shutdown"), not a query
-            except _POOL_FAILURES + (RuntimeError,):
-                broken = True
-            for position, future in enumerate(futures):
-                try:
-                    answers, started, ended = future.result()
-                except _POOL_FAILURES:
-                    broken = True
-                except BaseException:
-                    for pending in futures[position + 1 :]:
-                        pending.cancel()
-                    raise
-                else:
-                    per_shard[position] = answers
-                    # the pool thread cannot see this thread's active
-                    # trace; attach its self-measured interval as a
-                    # per-shard child span so a batch trace attributes
-                    # fan-out time shard by shard
-                    if _TRACER.is_tracing():
-                        _TRACER.attach_span(
-                            f"engine.shard[{position}].batch", started, ended
-                        )
-        finally:
-            if broken:
-                self.close()
-        return [
-            answers
-            if answers is not None
-            else _answer_chunk(
-                self.shards[position].searcher, queries, threshold, use_kernel
-            )
-            for position, answers in enumerate(per_shard)
-        ]
 
     def _merge(
         self,
@@ -576,7 +473,7 @@ class ShardedEngine(PoolOwner):
         """Reconstitute a sharded engine from a :meth:`save` directory.
 
         ``mmap=True`` serves every static shard's posting lists zero-copy
-        off the memory-mapped bundles — N shards (and the fan-out workers
+        off the memory-mapped bundles — N shards (and the fork workers
         querying them) share the page cache instead of N eager copies.
         Dynamic shards replay their append logs and resume journaling.
         """
@@ -608,9 +505,26 @@ class ShardedEngine(PoolOwner):
         Returns the per-shard
         :class:`~repro.storage.compaction.CompactionStats` list.
         """
-        stats = [shard.compact() for shard in self.shards]
+        return [shard.compact() for shard in self.shards]
+
+    # ------------------------------------------------------------------ #
+    # pool lifecycle (the pools are the shards')
+    # ------------------------------------------------------------------ #
+    def close(self) -> None:
+        """Shut every shard's worker pool down (the engine stays usable)."""
+        for shard in self.shards:
+            shard.close()
+
+    def __enter__(self) -> "ShardedEngine":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
         self.close()
-        return stats
+
+    @property
+    def pool_workers(self) -> int:
+        """Live pool workers summed over the shards (0 when none is up)."""
+        return sum(shard.pool_workers for shard in self.shards)
 
     # ------------------------------------------------------------------ #
     # introspection

@@ -274,32 +274,6 @@ class Tracer:
         if active is not None:
             active.close_span(node, end)
 
-    def attach_span(
-        self,
-        name: str,
-        start: float,
-        end: float,
-        parent: Optional[_SpanNode] = None,
-    ) -> Optional[_SpanNode]:
-        """Append an already-finished span to the active trace.
-
-        For work measured *elsewhere* — a shard sub-batch timed on a
-        fan-out pool thread — whose wall time should still appear in the
-        calling thread's trace tree.  The span lands as a closed child of
-        the current stack top (or of ``parent``); no-op without an active
-        trace.
-        """
-        active = getattr(self._local, "trace", None)
-        if active is None:
-            return None
-        parent_id = (
-            parent.span_id if parent is not None else active.stack[-1].span_id
-        )
-        node = _SpanNode(next(active._next_span), parent_id, name, start)
-        node.end = end
-        active.spans.append(node)
-        return node
-
     def _begin(self, name: str, meta: Dict) -> _ActiveTrace:
         trace_id = f"{os.getpid():x}-{next(self._sequence)}"
         active = _ActiveTrace(trace_id, name, meta)

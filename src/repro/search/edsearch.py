@@ -74,7 +74,7 @@ class EditDistanceSearcher(CountFilterSearcher):
         if len(strings) == self._directory_size:
             return
         # build into locals, then publish with two atomic assignments so a
-        # concurrent reader (batch thread pool) never sees a half-built map
+        # concurrent reader (another thread's search) never sees half a map
         by_length: Dict[int, List[int]] = {}
         for record_id, text in enumerate(strings):
             by_length.setdefault(len(text), []).append(record_id)

@@ -12,7 +12,7 @@ from repro.core.framework import (
     scheme_factory,
 )
 from repro.compression import UncompressedList
-from repro.engine import SimilarityEngine
+from repro.engine import ShardedEngine, SimilarityEngine
 from repro.obs import enabled_metrics
 from repro.search import (
     DynamicInvertedIndex,
@@ -186,6 +186,22 @@ class TestSearchBatch:
         assert engine._pool._executor is None  # below the parallel cutoff: no pool
         assert len(results) == 3
 
+    def test_platform_without_fork_answers_in_process(
+        self, word_collection, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.engine.core.multiprocessing.get_all_start_methods",
+            lambda: ["spawn"],
+        )
+        queries = word_collection.strings[:16]
+        with SimilarityEngine(word_collection, scheme="css") as engine:
+            expected = [engine.search(query, 0.7).ids for query in queries]
+            with enabled_metrics() as registry:
+                results = engine.search_batch(queries, 0.7, workers=2)
+            assert [result.ids for result in results] == expected
+            assert engine._pool._executor is None  # no pool was built
+        assert "engine.batch.kernel" in registry.snapshot()["timers"]
+
     def test_pool_reused_across_batches(self, word_collection):
         queries = word_collection.strings[:16]
         with SimilarityEngine(word_collection, scheme="css") as engine:
@@ -227,7 +243,6 @@ class TestWorkerTelemetry:
         ) as engine:
             with enabled_metrics() as registry:
                 engine.search_batch(queries, 0.6, workers=2)
-            assert engine._pool.kind == "process"
         # these are recorded only inside the workers; > 0 proves the
         # deltas shipped back and folded into the parent registry
         assert registry.counter("twolayer.blocks_decoded") > 0
@@ -243,17 +258,21 @@ class TestWorkerTelemetry:
         serial run exactly (the cache is disabled — forked per-worker
         caches would legitimately change hit/decode counts; the kernel is
         pinned to 'serial' — batch-kernel counters legitimately depend on
-        how the batch is chunked)."""
+        how the batch is chunked).  The same holds through a
+        ``ShardedEngine``, whose batch is each shard's batch:
+        ``engine.shard.queries`` counts every request once, while
+        ``engine.batch.*`` counts one batch per shard."""
         queries = word_collection.strings[:16]
 
-        def profiled_run(workers):
-            with SimilarityEngine(
+        def profiled_run(engine_class, workers):
+            with engine_class(
                 word_collection, scheme="css", cache_entries=0,
                 kernel="serial",
             ) as engine:
                 with enabled_metrics() as registry:
                     engine.search_batch(queries, 0.6, workers=workers)
             snapshot = registry.snapshot(full=True)
+            batched = snapshot["counters"].get("engine.batch.queries", 0)
             # batch-orchestration counters only exist on parallel runs
             snapshot["counters"] = {
                 name: value
@@ -266,15 +285,20 @@ class TestWorkerTelemetry:
                 for name, cell in snapshot["timers"].items()
                 if not name.startswith("engine.batch.")
             }
-            return snapshot
+            return snapshot, batched
 
-        serial = profiled_run(0)
-        parallel = profiled_run(2)
-        assert parallel["counters"] == serial["counters"]
-        assert parallel["timers"] == serial["timers"]
-        assert parallel["histograms"] == serial["histograms"]
-        assert serial["counters"]["search.queries"] == len(queries)
-        assert serial["counters"]["cursor.seeks"] > 0
+        for engine_class, per_query, batches in (
+            (SimilarityEngine, "search.queries", 1),
+            (ShardedEngine, "engine.shard.queries", 2),  # shards=2
+        ):
+            serial, _ = profiled_run(engine_class, 0)
+            parallel, batched = profiled_run(engine_class, 2)
+            assert batched == batches * len(queries)
+            assert parallel["counters"] == serial["counters"]
+            assert parallel["timers"] == serial["timers"]
+            assert parallel["histograms"] == serial["histograms"]
+            assert serial["counters"][per_query] == len(queries)
+            assert serial["counters"]["cursor.seeks"] > 0
 
     def test_worker_traces_ship_back(self, word_collection):
         from repro.obs import TRACER
@@ -286,7 +310,6 @@ class TestWorkerTelemetry:
         try:
             with SimilarityEngine(word_collection, scheme="css") as engine:
                 engine.search_batch(queries, 0.6, workers=2)
-                assert engine._pool.kind == "process"
             documents = TRACER.drain()
         finally:
             TRACER.configure(enabled=False)
@@ -331,39 +354,10 @@ class _FlakyPool:
         self._inner.shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
-@pytest.fixture
-def thread_mode(monkeypatch):
-    """Force the thread-pool fallback by making ``fork`` unavailable."""
-
-    def no_fork(*args, **kwargs):
-        raise ValueError("fork disabled for this test")
-
-    monkeypatch.setattr(
-        "repro.engine.core.multiprocessing.get_context", no_fork
-    )
-
-
 class TestBatchFailureSemantics:
     """Only pool-*infrastructure* failures may fall back to the serial
     path, and only for unanswered chunks; genuine query errors propagate
     immediately with no serial rerun and no double-counted obs counters."""
-
-    def test_query_error_runs_nothing_twice_thread_mode(
-        self, word_collection, thread_mode
-    ):
-        queries = list(word_collection.strings[:15])
-        queries.insert(6, "!!poison!!")
-        with SimilarityEngine(word_collection, scheme="css") as engine:
-            wrapper = _PoisonedSearcher(engine.searcher, "!!poison!!")
-            engine.searcher = wrapper
-            with pytest.raises(RuntimeError, match="poisoned"):
-                engine.search_batch(queries, 0.7, workers=2)
-            # no serial rerun: the poisoned query ran exactly once and the
-            # pool was not torn down (the transport is healthy)
-            assert wrapper.calls.count("!!poison!!") == 1
-            assert len(wrapper.calls) <= len(queries)
-            assert engine._pool._executor is not None
-            assert engine._pool.kind == "thread"
 
     def test_query_error_propagates_process_mode(self, word_collection):
         queries = list(word_collection.strings[:15])
@@ -373,33 +367,11 @@ class TestBatchFailureSemantics:
             engine.searcher = wrapper
             with pytest.raises(RuntimeError, match="poisoned"):
                 engine.search_batch(queries, 0.7, workers=2)
-            if engine._pool.kind == "process":
-                # all work happened in the fork workers — a serial rerun
-                # would have re-executed queries in this process
-                assert wrapper.calls == []
-                assert engine._pool._executor is not None
-
-    def test_infrastructure_failure_counters_thread_mode(
-        self, word_collection, thread_mode
-    ):
-        queries = word_collection.strings[:16]
-        with SimilarityEngine(word_collection, scheme="css") as engine:
-            baseline = [
-                list(r) for r in engine.search_batch(queries, 0.7, workers=1)
-            ]
-            real_pool = engine._pool.get(2, engine._make_pool)
-            assert engine._pool.kind == "thread"
-            with engine._pool._lock:  # write discipline: sanitizer-checked
-                engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
-            with enabled_metrics() as registry:
-                results = engine.search_batch(queries, 0.7, workers=2)
-            # the flaky pool was retired, answers are complete and correct
-            assert engine._pool._executor is None
-            assert [list(r) for r in results] == baseline
-            # pooled chunks recorded live, rerun chunks recorded serially:
-            # exactly one count per query, not two
-            assert registry.counter("search.queries") == len(queries)
-            assert registry.counter("engine.batch.queries") == len(queries)
+            # all work happened in the fork workers — a serial rerun
+            # would have re-executed queries in this process — and the
+            # pool was not torn down (the transport is healthy)
+            assert wrapper.calls == []
+            assert engine._pool._executor is not None
 
     def test_infrastructure_failure_counters_process_mode(
         self, word_collection
@@ -410,8 +382,6 @@ class TestBatchFailureSemantics:
                 list(r) for r in engine.search_batch(queries, 0.7, workers=1)
             ]
             real_pool = engine._pool.get(2, engine._make_pool)
-            if engine._pool.kind != "process":
-                pytest.skip("no fork pool on this platform")
             with engine._pool._lock:  # write discipline: sanitizer-checked
                 engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
             with enabled_metrics() as registry:
@@ -433,8 +403,6 @@ class TestBatchFailureSemantics:
                 list(r) for r in engine.search_batch(queries, 0.7, workers=1)
             ]
             engine.search_batch(queries, 0.7, workers=2)  # spawn workers
-            if engine._pool.kind != "process":
-                pytest.skip("no fork pool on this platform")
             for process in engine._pool._executor._processes.values():
                 process.kill()
             results = engine.search_batch(queries, 0.7, workers=2)
@@ -443,26 +411,25 @@ class TestBatchFailureSemantics:
             results = engine.search_batch(queries, 0.7, workers=2)
             assert [list(r) for r in results] == baseline
             assert engine._pool._executor is not None  # recreated and healthy again
-            assert engine._pool.kind == "process"
 
     def test_broken_pool_disposed_when_query_error_propagates(
-        self, word_collection, thread_mode
+        self, word_collection
     ):
         # regression: infrastructure failure AND a genuine query error in
         # the same batch — the error propagates (no serial rerun of the
         # poisoned chunk) but the broken executor must still be retired
         queries = list(word_collection.strings[:15])
-        queries.insert(2, "!!poison!!")  # chunk 1 of 8 (chunk_size 2)
+        queries.insert(2, "!!poison!!")  # chunk 1 of 8 (2 queries a chunk)
         with SimilarityEngine(word_collection, scheme="css") as engine:
+            # installed before the pool is built: the fork workers inherit it
             wrapper = _PoisonedSearcher(engine.searcher, "!!poison!!")
             engine.searcher = wrapper
             real_pool = engine._pool.get(2, engine._make_pool)
-            assert engine._pool.kind == "thread"
             with engine._pool._lock:  # write discipline: sanitizer-checked
                 engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
             with pytest.raises(RuntimeError, match="poisoned"):
                 engine.search_batch(queries, 0.7, workers=2)
-            assert wrapper.calls.count("!!poison!!") == 1
+            assert wrapper.calls == []  # nothing re-ran in this process
             assert engine._pool._executor is None  # retired despite the propagation
 
 
@@ -470,7 +437,7 @@ class TestPoolSurvivesPickleAndFork:
     """``WorkerPool`` owns how the executor handle crosses process images."""
 
     def test_pickled_engine_comes_back_with_an_empty_pool(
-        self, word_collection, thread_mode
+        self, word_collection
     ):
         queries = word_collection.strings[:16]
         with SimilarityEngine(word_collection, scheme="css") as engine:
@@ -479,12 +446,12 @@ class TestPoolSurvivesPickleAndFork:
             clone = pickle.loads(pickle.dumps(engine))
             assert engine.pool_workers == 2  # the original keeps its pool
         with clone:
-            assert clone.pool_workers == 0 and clone._pool.kind is None
+            assert clone.pool_workers == 0 and clone._pool._executor is None
             assert clone.search_batch(queries, 0.7, workers=2) == expected
             assert clone.pool_workers == 2  # fresh lock, fresh executor
 
     def test_forget_drops_the_handle_without_shutting_it_down(
-        self, word_collection, thread_mode
+        self, word_collection
     ):
         with SimilarityEngine(word_collection, scheme="css") as engine:
             executor = engine._pool.get(2, engine._make_pool)

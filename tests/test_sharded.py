@@ -14,11 +14,7 @@ import numpy as np
 import pytest
 
 from repro.engine import ShardedEngine, SimilarityEngine
-from repro.engine.sharded import (
-    _thread_pool,
-    partition_records,
-    subcollection,
-)
+from repro.engine.sharded import partition_records, subcollection
 from repro.obs import enabled_metrics
 
 
@@ -120,37 +116,39 @@ class TestStaticParity:
         with ShardedEngine(
             word_collection, shards=4, routing="hash", scheme="css"
         ) as engine:
-            batch = engine.search_batch(queries, 0.5)
-            assert [list(r.ids) for r in batch] == [
-                expected[(q, 0.5)] for q in queries
-            ]
-            serial = engine.search_batch(queries, 0.5, workers=1)
-            assert [list(r.ids) for r in serial] == [
-                expected[(q, 0.5)] for q in queries
-            ]
+            # in-process (the default), then every shard's fork pool
+            for workers in (1, 2):
+                batch = engine.search_batch(queries, 0.5, workers=workers)
+                assert [list(r.ids) for r in batch] == [
+                    expected[(q, 0.5)] for q in queries
+                ], workers
+            assert engine.pool_workers == 4 * 2
 
     def test_fan_out_survives_a_broken_pool(
         self, word_collection, reference_results
     ):
-        # regression: an executor failure mid-fan-out must fall back to
-        # answering the unanswered shards serially AND retire the broken
-        # pool so the next batch lazily recreates a fresh one
+        # regression: an executor that refuses work (shut down under the
+        # batch, as add() / compact() / close() on another thread would)
+        # must fall back to answering in-process AND be retired so the
+        # next batch lazily recreates a fresh one -- mono and per shard
         queries, expected = reference_results
-        with ShardedEngine(
-            word_collection, shards=3, routing="hash", scheme="css"
-        ) as engine:
-            # a poisoned executor
-            engine._pool.get(3, _thread_pool).shutdown(wait=True)
-            batch = engine.search_batch(queries, 0.5, workers=3)
-            assert [list(r.ids) for r in batch] == [
-                expected[(q, 0.5)] for q in queries
-            ]
-            assert engine._pool._executor is None  # broken executor retired
-            batch = engine.search_batch(queries, 0.5, workers=3)
-            assert [list(r.ids) for r in batch] == [
-                expected[(q, 0.5)] for q in queries
-            ]
-            assert engine._pool._executor is not None  # rebuilt and healthy
+        want = [expected[(q, 0.5)] for q in queries]
+        for engine in (
+            SimilarityEngine(word_collection, scheme="css"),
+            ShardedEngine(
+                word_collection, shards=3, routing="hash", scheme="css"
+            ),
+        ):
+            with engine:
+                for shard in getattr(engine, "shards", [engine]):
+                    # a poisoned executor
+                    shard._pool.get(2, shard._make_pool).shutdown(wait=True)
+                batch = engine.search_batch(queries, 0.5, workers=2)
+                assert [list(r.ids) for r in batch] == want
+                assert engine.pool_workers == 0  # broken executors retired
+                batch = engine.search_batch(queries, 0.5, workers=2)
+                assert [list(r.ids) for r in batch] == want
+                assert engine.pool_workers > 0  # rebuilt and healthy
 
     def test_fan_out_propagates_genuine_query_errors(self, word_collection):
         with ShardedEngine(
@@ -158,8 +156,9 @@ class TestStaticParity:
         ) as engine:
             with pytest.raises(ValueError, match="threshold"):
                 engine.search_batch(["tok0 tok1"] * 8, -2.0, workers=3)
-            # the pool is healthy: a query error must not tear it down
-            assert engine._pool._executor is not None
+            # the first shard raised out of a healthy pool: a query error
+            # must not tear it down
+            assert engine.pool_workers == 3
 
     def test_edit_distance_metric(self, qgram_collection, char_strings):
         mono = SimilarityEngine(qgram_collection, scheme="css", metric="ed")
@@ -365,6 +364,9 @@ class TestObservability:
         try:
             engine.search(word_collection.strings[0], 0.6)
             (document,) = TRACER.drain()
+            with TRACER.trace("batch"):
+                engine.search_batch(word_collection.strings[:4], 0.6)
+            (batch,) = TRACER.drain()
         finally:
             TRACER.configure(enabled=False)
             TRACER.clear()
@@ -374,3 +376,13 @@ class TestObservability:
         # per-shard query traces nest under the fan-out root
         assert names.count("search") == 2
         assert "engine.shard.search" in names
+        # a batch trace attributes its time shard by shard: each shard's
+        # own batch span is a child of the one engine.shard.batch span
+        (fan_out,) = [
+            span for span in batch["spans"] if span["name"] == "engine.shard.batch"
+        ]
+        assert [
+            span["parent"]
+            for span in batch["spans"]
+            if span["name"] == "engine.batch.kernel"
+        ] == [fan_out["id"]] * 2

@@ -476,8 +476,6 @@ class TestSearchAndJoinIntegration:
         try:
             with SimilarityEngine(word_collection, scheme="css") as engine:
                 engine.search_batch(queries, 0.6, workers=2)
-                if engine._pool.kind != "process":
-                    pytest.skip("no fork pool on this platform")
             log = list(global_tracer.slow_log)
             documents = global_tracer.drain()  # every slow doc (buffer)
         finally:
@@ -506,7 +504,7 @@ class TestSearchAndJoinIntegration:
 
 
 class TestExternalDocumentSurface:
-    """offer()/recent()/attach_span()/context.document — the serving
+    """offer()/recent()/context.document — the serving
     layer's tracer surface (request documents are synthesized outside the
     thread-local machinery and handed back in)."""
 
@@ -552,24 +550,6 @@ class TestExternalDocumentSurface:
         assert [document["name"] for document in newest] == ["t3", "t4"]
         assert tracer.recent(0) == []
         assert len(tracer.drain()) == 5  # recent() consumed nothing
-
-    def test_attach_span_adds_a_closed_child(self, tracer):
-        import time as _time
-
-        start = _time.perf_counter()
-        end = start + 0.25
-        with tracer.trace("fanout"):
-            node = tracer.attach_span("engine.shard[0].batch", start, end)
-            assert node is not None
-        (document,) = tracer.drain()
-        by_name = {span["name"]: span for span in document["spans"]}
-        shard = by_name["engine.shard[0].batch"]
-        assert shard["parent"] == 1
-        assert shard["ms"] == pytest.approx(250.0, rel=1e-3)
-
-    def test_attach_span_without_active_trace_is_noop(self, tracer):
-        assert tracer.attach_span("orphan", 0.0, 1.0) is None
-        assert not tracer.is_tracing()
 
 
 class TestBatchKernelUnderActiveTrace:
