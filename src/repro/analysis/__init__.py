@@ -1,9 +1,8 @@
 """Repo-specific static analysis: the ``repro lint`` engine.
 
 Generic linters cannot know that ``69`` is the two-layer metadata width,
-that ``repro.join`` probes must go through the decode cache, or that a
-lambda handed to the batch pool dies under ``spawn``.  This package
-encodes those repo-specific invariants as AST rules (RA01-RA08, see
+or that a lambda handed to the batch pool dies under ``spawn``.  This package
+encodes those repo-specific invariants as AST rules (RA02-RA08, see
 :mod:`repro.analysis.rules`) behind a small engine
 (:mod:`repro.analysis.engine`) with per-line justified suppressions.
 

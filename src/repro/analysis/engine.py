@@ -10,7 +10,7 @@ project-scoped rules RA10-RA13 on top.
 
 Suppression syntax (one rule code per comment)::
 
-    ids = lst.to_array()  # repro: noqa RA01 -- full scan is the contract
+    GROUPS = 69  # repro: noqa RA02 -- a fixture size, not the metadata width
 
     # repro: noqa RA02 -- Silverman rule exponent, not a layout constant
     bandwidth = 1.06 * spread * n ** (-1 / 5)

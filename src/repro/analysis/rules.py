@@ -1,4 +1,4 @@
-"""The repo-specific lint rules (RA01-RA08).
+"""The repo-specific lint rules (RA02-RA08).
 
 Each rule encodes an invariant the paper's pipeline depends on but generic
 linters cannot see — which modules are the compressed hot path, which
@@ -163,45 +163,6 @@ def following_span(
 
 def _walk(module: Module) -> Iterable[ast.AST]:
     return ast.walk(module.tree)
-
-
-# ---------------------------------------------------------------------- #
-# RA01 — no naked decode on the query hot path
-# ---------------------------------------------------------------------- #
-#: build/maintenance modules inside the hot packages that legitimately
-#: materialize full arrays (index construction, not query serving)
-_RA01_WHITELIST = (
-    "repro.search.searcher",
-    "repro.search.dynamic",
-)
-
-
-@register_rule
-class NoNakedDecode(Rule):
-    code = "RA01"
-    summary = (
-        "search/join hot paths must reach decoded ids through "
-        "DecodeCache/CachedListView, never raw .to_array()/.decode_block()"
-    )
-
-    def check(self, module: Module) -> Iterator[Violation]:
-        if not module.in_package("repro.search", "repro.join"):
-            return
-        if module.name in _RA01_WHITELIST:
-            return
-        for node in _walk(module):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("to_array", "decode_block")
-            ):
-                yield self.violation(
-                    module,
-                    node,
-                    f"raw .{node.func.attr}() on the query hot path; go "
-                    "through the engine's DecodeCache (cache.fetch_ids) or "
-                    "a CachedListView so repeated probes hit the cache",
-                )
 
 
 # ---------------------------------------------------------------------- #

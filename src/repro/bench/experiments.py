@@ -16,7 +16,6 @@ import numpy as np
 
 from ..datasets.loader import Dataset
 from ..join.count import CountFilterJoin
-from ..obs import METRICS as _METRICS
 from ..join.position import PositionFilterJoin
 from ..join.prefix import PrefixFilterJoin
 from ..join.segment import SegmentFilterJoin
@@ -81,8 +80,7 @@ def run_search_queries(
         searcher = JaccardSearcher(index, algorithm=algorithm, metric=metric)
         run = lambda query: searcher.search(query, threshold)
     start = time.perf_counter()
-    with _METRICS.span("bench.search_queries"):
-        total_results = sum(len(run(query)) for query in queries)
+    total_results = sum(len(run(query)) for query in queries)
     elapsed = time.perf_counter() - start
     return {
         "avg_ms": 1000 * elapsed / max(1, len(queries)),
@@ -128,8 +126,7 @@ def run_join(
         join = join_cls(dataset.collection, scheme=scheme, **scheme_kwargs)
         argument = threshold
     start = time.perf_counter()
-    with _METRICS.span("bench.join"):
-        pairs = join.join(argument)
+    pairs = join.join(argument)
     elapsed = time.perf_counter() - start
     return JoinResult(
         filter_name=filter_name,

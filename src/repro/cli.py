@@ -24,12 +24,10 @@ tool composes with shell pipelines.
 from __future__ import annotations
 
 import argparse
-import json
-import re
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from .core.framework import OFFLINE_SCHEMES, ONLINE_SCHEMES
 from .datasets import dataset_names, load_dataset
@@ -41,9 +39,10 @@ from .obs import (
     dump_traces,
     load_traces,
     profile_report,
-    profile_to_markdown,
-    render_trace_tree,
-    to_prometheus,
+    render_profile,
+    render_traces,
+    sniff_dump,
+    top_frames,
     validate_profile,
 )
 from .join import (
@@ -67,15 +66,18 @@ _JOIN_FILTERS = {
 }
 
 
-def _read_lines(path: str) -> List[str]:
+def _read_lines(path: str, text: Optional[str] = None) -> List[str]:
     """Corpus lines with positions preserved: record id == 0-based line number.
 
     Blank lines become empty records (no signatures, so they can never
     match) instead of being dropped — dropping them used to shift every
     subsequent record id relative to the source file, making ``search`` /
-    ``join`` output untraceable back to the corpus.
+    ``join`` output untraceable back to the corpus.  ``text`` is the
+    file's content when the caller already read it.
     """
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if text is None:
+        text = Path(path).read_text(encoding="utf-8")
+    lines = text.splitlines()
     blanks = sum(1 for line in lines if not line.strip())
     if blanks:
         print(
@@ -239,6 +241,40 @@ def _add_tokenize_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_engine_args(parser: argparse.ArgumentParser) -> None:
+    """The arguments :func:`_engine_from_args` reads (search and serve)."""
+    _add_tokenize_args(parser)
+    parser.add_argument(
+        "--scheme",
+        choices=sorted(OFFLINE_SCHEMES),
+        default="css",
+        help="compression scheme for an index built from a corpus "
+        "(default: css)",
+    )
+    parser.add_argument(
+        "--metric", choices=("jaccard", "cosine", "dice", "ed"), default="jaccard"
+    )
+    parser.add_argument(
+        "--algorithm",
+        choices=("scancount", "mergeskip", "divideskip"),
+        default="mergeskip",
+    )
+    parser.add_argument(
+        "--mmap",
+        action="store_true",
+        help="serve a persisted bundle zero-copy off memory-mapped arrays "
+        "(bundle directories only; workers share the page cache)",
+    )
+    parser.add_argument(
+        "--shards",
+        type=int,
+        default=1,
+        help="partition an index built from a corpus into N shards served "
+        "by a fan-out/merge engine (default: 1, monolithic; results are "
+        "identical; a bundle fixed its shard count at save time)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -322,13 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         "per shard (default: 1, the in-process batch kernels; pays on "
         "large corpus x batch, see EXPERIMENTS.md)",
     )
-    _add_tokenize_args(search)
-    search.add_argument(
-        "--scheme", choices=sorted(OFFLINE_SCHEMES), default="css"
-    )
-    search.add_argument(
-        "--metric", choices=("jaccard", "cosine", "dice", "ed"), default="jaccard"
-    )
+    _add_engine_args(search)
     search.add_argument(
         "--threshold",
         type=float,
@@ -336,28 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="similarity threshold (or max edits for --metric ed)",
     )
     search.add_argument(
-        "--algorithm",
-        choices=("scancount", "mergeskip", "divideskip"),
-        default="mergeskip",
-    )
-    search.add_argument(
         "--load-index",
         default=None,
         help="persisted index to reuse: a bundle directory (saved with "
         "SimilarityEngine.save / ShardedEngine.save / `repro index OUT`)",
-    )
-    search.add_argument(
-        "--mmap",
-        action="store_true",
-        help="serve a --load-index bundle zero-copy off memory-mapped "
-        "arrays (static bundles only; workers share the page cache)",
-    )
-    search.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition the index into N shards served by a fan-out/merge "
-        "engine (default: 1, monolithic; results are identical)",
     )
     search.add_argument(
         "--routing",
@@ -385,34 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument(
-        "--metric", choices=("jaccard", "cosine", "dice", "ed"), default="jaccard"
-    )
-    serve.add_argument(
-        "--algorithm",
-        choices=("scancount", "mergeskip", "divideskip"),
-        default="mergeskip",
-    )
-    serve.add_argument(
-        "--mmap",
-        action="store_true",
-        help="serve a bundle zero-copy off memory-mapped arrays "
-        "(bundle directories only)",
-    )
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="for corpus-file PATHs: partition the freshly built index "
-        "into N shards (default: 1, monolithic)",
-    )
-    serve.add_argument(
-        "--scheme",
-        choices=sorted(OFFLINE_SCHEMES),
-        default="css",
-        help="compression scheme for corpus-file PATHs (default: css)",
-    )
-    _add_tokenize_args(serve)
+    _add_engine_args(serve)
     serve.add_argument(
         "--batch-window-ms",
         type=float,
@@ -532,7 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     lint = commands.add_parser(
-        "lint", help="run the repo-specific static analysis rules (RA01-RA13)"
+        "lint", help="run the repo-specific static analysis rules (RA02-RA13)"
     )
     lint.add_argument(
         "paths",
@@ -543,7 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--select",
         default=None,
-        help="comma-separated rule codes to run, e.g. RA01,RA07 (default all)",
+        help="comma-separated rule codes to run, e.g. RA02,RA07 (default all)",
     )
     lint.add_argument(
         "--project",
@@ -591,8 +576,8 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _render_profile_stats(args, document) -> int:
-    """Render a persisted ``--profile`` document (``repro stats`` on JSON)."""
+def _stats_profile(args, document) -> int:
+    """``repro stats`` on a persisted ``--profile`` document."""
     if args.check:
         try:
             validate_profile(document)
@@ -600,38 +585,31 @@ def _render_profile_stats(args, document) -> int:
             print(f"error: invalid profile document: {error}")
             return 1
         print(f"profile ok: schema {document['schema']}", file=sys.stderr)
-    style = args.format
-    if style in ("auto", "prometheus"):
-        print(to_prometheus(document), end="")
-    elif style == "markdown":
-        print(profile_to_markdown(document), end="")
-    elif style == "json":
-        print(json.dumps(document, indent=2, sort_keys=True, default=float))
-    else:
-        print(f"error: --format {style} does not apply to a profile document")
+    style = "prometheus" if args.format == "auto" else args.format
+    try:
+        print(render_profile(document, style), end="")
+    except ValueError as error:
+        print(f"error: --format {error}")
         return 2
     return 0
 
 
-def _render_trace_stats(args, path) -> int:
-    """Render a ``--trace`` JSONL dump (``repro stats`` on trace files)."""
+def _stats_traces(args) -> int:
+    """``repro stats`` on a ``--trace`` JSONL dump."""
+    style = "tree" if args.format == "auto" else args.format
     try:
-        traces = load_traces(path)
+        traces = load_traces(args.corpus)
     except ValueError as error:
         print(f"error: {error}")
         return 1
-    style = args.format
-    if style in ("auto", "tree"):
-        for document in traces:
-            print(render_trace_tree(document))
-            print()
+    try:
+        print(render_traces(traces, style), end="")
+    except ValueError as error:
+        print(f"error: --format {error}")
+        return 2
+    if style == "tree":
         slow = sum(1 for document in traces if document.get("slow"))
         print(f"{len(traces)} trace(s), {slow} slow", file=sys.stderr)
-    elif style == "json":
-        print(json.dumps(traces, indent=2, sort_keys=True, default=float))
-    else:
-        print(f"error: --format {style} does not apply to a trace dump")
-        return 2
     return 0
 
 
@@ -639,37 +617,21 @@ def _cmd_stats(args) -> int:
     # dispatch on content: a profile document or a trace dump renders the
     # telemetry; anything else is a corpus (the original size table)
     text = Path(args.corpus).read_text(encoding="utf-8")
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        try:
-            document = json.loads(text)
-        except json.JSONDecodeError:
-            document = None
-        if isinstance(document, dict) and "schema" in document:
-            return _render_profile_stats(args, document)
-        try:
-            probe = json.loads(stripped.splitlines()[0])
-        except json.JSONDecodeError:
-            probe = None
-        if isinstance(probe, dict) and "trace_id" in probe:
-            return _render_trace_stats(args, args.corpus)
-        if document is not None or probe is not None:
-            print(
-                "error: JSON input is neither a profile document (no "
-                "'schema' key) nor a JSONL trace dump (no 'trace_id' key)"
-            )
-            return 2
+    kind, document = sniff_dump(text)
+    if kind == "profile":
+        return _stats_profile(args, document)
+    if kind == "traces":
+        return _stats_traces(args)
+    if kind == "json":
+        print(
+            "error: JSON input is neither a profile document (no "
+            "'schema' key) nor a JSONL trace dump (no 'trace_id' key)"
+        )
+        return 2
     if args.format not in ("auto", "table"):
         print(f"error: --format {args.format} requires a profile/trace input")
         return 2
-    strings = text.splitlines()
-    blanks = sum(1 for line in strings if not line.strip())
-    if blanks:
-        print(
-            f"warning: {args.corpus}: {blanks} blank line(s) kept as empty "
-            "records so record ids keep matching line numbers",
-            file=sys.stderr,
-        )
+    strings = _read_lines(args.corpus, text)
     collection = tokenize_collection(strings, mode=args.mode, q=args.q)
     profiling = _start_profile(args)
     print(
@@ -706,19 +668,64 @@ def _cmd_index(args) -> int:
     return 0
 
 
+def _engine_args_problem(args, bundle) -> Optional[str]:
+    """Why the engine arguments cannot apply to this source, if they cannot:
+    ``--shards`` partitions an index built here, ``--mmap`` maps a saved one."""
+    if args.shards < 1:
+        return f"--shards must be >= 1, got {args.shards}"
+    if bundle is not None and args.shards > 1:
+        return (
+            "--shards applies to an index built from a corpus; a bundle "
+            "directory already fixed its shard count at save time (save a "
+            "partitioned one with ShardedEngine.save)"
+        )
+    if bundle is None and args.mmap:
+        return (
+            "--mmap applies to bundle directories; persist one first with "
+            "`repro index CORPUS OUT` (or SimilarityEngine.save), then "
+            "`search --load-index OUT` / `serve OUT`"
+        )
+    return None
+
+
+def _engine_from_args(args, lines: Optional[List[str]], bundle):
+    """The one place parsed arguments become an engine.
+
+    ``bundle`` (a saved bundle directory) is reopened as whichever engine
+    saved it; otherwise the corpus ``lines`` are tokenized and indexed
+    under ``--scheme``, partitioned when ``--shards > 1``.  Edit distance
+    always runs on q-grams (``q=2`` unless ``--mode qgram`` chose a width).
+    Raises ``ValueError`` for an unopenable bundle or an unsupported
+    scheme/algorithm pairing.
+    """
+    serving = {"algorithm": args.algorithm, "metric": args.metric}
+    if bundle is not None:
+        return open_engine(bundle, mmap=args.mmap, **serving)
+    ed = args.metric == "ed"
+    collection = tokenize_collection(
+        lines,
+        mode="qgram" if ed else args.mode,
+        q=2 if ed and args.mode == "word" else args.q,
+    )
+    if args.shards > 1:
+        return ShardedEngine(
+            collection,
+            shards=args.shards,
+            # `serve` has no --routing: it builds contiguous shards
+            routing=getattr(args, "routing", "contiguous"),
+            scheme=args.scheme,
+            **serving,
+        )
+    return SimilarityEngine(collection, scheme=args.scheme, **serving)
+
+
 def _cmd_search(args) -> int:
     if (args.query is None) == (args.queries_file is None):
         print("error: provide exactly one of a query or --queries-file")
         return 2
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}")
-        return 2
-    if args.shards > 1 and args.load_index:
-        print(
-            "error: --load-index holds a persisted index; --shards N "
-            "builds a partitioned one (save one with ShardedEngine.save "
-            "and point --load-index at the bundle directory)"
-        )
+    problem = _engine_args_problem(args, args.load_index)
+    if problem:
+        print(f"error: {problem}")
         return 2
     if args.metric == "ed":
         threshold = _integral_threshold(args.threshold, "--metric ed")
@@ -726,52 +733,18 @@ def _cmd_search(args) -> int:
             return 2
     else:
         threshold = args.threshold
-    if args.mmap and not args.load_index:
-        print(
-            "error: --mmap applies to --load-index bundle directories; "
-            "persist one first with `repro index CORPUS OUT` (or "
-            "SimilarityEngine.save) and pass --load-index OUT"
-        )
-        return 2
     if args.load_index and _reject_non_bundle(args.load_index):
         return 2
     strings = _read_lines(args.corpus)
-    mode = "qgram" if args.metric == "ed" else args.mode
-    q = 2 if args.metric == "ed" and args.mode == "word" else args.q
-    if args.load_index:
-        # self-contained bundle: the collection rides inside it
-        collection = None
-    else:
-        collection = tokenize_collection(strings, mode=mode, q=q)
     profiling = _start_profile(args)
     tracing = _start_trace(args)
-    if args.shards > 1:
-        engine_factory = lambda: ShardedEngine(  # noqa: E731
-            collection,
-            shards=args.shards,
-            routing=args.routing,
-            scheme=args.scheme,
-            algorithm=args.algorithm,
-            metric=args.metric,
-        )
-    elif args.load_index:
-        try:
-            engine = open_engine(
-                args.load_index,
-                mmap=args.mmap,
-                algorithm=args.algorithm,
-                metric=args.metric,
-            )
-        except ValueError as error:
-            print(f"error: {error}")
-            return 1
-        engine_factory = lambda: engine  # noqa: E731
-    else:
-        index = InvertedIndex(collection, scheme=args.scheme)
-        engine_factory = lambda: SimilarityEngine(  # noqa: E731
-            index=index, algorithm=args.algorithm, metric=args.metric
-        )
-    with engine_factory() as engine:
+    try:
+        # a self-contained bundle carries its own collection
+        engine = _engine_from_args(args, strings, args.load_index)
+    except ValueError as error:
+        print(f"error: {error}")
+        return 1
+    with engine:
         if args.queries_file is not None:
             queries = _read_lines(args.queries_file)
             start = time.perf_counter()
@@ -813,16 +786,27 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .serve import ServeApp, create_app
+    from .serve import ServeApp
     from .serve.server import run as _run_server
 
-    if args.shards < 1:
-        print(f"error: --shards must be >= 1, got {args.shards}")
-        return 2
     path = Path(args.path)
     if _reject_non_bundle(path, must_exist=False):
         return 2
-    app_kwargs = dict(
+    bundle = path if path.is_dir() else None
+    problem = _engine_args_problem(args, bundle)
+    if problem:
+        print(f"error: {problem}")
+        return 2
+    try:
+        engine = _engine_from_args(
+            args, None if bundle else _read_lines(args.path), bundle
+        )
+    except ValueError as error:
+        print(f"error: {error}")
+        return 1
+    app = ServeApp(
+        engine,
+        bundle_path=bundle,
         window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         batch_workers=args.batch_workers,
@@ -830,52 +814,6 @@ def _cmd_serve(args) -> int:
         max_pending=args.max_pending,
         trace_sample=args.trace_sample if args.trace_sample > 0 else None,
     )
-    if path.is_dir():
-        if args.shards > 1:
-            print(
-                "error: --shards applies to corpus-file PATHs; a bundle "
-                "directory already fixed its shard count at save time"
-            )
-            return 2
-        try:
-            app = create_app(
-                path,
-                mmap=args.mmap,
-                algorithm=args.algorithm,
-                metric=args.metric,
-                **app_kwargs,
-            )
-        except ValueError as error:
-            print(f"error: {error}")
-            return 1
-    else:
-        if args.mmap:
-            print(
-                "error: --mmap applies to bundle directories; persist one "
-                "first with `repro index CORPUS OUT` and serve OUT"
-            )
-            return 2
-        mode = "qgram" if args.metric == "ed" else args.mode
-        q = 2 if args.metric == "ed" and args.mode == "word" else args.q
-        collection = tokenize_collection(
-            _read_lines(args.path), mode=mode, q=q
-        )
-        if args.shards > 1:
-            engine = ShardedEngine(
-                collection,
-                shards=args.shards,
-                scheme=args.scheme,
-                algorithm=args.algorithm,
-                metric=args.metric,
-            )
-        else:
-            engine = SimilarityEngine(
-                collection,
-                scheme=args.scheme,
-                algorithm=args.algorithm,
-                metric=args.metric,
-            )
-        app = ServeApp(engine, **app_kwargs)
     print(
         f"serving {_describe_served(app)} on http://{args.host}:{args.port} "
         f"(window {args.batch_window_ms} ms, max batch {args.max_batch}) "
@@ -899,185 +837,26 @@ def _describe_served(app) -> str:
     )
 
 
-# --------------------------------------------------------------------- #
-# repro top: a terminal dashboard over a serving process's /metrics
-# --------------------------------------------------------------------- #
-_ROUTE_REQUESTS = re.compile(
-    r"^repro_serve_route_(?P<route>.+)_requests_total$"
-)
-_BUCKET_SAMPLE = re.compile(r'^(?P<family>.+)_bucket\{le="(?P<le>[^"]+)"\}$')
-
-
-def _histogram_quantile(
-    samples: Dict[str, float], family: str, quantile: float
-) -> Optional[float]:
-    """A quantile's bucket upper bound from cumulative ``le`` buckets.
-
-    The serve histograms are log2-bucketed, so the answer is the upper
-    bound of the bucket the quantile falls in (the same estimate
-    Prometheus's ``histogram_quantile`` would snap to); ``None`` when the
-    family is absent or empty.
-    """
-    buckets: List[Tuple[float, float]] = []
-    for key, value in samples.items():
-        match = _BUCKET_SAMPLE.match(key)
-        if match and match.group("family") == family:
-            buckets.append((float(match.group("le")), value))
-    if not buckets:
-        return None
-    buckets.sort()
-    total = buckets[-1][1]
-    if total <= 0:
-        return None
-    target = quantile * total
-    for upper, cumulative in buckets:
-        if cumulative >= target:
-            return upper
-    return buckets[-1][0]
-
-
-def _route_rows(
-    samples: Dict[str, float],
-    previous: Optional[Dict[str, float]],
-    dt: Optional[float],
-) -> List[tuple]:
-    """Per-route RED rows: (route, total, rate, 5xx, p50, p99)."""
-    rows = []
-    for key in sorted(samples):
-        match = _ROUTE_REQUESTS.match(key)
-        if match is None:
-            continue
-        route = match.group("route")
-        total = samples[key]
-        rate = None
-        if previous is not None and dt:
-            rate = max(0.0, (total - previous.get(key, 0.0)) / dt)
-        errors = sum(
-            value
-            for name, value in samples.items()
-            if name.startswith(f"repro_serve_route_{route}_status_5")
-        )
-        family = f"repro_serve_route_{route}_latency_ms"
-        rows.append(
-            (
-                route,
-                total,
-                rate,
-                errors,
-                _histogram_quantile(samples, family, 0.50),
-                _histogram_quantile(samples, family, 0.99),
-            )
-        )
-    return rows
-
-
-def _format_ms(value: Optional[float]) -> str:
-    if value is None:
-        return "-"
-    if value == float("inf"):
-        return ">2^63"
-    return f"{value:.0f}"
-
-
-def _render_top(
-    samples: Dict[str, float],
-    previous: Optional[Dict[str, float]],
-    dt: Optional[float],
-    target: str,
-) -> str:
-    """One dashboard frame from a parsed /metrics sample (pure; tested)."""
-    lines = [f"repro top — {target}"]
-    uptime = samples.get("repro_serve_uptime_seconds")
-    rss = samples.get("repro_process_rss_bytes")
-    pool = samples.get("repro_engine_pool_workers")
-    summary = []
-    if uptime is not None:
-        summary.append(f"up {uptime:.0f}s")
-    if rss:
-        summary.append(f"rss {rss / (1 << 20):.1f} MiB")
-    if pool is not None:
-        summary.append(f"pool {pool:.0f}")
-    cache_entries = samples.get("repro_engine_cache_entries")
-    if cache_entries is not None:
-        cache_bytes = samples.get("repro_engine_cache_bytes", 0.0)
-        summary.append(
-            f"cache {cache_entries:.0f} lists / {cache_bytes / 1024:.0f} KiB"
-        )
-    if summary:
-        lines.append("  " + " · ".join(summary))
-    requests = samples.get("repro_serve_requests_total", 0.0)
-    batches = samples.get("repro_serve_batches_total", 0.0)
-    ratio = requests / batches if batches else 0.0
-    lines.append(
-        f"  coalescing: {requests:.0f} requests in {batches:.0f} batches "
-        f"(ratio {ratio:.2f}) · queue "
-        f"{samples.get('repro_serve_queue_depth', 0.0):.0f} · in-flight "
-        f"{samples.get('repro_serve_batch_inflight', 0.0):.0f} · shed "
-        f"{samples.get('repro_serve_shed_total', 0.0):.0f}"
-    )
-    lines.append("")
-    lines.append(
-        f"  {'route':<14} {'req':>10} {'rate/s':>8} {'5xx':>6} "
-        f"{'p50ms':>7} {'p99ms':>7}"
-    )
-    rows = _route_rows(samples, previous, dt)
-    if not rows:
-        lines.append("  (no per-route series yet — send a request)")
-    for route, total, rate, errors, p50, p99 in rows:
-        rate_text = f"{rate:.1f}" if rate is not None else "-"
-        lines.append(
-            f"  {route:<14} {total:>10.0f} {rate_text:>8} {errors:>6.0f} "
-            f"{_format_ms(p50):>7} {_format_ms(p99):>7}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_top(args) -> int:
-    from .obs.export import parse_prometheus
-
     target = args.target
-    if not target.startswith(("http://", "https://")):
-        path = Path(target)
-        if not path.is_file():
-            print(
-                f"error: {target} is neither an http(s) URL nor a readable "
-                "exposition file"
-            )
-            return 2
-        print(_render_top(parse_prometheus(path.read_text()), None, None, target), end="")
-        return 0
-
-    import urllib.error
-    import urllib.request
-
-    url = target.rstrip("/") + "/metrics"
-    previous: Optional[Dict[str, float]] = None
-    previous_at: Optional[float] = None
-    renders = 0
+    live = target.startswith(("http://", "https://"))
+    if not live and not Path(target).is_file():
+        print(
+            f"error: {target} is neither an http(s) URL nor a readable "
+            "exposition file"
+        )
+        return 2
+    # clear + home, so a live dashboard repaints in place
+    repaint = "\x1b[2J\x1b[H" if live and sys.stdout.isatty() else ""
     try:
-        while True:
-            try:
-                with urllib.request.urlopen(url, timeout=10) as response:
-                    text = response.read().decode()
-            except (urllib.error.URLError, OSError) as error:
-                print(f"error: cannot scrape {url}: {error}")
-                return 1
-            samples = parse_prometheus(text)
-            now = time.monotonic()
-            dt = now - previous_at if previous_at is not None else None
-            frame = _render_top(samples, previous, dt, target)
-            if sys.stdout.isatty():
-                # clear + home, so the dashboard repaints in place
-                print("\x1b[2J\x1b[H" + frame, end="", flush=True)
-            else:
-                print(frame, end="", flush=True)
-            renders += 1
-            if args.count and renders >= args.count:
-                return 0
-            previous, previous_at = samples, now
-            time.sleep(args.interval)
+        for frame in top_frames(target, args.interval, args.count):
+            print(repaint + frame, end="", flush=True)
+    except OSError as error:
+        print(f"error: cannot scrape {target}: {error}")
+        return 1
     except KeyboardInterrupt:
-        return 0
+        pass
+    return 0
 
 
 def _cmd_compact(args) -> int:
@@ -1112,7 +891,7 @@ def _cmd_compact(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    from .compression.validate import check_path
+    from .storage import check_path
 
     if _reject_non_bundle(args.index):
         return 2

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..obs import METRICS as _METRICS
 from .constants import MAX_DELTA_WIDTH
 
 __all__ = ["width_for", "BitBuffer"]
@@ -103,9 +102,6 @@ class BitBuffer:
             return np.empty(0, dtype=np.uint64)
         if bit_offset + width * count > self._num_bits:
             raise IndexError("read past end of bit buffer")
-        if _METRICS.enabled:
-            _METRICS.inc("bitpack.field_reads", count)
-            _METRICS.inc("bitpack.bits_read", width * count)
         positions = bit_offset + width * np.arange(count, dtype=np.uint64)
         word_idx = (positions >> 6).astype(np.int64)
         shifts = positions & np.uint64(63)
@@ -137,9 +133,6 @@ class BitBuffer:
         # fail loudly below: their word index overruns the backing array.
         if int((positions + widths).max()) > self._num_bits:
             raise IndexError("gather past end of bit buffer")
-        if _METRICS.enabled:
-            _METRICS.inc("bitpack.field_reads", int(positions.size))
-            _METRICS.inc("bitpack.bits_read", int(widths.sum()))
         word_idx = (positions >> np.uint64(6)).astype(np.int64)
         shifts = positions & np.uint64(63)
         low = self._words[word_idx] >> shifts

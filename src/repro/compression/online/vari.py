@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...obs import METRICS as _METRICS
 from ..constants import THEOREM_1_BUFFER
 from ..partition import optimal_partition
 from ..registry import register_scheme
@@ -53,8 +52,6 @@ class VariList(OnlineSortedIDList):
 
     def _seal(self) -> None:
         values = np.asarray(self._buffer, dtype=np.int64)
-        if _METRICS.enabled:
-            _METRICS.inc("online.dp_invocations")
         boundaries = optimal_partition(values, max_block=None)
         first_block_end = boundaries[1] if len(boundaries) > 1 else len(self._buffer)
         self._record_seal(len(self._buffer))

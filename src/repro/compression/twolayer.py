@@ -169,8 +169,6 @@ class TwoLayerStore:
         """Random access to the ``index``-th id."""
         if not 0 <= index < len(self):
             raise IndexError(f"index {index} out of range for length {len(self)}")
-        if _METRICS.enabled:
-            _METRICS.inc("twolayer.random_accesses")
         block = self._block_of(index)
         within = index - int(self._starts[block])
         if within == 0:
@@ -243,8 +241,6 @@ class TwoLayerStore:
         """
         if not self.num_blocks:
             return 0
-        if _METRICS.enabled:
-            _METRICS.inc("twolayer.lookups")
         self._sync()
         block = int(np.searchsorted(self._bases_np, key, side="right")) - 1
         if block < 0:
@@ -256,18 +252,13 @@ class TwoLayerStore:
             return start
         target = key - base
         offset, width = self._offsets[block], self._widths[block]
-        probes = 0
         lo, hi = 0, count - 1  # searching within deltas[0 .. count-2]
         while lo < hi:
             mid = (lo + hi) // 2
-            probes += 1
             if self._data.read_one(offset, width, mid) < target:
                 lo = mid + 1
             else:
                 hi = mid
-        if probes and _METRICS.enabled:
-            _METRICS.inc("bitpack.field_reads", probes)
-            _METRICS.inc("bitpack.bits_read", probes * width)
         # lo in [0, count-1]; delta index lo corresponds to global start+1+lo
         if lo == count - 1:
             return start + count  # key greater than everything in this block

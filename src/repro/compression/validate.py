@@ -13,8 +13,7 @@ fuzzers.
 
 from __future__ import annotations
 
-from pathlib import Path
-from typing import Any, List, Union
+from typing import Any, List
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .base import MAX_ELEMENT, SortedIDList
 from .constants import MAX_DELTA_WIDTH
 from .twolayer import TwoLayerList
 
-__all__ = ["check_list", "check_index", "check_path"]
+__all__ = ["check_list", "check_index"]
 
 
 def check_list(lst: SortedIDList, sample: int = 64) -> List[str]:
@@ -130,32 +129,3 @@ def check_index(index: Any, max_lists: int = 0) -> List[str]:
         for issue in check_list(lst):
             issues.append(f"token {token}: {issue}")
     return issues
-
-
-def check_path(path: Union[str, Path], max_lists: int = 0) -> List[str]:
-    """Route the bundle directory at ``path`` to its checker by the kind
-    its ``manifest.json`` declares (index bundle or sharded bundle).  A
-    missing path, a non-directory or an unrecognizable manifest is
-    reported as a violation.
-    """
-    from ..storage import (
-        BUNDLE_KIND,
-        SHARDED_BUNDLE_KIND,
-        check_bundle,
-        check_sharded_bundle,
-        read_manifest,
-    )
-
-    path = Path(path)
-    if not path.is_dir():
-        return [f"no such index bundle directory: {path}"]
-    try:
-        kind = read_manifest(path).get("kind")
-    # repro: noqa RA07 -- an unparseable manifest is the finding itself
-    except Exception as error:
-        return [f"load failed ({type(error).__name__}): manifest.json: {error}"]
-    if kind == BUNDLE_KIND:
-        return check_bundle(path, max_lists=max_lists)
-    if kind == SHARDED_BUNDLE_KIND:
-        return check_sharded_bundle(path, max_lists=max_lists)
-    return [f"{path}: unrecognized manifest kind {kind!r}"]

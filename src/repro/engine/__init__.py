@@ -42,8 +42,8 @@ def open_engine(path, *, mmap: bool = True, **engine_kwargs):
     Reads the manifest kind once and returns
     :meth:`SimilarityEngine.open` or :meth:`ShardedEngine.open` of
     ``path``; ``engine_kwargs`` are the serving knobs both take
-    (``algorithm``, ``metric``, ``cache_entries``, ``cache_bytes``,
-    ``cache_admit_after``, ``kernel``).  Raises ``ValueError`` for a path
+    (``algorithm``, ``metric``, ``cache_entries``, ``cache_admit_after``,
+    ``kernel``).  Raises ``ValueError`` for a path
     that holds no bundle of either kind.
     """
     from .. import storage

@@ -118,11 +118,7 @@ class DecodeCache:
         self._touches.pop(id(lst), None)
         self.current_bytes += array.nbytes
         self.insertions += 1
-        if _METRICS.enabled:
-            _METRICS.inc("engine.cache.insertions")
-            _METRICS.inc("engine.cache.bytes_added", int(array.nbytes))
-            _METRICS.observe("engine.cache.entry_bytes", int(array.nbytes))
-            _METRICS.observe("engine.cache.bytes_cached", self.current_bytes)
+        _METRICS.inc("engine.cache.bytes_added", int(array.nbytes))
         self._evict_over_capacity()
         return entry
 
@@ -134,11 +130,7 @@ class DecodeCache:
             _, victim = self._entries.popitem(last=False)
             self.current_bytes -= victim.array.nbytes
             self.evictions += 1
-            if _METRICS.enabled:
-                _METRICS.inc("engine.cache.evictions")
-                _METRICS.inc(
-                    "engine.cache.bytes_evicted", int(victim.array.nbytes)
-                )
+            _METRICS.inc("engine.cache.evictions")
 
     def _decode(self, lst) -> np.ndarray:
         # the underlying codec's own decode counters (twolayer.*, online.*)
@@ -208,7 +200,6 @@ class DecodeCache:
             self._touches.pop(id(lst), None)
             self.current_bytes -= entry.array.nbytes
             self.invalidations += 1
-            _METRICS.inc("engine.cache.invalidations")
             return True
 
     def clear(self) -> None:
@@ -219,7 +210,6 @@ class DecodeCache:
             self._touches.clear()
             self.current_bytes = 0
             self.invalidations += dropped
-            _METRICS.inc("engine.cache.invalidations", dropped)
 
     def __len__(self) -> int:
         with self._lock:

@@ -50,6 +50,9 @@ __all__ = ["SimilarityEngine"]
 #: out of a chunk is a genuine query error and must propagate unchanged.
 _POOL_FAILURES = (BrokenExecutor, pickle.PicklingError, OSError)
 
+#: byte cap of every engine's decode cache (entry count is the tuned knob)
+_CACHE_MAX_BYTES = 64 << 20
+
 #: engine image inside a pool worker, installed by the pool initializer.
 _WORKER_ENGINE: Optional["SimilarityEngine"] = None
 
@@ -143,9 +146,9 @@ class SimilarityEngine:
         Offline scheme name, T-occurrence algorithm, and similarity metric
         (``jaccard`` / ``cosine`` / ``dice`` / ``ed`` — ``ed`` thresholds
         are integer edit distances).
-    cache_entries / cache_bytes / cache_admit_after:
-        Decode-cache capacity knobs; ``cache_entries=0`` disables the
-        cache entirely.
+    cache_entries / cache_admit_after:
+        Decode-cache capacity and admission knobs; ``cache_entries=0``
+        disables the cache entirely.
     kernel:
         ``"auto"`` (default) routes batches through the vectorized
         :mod:`~repro.search.batchkernels` whenever the searcher/algorithm
@@ -162,7 +165,6 @@ class SimilarityEngine:
         algorithm: str = "mergeskip",
         metric: str = "jaccard",
         cache_entries: Optional[int] = 1024,
-        cache_bytes: Optional[int] = 64 << 20,
         cache_admit_after: int = 2,
         kernel: str = "auto",
         **scheme_kwargs,
@@ -171,6 +173,13 @@ class SimilarityEngine:
             if collection is None:
                 raise ValueError("provide a tokenized collection or an index")
             index = InvertedIndex(collection, scheme=scheme, **scheme_kwargs)
+        elif scheme_kwargs:
+            # a prebuilt index fixed its scheme; this is also what keeps
+            # open(path, **serving) strict about misspelled knobs
+            raise TypeError(
+                f"unexpected keyword arguments for a prebuilt index: "
+                f"{sorted(scheme_kwargs)}"
+            )
         self.index = index
         self.metric = metric
         self.algorithm = algorithm
@@ -179,7 +188,7 @@ class SimilarityEngine:
             if cache_entries == 0
             else DecodeCache(
                 max_entries=cache_entries,
-                max_bytes=cache_bytes,
+                max_bytes=_CACHE_MAX_BYTES,
                 admit_after=cache_admit_after,
             )
         )
@@ -326,7 +335,6 @@ class SimilarityEngine:
         results = [result for chunk in chunk_results for result in chunk]
         if _METRICS.enabled:
             _METRICS.inc("engine.batch.queries", len(results))
-            _METRICS.inc("engine.batch.chunks", len(chunks))
             _METRICS.inc("engine.batch.worker_chunks", worker_chunks)
         return results
 
@@ -405,20 +413,12 @@ class SimilarityEngine:
         return storage.save_index(self.index, path)
 
     @classmethod
-    def open(
-        cls,
-        path,
-        *,
-        mmap: bool = True,
-        algorithm: str = "mergeskip",
-        metric: str = "jaccard",
-        cache_entries: Optional[int] = 1024,
-        cache_bytes: Optional[int] = 64 << 20,
-        cache_admit_after: int = 2,
-        kernel: str = "auto",
-    ) -> "SimilarityEngine":
+    def open(cls, path, *, mmap: bool = True, **serving) -> "SimilarityEngine":
         """Reconstitute an engine from a bundle saved with :meth:`save`.
 
+        ``serving`` are the constructor's serving knobs (``algorithm``,
+        ``metric``, ``cache_entries``, ``cache_admit_after``, ``kernel``),
+        forwarded as given so their defaults live in ``__init__`` only.
         ``mmap=True`` (the default, static bundles only) serves the
         posting-list payloads zero-copy off memory-mapped files — N
         engines opened from one bundle (or N fork workers of one engine)
@@ -428,15 +428,7 @@ class SimilarityEngine:
         """
         from .. import storage
 
-        return cls(
-            index=storage.open_index(path, mmap=mmap),
-            algorithm=algorithm,
-            metric=metric,
-            cache_entries=cache_entries,
-            cache_bytes=cache_bytes,
-            cache_admit_after=cache_admit_after,
-            kernel=kernel,
-        )
+        return cls(index=storage.open_index(path, mmap=mmap), **serving)
 
     def compact(self):
         """Seal a dynamic index's online lists into offline CSS blocks.

@@ -154,7 +154,7 @@ class ShardedEngine:
         for dynamic shards (default ``"adapt"``).
     algorithm / metric:
         As on :class:`~repro.engine.core.SimilarityEngine`.
-    cache_entries / cache_bytes / cache_admit_after:
+    cache_entries / cache_admit_after:
         Per-shard :class:`DecodeCache` knobs (``cache_entries=0`` disables).
     build_workers:
         Process-pool size for the parallel static build; default
@@ -181,7 +181,6 @@ class ShardedEngine:
         algorithm: str = "mergeskip",
         metric: str = "jaccard",
         cache_entries: Optional[int] = 1024,
-        cache_bytes: Optional[int] = 64 << 20,
         cache_admit_after: int = 2,
         build_workers: Optional[int] = None,
         kernel: str = "auto",
@@ -237,7 +236,6 @@ class ShardedEngine:
             algorithm=algorithm,
             metric=metric,
             cache_entries=cache_entries,
-            cache_bytes=cache_bytes,
             cache_admit_after=cache_admit_after,
             kernel=kernel,
         )
@@ -250,25 +248,26 @@ class ShardedEngine:
         routing: str,
         dynamic: bool,
         scheme: str,
-        **engine_kwargs,
+        **serving,
     ) -> None:
         """The one constructor path: wrap each shard index in an engine.
 
         ``assignments[k][local]`` is the global id of shard ``k``'s record
-        ``local``; ``engine_kwargs`` are the ``SimilarityEngine`` serving
-        knobs (algorithm, metric, cache capacity, kernel).
+        ``local``; ``serving`` are the ``SimilarityEngine`` serving knobs
+        (algorithm, metric, cache capacity, kernel), defaulted there.
         """
         self.shards: List[SimilarityEngine] = [
-            SimilarityEngine(index=index, **engine_kwargs) for index in indexes
+            SimilarityEngine(index=index, **serving) for index in indexes
         ]
         self._remaps = assignments
         self.num_shards = len(self.shards)
         self.routing = routing
         self.dynamic = dynamic
         self.scheme = scheme
-        self.algorithm = engine_kwargs["algorithm"]
-        self.metric = engine_kwargs["metric"]
-        self.kernel = engine_kwargs["kernel"]
+        first = self.shards[0]
+        self.algorithm = first.algorithm
+        self.metric = first.metric
+        self.kernel = first.kernel
 
     # ------------------------------------------------------------------ #
     # build
@@ -458,20 +457,11 @@ class ShardedEngine:
         )
 
     @classmethod
-    def open(
-        cls,
-        path,
-        *,
-        mmap: bool = True,
-        algorithm: str = "mergeskip",
-        metric: str = "jaccard",
-        cache_entries: Optional[int] = 1024,
-        cache_bytes: Optional[int] = 64 << 20,
-        cache_admit_after: int = 2,
-        kernel: str = "auto",
-    ) -> "ShardedEngine":
+    def open(cls, path, *, mmap: bool = True, **serving) -> "ShardedEngine":
         """Reconstitute a sharded engine from a :meth:`save` directory.
 
+        ``serving`` are the per-shard ``SimilarityEngine`` serving knobs,
+        forwarded as given (see :meth:`SimilarityEngine.open`).
         ``mmap=True`` serves every static shard's posting lists zero-copy
         off the memory-mapped bundles — N shards (and the fork workers
         querying them) share the page cache instead of N eager copies.
@@ -489,12 +479,7 @@ class ShardedEngine:
             routing=manifest["routing"],
             dynamic=bool(manifest.get("dynamic")),
             scheme=manifest["scheme"],
-            algorithm=algorithm,
-            metric=metric,
-            cache_entries=cache_entries,
-            cache_bytes=cache_bytes,
-            cache_admit_after=cache_admit_after,
-            kernel=kernel,
+            **serving,
         )
         return engine
 

@@ -118,7 +118,3 @@ class OnlineIndexMixin:
         stats.num_lists = len(self._lists)
         if _METRICS.enabled:
             _METRICS.inc("join.runs")
-            _METRICS.inc("join.lists", stats.num_lists)
-            _METRICS.inc("join.candidates", stats.candidates)
-            _METRICS.inc("join.verifications", stats.verifications)
-            _METRICS.inc("join.index_bits", stats.index_bits)

@@ -76,7 +76,6 @@ class EDCountFilterJoin(OnlineIndexMixin):
                     posting = self._lists.get(token)
                     if posting is None:
                         continue
-                    # repro: noqa RA01 -- online lists mutate per append
                     for rid in posting.to_array().tolist():
                         counts[rid] = counts.get(rid, 0) + 1
                 stats.candidates += len(counts)

@@ -81,7 +81,6 @@ class PositionFilterJoin(OnlineIndexMixin):
                 if posting is None:
                     continue
                 positions = self._positions[token]
-                # repro: noqa RA01 -- online lists mutate per append
                 for entry, rid in enumerate(posting.to_array().tolist()):
                     current = overlaps.get(rid, 0)
                     if current == _PRUNED:

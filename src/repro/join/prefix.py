@@ -69,7 +69,6 @@ class PrefixFilterJoin(OnlineIndexMixin):
                     posting = self._lists.get(token)
                     if posting is None:
                         continue
-                    # repro: noqa RA01 -- online lists mutate per append
                     for rid in posting.to_array().tolist():
                         if rid in seen:
                             continue

@@ -88,7 +88,6 @@ class SegmentFilterJoin(OnlineIndexMixin):
                     # string of this length is a candidate
                     bucket = self._lists.get(("short", length_r))
                     if bucket is not None:
-                        # repro: noqa RA01 -- online lists mutate per append
                         for rid in bucket.to_array().tolist():
                             if rid in seen:
                                 continue
@@ -113,7 +112,6 @@ class SegmentFilterJoin(OnlineIndexMixin):
                         posting = self._lists.get(key)
                         if posting is None:
                             continue
-                        # repro: noqa RA01 -- online lists mutate per append
                         for rid in posting.to_array().tolist():
                             if rid in seen:
                                 continue

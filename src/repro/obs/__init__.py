@@ -34,6 +34,7 @@ from .report import (
     dump_profile,
     profile_report,
     profile_to_markdown,
+    render_profile,
     validate_profile,
 )
 from .trace import TRACER, Tracer, trace_query
@@ -43,9 +44,12 @@ from .export import (
     load_traces,
     parse_prometheus,
     render_trace_tree,
+    render_traces,
+    sniff_dump,
     to_prometheus,
     traces_to_jsonl,
 )
+from .top import render_top, top_frames
 
 # registry spans feed the active trace tree (one attribute check when idle)
 METRICS.tracer = TRACER
@@ -62,6 +66,7 @@ __all__ = [
     "dump_profile",
     "profile_to_markdown",
     "validate_profile",
+    "render_profile",
     "TRACER",
     "Tracer",
     "trace_query",
@@ -72,4 +77,8 @@ __all__ = [
     "dump_traces",
     "load_traces",
     "render_trace_tree",
+    "render_traces",
+    "sniff_dump",
+    "render_top",
+    "top_frames",
 ]

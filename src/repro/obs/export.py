@@ -15,8 +15,10 @@ Standard wire shapes for everything :mod:`repro.obs` collects:
   ``repro top`` polls).
 * :func:`traces_to_jsonl` / :func:`dump_traces` write trace documents one
   JSON object per line (a span tree per query), and :func:`load_traces` /
-  :func:`render_trace_tree` read them back and pretty-print the tree —
-  what ``repro stats traces.jsonl`` shows.
+  :func:`render_trace_tree` / :func:`render_traces` read them back and
+  pretty-print the trees — what ``repro stats traces.jsonl`` shows;
+  :func:`sniff_dump` tells a profile document from a trace dump from
+  anything else.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ __all__ = [
     "dump_traces",
     "load_traces",
     "render_trace_tree",
+    "render_traces",
+    "sniff_dump",
 ]
 
 _INVALID_METRIC_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
@@ -385,3 +389,42 @@ def render_trace_tree(trace: Dict) -> str:
         for root in roots:
             walk(root.get("id"), 1)
     return "\n".join(lines)
+
+
+def render_traces(traces: List[Dict], style: str = "tree") -> str:
+    """A loaded trace dump as text: one ascii ``tree`` per trace, or
+    ``json`` (what ``repro stats TRACES --format`` prints); ``ValueError``
+    for any other style."""
+    if style == "tree":
+        return "".join(render_trace_tree(trace) + "\n\n" for trace in traces)
+    if style == "json":
+        return json.dumps(traces, indent=2, sort_keys=True, default=float) + "\n"
+    raise ValueError(f"{style} does not apply to a trace dump")
+
+
+def sniff_dump(text: str) -> Tuple[Optional[str], Optional[Dict]]:
+    """Which telemetry dump ``text`` is, by content.
+
+    ``("profile", document)`` for a ``--profile`` JSON document,
+    ``("traces", None)`` for a ``--trace`` JSONL dump, ``("json", None)``
+    for JSON that is neither, and ``(None, None)`` for anything else (a
+    plain corpus, as far as ``repro stats`` is concerned).
+    """
+    stripped = text.lstrip()
+    if not stripped.startswith("{"):
+        return None, None
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError:
+        document = None
+    if isinstance(document, dict) and "schema" in document:
+        return "profile", document
+    try:
+        probe = json.loads(stripped.splitlines()[0])
+    except json.JSONDecodeError:
+        probe = None
+    if isinstance(probe, dict) and "trace_id" in probe:
+        return "traces", None
+    if document is not None or probe is not None:
+        return "json", None
+    return None, None

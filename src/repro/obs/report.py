@@ -1,11 +1,10 @@
 """Profile report rendering: obs snapshots as JSON documents and markdown.
 
 ``profile_report`` freezes a registry snapshot into the versioned document
-the CLI's ``--profile`` flag emits; the same shape is what the bench
-trajectory (``BENCH_*.json``) records per run, so regressions in
-decoded-elements or per-stage wall time diff cleanly across PRs.
-``profile_to_markdown`` renders one document as a report section for
-:mod:`repro.bench.report`.
+the CLI's ``--profile`` flag emits, so regressions in decoded-elements or
+per-stage wall time diff cleanly across runs.  ``profile_to_markdown``
+renders one document as a report section for :mod:`repro.bench.report`,
+and ``render_profile`` is what ``repro stats PROFILE`` prints.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ import json
 from pathlib import Path
 from typing import Dict, Optional, Union
 
+from .export import to_prometheus
 from .registry import METRICS, MetricsRegistry
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "profile_report",
     "dump_profile",
     "profile_to_markdown",
+    "render_profile",
     "validate_profile",
 ]
 
@@ -29,8 +30,8 @@ __all__ = [
 #: schema version it was produced from.
 PROFILE_SCHEMA = "repro.obs/v2"
 
-#: counters every profile document reports even when zero, so trajectory
-#: diffs (BENCH_*.json across PRs) never confuse "absent" with "none".
+#: counters every profile document reports even when zero, so diffs
+#: between profiles never confuse "absent" with "none".
 CORE_COUNTERS = (
     "twolayer.blocks_decoded",
     "twolayer.elements_decoded",
@@ -125,6 +126,19 @@ def profile_to_markdown(report: Dict, title: str = "Instrumentation") -> str:
                 lines.append(f"| {name} | 0 | - | - | - | - |")
         lines.append("")
     return "\n".join(lines).rstrip() + "\n"
+
+
+def render_profile(document: Dict, style: str = "prometheus") -> str:
+    """A profile document as ``prometheus`` text, ``markdown`` or ``json``
+    (what ``repro stats PROFILE --format`` prints); ``ValueError`` for any
+    other style."""
+    if style == "prometheus":
+        return to_prometheus(document)
+    if style == "markdown":
+        return profile_to_markdown(document)
+    if style == "json":
+        return json.dumps(document, indent=2, sort_keys=True, default=float) + "\n"
+    raise ValueError(f"{style} does not apply to a profile document")
 
 
 def validate_profile(document: Dict) -> Dict:

@@ -35,6 +35,8 @@ import time
 from collections import deque
 from typing import Dict, Iterable, List, Optional, Union
 
+from .registry import _NULL_SPAN, _NullSpan
+
 __all__ = ["Tracer", "TRACER", "trace_query"]
 
 
@@ -110,21 +112,6 @@ class _ActiveTrace:
             "seconds": end - origin,
             "spans": [span.to_dict(origin) for span in self.spans],
         }
-
-
-class _NullTrace:
-    """Shared do-nothing context manager (tracer disabled / nested span off)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, *exc_info: object) -> None:
-        return None
-
-
-_NULL_TRACE = _NullTrace()
 
 
 def _trace_started(document: Dict) -> float:
@@ -239,19 +226,19 @@ class Tracer:
 
     def trace(
         self, name: str, **meta: object
-    ) -> Union["_NullTrace", "_TracerSpan", "_TraceContext"]:
+    ) -> Union[_NullSpan, "_TracerSpan", "_TraceContext"]:
         """Start a root trace (or, nested inside one, just a child span)."""
         if not self.enabled:
-            return _NULL_TRACE
+            return _NULL_SPAN
         if self.is_tracing():
             return self.span(name)
         return _TraceContext(self, name, meta)
 
-    def span(self, name: str) -> Union["_NullTrace", "_TracerSpan"]:
+    def span(self, name: str) -> Union[_NullSpan, "_TracerSpan"]:
         """A child span of the current trace (no-op when none is active)."""
         active = getattr(self._local, "trace", None)
         if active is None:
-            return _NULL_TRACE
+            return _NULL_SPAN
         return _TracerSpan(self, name)
 
     def annotate(self, **meta: object) -> None:
@@ -403,8 +390,6 @@ TRACER = Tracer()
 
 def trace_query(
     query: str, threshold: float, kind: str = "search"
-) -> Union["_NullTrace", "_TracerSpan", "_TraceContext"]:
+) -> Union[_NullSpan, "_TracerSpan", "_TraceContext"]:
     """Root trace for one query (the searchers' entry point)."""
-    if not TRACER.enabled:
-        return _NULL_TRACE
     return TRACER.trace(kind, query=query, threshold=threshold)

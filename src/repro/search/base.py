@@ -142,9 +142,6 @@ class CountFilterSearcher:
         stats.results = len(ids)
         if _METRICS.enabled:
             _METRICS.inc("search.queries")
-            _METRICS.inc("search.candidates", stats.candidates)
-            _METRICS.inc("search.verifications", stats.verifications)
-            _METRICS.inc("search.results", stats.results)
         if _TRACER.enabled:
             # filtering counters on the trace make the slow-query log
             # self-explanatory (a slow query is usually a candidate flood)
@@ -205,7 +202,7 @@ class CountFilterSearcher:
     ) -> List[SearchResult]:
         """Answer a batch through the batch-native T-occurrence kernels.
 
-        Plans every query, solves all the "filter"-mode plans in one
+        Plans every query (one ``search.plan`` span), solves all the "filter"-mode plans in one
         :func:`~repro.search.batchkernels.batch_candidates` call (each
         distinct posting list decoded once for the whole batch), then
         verifies per query.  Returns exactly :meth:`search_many`'s results;
@@ -223,7 +220,8 @@ class CountFilterSearcher:
             _TRACER.enabled and not _TRACER.is_tracing()
         ):
             return self.search_many(queries, threshold)
-        plans = [self._plan(query, threshold) for query in queries]
+        with _METRICS.span("search.plan"):
+            plans = [self._plan(query, threshold) for query in queries]
         rows = [i for i, plan in enumerate(plans) if plan.mode == "filter"]
         answers: List = []
         if rows:

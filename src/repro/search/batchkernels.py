@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..compression.simdsearch import kary_lower_bound_many
-from ..obs import METRICS as _METRICS
 
 __all__ = [
     "BATCH_ALGORITHMS",
@@ -82,13 +81,11 @@ def decode_postings(
         array = memo.get(key)
         if array is None:
             if getattr(lst, "cached", False):
-                # repro: noqa RA01 -- served from the view's cached decode
                 array = lst.to_array()
             elif cache is not None:
                 array = cache.fetch(inner)
             else:
                 # no cache configured: the per-batch memo is the cache
-                # repro: noqa RA01 -- one decode per distinct list per batch
                 array = inner.to_array()
             memo[key] = array
         arrays.append(array)
@@ -140,7 +137,6 @@ def batch_scan_count(
         return out
     width = max(int(universe), max_id + 1)
     rows_per_chunk = max(1, SCANCOUNT_CELL_BUDGET // max(width, 1))
-    scanned = 0
     for start in range(0, len(live), rows_per_chunk):
         chunk = live[start : start + rows_per_chunk]
         key_parts: List[np.ndarray] = []
@@ -150,7 +146,6 @@ def batch_scan_count(
                 if ids.size:
                     key_parts.append(ids + offset)
         keys = np.concatenate(key_parts)
-        scanned += int(keys.size)
         counts = np.bincount(keys, minlength=len(chunk) * width).reshape(
             len(chunk), width
         )
@@ -159,9 +154,6 @@ def batch_scan_count(
         boundaries = np.searchsorted(hit_rows, np.arange(len(chunk) + 1))
         for local, row in enumerate(chunk):
             out[row] = hit_ids[boundaries[local] : boundaries[local + 1]]
-    if _METRICS.enabled:
-        _METRICS.inc("batchkernel.scancount_queries", len(live))
-        _METRICS.inc("batchkernel.postings_scanned", scanned)
     return out
 
 
@@ -223,8 +215,6 @@ def batch_merge_skip(
 
     emitted_rows: List[np.ndarray] = []
     emitted_vals: List[np.ndarray] = []
-    rounds = 0
-    seeks = 0
     while rows.size:
         active = pos < slen
         alive = active.sum(axis=1) >= T
@@ -238,7 +228,6 @@ def batch_merge_skip(
                 T[alive],
             )
             continue
-        rounds += 1
         absidx = sstart + pos
         val = np.where(active, arena[np.where(active, absidx, 0)], _INF)
         sorted_vals = np.sort(val, axis=1)
@@ -254,15 +243,10 @@ def batch_merge_skip(
         move = val < target[:, None]
         move_rows = np.nonzero(move)[0]
         keys = target[move_rows]
-        seeks += int(keys.size)
         landed = kary_lower_bound_many(
             arena, keys, lo=absidx[move], hi=(sstart + slen)[move]
         )
         pos[move] = landed - sstart[move]
-    if _METRICS.enabled:
-        _METRICS.inc("batchkernel.mergeskip_queries", len(row_ids))
-        _METRICS.inc("batchkernel.rounds", rounds)
-        _METRICS.inc("batchkernel.skip_jumps", seeks)
 
     if emitted_rows:
         rows_cat = np.concatenate(emitted_rows)

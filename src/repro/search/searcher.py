@@ -55,10 +55,6 @@ class InvertedIndex:
         self.build_seconds = time.perf_counter() - start
         if _METRICS.enabled:
             _METRICS.inc("index.lists_built", len(self.lists))
-            _METRICS.inc(
-                "index.postings_indexed",
-                sum(len(ids) for ids in grouped.values()),
-            )
         self.supports_random_access = all(
             lst.supports_random_access for lst in self.lists.values()
         )

@@ -26,7 +26,6 @@ from typing import List, Sequence
 import numpy as np
 
 from ..compression.base import SortedIDList
-from ..obs import METRICS as _METRICS
 
 __all__ = ["scan_count", "merge_skip", "divide_skip", "ALGORITHMS", "run_algorithm"]
 
@@ -47,7 +46,6 @@ def scan_count(
     arrays: List[np.ndarray] = []
     max_id = -1
     for lst in lists:
-        # repro: noqa RA01 -- ScanCount's contract is one full scan per list
         ids = lst.to_array()
         if ids.size:
             arrays.append(ids)
@@ -57,13 +55,8 @@ def scan_count(
     # a dynamic index may have grown past the build-time universe (sharded
     # add() after load); the counter must cover every id actually posted
     counts = np.zeros(max(universe, max_id + 1), dtype=np.int32)
-    scanned = 0
     for ids in arrays:
         counts[ids] += 1
-        scanned += int(ids.size)
-    if _METRICS.enabled:
-        _METRICS.inc("toccurrence.lists_scanned", len(lists))
-        _METRICS.inc("toccurrence.postings_scanned", scanned)
     return np.nonzero(counts >= threshold)[0].astype(np.int64)
 
 
@@ -80,15 +73,12 @@ def merge_skip(lists: Sequence[SortedIDList], threshold: int) -> np.ndarray:
     ]
     heapq.heapify(heap)
     results: List[int] = []
-    heap_pops = 0
-    skip_jumps = 0
 
     while len(heap) >= threshold:
         top_value, _ = heap[0]
         popped: List[int] = []
         while heap and heap[0][0] == top_value:
             popped.append(heapq.heappop(heap)[1])
-        heap_pops += len(popped)
 
         if len(popped) >= threshold:
             results.append(top_value)
@@ -104,20 +94,15 @@ def merge_skip(lists: Sequence[SortedIDList], threshold: int) -> np.ndarray:
         extra = threshold - 1 - len(popped)
         while extra > 0 and heap:
             popped.append(heapq.heappop(heap)[1])
-            heap_pops += 1
             extra -= 1
         if not heap:
             break  # fewer than T lists remain: no further answers possible
         skip_to = heap[0][0]
-        skip_jumps += len(popped)
         for index in popped:
             cursor = cursors[index]
             cursor.seek(skip_to)
             if not cursor.exhausted:
                 heapq.heappush(heap, (cursor.value(), index))
-    if _METRICS.enabled:
-        _METRICS.inc("toccurrence.heap_pops", heap_pops)
-        _METRICS.inc("toccurrence.skip_jumps", skip_jumps)
     return np.asarray(results, dtype=np.int64)
 
 
@@ -150,19 +135,13 @@ def divide_skip(
     candidates = merge_skip(short, short_threshold)
 
     results: List[int] = []
-    membership_checks = 0
     for candidate in candidates.tolist():
-        membership_checks += len(long_lists)
         count = sum(1 for lst in long_lists if lst.contains(candidate))
         if count < threshold - len(short):
             continue
-        membership_checks += len(short)
         count += sum(1 for lst in short if lst.contains(candidate))
         if count >= threshold:
             results.append(candidate)
-    if _METRICS.enabled:
-        _METRICS.inc("toccurrence.long_lists", len(long_lists))
-        _METRICS.inc("toccurrence.membership_checks", membership_checks)
     return np.asarray(results, dtype=np.int64)
 
 

@@ -15,7 +15,7 @@ arrives as many concurrent single-query requests.  Three pieces:
   ``GET /metrics`` (Prometheus text via
   :func:`repro.obs.export.to_prometheus`), ``GET /healthz`` (the
   ``repro check`` bundle validator) and ``GET /`` (an info document).
-  Runnable under any ASGI server (``uvicorn repro.serve:create_app ...``).
+  Runnable under any ASGI server: ``ServeApp(open_engine(path))``.
 * :mod:`repro.serve.server` — a dependency-free asyncio HTTP/1.1 server
   speaking the ASGI protocol, so ``repro serve`` works on a bare python
   install; it is what the CLI boots when uvicorn is not around.
@@ -30,7 +30,7 @@ Quick start::
     curl -s localhost:8080/healthz
 """
 
-from .app import ServeApp, create_app
+from .app import ServeApp
 from .coalescer import BatchCoalescer, BatchKey
 from .server import ServerThread, run
 
@@ -39,6 +39,5 @@ __all__ = [
     "BatchKey",
     "ServeApp",
     "ServerThread",
-    "create_app",
     "run",
 ]

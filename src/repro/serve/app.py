@@ -24,9 +24,9 @@ Routes
     and answers 200 with a summary, or 503 listing the violations.
 
 ``GET /metrics``
-    Prometheus text exposition of the engine registry (when enabled) and
-    the serve-layer registry: per-route counters, the coalesced-batch-size
-    histogram, batch timings.
+    Prometheus text exposition of the one serve-layer registry (per-route
+    counters, the coalesced-batch-size histogram, batch timings, live
+    gauges) and, when enabled, the engine registry.
 
 ``GET /``
     An info document: engine shape, records, shards, coalescing knobs and
@@ -34,7 +34,7 @@ Routes
 
 ``GET /debug/vars``
     A JSON snapshot of every live gauge, counter and coalescing stat —
-    the machine-readable face of ``/metrics`` for quick ``curl | jq``
+    the same registry ``/metrics`` renders, for quick ``curl | jq``
     introspection.
 
 ``GET /debug/trace?n=K``
@@ -60,14 +60,14 @@ import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
-from ..engine import SimilarityEngine, open_engine
+from ..engine import SimilarityEngine
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
 from ..obs.export import to_prometheus, traces_to_jsonl
-from ..obs.registry import MetricsRegistry
+from ..storage import check_path
 from .coalescer import BatchCoalescer, BatchKey
 
-__all__ = ["ServeApp", "create_app"]
+__all__ = ["ServeApp"]
 
 #: set-similarity metrics answerable on one token index interchangeably.
 #: ``ed`` is excluded on purpose: edit-distance search needs the q-gram
@@ -76,6 +76,16 @@ __all__ = ["ServeApp", "create_app"]
 _SET_METRICS = ("jaccard", "cosine", "dice")
 
 _MAX_BODY_BYTES = 1 << 20
+
+#: every route and the one method it answers (anything else: 404 / 405)
+_ROUTES = {
+    "/search": "POST",
+    "/healthz": "GET",
+    "/metrics": "GET",
+    "/debug/vars": "GET",
+    "/debug/trace": "GET",
+    "/": "GET",
+}
 
 #: W3C trace-context: version "00", 32-hex trace id, 16-hex parent span id
 _TRACEPARENT = re.compile(
@@ -114,9 +124,6 @@ class ServeApp:
         ``workers`` for the coalesced ``search_batch`` calls (1 keeps the
         batch on the dispatcher thread; the batch kernels usually beat a
         pool for coalesced sizes).
-    kernel:
-        Per-call kernel override handed to ``search_batch`` (None inherits
-        the engine's own setting).
     slow_ms:
         When set, enables the global tracer with always-sample-slow:
         requests/batches slower than this land in ``TRACER.slow_log``
@@ -144,7 +151,6 @@ class ServeApp:
         window_ms: float = 2.0,
         max_batch: int = 64,
         batch_workers: int = 1,
-        kernel: Optional[str] = None,
         slow_ms: Optional[float] = None,
         trace_sample: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -155,18 +161,18 @@ class ServeApp:
         self.window_ms = window_ms
         self.max_batch = max_batch
         self.batch_workers = batch_workers
-        self.kernel = kernel
         self.max_pending = max_pending
         self.health_max_age_s = health_max_age_s
         self.started_at = time.time()
-        #: per-route request/status counters, always on
-        self.metrics = MetricsRegistry(enabled=True)
         self.coalescer = BatchCoalescer(
             self._run_batch,
             self._run_one,
             window_s=window_ms / 1000.0,
             max_batch=max_batch,
         )
+        #: the one always-on serve-layer registry: route counters and the
+        #: runtime gauges land next to the coalescer's own series
+        self.metrics = self.coalescer.metrics
         # secondary searchers for per-request metric overrides, sharing
         # the primary engine's index (lazily built, at most one per metric)
         self._engines: Dict[str, SimilarityEngine] = {}
@@ -206,7 +212,8 @@ class ServeApp:
         )
 
     # ------------------------------------------------------------------ #
-    # engine access (everything below runs on the dispatcher thread)
+    # engine access (the coalescer's dispatcher thread, or a to_thread
+    # worker for an explicit "queries" batch — the two can overlap)
     # ------------------------------------------------------------------ #
     def _engine_for(self, metric: str):
         if metric == self.engine.metric:
@@ -253,10 +260,7 @@ class ServeApp:
             threshold=key.threshold,
         ):
             return engine.search_batch(
-                queries,
-                key.threshold,
-                workers=self.batch_workers,
-                kernel=self.kernel,
+                queries, key.threshold, workers=self.batch_workers
             )
 
     def _run_one(self, query: str, key: BatchKey):
@@ -277,44 +281,31 @@ class ServeApp:
         route = path.strip("/").replace("/", "_") or "info"
         extra_headers: List[Tuple[bytes, bytes]] = []
         try:
-            if path == "/search" and method == "POST":
+            if path not in _ROUTES:
+                raise _HttpError(404, f"no route for {path}")
+            if method != _ROUTES[path]:
+                raise _HttpError(405, f"{method} not allowed on {path}")
+            if path == "/search":
                 status, document = await self._search(
                     scope, receive, extra_headers
                 )
-            elif path == "/healthz" and method == "GET":
+            elif path == "/healthz":
                 status, document = await self._healthz()
-            elif path == "/metrics" and method == "GET":
-                self._count_route(
-                    "metrics", 200, time.perf_counter() - started
-                )
-                await _send_text(send, 200, self._render_metrics())
-                return
-            elif path == "/debug/vars" and method == "GET":
+            elif path == "/debug/vars":
                 status, document = 200, self._debug_vars()
-            elif path == "/debug/trace" and method == "GET":
-                self._count_route(
-                    "debug_trace", 200, time.perf_counter() - started
-                )
-                await _send_text(
-                    send,
-                    200,
-                    self._debug_trace(scope),
-                    ctype=b"application/x-ndjson",
-                )
-                return
-            elif path == "/" and method == "GET":
+            elif path == "/":
                 status, document = 200, self._info()
-            elif path in (
-                "/search",
-                "/healthz",
-                "/metrics",
-                "/debug/vars",
-                "/debug/trace",
-                "/",
-            ):
-                raise _HttpError(405, f"{method} not allowed on {path}")
+            elif path == "/metrics":
+                # counted before rendering, so a scrape includes itself
+                self._count_route(route, 200, time.perf_counter() - started)
+                body = self._render_metrics().encode()
+                await _send_bytes(send, 200, body, b"text/plain; version=0.0.4")
+                return
             else:
-                raise _HttpError(404, f"no route for {path}")
+                body = self._debug_trace(scope).encode()
+                self._count_route(route, 200, time.perf_counter() - started)
+                await _send_bytes(send, 200, body, b"application/x-ndjson")
+                return
         except _HttpError as error:
             status, document = error.status, {"error": error.message}
             extra_headers.extend(error.headers)
@@ -411,15 +402,17 @@ class ServeApp:
         finished = time.perf_counter()
         if trace_id is None:
             trace_id = uuid.uuid4().hex
-        trace_document = _request_trace_document(
-            trace_id,
-            parent_span,
-            request,
-            batch_size,
-            received,
-            finished,
-        )
-        _TRACER.offer(trace_document)
+        if _TRACER.enabled:
+            _TRACER.offer(
+                _request_trace_document(
+                    trace_id,
+                    parent_span,
+                    request,
+                    batch_size,
+                    received,
+                    finished,
+                )
+            )
         extra_headers.append(
             (
                 b"traceparent",
@@ -458,8 +451,6 @@ class ServeApp:
                 and now - self._health[0] < self.health_max_age_s
             ):
                 return self._health[1]
-            from ..compression.validate import check_path
-
             try:
                 issues = check_path(self.bundle_path)
             # repro: noqa RA07 -- a validator crash IS the health finding
@@ -469,19 +460,14 @@ class ServeApp:
             return issues
 
     def _render_metrics(self) -> str:
-        parts = [
-            _build_info_exposition(),
-            to_prometheus(self.metrics, prefix="repro"),
-            to_prometheus(self.coalescer.metrics, prefix="repro"),
-        ]
+        parts = [_build_info_exposition(), to_prometheus(self.metrics)]
         if _METRICS.enabled:
-            parts.append(to_prometheus(_METRICS, prefix="repro"))
-        return "".join(part for part in parts if part)
+            parts.append(to_prometheus(_METRICS))
+        return "".join(parts)
 
     def _debug_vars(self) -> Dict:
         """A JSON snapshot of the live runtime state (`GET /debug/vars`)."""
-        serve = self.metrics.snapshot(full=True) or {}
-        coalescer = self.coalescer.metrics.snapshot(full=True) or {}
+        serve = self.metrics.snapshot(full=True)
         return {
             "service": "repro.serve",
             "version": __version__,
@@ -490,10 +476,7 @@ class ServeApp:
             "engine": type(self.engine).__name__,
             "max_pending": self.max_pending,
             "shed": self.metrics.counter("serve.shed"),
-            "gauges": {
-                **coalescer.get("gauges", {}),
-                **serve.get("gauges", {}),
-            },
+            "gauges": serve["gauges"],
             "serve": serve,
             "coalescing": self.coalescer.stats(),
             "cache": self.engine.cache_stats(),
@@ -530,7 +513,7 @@ class ServeApp:
             "engine": type(engine).__name__,
             "metric": engine.metric,
             "algorithm": engine.algorithm,
-            "kernel": self.kernel or engine.kernel,
+            "kernel": engine.kernel,
             "shards": getattr(engine, "num_shards", 1),
             "records": engine.num_records,
             "bundle": str(self.bundle_path) if self.bundle_path else None,
@@ -633,8 +616,8 @@ def _request_trace_document(
             "id": 2,
             "parent": 1,
             "name": "serve.queue",
-            "start_ms": max(0.0, 1000.0 * (request.arrived_perf - received)),
-            "ms": max(0.0, 1000.0 * (dispatched - request.arrived_perf)),
+            "start_ms": max(0.0, 1000.0 * (request.arrived - received)),
+            "ms": max(0.0, 1000.0 * (dispatched - request.arrived)),
         },
     ]
     next_id, batch_end = 3, dispatched
@@ -738,12 +721,6 @@ async def _send_json(
     await _send_bytes(send, status, body, b"application/json", extra_headers)
 
 
-async def _send_text(
-    send, status: int, text: str, ctype: bytes = b"text/plain; version=0.0.4"
-) -> None:
-    await _send_bytes(send, status, text.encode(), ctype)
-
-
 async def _send_bytes(
     send,
     status: int,
@@ -763,26 +740,3 @@ async def _send_bytes(
         }
     )
     await send({"type": "http.response.body", "body": body})
-
-
-def create_app(
-    path,
-    *,
-    mmap: bool = True,
-    algorithm: str = "mergeskip",
-    metric: str = "jaccard",
-    **app_kwargs,
-) -> ServeApp:
-    """Open the bundle at ``path`` and wrap it in a :class:`ServeApp`.
-
-    This is the uvicorn-friendly factory::
-
-        uvicorn --factory 'repro.serve:create_app(path="corpus.bundle")'
-
-    ``path`` must be a bundle directory saved with
-    :meth:`SimilarityEngine.save` / :meth:`ShardedEngine.save` /
-    ``repro index`` (the CLI's ``repro serve`` also accepts raw corpora
-    and builds the index on the fly — that logic lives in the CLI).
-    """
-    engine = open_engine(path, mmap=mmap, algorithm=algorithm, metric=metric)
-    return ServeApp(engine, bundle_path=path, **app_kwargs)

@@ -23,9 +23,12 @@ Correctness contract
   error) receives exactly its own exception and its innocent batchmates
   still get their results.
 
-The dispatcher is also the engine's *serialization point*: every engine
-call the coalescer makes happens on the one dispatcher thread, so the
-engine never sees concurrent batch calls from the serving layer.
+Every engine call the coalescer itself makes happens on its one dispatcher
+thread, so coalesced batches never overlap each other.  That is not a
+serialization point for the whole serving layer: :class:`ServeApp` answers
+an explicit ``"queries"`` batch on an ``asyncio.to_thread`` worker, which
+can run the same engine concurrently with the dispatcher (the engines'
+shared state — decode cache, worker pool — is lock-guarded for that).
 """
 
 from __future__ import annotations
@@ -51,8 +54,8 @@ class BatchKey(NamedTuple):
 class _PendingRequest:
     """One submitted query plus the telemetry the serving layer reads back.
 
-    ``arrived_perf``/``dispatched`` are ``perf_counter`` readings (same
-    clock as trace spans) bracketing the queue+coalesce wait, and
+    ``arrived``/``dispatched`` are ``perf_counter`` readings (same clock
+    as trace spans) bracketing the queue+coalesce wait, and
     ``batch_document`` is the trace document of the batch this request
     rode in (``None`` when tracing is off or the trace was sampled out).
     """
@@ -62,17 +65,15 @@ class _PendingRequest:
         "key",
         "future",
         "arrived",
-        "arrived_perf",
         "dispatched",
         "batch_document",
     )
 
-    def __init__(self, query: str, key: BatchKey, arrived: float) -> None:
+    def __init__(self, query: str, key: BatchKey) -> None:
         self.query = query
         self.key = key
         self.future: Future = Future()
-        self.arrived = arrived
-        self.arrived_perf = time.perf_counter()
+        self.arrived = time.perf_counter()
         self.dispatched: Optional[float] = None
         self.batch_document: Optional[dict] = None
 
@@ -113,8 +114,9 @@ class BatchCoalescer:
         self._run_one = run_one
         self.window_s = window_s
         self.max_batch = max_batch
-        #: serve-layer telemetry, always on and private to this coalescer
-        #: (rendered by ``GET /metrics`` alongside the engine registry)
+        #: the serve layer's one always-on registry: :class:`ServeApp`
+        #: records its route counters and gauges into this same object, so
+        #: ``GET /metrics`` and ``GET /debug/vars`` read one source
         self.metrics = MetricsRegistry(enabled=True)
         self._lock = threading.Lock()
         self._wake = threading.Condition(self._lock)
@@ -139,7 +141,7 @@ class BatchCoalescer:
         """:meth:`submit`, but returning the whole :class:`_PendingRequest`
         ticket — the serving layer reads its queue/dispatch timestamps and
         batch trace document after the future resolves."""
-        request = _PendingRequest(query, key, time.monotonic())
+        request = _PendingRequest(query, key)
         with self._wake:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
@@ -233,7 +235,7 @@ class BatchCoalescer:
                 same_key = sum(
                     1 for p in self._pending if p.key == head.key
                 )
-                remaining = deadline - time.monotonic()
+                remaining = deadline - time.perf_counter()
                 if remaining <= 0 or same_key >= self.max_batch:
                     break
                 self._wake.wait(remaining)
@@ -263,8 +265,6 @@ class BatchCoalescer:
         queries = [request.query for request in live]
         self.metrics.inc("serve.batches")
         self.metrics.observe("serve.batch_size", len(live))
-        if len(live) > 1:
-            self.metrics.inc("serve.coalesced_requests", len(live))
         started = time.perf_counter()
         for request in live:
             request.dispatched = started

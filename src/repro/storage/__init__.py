@@ -37,7 +37,7 @@ from .bundle import (
     read_manifest,
     save_index,
 )
-from .check import check_bundle, check_sharded_bundle
+from .check import check_bundle, check_path, check_sharded_bundle
 from .compaction import CompactionStats, compact_index, compact_list
 from .sharded import open_sharded, save_sharded
 
@@ -48,6 +48,7 @@ __all__ = [
     "SHARDED_BUNDLE_VERSION",
     "CompactionStats",
     "check_bundle",
+    "check_path",
     "check_sharded_bundle",
     "compact_index",
     "compact_list",

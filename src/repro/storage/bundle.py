@@ -33,7 +33,6 @@ from ..compression.online import OnlineSortedIDList
 from ..compression.serialize import store_from_arrays, store_to_arrays
 from ..compression.twolayer import TwoLayerList
 from ..compression.uncompressed import UncompressedList
-from ..obs import METRICS as _METRICS
 from ..similarity.tokenize import TokenDictionary, TokenizedCollection
 from .arrays import (
     LoadedTwoLayerList,
@@ -236,14 +235,9 @@ def save_index(index: Any, path: Union[str, Path]) -> Path:
     """
     from ..search.dynamic import DynamicInvertedIndex
 
-    with _METRICS.span("storage.save"):
-        if isinstance(index, DynamicInvertedIndex):
-            result = _save_dynamic(index, path)
-        else:
-            result = _save_static(index, path)
-    if _METRICS.enabled:
-        _METRICS.inc("storage.saves")
-    return result
+    if isinstance(index, DynamicInvertedIndex):
+        return _save_dynamic(index, path)
+    return _save_static(index, path)
 
 
 def _save_arrays(path: Path, arrays: Dict[str, np.ndarray]) -> None:
@@ -347,7 +341,6 @@ def _load_arrays(
     path: Path, names: Dict[str, type], *, mmap: bool
 ) -> Dict[str, np.ndarray]:
     arrays: Dict[str, np.ndarray] = {}
-    total_bytes = 0
     for key, dtype in names.items():
         file = path / f"{key}.npy"
         if not file.is_file():
@@ -377,12 +370,6 @@ def _load_arrays(
         # tens of thousands of them cost more memory than the index itself.
         # The view's .base keeps the mapping (and the file) alive.
         arrays[key] = array.view(np.ndarray) if mmap else array
-        total_bytes += int(array.nbytes)
-    if _METRICS.enabled:
-        _METRICS.inc(
-            "storage.bytes_mapped" if mmap else "storage.bytes_resident",
-            total_bytes,
-        )
     return arrays
 
 
@@ -525,14 +512,9 @@ def open_index(path: Union[str, Path], *, mmap: bool = True) -> Any:
     """
     path = Path(path)
     manifest = read_manifest(path, BUNDLE_KIND)
-    with _METRICS.span("storage.open"):
-        if manifest.get("dynamic"):
-            index = _open_dynamic(path, manifest)
-        else:
-            index = _open_static(path, manifest, mmap=mmap)
-    if _METRICS.enabled:
-        _METRICS.inc("storage.opens")
-    return index
+    if manifest.get("dynamic"):
+        return _open_dynamic(path, manifest)
+    return _open_static(path, manifest, mmap=mmap)
 
 
 def _open_static(path: Path, manifest: Dict[str, Any], *, mmap: bool) -> Any:
@@ -616,8 +598,6 @@ def _replay_log(path: Path, index: Any, snapshot_records: int) -> int:
                 )
             index.add(record["text"])
             replayed += 1
-    if _METRICS.enabled and replayed:
-        _METRICS.inc("storage.log_records_replayed", replayed)
     return replayed
 
 

@@ -15,10 +15,15 @@ from pathlib import Path
 from typing import List, Union
 
 from ..compression.validate import check_index
-from .bundle import open_index
+from .bundle import (
+    BUNDLE_KIND,
+    SHARDED_BUNDLE_KIND,
+    open_index,
+    read_manifest,
+)
 from .sharded import open_sharded, shard_dir
 
-__all__ = ["check_bundle", "check_sharded_bundle"]
+__all__ = ["check_bundle", "check_path", "check_sharded_bundle"]
 
 
 def check_bundle(path: Union[str, Path], max_lists: int = 0) -> List[str]:
@@ -68,3 +73,24 @@ def check_sharded_bundle(
             if detach is not None:
                 detach()
     return issues
+
+
+def check_path(path: Union[str, Path], max_lists: int = 0) -> List[str]:
+    """Route the bundle directory at ``path`` to its checker by the kind
+    its ``manifest.json`` declares (index bundle or sharded bundle).  A
+    missing path, a non-directory or an unrecognizable manifest is
+    reported as a violation.
+    """
+    path = Path(path)
+    if not path.is_dir():
+        return [f"no such index bundle directory: {path}"]
+    try:
+        kind = read_manifest(path).get("kind")
+    # repro: noqa RA07 -- an unparseable manifest is the finding itself
+    except Exception as error:
+        return [f"load failed ({type(error).__name__}): manifest.json: {error}"]
+    if kind == BUNDLE_KIND:
+        return check_bundle(path, max_lists=max_lists)
+    if kind == SHARDED_BUNDLE_KIND:
+        return check_sharded_bundle(path, max_lists=max_lists)
+    return [f"{path}: unrecognized manifest kind {kind!r}"]

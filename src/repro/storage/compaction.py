@@ -26,7 +26,6 @@ import numpy as np
 
 from ..compression.partition import optimal_partition
 from ..compression.twolayer import TwoLayerStore
-from ..obs import METRICS as _METRICS
 
 __all__ = ["CompactionStats", "compact_index", "compact_list"]
 
@@ -85,19 +84,14 @@ def compact_index(index: Any) -> CompactionStats:
     """
     stats = CompactionStats()
     started = time.perf_counter()
-    with _METRICS.span("storage.compact"):
-        for lst in index.lists.values():
-            before = lst.size_bits()
-            if not compact_list(lst):
-                stats.lists_skipped += 1
-                continue
-            stats.lists_compacted += 1
-            stats.postings += len(lst)
-            stats.bits_before += before
-            stats.bits_after += lst.size_bits()
+    for lst in index.lists.values():
+        before = lst.size_bits()
+        if not compact_list(lst):
+            stats.lists_skipped += 1
+            continue
+        stats.lists_compacted += 1
+        stats.postings += len(lst)
+        stats.bits_before += before
+        stats.bits_after += lst.size_bits()
     stats.seconds = time.perf_counter() - started
-    if _METRICS.enabled:
-        _METRICS.inc("storage.compactions")
-        _METRICS.inc("storage.compact_lists", stats.lists_compacted)
-        _METRICS.inc("storage.compact_postings", stats.postings)
     return stats

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..obs import METRICS as _METRICS
 from .arrays import corruption_error, require
 from .bundle import (
     MANIFEST_NAME,
@@ -105,16 +104,15 @@ def save_sharded(
     if path.exists() and not path.is_dir():
         raise ValueError(f"{path} exists and is not a directory")
     path.mkdir(parents=True, exist_ok=True)
-    with _METRICS.span("storage.save_sharded"):
-        for position, (index, assignment) in enumerate(zip(indexes, arrays)):
-            bundle_path = save_index(index, path / shard_dir(position))
-            if dynamic:
-                # hash routing makes the assignment derivable from the
-                # record count, and only derivation stays correct once the
-                # append log outgrows the snapshot
-                (bundle_path / ASSIGNMENT_NAME).unlink(missing_ok=True)
-            else:
-                np.save(bundle_path / ASSIGNMENT_NAME, assignment)
+    for position, (index, assignment) in enumerate(zip(indexes, arrays)):
+        bundle_path = save_index(index, path / shard_dir(position))
+        if dynamic:
+            # hash routing makes the assignment derivable from the
+            # record count, and only derivation stays correct once the
+            # append log outgrows the snapshot
+            (bundle_path / ASSIGNMENT_NAME).unlink(missing_ok=True)
+        else:
+            np.save(bundle_path / ASSIGNMENT_NAME, assignment)
     manifest = {
         "kind": SHARDED_BUNDLE_KIND,
         "version": SHARDED_BUNDLE_VERSION,
@@ -151,51 +149,50 @@ def open_sharded(
 
     indexes: List[Any] = []
     assignments: List[np.ndarray] = []
-    with _METRICS.span("storage.open_sharded"):
-        for position in range(shards):
-            bundle_path = path / shard_dir(position)
-            if not bundle_path.is_dir():
+    for position in range(shards):
+        bundle_path = path / shard_dir(position)
+        if not bundle_path.is_dir():
+            raise corruption_error(
+                "shard bundle directory is missing", file=bundle_path
+            )
+        index = open_index(bundle_path, mmap=mmap)
+        if dynamic:
+            # snapshot + replayed log; global = shard_id + local * N
+            assignment = np.arange(
+                index.num_records, dtype=np.int64
+            ) * shards + position
+        else:
+            assignment_path = bundle_path / ASSIGNMENT_NAME
+            if not assignment_path.is_file():
                 raise corruption_error(
-                    "shard bundle directory is missing", file=bundle_path
-                )
-            index = open_index(bundle_path, mmap=mmap)
-            if dynamic:
-                # snapshot + replayed log; global = shard_id + local * N
-                assignment = np.arange(
-                    index.num_records, dtype=np.int64
-                ) * shards + position
-            else:
-                assignment_path = bundle_path / ASSIGNMENT_NAME
-                if not assignment_path.is_file():
-                    raise corruption_error(
-                        "shard assignment file is missing",
-                        file=assignment_path,
-                        key="assignment",
-                    )
-                assignment = np.load(assignment_path)
-                require(
-                    assignment.dtype == np.int64 and assignment.ndim == 1,
-                    f"expected a 1-d int64 array, found {assignment.dtype} "
-                    f"shape {assignment.shape}",
+                    "shard assignment file is missing",
                     file=assignment_path,
                     key="assignment",
                 )
-                require(
-                    assignment.size == shard_records[position],
-                    f"assignment holds {assignment.size} ids, manifest "
-                    f"says {shard_records[position]}",
-                    file=assignment_path,
-                    key="assignment",
-                )
-                require(
-                    assignment.size == len(index.collection),
-                    f"assignment holds {assignment.size} ids, shard indexes "
-                    f"{len(index.collection)} records",
-                    file=assignment_path,
-                    key="assignment",
-                )
-            indexes.append(index)
-            assignments.append(assignment)
+            assignment = np.load(assignment_path)
+            require(
+                assignment.dtype == np.int64 and assignment.ndim == 1,
+                f"expected a 1-d int64 array, found {assignment.dtype} "
+                f"shape {assignment.shape}",
+                file=assignment_path,
+                key="assignment",
+            )
+            require(
+                assignment.size == shard_records[position],
+                f"assignment holds {assignment.size} ids, manifest "
+                f"says {shard_records[position]}",
+                file=assignment_path,
+                key="assignment",
+            )
+            require(
+                assignment.size == len(index.collection),
+                f"assignment holds {assignment.size} ids, shard indexes "
+                f"{len(index.collection)} records",
+                file=assignment_path,
+                key="assignment",
+            )
+        indexes.append(index)
+        assignments.append(assignment)
     total = validate_assignments(assignments)
     if not dynamic and total != int(manifest["num_records"]):
         raise corruption_error(

@@ -610,4 +610,4 @@ class TestRealTree:
         # metric names are dotted; bare trace roots (e.g. "join") are the
         # one sanctioned exception (RA03 allows them for trace() only)
         assert all(" " not in n for n in names)
-        assert sum("." in n for n in names) > 50
+        assert sum("." in n for n in names) > 40

@@ -1,4 +1,4 @@
-"""Tests for the repo-specific lint engine (repro.analysis, rules RA01-RA08).
+"""Tests for the repo-specific lint engine (repro.analysis, rules RA02-RA08).
 
 Each rule gets a failing and a passing fixture snippet, written into a
 ``tmp/repro/...`` tree so the engine derives the same dotted module names
@@ -24,64 +24,6 @@ def lint_snippet(tmp_path, relpath, source, select=None):
 
 def codes(violations):
     return [v.rule for v in violations]
-
-
-class TestRA01NakedDecode:
-    def test_to_array_on_hot_path_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/join/probe.py",
-            """
-            def probe(posting):
-                return posting.to_array().tolist()
-            """,
-        )
-        assert codes(found) == ["RA01"]
-        assert "DecodeCache" in found[0].message
-
-    def test_decode_block_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/search/merge.py",
-            """
-            def scan(store):
-                return store.decode_block(0)
-            """,
-        )
-        assert codes(found) == ["RA01"]
-
-    def test_cache_fetch_passes(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/join/probe.py",
-            """
-            def probe(cache, posting):
-                return cache.fetch_ids(posting)
-            """,
-        )
-        assert found == []
-
-    def test_whitelisted_build_module_passes(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/search/searcher.py",
-            """
-            def build(lst):
-                return lst.to_array()
-            """,
-        )
-        assert found == []
-
-    def test_outside_hot_packages_passes(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/bench/sizes.py",
-            """
-            def measure(lst):
-                return lst.to_array().size
-            """,
-        )
-        assert found == []
 
 
 class TestRA02MagicConstants:
@@ -558,7 +500,7 @@ class TestSuppressions:
             tmp_path,
             "repro/compression/newmod.py",
             """
-            GROUPS = 69  # repro: noqa RA01 -- wrong rule on purpose
+            GROUPS = 69  # repro: noqa RA03 -- wrong rule on purpose
             """,
         )
         assert codes(found) == ["RA02"]

@@ -16,7 +16,7 @@ import pytest
 
 from repro import storage
 from repro.cli import main as cli_main
-from repro.compression.validate import check_path
+from repro.storage import check_path
 from repro.engine import ShardedEngine, open_engine
 from repro.search.searcher import InvertedIndex
 from repro.similarity.tokenize import tokenize_collection

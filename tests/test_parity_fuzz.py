@@ -11,7 +11,9 @@ original suite was written) rather than a hand-picked subset:
 * every online scheme × every algorithm through a
   :class:`DynamicInvertedIndex` behind a :class:`SimilarityEngine`, with
   searches *interleaved* between ``add()`` rounds and an always-admit
-  decode cache, so a stale (un-invalidated) cached decode cannot hide.
+  decode cache, so a stale (un-invalidated) cached decode cannot hide;
+  each round also answers the same queries as ``workers=2`` fork-pool
+  chunks, so a worker holding a pre-ingest index image cannot hide either.
 
 Everything is seeded — a failure reproduces exactly.
 """
@@ -145,11 +147,20 @@ class TestOnlineSchemesInterleaved:
                     assert got == expected, (
                         scheme, algorithm, threshold, query, cursor,
                     )
+            # one more input: the same round as fork-pool chunks (every
+            # add() retired the pool, so these workers forked this round)
+            pooled = engine.search_batch(queries, 0.5, workers=2)
+            assert engine.pool_workers == 2, "the batch never reached a pool"
+            assert [list(result.ids) for result in pooled] == [
+                brute_similarity_search(collection, query, 0.5)
+                for query in queries
+            ], (scheme, algorithm, cursor)
             if cursor >= len(strings):
                 break
             for text in strings[cursor : cursor + 12]:
                 engine.add(text)
             cursor += 12
+        engine.close()
 
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_matches_brute_edit_distance(self, scheme):

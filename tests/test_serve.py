@@ -455,10 +455,10 @@ class TestHealthz:
             assert document["issues"] == []
             # a second probe within max-age reuses the cached verdict
             calls = []
-            import repro.compression.validate as validate
+            import repro.serve.app as serve_app
 
             monkeypatch.setattr(
-                validate,
+                serve_app,
                 "check_path",
                 lambda path, **kw: calls.append(path) or [],
             )
@@ -636,6 +636,23 @@ class TestRequestTracing:
         assert len(trace_id) == 32
         assert headers[b"traceparent"].startswith(b"00-" + trace_id.encode())
 
+    def test_untraced_request_builds_no_trace_document(
+        self, app, word_strings, monkeypatch
+    ):
+        # tracer off is what the e2e serve_http workload times: the request
+        # must not pay for a span tree the tracer would drop on arrival
+        import repro.serve.app as serve_app
+
+        monkeypatch.setattr(
+            serve_app,
+            "_request_trace_document",
+            lambda *args: pytest.fail("built a trace document, tracer off"),
+        )
+        ((headers, document),) = _gather(app, word_strings[:1])
+        trace_id = document["trace_id"]
+        assert len(trace_id) == 32
+        assert headers[b"traceparent"].startswith(b"00-" + trace_id.encode())
+
     def test_incoming_traceparent_is_honoured(self, traced_app, word_strings):
         upstream = b"00-" + b"ab" * 16 + b"-" + b"cd" * 8 + b"-01"
         ((headers, document),) = _gather(
@@ -767,6 +784,32 @@ class TestDebugRoutes:
             assert name in gauges, name
         assert gauges["process.rss_bytes"] > 0
         assert document["coalescing"]["requests"] == 2
+
+    def test_debug_vars_agrees_with_metrics(self, traced_app, word_strings):
+        # both endpoints read the one serve registry: every counter and
+        # gauge /debug/vars reports is the sample /metrics exposes
+        from repro.obs import parse_prometheus
+
+        _gather(traced_app, word_strings[:5])
+        assert _call(traced_app, "GET", "/healthz")[0] == 200
+        _, document = _call_json(traced_app, "GET", "/debug/vars")
+        samples = parse_prometheus(
+            _call(traced_app, "GET", "/metrics")[1].decode()
+        )
+        counters = document["serve"]["counters"]
+        assert counters["serve.requests"] == 5
+        assert "serve.route.search.requests" in counters
+        for name, value in counters.items():
+            sample = "repro_" + name.replace(".", "_") + "_total"
+            assert samples[sample] == value, name
+        assert document["shed"] == samples.get("repro_serve_shed_total", 0)
+        # uptime and RSS are read live at each scrape, microseconds apart
+        live = {"serve.uptime_seconds": 1.0, "process.rss_bytes": 64 << 20}
+        gauges = document["gauges"]
+        assert "serve.queue.depth" in gauges and "engine.cache.bytes" in gauges
+        for name, value in gauges.items():
+            sample = samples["repro_" + name.replace(".", "_")]
+            assert sample == pytest.approx(value, abs=live.get(name, 0)), name
 
     def test_debug_trace_n_parameter_and_validation(
         self, traced_app, word_strings

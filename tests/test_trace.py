@@ -600,3 +600,85 @@ class TestBatchKernelUnderActiveTrace:
             TRACER.configure(enabled=False, sample_rate=1.0, slow_ms=None)
             TRACER.clear()
         assert len(documents) == len(queries)  # one root trace per query
+
+
+class TestStageSumsReconcile:
+    """ROADMAP aim 4: the system's own spans must explain the wall-clock of
+    the request they belong to.  Over 100+ traced requests through the
+    in-process ASGI app, the children of ``serve.request`` (queue + batch +
+    demux) and of ``engine.batch.kernel`` (plan + filter + verifies) each
+    sum to their parent within the band the e2e waterfall uses."""
+
+    def test_children_sum_to_their_parent(self, word_strings):
+        import asyncio
+        import statistics
+
+        from repro.engine import SimilarityEngine
+        from repro.serve import ServeApp
+        from repro.similarity import tokenize_collection
+
+        async def post(app, query):
+            body = json.dumps({"query": query, "threshold": 0.5}).encode()
+            scope = {
+                "type": "http",
+                "method": "POST",
+                "path": "/search",
+                "headers": [],
+            }
+            sent = []
+
+            async def receive():
+                return {"type": "http.request", "body": body, "more_body": False}
+
+            async def send(message):
+                sent.append(message)
+
+            await app(scope, receive, send)
+            assert sent[0]["status"] == 200
+
+        async def waves(app):
+            for wave in range(26):  # 4 coalesced requests per wave
+                picks = [
+                    word_strings[(4 * wave + i) % len(word_strings)]
+                    for i in range(4)
+                ]
+                await asyncio.gather(*(post(app, query) for query in picks))
+
+        engine = SimilarityEngine(tokenize_collection(word_strings))
+        app = ServeApp(engine, window_ms=2.0, trace_sample=1.0)
+        TRACER.clear()
+        try:
+            asyncio.run(waves(app))
+            documents = [
+                document
+                for document in TRACER.drain()
+                if document["name"] == "serve.request"
+            ]
+        finally:
+            app.close()
+            engine.close()
+            TRACER.configure(enabled=False, sample_rate=1.0, slow_ms=None)
+            TRACER.clear()
+        assert len(documents) >= 100
+
+        def family(document, parent_name):
+            spans = document["spans"]
+            (parent,) = [s for s in spans if s["name"] == parent_name]
+            return parent, [s for s in spans if s["parent"] == parent["id"]]
+
+        def median_ratio(parent_name):
+            return statistics.median(
+                sum(child["ms"] for child in children) / parent["ms"]
+                for parent, children in (
+                    family(document, parent_name) for document in documents
+                )
+            )
+
+        assert 0.85 <= median_ratio("serve.request") <= 1.15
+        assert 0.85 <= median_ratio("engine.batch.kernel") <= 1.15
+        _, stages = family(documents[0], "engine.batch.kernel")
+        assert {stage["name"] for stage in stages} == {
+            "search.plan",
+            "search.filter",
+            "search.verify",
+        }
