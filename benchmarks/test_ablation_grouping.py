@@ -29,10 +29,7 @@ def test_length_grouping(benchmark, query_count):
         start = time.perf_counter()
         flat_answers = [flat.search(q, THRESHOLD) for q in queries]
         flat_seconds = time.perf_counter() - start
-        flat_candidates = 0
-        for q in queries:
-            flat.search(q, THRESHOLD)
-            flat_candidates += flat.last_stats.candidates
+        flat_candidates = sum(a.stats.candidates for a in flat_answers)
         rows = [
             [
                 "flat",
@@ -50,10 +47,7 @@ def test_length_grouping(benchmark, query_count):
             answers = [searcher.search(q, THRESHOLD) for q in queries]
             seconds = time.perf_counter() - start
             assert answers == flat_answers, width
-            candidates = 0
-            for q in queries:
-                searcher.search(q, THRESHOLD)
-                candidates += searcher.last_stats.candidates
+            candidates = sum(a.stats.candidates for a in answers)
             rows.append(
                 [
                     f"grouped w={width} ({index.num_groups()} groups)",

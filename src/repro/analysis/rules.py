@@ -512,15 +512,8 @@ _RA08_PRIVATE = {
     "_starts_np",
 }
 
-#: the storage layer itself: the layout's home plus its serialization,
-#: integrity-check and introspection companions, which exist precisely to
-#: see the raw vectors.
-_RA08_WHITELIST = (
-    "repro.compression.twolayer",
-    "repro.compression.serialize",
-    "repro.compression.validate",
-    "repro.compression.introspect",
-)
+#: the layout's home: array form, invariants and readouts all live there
+_RA08_WHITELIST = ("repro.compression.twolayer",)
 
 
 @register_rule

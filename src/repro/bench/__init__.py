@@ -1,7 +1,6 @@
 """Benchmark harness: experiment kernels and table rendering."""
 
 from .experiments import (
-    JOIN_ALGORITHMS,
     JoinResult,
     SearchIndexResult,
     build_search_index,
@@ -18,7 +17,6 @@ __all__ = [
     "sample_queries",
     "SearchIndexResult",
     "JoinResult",
-    "JOIN_ALGORITHMS",
     "render_table",
     "format_value",
 ]

@@ -15,10 +15,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..datasets.loader import Dataset
-from ..join.count import CountFilterJoin
-from ..join.position import PositionFilterJoin
-from ..join.prefix import PrefixFilterJoin
-from ..join.segment import SegmentFilterJoin
+from ..join import JOIN_FILTERS
 from ..search.edsearch import EditDistanceSearcher
 from ..search.searcher import InvertedIndex, JaccardSearcher
 
@@ -29,7 +26,6 @@ __all__ = [
     "JoinResult",
     "run_join",
     "sample_queries",
-    "JOIN_ALGORITHMS",
 ]
 
 
@@ -75,25 +71,17 @@ def run_search_queries(
     """Average per-query latency + result counts for one (algo, tau) cell."""
     if metric == "edit_distance":
         searcher = EditDistanceSearcher(index, algorithm=algorithm)
-        run = lambda query: searcher.search(query, int(threshold))
     else:
         searcher = JaccardSearcher(index, algorithm=algorithm, metric=metric)
-        run = lambda query: searcher.search(query, threshold)
     start = time.perf_counter()
-    total_results = sum(len(run(query)) for query in queries)
+    total_results = sum(
+        len(searcher.search(query, threshold)) for query in queries
+    )
     elapsed = time.perf_counter() - start
     return {
         "avg_ms": 1000 * elapsed / max(1, len(queries)),
         "total_results": total_results,
     }
-
-
-JOIN_ALGORITHMS = {
-    "count": CountFilterJoin,
-    "prefix": PrefixFilterJoin,
-    "position": PositionFilterJoin,
-    "segment": SegmentFilterJoin,
-}
 
 
 @dataclass
@@ -118,15 +106,11 @@ def run_join(
     Index construction happens inside ``join`` — its time is charged to the
     join, as Section 2.1 requires for the online setting.
     """
-    if filter_name == "segment":
-        join = SegmentFilterJoin(dataset.strings, scheme=scheme, **scheme_kwargs)
-        argument: float = int(threshold)
-    else:
-        join_cls = JOIN_ALGORITHMS[filter_name]
-        join = join_cls(dataset.collection, scheme=scheme, **scheme_kwargs)
-        argument = threshold
+    join = JOIN_FILTERS[filter_name](
+        dataset.collection, scheme=scheme, **scheme_kwargs
+    )
     start = time.perf_counter()
-    pairs = join.join(argument)
+    pairs = join.join(threshold)
     elapsed = time.perf_counter() - start
     return JoinResult(
         filter_name=filter_name,

@@ -45,26 +45,11 @@ from .obs import (
     top_frames,
     validate_profile,
 )
-from .join import (
-    CountFilterJoin,
-    EDCountFilterJoin,
-    PositionFilterJoin,
-    PrefixFilterJoin,
-    SegmentFilterJoin,
-)
+from .join import JOIN_FILTERS
 from .search import InvertedIndex
 from .similarity import tokenize_collection
 
 __all__ = ["main", "build_parser"]
-
-_JOIN_FILTERS = {
-    "count": CountFilterJoin,
-    "prefix": PrefixFilterJoin,
-    "position": PositionFilterJoin,
-    "segment": SegmentFilterJoin,
-    "edcount": EDCountFilterJoin,
-}
-
 
 def _read_lines(path: str, text: Optional[str] = None) -> List[str]:
     """Corpus lines with positions preserved: record id == 0-based line number.
@@ -478,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     join = commands.add_parser("join", help="similarity self-join a corpus")
     join.add_argument("corpus")
     _add_tokenize_args(join)
-    join.add_argument("--filter", choices=sorted(_JOIN_FILTERS), default="position")
+    join.add_argument("--filter", choices=sorted(JOIN_FILTERS), default="position")
     join.add_argument(
         "--scheme", choices=sorted(ONLINE_SCHEMES), default="adapt"
     )
@@ -945,18 +930,13 @@ def _cmd_report(args) -> int:
 
 def _cmd_join(args) -> int:
     strings = _read_lines(args.corpus)
-    if args.filter in ("segment", "edcount"):
-        integral = _integral_threshold(
-            args.threshold, f"--filter {args.filter}"
-        )
-        if integral is None:
+    collection = tokenize_collection(strings, mode=args.mode, q=args.q)
+    join = JOIN_FILTERS[args.filter](collection, scheme=args.scheme)
+    threshold = args.threshold
+    if join.metric == "ed":
+        threshold = _integral_threshold(threshold, f"--filter {args.filter}")
+        if threshold is None:
             return 2
-        join = _JOIN_FILTERS[args.filter](strings, scheme=args.scheme)
-        threshold: float = integral
-    else:
-        collection = tokenize_collection(strings, mode=args.mode, q=args.q)
-        join = _JOIN_FILTERS[args.filter](collection, scheme=args.scheme)
-        threshold = args.threshold
     profiling = _start_profile(args)
     tracing = _start_trace(args)
     start = time.perf_counter()

@@ -91,7 +91,7 @@ def list_layout(lst: SortedIDList) -> LayoutStats:
         stats.metadata_bits = METADATA_BITS * store.num_blocks
         stats.data_bits = store.size_bits() - stats.metadata_bits
         stats.block_size_histogram = dict(Counter(sizes))
-        stats.width_histogram = dict(Counter(store._widths))
+        stats.width_histogram = dict(Counter(store.block_widths()))
     else:
         stats.num_blocks = 1 if len(lst) else 0
         stats.data_bits = lst.size_bits()

@@ -17,18 +17,18 @@ is what lets MergeSkip run over the compressed index (Example 3).
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from ..obs import METRICS as _METRICS
 from .base import SortedIDList, as_id_array, check_sorted_ids
 from .bitpack import BitBuffer, width_for
-from .constants import ELEMENT_BITS, METADATA_BITS
+from .constants import ELEMENT_BITS, MAX_DELTA_WIDTH, METADATA_BITS
 
 __all__ = [
+    "LayoutError",
     "TwoLayerStore",
-    "FrozenTwoLayerStore",
     "TwoLayerList",
     "block_cost_bits",
     "block_saving_bits",
@@ -60,6 +60,78 @@ def block_saving_bits(count: int, max_delta: int) -> int:
     return ELEMENT_BITS * count - block_cost_bits(count, max_delta)
 
 
+class LayoutError(ValueError):
+    """A broken invariant of the two-layer layout, naming the array it sits in."""
+
+    def __init__(self, key: str, what: str) -> None:
+        super().__init__(f"array {key!r}: {what}")
+        self.key = key
+        self.what = what
+
+
+def _layout_violations(
+    bases: np.ndarray,
+    offsets: np.ndarray,
+    widths: np.ndarray,
+    starts: np.ndarray,
+    words: np.ndarray,
+    num_bits: int,
+) -> Iterator[LayoutError]:
+    """Every invariant of the layout, checked on its raw vectors.
+
+    A truncated or bit-flipped container must fail loudly at load time,
+    not return garbage ids from a later ``gather``: the metadata vectors
+    agree on the block count, block starts are a prefix-count ramp from 0,
+    bases ascend, every block's packed deltas lie inside the data words at
+    a width the encoder can emit, and the words extend one past the last
+    data bit.  A shape violation ends the enumeration (the value checks
+    would index out of range); value violations are all reported.
+    """
+    if not bases.size == offsets.size == widths.size:
+        yield LayoutError(
+            "bases/offsets/widths", "metadata arrays disagree on block count"
+        )
+        return
+    if starts.size != bases.size + 1:
+        yield LayoutError("starts", "starts/blocks mismatch")
+        return
+    if int(starts[0]) != 0:
+        yield LayoutError("starts", "starts[0] != 0")
+    counts = starts[1:] - starts[:-1]
+    if counts.size and int(counts.min()) < 1:
+        yield LayoutError("starts", "non-positive block size")
+    if not 0 <= num_bits <= 64 * int(words.size):
+        yield LayoutError("words", "num_bits exceeds stored data words")
+    elif int(words.size) < num_bits // 64 + 2:
+        # the bit reader's two-word reads may touch the word after the
+        # last data bit
+        yield LayoutError(
+            "words",
+            f"holds {int(words.size)} words, fewer than the "
+            f"{num_bits // 64 + 2} the bit reader needs for "
+            f"num_bits={num_bits}",
+        )
+    if not bases.size:
+        return
+    if int(widths.min()) < 1 or int(widths.max()) > MAX_DELTA_WIDTH:
+        yield LayoutError(
+            "widths", f"delta width outside [1, {MAX_DELTA_WIDTH}]"
+        )
+    if int(bases.min()) < 0:
+        yield LayoutError("bases", "negative base value")
+    if not bool((bases[1:] > bases[:-1]).all()):
+        yield LayoutError("bases", "metadata bases not strictly increasing")
+    if int(offsets.min()) < 0:
+        yield LayoutError("offsets", "negative data offset")
+    if not bool((offsets[1:] >= offsets[:-1]).all()):
+        yield LayoutError("offsets", "data-layer offsets not monotone")
+    if int((offsets + widths * (counts - 1)).max()) > num_bits:
+        yield LayoutError("offsets", "block data extends past num_bits")
+
+
+_METADATA_KEYS = ("bases", "offsets", "widths", "starts")
+
+
 class TwoLayerStore:
     """Growable sequence of compressed blocks with direct read access.
 
@@ -83,12 +155,113 @@ class TwoLayerStore:
         self._offsets_np: np.ndarray = np.empty(0, dtype=np.int64)
         self._widths_np: np.ndarray = np.empty(0, dtype=np.int64)
         self._dirty = False
+        # set by from_arrays(copy=False): the vectors alias caller-owned
+        # (typically memory-mapped, read-only) arrays
+        self._frozen = False
+
+    # ------------------------------------------------------------------ #
+    # array form
+    # ------------------------------------------------------------------ #
+    def _vectors(self) -> List[np.ndarray]:
+        """The metadata vectors in ``_METADATA_KEYS`` order, as ``int64``."""
+        return [
+            np.asarray(vector, dtype=np.int64)
+            for vector in (self._bases, self._offsets, self._widths, self._starts)
+        ]
+
+    def to_arrays(self) -> Dict[str, np.ndarray]:
+        """Flatten the store into its named arrays (no re-encoding).
+
+        The array contract, stated here once: ``bases`` / ``offsets`` /
+        ``widths`` hold one ``int64`` per block, ``starts`` the
+        ``num_blocks + 1`` ``int64`` prefix counts from 0, ``words`` the
+        packed deltas as ``uint64`` extending one word past the last data
+        bit (``num_bits // 64 + 2`` words — two-word reads may touch it),
+        and ``num_bits`` is ``int64[1]``.
+        """
+        words_needed = self._data.num_bits // 64 + 2
+        arrays = dict(zip(_METADATA_KEYS, self._vectors()))
+        arrays["words"] = self._data._words[:words_needed].copy()
+        arrays["num_bits"] = np.asarray([self._data.num_bits], dtype=np.int64)
+        return arrays
+
+    @classmethod
+    def from_arrays(
+        cls, arrays: Dict[str, np.ndarray], *, copy: bool = True
+    ) -> "TwoLayerStore":
+        """Rebuild a store from :meth:`to_arrays` output, verbatim.
+
+        Raises :class:`LayoutError` when the arrays break a layout
+        invariant.  With ``copy=True`` the arrays are copied into a fresh,
+        appendable store.  With ``copy=False`` the store is read-only and
+        its vectors *are* the passed arrays — hand it
+        ``np.load(..., mmap_mode='r')`` slices and every read goes straight
+        to the page cache, so N engines (or fork-pool workers) opened from
+        one bundle share a single file-backed copy; the arrays must then
+        already have the :meth:`to_arrays` dtypes.
+        """
+        num_bits = int(arrays["num_bits"][0])
+        words = arrays["words"]
+        if copy:
+            vectors = [arrays[key].astype(np.int64) for key in _METADATA_KEYS]
+        else:
+            vectors = [arrays[key] for key in _METADATA_KEYS]
+            for key, vector in zip(_METADATA_KEYS, vectors):
+                if vector.dtype != np.int64:
+                    raise ValueError(
+                        f"zero-copy store needs int64 {key!r}, got "
+                        f"{vector.dtype} (re-save the bundle or pass copy=True)"
+                    )
+            if words.dtype != np.uint64:
+                raise ValueError(
+                    f"zero-copy store needs uint64 'words', got {words.dtype}"
+                )
+        for error in _layout_violations(*vectors, words, num_bits):
+            raise error
+        store = cls.__new__(cls)
+        (
+            store._bases_np,
+            store._offsets_np,
+            store._widths_np,
+            store._starts_np,
+        ) = vectors
+        if copy:
+            store._bases, store._offsets, store._widths, store._starts = (
+                vector.tolist() for vector in vectors
+            )
+            data = BitBuffer(initial_words=int(words.size) + 2)
+            data._words[: words.size] = words
+        else:
+            # the lists' read surface (index, len) is the arrays' too
+            store._bases, store._offsets, store._widths, store._starts = (
+                vectors  # type: ignore[assignment]
+            )
+            data = BitBuffer()
+            data._words = words
+        data._num_bits = num_bits
+        store._data = data
+        store._dirty = False
+        store._frozen = not copy
+        return store
+
+    def check(self) -> List[LayoutError]:
+        """Violations of the layout's invariants (empty = healthy)."""
+        return list(
+            _layout_violations(
+                *self._vectors(), self._data._words, self._data.num_bits
+            )
+        )
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def append_block(self, values: np.ndarray) -> None:
         """Seal ``values`` (sorted ids, all greater than the current tail) as a block."""
+        if self._frozen:
+            raise ValueError(
+                "this store is frozen (opened zero-copy over on-disk arrays); "
+                "reopen with mmap=False to get an appendable in-memory copy"
+            )
         values = as_id_array(values)
         if values.size == 0:
             raise ValueError("cannot append an empty block")
@@ -145,14 +318,18 @@ class TwoLayerStore:
             for i in range(self.num_blocks)
         ]
 
-    def max_width_bits(self) -> int:
-        """Largest per-element delta width over all blocks (0 when empty).
+    def block_widths(self) -> List[int]:
+        """Per-element delta width of every block.
 
-        The public face of the width metadata: cost models and dashboards
-        must come through here instead of reading the private ``_widths``
-        array (lint rule RA08).
+        With :meth:`block_sizes` the public face of the metadata: cost
+        models and dashboards come through here instead of reading the
+        private ``_widths`` array (lint rule RA08).
         """
-        return int(max(self._widths, default=0))
+        return [int(width) for width in self._widths]
+
+    def max_width_bits(self) -> int:
+        """Largest per-element delta width over all blocks (0 when empty)."""
+        return max(self.block_widths(), default=0)
 
     def size_bits(self) -> int:
         """Paper accounting: 69 bits per metadata block + packed data bits."""
@@ -267,53 +444,6 @@ class TwoLayerStore:
     def iter_blocks(self) -> Iterator[np.ndarray]:
         for block in range(self.num_blocks):
             yield self.decode_block(block)
-
-
-class FrozenTwoLayerStore(TwoLayerStore):
-    """A read-only store whose layout vectors alias caller-owned arrays.
-
-    The persistence layer (:mod:`repro.storage`) reconstitutes stores
-    directly over ``np.load(..., mmap_mode='r')`` slices: the metadata
-    vectors and the packed data words *are* the on-disk buffers, so N
-    engines (or fork-pool workers) opened from one bundle share a single
-    file-backed resident copy instead of N eager replicas.  Every read
-    path is inherited unchanged — only appending is forbidden.
-
-    The caller is responsible for dtypes (``int64`` metadata, ``uint64``
-    words) and for ``words`` extending at least one word past ``num_bits``
-    (the bit-reader's one-past-end invariant);
-    :func:`repro.compression.serialize.store_from_arrays` with
-    ``copy=False`` is the validated front door.
-    """
-
-    def __init__(
-        self,
-        bases: np.ndarray,
-        offsets: np.ndarray,
-        widths: np.ndarray,
-        starts: np.ndarray,
-        words: np.ndarray,
-        num_bits: int,
-    ) -> None:
-        self._bases = bases  # type: ignore[assignment]
-        self._offsets = offsets  # type: ignore[assignment]
-        self._widths = widths  # type: ignore[assignment]
-        self._starts = starts  # type: ignore[assignment]
-        data = BitBuffer()
-        data._words = words
-        data._num_bits = int(num_bits)
-        self._data = data
-        self._bases_np = bases
-        self._offsets_np = offsets
-        self._widths_np = widths
-        self._starts_np = starts
-        self._dirty = False
-
-    def append_block(self, values: np.ndarray) -> None:
-        raise ValueError(
-            "this store is frozen (opened zero-copy over on-disk arrays); "
-            "reopen with mmap=False to get an appendable in-memory copy"
-        )
 
 
 class TwoLayerCursor:
@@ -442,6 +572,14 @@ class TwoLayerList(SortedIDList):
             if end <= start:
                 raise ValueError(f"invalid block boundaries: [{start}, {end})")
             self._store.append_block(values[start:end])
+
+    @classmethod
+    def from_store(cls, store: TwoLayerStore, scheme_name: str) -> "TwoLayerList":
+        """Adopt an already-built store (partitioning preserved)."""
+        lst = cls.__new__(cls)
+        lst._store = store
+        lst.scheme_name = scheme_name
+        return lst
 
     @property
     def store(self) -> TwoLayerStore:

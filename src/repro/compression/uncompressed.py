@@ -28,6 +28,17 @@ class UncompressedList(SortedIDList):
         self._values = as_id_array(values).copy()
         check_sorted_ids(self._values)
 
+    @classmethod
+    def from_array(cls, values: np.ndarray) -> "UncompressedList":
+        """Adopt ``values`` as the list, without the copy or the sortedness check.
+
+        For arrays another layer already validated — a memory-mapped bundle
+        slice serves reads straight off the page cache this way.
+        """
+        lst = cls.__new__(cls)
+        lst._values = values
+        return lst
+
     def __len__(self) -> int:
         return int(self._values.size)
 

@@ -18,7 +18,6 @@ from typing import Any, List
 import numpy as np
 
 from .base import MAX_ELEMENT, SortedIDList
-from .constants import MAX_DELTA_WIDTH
 from .twolayer import TwoLayerList
 
 __all__ = ["check_list", "check_index"]
@@ -42,7 +41,7 @@ def _check_list(lst: SortedIDList, sample: int) -> List[str]:
     # structural invariants first: if the layout itself is broken, decoding
     # is unreliable and the contract checks would only add noise
     if isinstance(lst, TwoLayerList):
-        issues.extend(_check_two_layer_structure(lst))
+        issues.extend(str(error) for error in lst.store.check())
         if issues:
             return issues
     decoded = lst.to_array()
@@ -76,43 +75,6 @@ def _check_list(lst: SortedIDList, sample: int) -> List[str]:
                 break
     if lst.size_bits() < 0:
         issues.append("negative size accounting")
-    return issues
-
-
-def _check_two_layer_structure(lst: TwoLayerList) -> List[str]:
-    issues: List[str] = []
-    store = lst.store
-    bases = np.asarray(store._bases)
-    offsets = np.asarray(store._offsets)
-    widths = np.asarray(store._widths)
-    starts = np.asarray(store._starts)
-    if bases.size > 1 and not (np.diff(bases) > 0).all():
-        issues.append("metadata bases not strictly increasing")
-    if offsets.size > 1 and not (np.diff(offsets) >= 0).all():
-        issues.append("data-layer offsets not monotone")
-    if widths.size and (widths < 1).any() or (widths > MAX_DELTA_WIDTH).any():
-        issues.append(f"delta widths outside [1, {MAX_DELTA_WIDTH}]")
-    if starts.size > 1 and not (np.diff(starts) > 0).all():
-        issues.append("block starts not strictly increasing")
-    for block in range(store.num_blocks):
-        count = int(starts[block + 1] - starts[block])
-        try:
-            decoded = store.decode_block(block)
-        # repro: noqa RA07 -- undecodable block is a finding, not a crash
-        except Exception as error:
-            issues.append(
-                f"block {block} undecodable "
-                f"({type(error).__name__}: {error})"
-            )
-            break
-        if int(decoded[0]) != int(bases[block]):
-            issues.append(f"block {block} base mismatch")
-            break
-        if count > 1:
-            span = int(decoded[-1]) - int(bases[block])
-            if span >= (1 << min(MAX_DELTA_WIDTH, int(widths[block]))):
-                issues.append(f"block {block} span exceeds its delta width")
-                break
     return issues
 
 

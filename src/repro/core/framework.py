@@ -17,9 +17,8 @@ Third-party and ablation codecs plug in without editing this module::
     @register_scheme("mycodec", kind="offline")
     class MyList(SortedIDList): ...
 
-``offline_factory`` / ``online_factory`` remain as thin wrappers over the
-unified :func:`scheme_factory` lookup for callers written against the old
-parallel-factory API.
+``offline_factory`` / ``online_factory`` are :func:`scheme_factory` with
+the kind fixed.
 """
 
 from __future__ import annotations

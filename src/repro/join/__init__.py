@@ -9,7 +9,18 @@ from .prefix import PrefixFilterJoin
 from .rsjoin import PrefixFilterRSJoin
 from .segment import SegmentFilterJoin, even_partition
 
+#: the self-join filters by the name the CLI, the bench runners and the
+#: report select them with
+JOIN_FILTERS = {
+    "count": CountFilterJoin,
+    "prefix": PrefixFilterJoin,
+    "position": PositionFilterJoin,
+    "segment": SegmentFilterJoin,
+    "edcount": EDCountFilterJoin,
+}
+
 __all__ = [
+    "JOIN_FILTERS",
     "JoinStats",
     "CountFilterJoin",
     "EDCountFilterJoin",

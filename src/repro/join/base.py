@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -24,10 +24,14 @@ from ..compression.online import OnlineSortedIDList
 from ..core.framework import online_factory
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
+from ..search.edsearch import normalize_delta
+from ..similarity.tokenize import TokenizedCollection
 
 __all__ = [
     "JoinStats",
     "OnlineIndexMixin",
+    "SelfJoin",
+    "check_threshold",
     "processing_order",
     "normalize_pairs",
     "traced_join",
@@ -88,6 +92,20 @@ def normalize_pairs(
     return pairs
 
 
+def check_threshold(threshold, metric: str):
+    """The joins' one threshold validator; returns the threshold to join at.
+
+    Set metrics take a similarity in ``(0, 1]``; ``metric == "ed"`` takes an
+    integral, non-negative edit distance exactly as the searchers do
+    (``1.0`` means 1 edit, ``1.5`` is an error, never a truncation).
+    """
+    if metric == "ed":
+        return normalize_delta(threshold)
+    if not 0 < threshold <= 1:
+        raise ValueError(f"threshold must be in (0, 1], got {threshold}")
+    return threshold
+
+
 class OnlineIndexMixin:
     """Lazily-created online posting lists keyed by signature.
 
@@ -96,15 +114,14 @@ class OnlineIndexMixin:
     buffer and totals the size under the paper's accounting.
     """
 
-    def _init_index(self, scheme: str, **scheme_kwargs) -> None:
-        self._factory = online_factory(scheme)
-        self._factory_kwargs = scheme_kwargs
+    def _init_index(self) -> None:
+        self._factory = online_factory(self.scheme)
         self._lists: Dict = {}
 
     def _list_for(self, key) -> OnlineSortedIDList:
         lst = self._lists.get(key)
         if lst is None:
-            lst = self._factory(**self._factory_kwargs)
+            lst = self._factory(**self._scheme_kwargs)
             self._lists[key] = lst
         return lst
 
@@ -118,3 +135,74 @@ class OnlineIndexMixin:
         stats.num_lists = len(self._lists)
         if _METRICS.enabled:
             _METRICS.inc("join.runs")
+
+
+class SelfJoin(OnlineIndexMixin):
+    """Algorithm 1, written once: a filter is *probe* and *index* one record.
+
+    :meth:`join` owns everything the filters share — threshold check, the
+    (size, id) processing order, the interleaved probe-then-append pass
+    (one ``join.probe`` span: index time is charged to the join, per §2.1),
+    sealing the online lists, the :class:`JoinStats` epilogue and the
+    mapping back to original ids.  A filter subclass supplies
+    :meth:`_probe`, reading the per-join state :meth:`join` leaves on
+    ``self`` (``_records`` in processing order, ``_threshold``, ``_stats``,
+    ``_results``, ``_lists``), and may override :meth:`_index`,
+    :meth:`_items`, :meth:`_begin` and :meth:`_side_bits`.
+    """
+
+    def __init__(
+        self,
+        collection: TokenizedCollection,
+        scheme: str = "adapt",
+        metric: str = "jaccard",
+        **scheme_kwargs,
+    ) -> None:
+        self.collection = collection
+        self.scheme = scheme
+        self.metric = metric
+        self._scheme_kwargs = scheme_kwargs
+        self.last_stats = JoinStats()
+
+    @traced_join
+    def join(self, threshold: float) -> List[Tuple[int, int]]:
+        """All qualifying pairs as sorted original-id tuples."""
+        self._threshold = check_threshold(threshold, self.metric)
+        self._init_index()
+        items = self._items()
+        order = processing_order(np.asarray([len(item) for item in items]))
+        self._records = records = [items[i] for i in order]
+        self._stats = stats = JoinStats()
+        self._results = results = []
+        self._begin()
+        probe, index = self._probe, self._index
+        with _METRICS.span("join.probe"):
+            for sid, record in enumerate(records):
+                index(sid, probe(sid, record))
+        self._finalize_index(stats)
+        stats.position_bits = self._side_bits()
+        stats.pairs = len(results)
+        self.last_stats = stats
+        return normalize_pairs(results, order)
+
+    def _items(self) -> Sequence:
+        """What is joined, in original-id order; ``len`` of an item is its size."""
+        return self.collection.records
+
+    def _begin(self) -> None:
+        """Set up per-join filter state beyond the posting lists."""
+
+    def _probe(self, sid: int, record) -> Iterable:
+        """Find and verify partners of ``record`` among records ``< sid``:
+        append ``(rid, sid)`` to ``_results``, count into ``_stats``.
+        Returns the signatures ``record`` is to be indexed under."""
+        raise NotImplementedError
+
+    def _index(self, sid: int, signatures: Iterable) -> None:
+        """Append ``sid`` to the list of each of its signatures."""
+        for key in signatures:
+            self._list_for(key).append(sid)
+
+    def _side_bits(self) -> int:
+        """Bits the filter holds beside the id lists (``position_bits``)."""
+        return 0

@@ -18,94 +18,86 @@ schemes.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Union
 
 from ..similarity.edit_distance import within_edit_distance
-from ..similarity.tokenize import TokenDictionary, qgrams
-from .base import (
-    JoinStats,
-    OnlineIndexMixin,
-    normalize_pairs,
-    traced_join,
-)
+from ..similarity.tokenize import TokenDictionary, TokenizedCollection, qgrams
+from .base import SelfJoin
 
 __all__ = ["EDCountFilterJoin"]
 
 
-class EDCountFilterJoin(OnlineIndexMixin):
-    """Self-join ``ed(r, s) <= delta`` via q-gram counting."""
+class EDCountFilterJoin(SelfJoin):
+    """Self-join ``ed(r, s) <= delta`` via q-gram counting.
+
+    ``collection`` is a tokenized collection (its ``strings`` are joined,
+    re-tokenized into ``q``-grams here) or the strings themselves.
+    """
 
     def __init__(
-        self, strings: Sequence[str], q: int = 2, scheme: str = "adapt", **scheme_kwargs
+        self,
+        collection: Union[TokenizedCollection, Sequence[str]],
+        q: int = 2,
+        scheme: str = "adapt",
+        **scheme_kwargs,
     ) -> None:
         if q < 1:
             raise ValueError(f"q must be >= 1, got {q}")
-        self.strings = list(strings)
+        super().__init__(collection, scheme, "ed", **scheme_kwargs)
+        self.strings = list(getattr(collection, "strings", collection))
         self.q = q
-        self.scheme = scheme
-        self._scheme_kwargs = scheme_kwargs
-        self.last_stats = JoinStats()
 
-    @traced_join
-    def join(self, delta: int) -> List[Tuple[int, int]]:
-        """All pairs with ``ed <= delta`` as sorted original-id tuples."""
-        if delta < 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
-        self._init_index(self.scheme, **self._scheme_kwargs)
-        stats = JoinStats()
-        gram_sets = [qgrams(text, self.q) for text in self.strings]
+    def _items(self) -> List[str]:
+        return self.strings
+
+    def _begin(self) -> None:
+        gram_sets = [qgrams(text, self.q) for text in self._records]
         dictionary = TokenDictionary(gram_sets)
-        records = [dictionary.encode(grams) for grams in gram_sets]
-        lengths = np.asarray([len(text) for text in self.strings])
-        order = np.argsort(lengths, kind="stable")
-        results: List[Tuple[int, int]] = []
-        by_length: Dict[int, List[int]] = {}  # fallback directory
+        # gram-id signatures, parallel to _records (processing order)
+        self._gram_ids = [dictionary.encode(grams) for grams in gram_sets]
+        self._by_length: Dict[int, List[int]] = {}  # fallback directory
 
-        for sid, original in enumerate(order.tolist()):
-            text = self.strings[original]
-            record = records[original]
-            signature_size = record.size
-
-            if signature_size - self.q * delta >= 1:
-                # every qualifying partner must share >= 1 gram with s, so
-                # the gram lists enumerate all candidates
-                counts: Dict[int, int] = {}
-                for token in record.tolist():
-                    posting = self._lists.get(token)
-                    if posting is None:
-                        continue
-                    for rid in posting.to_array().tolist():
-                        counts[rid] = counts.get(rid, 0) + 1
-                stats.candidates += len(counts)
-                for rid, shared in counts.items():
-                    other = self.strings[order[rid]]
-                    if abs(len(other) - len(text)) > delta:
-                        continue
-                    other_size = records[order[rid]].size
-                    needed = max(signature_size, other_size) - self.q * delta
-                    if shared < needed:
-                        continue
+    def _probe(self, sid: int, text: str) -> List[int]:
+        strings, gram_ids, stats = self._records, self._gram_ids, self._stats
+        delta, slack, results = (
+            self._threshold,
+            self.q * self._threshold,
+            self._results,
+        )
+        record = gram_ids[sid]
+        tokens = record.tolist()
+        if record.size - slack >= 1:
+            # every qualifying partner must share >= 1 gram with s, so
+            # the gram lists enumerate all candidates
+            lists = self._lists
+            counts: Dict[int, int] = {}
+            for token in tokens:
+                posting = lists.get(token)
+                if posting is None:
+                    continue
+                for rid in posting.to_array().tolist():
+                    counts[rid] = counts.get(rid, 0) + 1
+            stats.candidates += len(counts)
+            for rid, shared in counts.items():
+                other = strings[rid]
+                if abs(len(other) - len(text)) > delta:
+                    continue
+                if shared < max(record.size, gram_ids[rid].size) - slack:
+                    continue
+                stats.verifications += 1
+                if within_edit_distance(other, text, delta):
+                    results.append((rid, sid))
+        else:
+            # the destruction bound degenerates (short string): partners
+            # may share no gram at all — scan the length window instead
+            by_length = self._by_length
+            for length in range(len(text) - delta, len(text) + delta + 1):
+                for rid in by_length.get(length, ()):
                     stats.verifications += 1
-                    if within_edit_distance(other, text, delta):
+                    if within_edit_distance(strings[rid], text, delta):
                         results.append((rid, sid))
-            else:
-                # the destruction bound degenerates (short string): partners
-                # may share no gram at all — scan the length window instead
-                for length in range(len(text) - delta, len(text) + delta + 1):
-                    for rid in by_length.get(length, ()):
-                        stats.verifications += 1
-                        if within_edit_distance(
-                            self.strings[order[rid]], text, delta
-                        ):
-                            results.append((rid, sid))
+        return tokens
 
-            by_length.setdefault(len(text), []).append(sid)
-            for token in record.tolist():
-                self._list_for(token).append(sid)
-
-        self._finalize_index(stats)
-        stats.pairs = len(results)
-        self.last_stats = stats
-        return normalize_pairs(results, order)
+    def _index(self, sid: int, signatures: List[int]) -> None:
+        self._by_length.setdefault(len(self._records[sid]), []).append(sid)
+        super()._index(sid, signatures)

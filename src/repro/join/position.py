@@ -19,27 +19,21 @@ exact merge, trading a few binary searches for skipped verifications.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..compression.online import FixedWidthVector
 from ..similarity.measures import length_bounds, prefix_length, required_overlap
 from ..similarity.suffix_filter import suffix_overlap_bound
 from ..similarity.tokenize import TokenizedCollection
 from ..similarity.verify import verify_overlap_from
-from .base import (
-    JoinStats,
-    OnlineIndexMixin,
-    normalize_pairs,
-    processing_order,
-    traced_join,
-)
+from .base import SelfJoin
 
 __all__ = ["PositionFilterJoin"]
 
 _PRUNED = -1
 
 
-class PositionFilterJoin(OnlineIndexMixin):
+class PositionFilterJoin(SelfJoin):
     """PPJoin-style self-join with positional pruning over compressed lists."""
 
     def __init__(
@@ -50,80 +44,66 @@ class PositionFilterJoin(OnlineIndexMixin):
         use_suffix_filter: bool = False,
         **scheme_kwargs,
     ) -> None:
-        self.collection = collection
-        self.scheme = scheme
-        self.metric = metric
+        super().__init__(collection, scheme, metric, **scheme_kwargs)
         self.use_suffix_filter = use_suffix_filter
-        self._scheme_kwargs = scheme_kwargs
-        self.last_stats = JoinStats()
 
-    @traced_join
-    def join(self, threshold: float) -> List[Tuple[int, int]]:
-        """All pairs with ``SIM >= threshold`` as sorted original-id tuples."""
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        self._init_index(self.scheme, **self._scheme_kwargs)
+    def _begin(self) -> None:
         self._positions: Dict[int, FixedWidthVector] = {}
-        stats = JoinStats()
-        order = processing_order(self.collection.lengths)
-        records = [self.collection.records[i] for i in order]
-        results: List[Tuple[int, int]] = []
 
-        for sid, record in enumerate(records):
-            size_s = record.size
-            if size_s == 0:
+    def _probe(self, sid: int, record) -> List[int]:
+        size_s = record.size
+        if size_s == 0:
+            return []
+        records, lists, stats = self._records, self._lists, self._stats
+        threshold, metric = self._threshold, self.metric
+        low, _ = length_bounds(size_s, threshold, metric)
+        tokens = record[: prefix_length(size_s, threshold, metric)].tolist()
+        overlaps: Dict[int, int] = {}
+        for i, token in enumerate(tokens):
+            posting = lists.get(token)
+            if posting is None:
                 continue
-            low, _ = length_bounds(size_s, threshold, self.metric)
-            prefix = prefix_length(size_s, threshold, self.metric)
-            overlaps: Dict[int, int] = {}
-            for i, token in enumerate(record[:prefix].tolist()):
-                posting = self._lists.get(token)
-                if posting is None:
-                    continue
-                positions = self._positions[token]
-                for entry, rid in enumerate(posting.to_array().tolist()):
-                    current = overlaps.get(rid, 0)
-                    if current == _PRUNED:
-                        continue
-                    size_r = records[rid].size
-                    if size_r < low:
-                        overlaps[rid] = _PRUNED
-                        continue
-                    j = positions[entry]
-                    needed = required_overlap(
-                        size_r, size_s, threshold, self.metric
-                    )
-                    upper = current + 1 + min(size_s - i - 1, size_r - j - 1)
-                    if upper >= needed:
-                        overlaps[rid] = current + 1
-                    else:
-                        overlaps[rid] = _PRUNED
-            stats.candidates += len(overlaps)
-            for rid, shared in overlaps.items():
-                if shared <= 0:
+            positions = self._positions[token]
+            for entry, rid in enumerate(posting.to_array().tolist()):
+                current = overlaps.get(rid, 0)
+                if current == _PRUNED:
                     continue
                 size_r = records[rid].size
-                needed = required_overlap(size_r, size_s, threshold, self.metric)
-                if self.use_suffix_filter:
-                    upper = suffix_overlap_bound(records[rid], record)
-                    if upper < needed:
-                        stats.extras["suffix_pruned"] = (
-                            stats.extras.get("suffix_pruned", 0) + 1
-                        )
-                        continue
-                stats.verifications += 1
-                if (
-                    verify_overlap_from(records[rid], record, 0, 0, 0, needed)
-                    >= needed
-                ):
-                    results.append((rid, sid))
-            for i, token in enumerate(record[:prefix].tolist()):
-                self._list_for(token).append(sid)
-                self._positions.setdefault(token, FixedWidthVector()).append(i)
+                if size_r < low:
+                    overlaps[rid] = _PRUNED
+                    continue
+                j = positions[entry]
+                needed = required_overlap(size_r, size_s, threshold, metric)
+                upper = current + 1 + min(size_s - i - 1, size_r - j - 1)
+                if upper >= needed:
+                    overlaps[rid] = current + 1
+                else:
+                    overlaps[rid] = _PRUNED
+        stats.candidates += len(overlaps)
+        for rid, shared in overlaps.items():
+            if shared <= 0:
+                continue
+            size_r = records[rid].size
+            needed = required_overlap(size_r, size_s, threshold, metric)
+            if self.use_suffix_filter:
+                upper = suffix_overlap_bound(records[rid], record)
+                if upper < needed:
+                    stats.extras["suffix_pruned"] = (
+                        stats.extras.get("suffix_pruned", 0) + 1
+                    )
+                    continue
+            stats.verifications += 1
+            if (
+                verify_overlap_from(records[rid], record, 0, 0, 0, needed)
+                >= needed
+            ):
+                self._results.append((rid, sid))
+        return tokens
 
-        position_bits = sum(v.size_bits() for v in self._positions.values())
-        self._finalize_index(stats)
-        stats.position_bits = position_bits
-        stats.pairs = len(results)
-        self.last_stats = stats
-        return normalize_pairs(results, order)
+    def _index(self, sid: int, signatures: List[int]) -> None:
+        for i, token in enumerate(signatures):
+            self._list_for(token).append(sid)
+            self._positions.setdefault(token, FixedWidthVector()).append(i)
+
+    def _side_bits(self) -> int:
+        return sum(vector.size_bits() for vector in self._positions.values())

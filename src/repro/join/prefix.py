@@ -11,87 +11,44 @@ lists swapped for online compressed lists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from ..obs import METRICS as _METRICS
 from ..similarity.measures import length_bounds, prefix_length, required_overlap
-from ..similarity.tokenize import TokenizedCollection
 from ..similarity.verify import verify_overlap_from
-from .base import (
-    JoinStats,
-    OnlineIndexMixin,
-    normalize_pairs,
-    processing_order,
-    traced_join,
-)
+from .base import SelfJoin
 
 __all__ = ["PrefixFilterJoin"]
 
 
-class PrefixFilterJoin(OnlineIndexMixin):
+class PrefixFilterJoin(SelfJoin):
     """Self-join probing and indexing Lemma 1 prefixes."""
 
-    def __init__(
-        self,
-        collection: TokenizedCollection,
-        scheme: str = "adapt",
-        metric: str = "jaccard",
-        **scheme_kwargs,
-    ) -> None:
-        self.collection = collection
-        self.scheme = scheme
-        self.metric = metric
-        self._scheme_kwargs = scheme_kwargs
-        self.last_stats = JoinStats()
-
-    @traced_join
-    def join(self, threshold: float) -> List[Tuple[int, int]]:
-        """All pairs with ``SIM >= threshold`` as sorted original-id tuples."""
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        self._init_index(self.scheme, **self._scheme_kwargs)
-        stats = JoinStats()
-        order = processing_order(self.collection.lengths)
-        records = [self.collection.records[i] for i in order]
-        results: List[Tuple[int, int]] = []
-
-        # Algorithm 1 interleaves probe and append, so one span covers the
-        # whole online pass (index time is charged to the join, per §2.1).
-        with _METRICS.span("join.probe"):
-            for sid, record in enumerate(records):
-                size_s = record.size
-                if size_s == 0:
+    def _probe(self, sid: int, record) -> List[int]:
+        size_s = record.size
+        if size_s == 0:
+            return []
+        records, lists, stats = self._records, self._lists, self._stats
+        threshold, metric = self._threshold, self.metric
+        low, _ = length_bounds(size_s, threshold, metric)
+        tokens = record[: prefix_length(size_s, threshold, metric)].tolist()
+        seen: Dict[int, bool] = {}
+        for token in tokens:
+            posting = lists.get(token)
+            if posting is None:
+                continue
+            for rid in posting.to_array().tolist():
+                if rid in seen:
                     continue
-                low, _ = length_bounds(size_s, threshold, self.metric)
-                prefix = prefix_length(size_s, threshold, self.metric)
-                seen: Dict[int, bool] = {}
-                for token in record[:prefix].tolist():
-                    posting = self._lists.get(token)
-                    if posting is None:
-                        continue
-                    for rid in posting.to_array().tolist():
-                        if rid in seen:
-                            continue
-                        seen[rid] = True
-                        size_r = records[rid].size
-                        if size_r < low:  # records arrive size-ascending
-                            continue
-                        stats.verifications += 1
-                        needed = required_overlap(
-                            size_r, size_s, threshold, self.metric
-                        )
-                        if (
-                            verify_overlap_from(
-                                records[rid], record, 0, 0, 0, needed
-                            )
-                            >= needed
-                        ):
-                            results.append((rid, sid))
-                stats.candidates += len(seen)
-                for token in record[:prefix].tolist():
-                    self._list_for(token).append(sid)
-
-        self._finalize_index(stats)
-        stats.pairs = len(results)
-        self.last_stats = stats
-        return normalize_pairs(results, order)
+                seen[rid] = True
+                size_r = records[rid].size
+                if size_r < low:  # records arrive size-ascending
+                    continue
+                stats.verifications += 1
+                needed = required_overlap(size_r, size_s, threshold, metric)
+                if (
+                    verify_overlap_from(records[rid], record, 0, 0, 0, needed)
+                    >= needed
+                ):
+                    self._results.append((rid, sid))
+        stats.candidates += len(seen)
+        return tokens

@@ -21,11 +21,7 @@ from ..obs import METRICS as _METRICS
 from ..similarity.measures import length_bounds, prefix_length, required_overlap
 from ..similarity.tokenize import TokenizedCollection
 from ..similarity.verify import verify_overlap_from
-from .base import (
-    JoinStats,
-    OnlineIndexMixin,
-    traced_join,
-)
+from .base import JoinStats, OnlineIndexMixin, check_threshold, traced_join
 
 __all__ = ["PrefixFilterRSJoin"]
 
@@ -67,9 +63,8 @@ class PrefixFilterRSJoin(OnlineIndexMixin):
     @traced_join
     def join(self, threshold: float) -> List[Tuple[int, int]]:
         """Pairs ``(r, s)`` with ``SIM(left[r], right[s]) >= threshold``."""
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        self._init_index(self.scheme, **self._scheme_kwargs)
+        check_threshold(threshold, self.metric)
+        self._init_index()
         stats = JoinStats()
 
         # index the left collection's prefixes (ids ascend naturally)

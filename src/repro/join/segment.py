@@ -21,17 +21,11 @@ compressed lists, exercising the same machinery as the token joins.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..similarity.edit_distance import within_edit_distance
-from .base import (
-    JoinStats,
-    OnlineIndexMixin,
-    normalize_pairs,
-    traced_join,
-)
+from ..similarity.tokenize import TokenizedCollection
+from .base import SelfJoin
 
 __all__ = ["SegmentFilterJoin", "even_partition"]
 
@@ -55,84 +49,81 @@ def even_partition(length: int, pieces: int) -> List[Tuple[int, int]]:
     return segments
 
 
-class SegmentFilterJoin(OnlineIndexMixin):
-    """PassJoin-style self-join: ``ed(r, s) <= delta`` pairs."""
+class SegmentFilterJoin(SelfJoin):
+    """PassJoin-style self-join: ``ed(r, s) <= delta`` pairs.
 
-    def __init__(self, strings: Sequence[str], scheme: str = "adapt", **scheme_kwargs) -> None:
-        self.strings = list(strings)
-        self.scheme = scheme
-        self._scheme_kwargs = scheme_kwargs
-        self.last_stats = JoinStats()
+    ``collection`` is a tokenized collection (its ``strings`` are joined) or
+    the strings themselves.
+    """
 
-    @traced_join
-    def join(self, delta: int) -> List[Tuple[int, int]]:
-        """All pairs with ``ed <= delta`` as sorted original-id tuples."""
-        if delta < 0:
-            raise ValueError(f"delta must be non-negative, got {delta}")
-        self._init_index(self.scheme, **self._scheme_kwargs)
-        stats = JoinStats()
-        lengths = np.asarray([len(text) for text in self.strings])
-        order = np.argsort(lengths, kind="stable")
-        ordered = [self.strings[i] for i in order]
-        pieces = delta + 1
-        partitions: Dict[int, List[Tuple[int, int]]] = {}
-        results: List[Tuple[int, int]] = []
+    def __init__(
+        self,
+        collection: Union[TokenizedCollection, Sequence[str]],
+        scheme: str = "adapt",
+        **scheme_kwargs,
+    ) -> None:
+        super().__init__(collection, scheme, "ed", **scheme_kwargs)
+        self.strings = list(getattr(collection, "strings", collection))
 
-        for sid, text in enumerate(ordered):
-            length_s = len(text)
-            seen: Dict[int, bool] = {}
-            for length_r in range(max(0, length_s - delta), length_s + 1):
-                if length_r <= delta:
-                    # shorter than the d+1 segments: pigeonhole degenerates
-                    # (an empty segment "matches" anywhere), so every indexed
-                    # string of this length is a candidate
-                    bucket = self._lists.get(("short", length_r))
-                    if bucket is not None:
-                        for rid in bucket.to_array().tolist():
-                            if rid in seen:
-                                continue
-                            seen[rid] = True
-                            stats.verifications += 1
-                            if within_edit_distance(ordered[rid], text, delta):
-                                results.append((rid, sid))
+    def _items(self) -> List[str]:
+        return self.strings
+
+    def _begin(self) -> None:
+        # indexed length -> its d + 1 even segments, filled as lengths appear
+        self._partitions: Dict[int, List[Tuple[int, int]]] = {}
+
+    def _probe(self, sid: int, text: str) -> List[tuple]:
+        ordered, lists, stats = self._records, self._lists, self._stats
+        delta, partitions, results = (
+            self._threshold,
+            self._partitions,
+            self._results,
+        )
+        length_s = len(text)
+        seen: Dict[int, bool] = {}
+
+        def verify(posting) -> None:
+            for rid in posting.to_array().tolist():
+                if rid in seen:
                     continue
-                if length_r not in partitions:
-                    continue
-                shift = length_s - length_r
-                for i, (p_i, l_i) in enumerate(partitions[length_r]):
-                    for x in range(-delta, delta + 1):
-                        if abs(x) + abs(shift - x) > delta:
-                            continue
-                        if i + abs(shift - x) > delta:
-                            continue
-                        start = p_i + x
-                        if start < 0 or start + l_i > length_s:
-                            continue
-                        key = (length_r, i, text[start : start + l_i])
-                        posting = self._lists.get(key)
-                        if posting is None:
-                            continue
-                        for rid in posting.to_array().tolist():
-                            if rid in seen:
-                                continue
-                            seen[rid] = True
-                            stats.verifications += 1
-                            if within_edit_distance(ordered[rid], text, delta):
-                                results.append((rid, sid))
-            stats.candidates += len(seen)
-            # index this string's own segments (or the short bucket when the
-            # pigeonhole partition would contain empty segments)
-            if length_s <= delta:
-                self._list_for(("short", length_s)).append(sid)
+                seen[rid] = True
+                stats.verifications += 1
+                if within_edit_distance(ordered[rid], text, delta):
+                    results.append((rid, sid))
+
+        for length_r in range(max(0, length_s - delta), length_s + 1):
+            if length_r <= delta:
+                # shorter than the d+1 segments: pigeonhole degenerates
+                # (an empty segment "matches" anywhere), so every indexed
+                # string of this length is a candidate
+                bucket = lists.get(("short", length_r))
+                if bucket is not None:
+                    verify(bucket)
                 continue
-            segments = partitions.get(length_s)
-            if segments is None:
-                segments = even_partition(length_s, pieces)
-                partitions[length_s] = segments
-            for i, (p_i, l_i) in enumerate(segments):
-                self._list_for((length_s, i, text[p_i : p_i + l_i])).append(sid)
-
-        self._finalize_index(stats)
-        stats.pairs = len(results)
-        self.last_stats = stats
-        return normalize_pairs(results, order)
+            if length_r not in partitions:
+                continue
+            shift = length_s - length_r
+            for i, (p_i, l_i) in enumerate(partitions[length_r]):
+                for x in range(-delta, delta + 1):
+                    if abs(x) + abs(shift - x) > delta:
+                        continue
+                    if i + abs(shift - x) > delta:
+                        continue
+                    start = p_i + x
+                    if start < 0 or start + l_i > length_s:
+                        continue
+                    posting = lists.get((length_r, i, text[start : start + l_i]))
+                    if posting is not None:
+                        verify(posting)
+        stats.candidates += len(seen)
+        # indexed under the string's own segments, or the short bucket when
+        # the pigeonhole partition would contain empty segments
+        if length_s <= delta:
+            return [("short", length_s)]
+        segments = partitions.get(length_s)
+        if segments is None:
+            segments = partitions[length_s] = even_partition(length_s, delta + 1)
+        return [
+            (length_s, i, text[p_i : p_i + l_i])
+            for i, (p_i, l_i) in enumerate(segments)
+        ]

@@ -1,11 +1,11 @@
 """Shared scaffolding for the count-filter searchers.
 
-:class:`JaccardSearcher`, :class:`EditDistanceSearcher` and
-:class:`GroupedJaccardSearcher` used to each carry their own copy of the
-algorithm-name validation, the random-access guard (PForDelta cannot run
-MergeSkip, per Figure 7.2), the T-occurrence dispatch, and the post-query
-stats bookkeeping.  This module is the single home for all of it, plus the
-two pieces the batched engine adds to every searcher:
+The single home of what :class:`JaccardSearcher`,
+:class:`EditDistanceSearcher` and :class:`GroupedJaccardSearcher` share:
+``search()`` itself, the algorithm-name validation, the random-access
+guard (PForDelta cannot run MergeSkip, per Figure 7.2), the T-occurrence
+dispatch, the post-query stats bookkeeping, and the two pieces the batched
+engine adds to every searcher:
 
 * an optional shared :class:`~repro.engine.cache.DecodeCache` — when set,
   probed posting lists are wrapped so hot lists are served from their
@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence
 
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
+from ..obs import trace_query as _trace_query
 from .batchkernels import BATCH_ALGORITHMS, batch_candidates, decode_postings
 from .result import SearchResult, SearchStats
 from .toccurrence import ALGORITHMS, run_algorithm
@@ -71,24 +72,16 @@ class QueryPlan:
 class CountFilterSearcher:
     """Base for searchers that answer queries via the count filter.
 
-    ``allowed_algorithms`` lets subclasses restrict the menu (the grouped
-    searcher does not implement DivideSkip).
+    Subclasses supply :meth:`_plan` (the only place a threshold is
+    validated) and :meth:`_verify`; ``trace_kind`` names their root trace.
     """
 
-    #: subclasses implementing the ``_plan``/``_verify`` hooks set this;
-    #: only they can route candidate generation through the batch kernels.
-    supports_plan_hooks = False
+    trace_kind = "search"
 
-    def __init__(
-        self,
-        index,
-        algorithm: str,
-        cache=None,
-        allowed_algorithms: Sequence[str] = tuple(ALGORITHMS),
-    ) -> None:
-        if algorithm not in allowed_algorithms:
+    def __init__(self, index, algorithm: str, cache=None) -> None:
+        if algorithm not in ALGORITHMS:
             raise ValueError(
-                f"algorithm must be one of {tuple(allowed_algorithms)}, "
+                f"algorithm must be one of {tuple(ALGORITHMS)}, "
                 f"got {algorithm!r}"
             )
         if algorithm != "scancount" and not index.supports_random_access:
@@ -107,7 +100,7 @@ class CountFilterSearcher:
     @property
     def supports_batch_kernel(self) -> bool:
         """True when batches can run through :mod:`~repro.search.batchkernels`."""
-        return self.supports_plan_hooks and self.algorithm in BATCH_ALGORITHMS
+        return self.algorithm in BATCH_ALGORITHMS
 
     def _probe_lists(self, tokens: Sequence[int]) -> List:
         """Posting lists for ``tokens``, cache-wrapped when a cache is set."""
@@ -123,7 +116,8 @@ class CountFilterSearcher:
         )
 
     def _plan(self, query: str, threshold) -> QueryPlan:
-        """Reduce one query to a :class:`QueryPlan` (subclass hook)."""
+        """Validate ``threshold`` and reduce one query to a
+        :class:`QueryPlan` (subclass hook)."""
         raise NotImplementedError
 
     def _verify(self, plan: QueryPlan, candidates: List[int]) -> List[int]:
@@ -158,11 +152,6 @@ class CountFilterSearcher:
             seconds=time.perf_counter() - started,
         )
 
-    def _search_traced(self, query: str, threshold) -> SearchResult:
-        """Serial plan -> filter -> verify flow (the parity oracle)."""
-        plan = self._plan(query, threshold)
-        return self._execute(plan, None)
-
     def _execute(
         self, plan: QueryPlan, kernel_candidates
     ) -> SearchResult:
@@ -188,7 +177,13 @@ class CountFilterSearcher:
         )
 
     def search(self, query: str, threshold) -> SearchResult:
-        raise NotImplementedError
+        """Ids of the records within ``threshold`` of ``query``, ascending.
+
+        The serial plan -> filter -> verify flow, which is also the batch
+        kernels' parity oracle.
+        """
+        with _trace_query(query, threshold, kind=self.trace_kind):
+            return self._execute(self._plan(query, threshold), None)
 
     def search_many(
         self, queries: Sequence[str], threshold

@@ -25,15 +25,16 @@ import numpy as np
 from ..compression.online import OnlineSortedIDList
 from ..core.framework import online_factory
 from ..similarity.tokenize import TokenizedCollection, qgrams, word_tokens
+from .searcher import PostingIndex
 
 __all__ = ["DynamicInvertedIndex"]
 
 
-class DynamicInvertedIndex:
+class DynamicInvertedIndex(PostingIndex):
     """Appendable inverted index over online compressed posting lists.
 
-    Quacks like :class:`~repro.search.searcher.InvertedIndex` (``lists``,
-    ``posting_lists``, ``size_bits``, ``collection``) so the existing
+    The same :class:`~repro.search.searcher.PostingIndex` protocol as the
+    offline :class:`~repro.search.searcher.InvertedIndex`, so the existing
     searchers run on it unchanged.
     """
 
@@ -78,9 +79,6 @@ class DynamicInvertedIndex:
         self._append_log_path: Optional[Path] = None
 
     # ------------------------------------------------------------------ #
-    def __len__(self) -> int:
-        return len(self.lists)
-
     @property
     def num_records(self) -> int:
         return len(self.collection.records)
@@ -152,35 +150,9 @@ class DynamicInvertedIndex:
             self.collection.lengths = np.asarray(self._lengths, dtype=np.int64)
             self._lengths_dirty = False
 
-    # ------------------------------------------------------------------ #
-    # InvertedIndex protocol
-    # ------------------------------------------------------------------ #
     def posting_lists(self, tokens: Sequence[int]) -> List[OnlineSortedIDList]:
-        """Posting lists of the query tokens present in the index; duplicate
-        tokens are collapsed (set semantics, as in the offline index)."""
         self._refresh_lengths()
-        return [
-            self.lists[token]
-            for token in dict.fromkeys(tokens)
-            if token in self.lists
-        ]
-
-    def size_bits(self) -> int:
-        return sum(lst.size_bits() for lst in self.lists.values())
-
-    def size_mb(self) -> float:
-        return self.size_bits() / 8 / 1024 / 1024
-
-    def num_postings(self) -> int:
-        return sum(len(lst) for lst in self.lists.values())
-
-    def compression_ratio(self) -> float:
-        compressed = self.size_bits()
-        if compressed == 0:
-            return 1.0
-        from ..compression.base import ELEMENT_BITS
-
-        return ELEMENT_BITS * self.num_postings() / compressed
+        return super().posting_lists(tokens)
 
     def compact(self):
         """Seal every online list into offline CSS blocks (DP re-partition).

@@ -18,10 +18,9 @@ import time
 from typing import Dict, List, Union
 
 from ..obs import METRICS as _METRICS
-from ..obs import trace_query as _trace_query
 from ..similarity.edit_distance import within_edit_distance
 from .base import CountFilterSearcher, QueryPlan
-from .result import SearchResult, SearchStats
+from .result import SearchStats
 from .searcher import InvertedIndex
 
 __all__ = ["EditDistanceSearcher", "normalize_delta"]
@@ -49,7 +48,7 @@ def normalize_delta(value: Union[int, float]) -> int:
 class EditDistanceSearcher(CountFilterSearcher):
     """q-gram count-filter search for ``ed(query, record) <= delta``."""
 
-    supports_plan_hooks = True
+    trace_kind = "search.ed"
 
     def __init__(
         self,
@@ -89,16 +88,7 @@ class EditDistanceSearcher(CountFilterSearcher):
             candidates.extend(by_length.get(length, []))
         return sorted(candidates)
 
-    def search(
-        self, query: str, delta: Union[int, float]
-    ) -> SearchResult:
-        """Record ids with ``ed(query, record) <= delta``, ascending."""
-        delta = normalize_delta(delta)
-        with _trace_query(query, delta, kind="search.ed"):
-            return self._search_traced(query, delta)
-
     def _plan(self, query: str, delta: Union[int, float]) -> QueryPlan:
-        # the batched path enters here directly, bypassing search()
         delta = normalize_delta(delta)
         started = time.perf_counter()
         stats = SearchStats()

@@ -18,20 +18,17 @@ equality and the candidate-count reduction.
 from __future__ import annotations
 
 import math
-import time
 from typing import Dict, List
 
 import numpy as np
 
 from ..compression.base import SortedIDList
 from ..core.framework import offline_factory
-from ..obs import trace_query as _trace_query
-from ..similarity.measures import length_bounds, required_overlap
+from ..obs import METRICS as _METRICS
+from ..similarity.measures import required_overlap
 from ..similarity.tokenize import TokenizedCollection
-from ..similarity.verify import verify_overlap_from
-from .base import CountFilterSearcher
-from .result import SearchResult, SearchStats
-from .toccurrence import merge_skip, scan_count
+from .base import QueryPlan
+from .searcher import JaccardSearcher
 
 __all__ = ["LengthGroupedIndex", "GroupedJaccardSearcher"]
 
@@ -107,82 +104,48 @@ class LengthGroupedIndex:
         return len(self.groups)
 
 
-class GroupedJaccardSearcher(CountFilterSearcher):
-    """Count-filter search with per-group T-occurrence thresholds."""
+class GroupedJaccardSearcher(JaccardSearcher):
+    """Count-filter search with per-group T-occurrence thresholds.
 
-    def __init__(
-        self,
-        index: LengthGroupedIndex,
-        algorithm: str = "mergeskip",
-        metric: str = "jaccard",
-        cache=None,
-    ) -> None:
-        super().__init__(
-            index,
-            algorithm,
-            cache=cache,
-            allowed_algorithms=("scancount", "mergeskip"),
-        )
-        self.metric = metric
+    A :class:`~repro.search.searcher.JaccardSearcher` over a
+    :class:`LengthGroupedIndex`: only candidate generation differs — one
+    T-occurrence problem per length group intersecting the query's window,
+    each at the group's own (tighter) threshold, solved while planning.
+    Verification is inherited, so the answers are the flat searcher's.
+    """
 
-    def search(self, query: str, threshold: float) -> SearchResult:
-        """Record ids with ``SIM >= threshold`` — same answers as the plain
-        searcher, computed with tighter per-group thresholds."""
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        with _trace_query(query, threshold, kind="search.grouped"):
-            return self._search_traced(query, threshold)
+    trace_kind = "search.grouped"
 
-    def _search_traced(self, query: str, threshold: float) -> SearchResult:
-        started = time.perf_counter()
-        stats = SearchStats()
-        collection = self.index.collection
-        query_ids = collection.encode_query(query)
-        signature_size = collection.signature_size(query)
-        if signature_size == 0:
-            return self._finish(query, threshold, stats, [], started)
-        low, high = length_bounds(signature_size, threshold, self.metric)
-
-        results: List[int] = []
-        cache = self.cache
+    def _plan_candidates(self, plan: QueryPlan) -> None:
+        query_ids, low, high, signature_size = plan.payload
+        index, cache, stats = self.index, self.cache, plan.stats
         tokens = query_ids.tolist()
-        for group in self.index.groups_for_range(low, high):
-            lists = self.index.groups[group]
-            probe = [lists[token] for token in tokens if token in lists]
-            if not probe:
-                continue
-            if cache is not None:
-                probe = [cache.wrap(lst) for lst in probe]
-            group_floor = max(low, self.index.group_min_size[group])
-            group_threshold = required_overlap(
-                signature_size, group_floor, threshold, self.metric
-            )
-            if group_threshold > query_ids.size:
-                continue
-            stats.lists_probed += len(probe)
-            stats.postings_available += sum(len(lst) for lst in probe)
-            stats.count_threshold = max(
-                stats.count_threshold, group_threshold
-            )
-            if self.algorithm == "scancount":
-                candidates = scan_count(
-                    probe, max(1, group_threshold), len(collection)
-                )
-            else:
-                candidates = merge_skip(probe, max(1, group_threshold))
-            stats.candidates += int(candidates.size)
-            for candidate in candidates.tolist():
-                record = collection.records[candidate]
-                if not low <= record.size <= high:
+        candidates: List[int] = []
+        with _METRICS.span("search.filter"):
+            for group in index.groups_for_range(low, high):
+                lists = index.groups[group]
+                probe = [lists[token] for token in tokens if token in lists]
+                if not probe:
                     continue
-                needed = required_overlap(
-                    signature_size, record.size, threshold, self.metric
+                group_threshold = required_overlap(
+                    signature_size,
+                    max(low, index.group_min_size[group]),
+                    plan.threshold,
+                    self.metric,
                 )
-                stats.verifications += 1
-                if (
-                    verify_overlap_from(query_ids, record, 0, 0, 0, needed)
-                    >= needed
-                ):
-                    results.append(candidate)
-        results.sort()
-        return self._finish(query, threshold, stats, results, started)
+                if group_threshold > query_ids.size:
+                    continue
+                if cache is not None:
+                    probe = [cache.wrap(lst) for lst in probe]
+                stats.lists_probed += len(probe)
+                stats.postings_available += sum(len(lst) for lst in probe)
+                stats.count_threshold = max(
+                    stats.count_threshold, group_threshold
+                )
+                candidates.extend(
+                    self._candidates(probe, max(1, group_threshold)).tolist()
+                )
+        # groups partition the records, so the per-group answers are disjoint
+        candidates.sort()
+        plan.mode = "direct"
+        plan.direct_candidates = candidates

@@ -17,47 +17,34 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from ..compression.base import SortedIDList
+from ..compression.base import ELEMENT_BITS, SortedIDList
 from ..core.framework import offline_factory
 from ..obs import METRICS as _METRICS
-from ..obs import trace_query as _trace_query
 from ..similarity.measures import length_bounds, required_overlap
 from ..similarity.tokenize import TokenizedCollection
 from ..similarity.verify import verify_overlap_from
 from .base import CountFilterSearcher, QueryPlan
 from .result import SearchResult, SearchStats
 
-__all__ = ["InvertedIndex", "JaccardSearcher", "SearchStats", "SearchResult"]
+__all__ = [
+    "PostingIndex",
+    "InvertedIndex",
+    "JaccardSearcher",
+    "SearchStats",
+    "SearchResult",
+]
 
 
-class InvertedIndex:
-    """Signature -> posting-list index under a pluggable offline scheme."""
+class PostingIndex:
+    """The posting-index protocol the searchers run on.
 
-    def __init__(
-        self,
-        collection: TokenizedCollection,
-        scheme: str = "css",
-        **scheme_kwargs,
-    ) -> None:
-        self.collection = collection
-        self.scheme = scheme
-        factory = offline_factory(scheme)
-        grouped: Dict[int, List[int]] = {}
-        for record_id, tokens in enumerate(collection.records):
-            for token in tokens.tolist():
-                grouped.setdefault(token, []).append(record_id)
-        start = time.perf_counter()
-        with _METRICS.span("index.build"):
-            self.lists: Dict[int, SortedIDList] = {
-                token: factory(np.asarray(ids, dtype=np.int64), **scheme_kwargs)
-                for token, ids in grouped.items()
-            }
-        self.build_seconds = time.perf_counter() - start
-        if _METRICS.enabled:
-            _METRICS.inc("index.lists_built", len(self.lists))
-        self.supports_random_access = all(
-            lst.supports_random_access for lst in self.lists.values()
-        )
+    An index is ``lists`` (signature id -> sorted id list), the tokenized
+    ``collection`` behind it, its ``scheme`` name and
+    ``supports_random_access``; the lookups and the paper's size accounting
+    below are defined once for the offline and the dynamic index.
+    """
+
+    lists: Dict[int, SortedIDList]
 
     def __len__(self) -> int:
         return len(self.lists)
@@ -89,15 +76,41 @@ class InvertedIndex:
         compressed = self.size_bits()
         if compressed == 0:
             return 1.0
-        from ..compression.base import ELEMENT_BITS
-
         return ELEMENT_BITS * self.num_postings() / compressed
+
+
+class InvertedIndex(PostingIndex):
+    """Signature -> posting-list index under a pluggable offline scheme."""
+
+    def __init__(
+        self,
+        collection: TokenizedCollection,
+        scheme: str = "css",
+        **scheme_kwargs,
+    ) -> None:
+        self.collection = collection
+        self.scheme = scheme
+        factory = offline_factory(scheme)
+        grouped: Dict[int, List[int]] = {}
+        for record_id, tokens in enumerate(collection.records):
+            for token in tokens.tolist():
+                grouped.setdefault(token, []).append(record_id)
+        start = time.perf_counter()
+        with _METRICS.span("index.build"):
+            self.lists: Dict[int, SortedIDList] = {
+                token: factory(np.asarray(ids, dtype=np.int64), **scheme_kwargs)
+                for token, ids in grouped.items()
+            }
+        self.build_seconds = time.perf_counter() - start
+        if _METRICS.enabled:
+            _METRICS.inc("index.lists_built", len(self.lists))
+        self.supports_random_access = all(
+            lst.supports_random_access for lst in self.lists.values()
+        )
 
 
 class JaccardSearcher(CountFilterSearcher):
     """Count-filter similarity search for Jaccard (and Cosine/Dice) metrics."""
-
-    supports_plan_hooks = True
 
     def __init__(
         self,
@@ -109,15 +122,7 @@ class JaccardSearcher(CountFilterSearcher):
         super().__init__(index, algorithm, cache=cache)
         self.metric = metric
 
-    def search(self, query: str, threshold: float) -> SearchResult:
-        """Record ids with ``SIM(query, record) >= threshold``, ascending."""
-        if not 0 < threshold <= 1:
-            raise ValueError(f"threshold must be in (0, 1], got {threshold}")
-        with _trace_query(query, threshold):
-            return self._search_traced(query, threshold)
-
     def _plan(self, query: str, threshold: float) -> QueryPlan:
-        # the batched path enters here directly, bypassing search()
         if not 0 < threshold <= 1:
             raise ValueError(f"threshold must be in (0, 1], got {threshold}")
         started = time.perf_counter()
@@ -130,24 +135,31 @@ class JaccardSearcher(CountFilterSearcher):
         )
         if signature_size == 0:
             return plan
+        low, high = length_bounds(signature_size, threshold, self.metric)
+        plan.payload = (query_ids, low, high, signature_size)
+        self._plan_candidates(plan)
+        return plan
+
+    def _plan_candidates(self, plan: QueryPlan) -> None:
+        """Say how ``plan``'s candidates are produced: here, one
+        T-occurrence problem over the flat index."""
+        query_ids, low, _, signature_size = plan.payload
+        stats = plan.stats
         # minimum count over all admissible candidate lengths: for Jaccard
         # |s| >= tau |r| implies overlap >= ceil(tau |r|)  (Section 3.1.1)
-        low, high = length_bounds(signature_size, threshold, self.metric)
         count_threshold = required_overlap(
-            signature_size, low, threshold, self.metric
+            signature_size, low, plan.threshold, self.metric
         )
         stats.count_threshold = count_threshold
         if count_threshold > query_ids.size:
             # too many query tokens unseen in the collection
-            return plan
+            return
         lists = self._probe_lists(query_ids.tolist())
         stats.lists_probed = len(lists)
         stats.postings_available = sum(len(lst) for lst in lists)
         plan.mode = "filter"
         plan.lists = lists
         plan.count_threshold = max(1, count_threshold)
-        plan.payload = (query_ids, low, high, signature_size)
-        return plan
 
     def _verify(self, plan: QueryPlan, candidates: List[int]) -> List[int]:
         query_ids, low, high, signature_size = plan.payload

@@ -9,8 +9,9 @@ token arrays).  Two layouts share the container:
 * **static** (``"dynamic": false``) — an offline
   :class:`~repro.search.searcher.InvertedIndex`.  Opened with
   ``mmap=True`` every array is ``np.load(..., mmap_mode='r')`` and the
-  per-list stores are zero-copy
-  :class:`~repro.compression.twolayer.FrozenTwoLayerStore` views, so N
+  per-list stores are zero-copy, read-only
+  :meth:`TwoLayerStore.from_arrays(..., copy=False)
+  <repro.compression.twolayer.TwoLayerStore.from_arrays>` views, so N
   fork workers (or N processes opening the same bundle) share one on-disk
   copy of the posting-list payloads through the page cache.
 * **dynamic** (``"dynamic": true``) — a snapshot of a
@@ -30,19 +31,13 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..compression.online import OnlineSortedIDList
-from ..compression.serialize import store_from_arrays, store_to_arrays
-from ..compression.twolayer import TwoLayerList
+from ..compression.twolayer import LayoutError, TwoLayerList, TwoLayerStore
 from ..compression.uncompressed import UncompressedList
 from ..similarity.tokenize import TokenDictionary, TokenizedCollection
-from .arrays import (
-    LoadedTwoLayerList,
-    LoadedUncompressedList,
-    corruption_error,
-    require,
-    validate_store_arrays,
-)
 
 __all__ = [
+    "corruption_error",
+    "require",
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
     "SHARDED_BUNDLE_KIND",
@@ -90,6 +85,44 @@ _DYNAMIC_ARRAY_DTYPES = {
     "buffer_counts": np.int64,
     "buffer_values": np.int64,
 }
+
+
+def corruption_error(
+    what: str,
+    *,
+    file: Optional[object] = None,
+    key: Optional[str] = None,
+    token: Optional[int] = None,
+) -> ValueError:
+    """A load-time integrity error that names where the corruption sits.
+
+    ``file`` is the container path (``None`` for in-memory arrays), ``key``
+    the offending array inside it, ``token`` the list the extent belongs
+    to.  Every loader funnels through here so a failed ``repro check`` or
+    ``open()`` pinpoints the byte range to inspect instead of reporting a
+    bare token id.
+    """
+    parts = ["corrupted index file"]
+    if file is not None:
+        parts.append(str(file))
+    message = " ".join(parts)
+    if key is not None:
+        message += f": array {key!r}"
+    if token is not None:
+        message += f": list for token {token}"
+    return ValueError(f"{message}: {what}")
+
+
+def require(
+    condition: bool,
+    what: str,
+    *,
+    file: Optional[object] = None,
+    key: Optional[str] = None,
+    token: Optional[int] = None,
+) -> None:
+    if not condition:
+        raise corruption_error(what, file=file, key=key, token=token)
 
 
 def read_manifest(
@@ -143,7 +176,7 @@ def _collect_store_arrays(
         tokens.append(int(token))
         kinds.append(kind)
         if kind == _KIND_TWOLAYER:
-            arrays = store_to_arrays(payload)
+            arrays = payload.to_arrays()
             bases.append(arrays["bases"])
             offsets.append(arrays["offsets"])
             widths.append(arrays["widths"])
@@ -416,9 +449,15 @@ def _load_collection(
     )
 
 
-def _iter_list_arrays(path: Path, arrays: Dict[str, np.ndarray]):
-    """Yield ``(position, token, kind, store_arrays_or_values)`` per list,
-    validating the consolidated extents."""
+def _iter_lists(path: Path, arrays: Dict[str, np.ndarray], *, copy: bool):
+    """Yield ``(position, token, kind, store_or_values)`` per list,
+    validating the consolidated extents.
+
+    Two-layer lists arrive as stores rebuilt by
+    :meth:`TwoLayerStore.from_arrays` (``copy=False``: aliasing the
+    consolidated arrays); a layout invariant the store finds broken is
+    re-raised naming the token and the ``<key>.npy`` file it sits in.
+    """
     tokens = arrays["tokens"]
     kinds = arrays["kinds"]
     block_counts = arrays["block_counts"]
@@ -482,8 +521,16 @@ def _iter_list_arrays(path: Path, arrays: Dict[str, np.ndarray]):
                     [bit_counts[twolayer_seen]], dtype=np.int64
                 ),
             }
-            validate_store_arrays(store_arrays, token, path)
-            yield position, token, _KIND_TWOLAYER, store_arrays
+            try:
+                store = TwoLayerStore.from_arrays(store_arrays, copy=copy)
+            except LayoutError as error:
+                raise corruption_error(
+                    error.what,
+                    file=path / f"{error.key.split('/')[0]}.npy",
+                    key=error.key,
+                    token=token,
+                ) from error
+            yield position, token, _KIND_TWOLAYER, store
             b += nb
             s += ns
             w += nw
@@ -533,13 +580,13 @@ def _open_static(path: Path, manifest: Dict[str, Any], *, mmap: bool) -> Any:
     index.scheme = manifest["scheme"]
     index.build_seconds = 0.0
     index.lists = {}
-    for _, token, kind, payload in _iter_list_arrays(path, arrays):
+    for _, token, kind, payload in _iter_lists(path, arrays, copy=not mmap):
         if kind == _KIND_TWOLAYER:
-            index.lists[token] = LoadedTwoLayerList(
-                store_from_arrays(payload, copy=not mmap), manifest["scheme"]
+            index.lists[token] = TwoLayerList.from_store(
+                payload, manifest["scheme"]
             )
         elif mmap:
-            index.lists[token] = LoadedUncompressedList(payload)
+            index.lists[token] = UncompressedList.from_array(payload)
         else:
             index.lists[token] = UncompressedList(payload)
     index.supports_random_access = all(
@@ -642,7 +689,7 @@ def _open_dynamic(path: Path, manifest: Dict[str, Any]) -> Any:
         key="buffer_values",
     )
     tails = np.cumsum(buffer_counts)
-    for position, token, kind, payload in _iter_list_arrays(path, arrays):
+    for position, token, kind, payload in _iter_lists(path, arrays, copy=True):
         require(
             kind == _KIND_TWOLAYER,
             "dynamic bundles hold only two-region lists",
@@ -652,10 +699,7 @@ def _open_dynamic(path: Path, manifest: Dict[str, Any]) -> Any:
         )
         lst = index._factory(**index._scheme_kwargs)
         start = int(tails[position]) - int(buffer_counts[position])
-        lst.load_state(
-            store_from_arrays(payload, copy=True),
-            buffer_values[start : int(tails[position])],
-        )
+        lst.load_state(payload, buffer_values[start : int(tails[position])])
         index.lists[token] = lst
     _replay_log(path, index, int(manifest["num_records"]))
     # journaling resumes only after a clean replay: an exception above

@@ -4,7 +4,7 @@ Mirrors :mod:`repro.compression.validate`'s contract: every checker
 returns a list of human-readable violations (empty = healthy) and never
 raises on untrusted input — a load failure *is* the finding.  Because the
 bundle loaders funnel all integrity checks through
-:func:`repro.storage.arrays.corruption_error`, a violation names the
+:func:`repro.storage.bundle.corruption_error`, a violation names the
 offending file and array key, and a dynamic bundle's truncated or
 out-of-sequence append log surfaces with its line number.
 """

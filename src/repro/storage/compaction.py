@@ -22,10 +22,7 @@ import time
 from dataclasses import dataclass
 from typing import Any
 
-import numpy as np
-
-from ..compression.partition import optimal_partition
-from ..compression.twolayer import TwoLayerStore
+from ..compression.css import CSSList
 
 __all__ = ["CompactionStats", "compact_index", "compact_list"]
 
@@ -58,20 +55,13 @@ class CompactionStats:
 def compact_list(lst: Any) -> bool:
     """Re-partition one online list in place; ``False`` if it opted out.
 
-    Decodes the list once, runs the offline DP over the full id sequence,
-    and adopts a freshly packed store through ``load_state`` with an empty
+    Decodes the list once, builds the offline CSS list over the full id
+    sequence and adopts its store through ``load_state`` with an empty
     buffer — the buffered tail is folded into the optimal blocks.
     """
     if not getattr(lst, "compactable", False):
         return False
-    values = np.asarray(lst.to_array(), dtype=np.int64)
-    store = TwoLayerStore()
-    if values.size:
-        boundaries = optimal_partition(values)
-        boundaries.append(int(values.size))
-        for start, end in zip(boundaries[:-1], boundaries[1:]):
-            store.append_block(values[start:end])
-    lst.load_state(store, [])
+    lst.load_state(CSSList(lst.to_array()).store, [])
     return True
 
 

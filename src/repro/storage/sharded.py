@@ -28,13 +28,14 @@ from typing import Any, Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arrays import corruption_error, require
 from .bundle import (
     MANIFEST_NAME,
     SHARDED_BUNDLE_KIND,
     SHARDED_BUNDLE_VERSION,
+    corruption_error,
     open_index,
     read_manifest,
+    require,
     save_index,
     write_manifest,
 )

@@ -451,13 +451,26 @@ class TestRA08StorageModelPrivacy:
     def test_storage_layer_modules_are_whitelisted(self, tmp_path):
         found = lint_snippet(
             tmp_path,
-            "repro/compression/serialize.py",
+            "repro/compression/twolayer.py",
             """
             def dump(store):
                 return list(store._widths)
             """,
         )
         assert found == []
+
+    def test_former_companion_modules_are_not_whitelisted(self, tmp_path):
+        # introspect/validate read the layout through block_widths() /
+        # check() now; only the home module may see the raw vectors
+        found = lint_snippet(
+            tmp_path,
+            "repro/compression/introspect.py",
+            """
+            def widths(store):
+                return list(store._widths)
+            """,
+        )
+        assert codes(found) == ["RA08"]
 
 
 class TestSuppressions:

@@ -82,6 +82,16 @@ class TestJoinKernels:
         assert result.pairs >= 0
         assert result.index_mb > 0
 
+    def test_fractional_edit_distance_is_not_truncated(self, small_aol):
+        for filter_name in ("segment", "edcount"):
+            with pytest.raises(ValueError, match="integral"):
+                run_join(small_aol, filter_name, "adapt", 1.9)
+        index = build_search_index(small_aol, "css").index
+        with pytest.raises(ValueError, match="integral"):
+            run_search_queries(
+                index, ["query"], 1.9, "mergeskip", metric="edit_distance"
+            )
+
     def test_all_schemes_agree_on_pairs(self, small_tweet):
         counts = {
             scheme: run_join(small_tweet, "prefix", scheme, 0.8).pairs

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.join import SegmentFilterJoin, brute_edit_distance_join
+from repro.join import JOIN_FILTERS, SegmentFilterJoin, brute_edit_distance_join
 from repro.join.edcount import EDCountFilterJoin
 
 
@@ -18,6 +18,30 @@ class TestCorrectness:
         count = EDCountFilterJoin(char_strings, q=2, scheme=scheme).join(delta)
         segment = SegmentFilterJoin(char_strings, scheme=scheme).join(delta)
         assert count == segment
+
+
+class TestThresholds:
+    """One validator for every filter (``join.base.check_threshold``): the
+    edit-distance joins take what the edit-distance searcher takes."""
+
+    @pytest.mark.parametrize("name", ["segment", "edcount"])
+    def test_integral_float_is_an_edit_count(self, char_strings, name):
+        join = JOIN_FILTERS[name](char_strings)
+        assert join.join(1.0) == brute_edit_distance_join(char_strings, 1)
+
+    @pytest.mark.parametrize("name", ["segment", "edcount"])
+    def test_fractional_delta_rejected_not_truncated(self, char_strings, name):
+        with pytest.raises(ValueError, match="integral"):
+            JOIN_FILTERS[name](char_strings).join(1.5)
+
+    @pytest.mark.parametrize("name", ["segment", "edcount"])
+    def test_a_collection_is_joined_by_its_strings(
+        self, char_strings, qgram_collection, name
+    ):
+        filter_cls = JOIN_FILTERS[name]
+        assert filter_cls(qgram_collection).join(1) == (
+            filter_cls(char_strings).join(1)
+        )
 
 
 class TestBehaviour:

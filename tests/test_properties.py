@@ -171,14 +171,10 @@ class TestSerializeProperties:
     @given(values=sorted_ids)
     @settings(max_examples=25, deadline=None)
     def test_store_arrays_roundtrip(self, values):
-        from repro.compression import CSSList
-        from repro.compression.serialize import (
-            store_from_arrays,
-            store_to_arrays,
-        )
+        from repro.compression import CSSList, TwoLayerStore
 
         lst = CSSList(values)
-        rebuilt = store_from_arrays(store_to_arrays(lst.store))
+        rebuilt = TwoLayerStore.from_arrays(lst.store.to_arrays())
         assert rebuilt.to_array().tolist() == values
         assert rebuilt.size_bits() == lst.size_bits()
 

@@ -8,6 +8,8 @@ key.
 """
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -151,6 +153,119 @@ class TestStaticBundle:
         loaded = storage.open_index(path)
         assert loaded.lists == {}
         assert list(JaccardSearcher(loaded).search("anything", 0.5).ids) == []
+
+
+# ---------------------------------------------------------------------- #
+# the on-disk format is a contract: docs/api.md's table, not to_arrays()
+# ---------------------------------------------------------------------- #
+def _documented_arrays():
+    """``{kind: {file stem: dtype name}}`` parsed from docs/api.md's table."""
+    text = (Path(__file__).parent.parent / "docs" / "api.md").read_text(
+        encoding="utf-8"
+    )
+    rows = re.findall(
+        r"^\| `(\w+)\.npy` \| `(\w+)` \| (both|dynamic) \|", text, re.M
+    )
+    assert len(rows) == 17
+    return {
+        "static": {name: dtype for name, dtype, where in rows if where == "both"},
+        "dynamic": {name: dtype for name, dtype, _ in rows},
+    }
+
+
+def _saved_arrays(path):
+    return {file.stem: np.load(file).dtype.name for file in path.glob("*.npy")}
+
+
+def _write_handmade_bundle(path, collection):
+    """A static css bundle written file by file from the documented format
+    — no ``save_index``, no ``to_arrays``: every list is one block whose
+    deltas are packed into a single word with plain integer arithmetic."""
+    postings = {}
+    for record_id, record in enumerate(collection.records):
+        for token in record.tolist():
+            postings.setdefault(token, []).append(record_id)
+    columns = {name: [] for name in _documented_arrays()["static"]}
+    for token, ids in postings.items():
+        deltas = [rid - ids[0] for rid in ids[1:]]
+        width = max(1, max(deltas, default=0).bit_length())
+        assert width * len(deltas) <= 64  # fits the one hand-packed word
+        packed = sum(delta << (width * i) for i, delta in enumerate(deltas))
+        columns["tokens"].append(token)
+        columns["kinds"].append(0)
+        columns["block_counts"].append(1)
+        columns["start_counts"].append(2)
+        columns["word_counts"].append(2)
+        columns["bit_counts"].append(width * len(deltas))
+        columns["bases"].append(ids[0])
+        columns["offsets"].append(0)
+        columns["widths"].append(width)
+        columns["starts"] += [0, len(ids)]
+        columns["words"] += [packed, 0]  # the data word, plus one past the end
+    sizes = [record.size for record in collection.records]
+    columns["records_values"] = np.concatenate(collection.records).tolist()
+    columns["records_offsets"] = np.cumsum([0] + sizes).tolist()
+    path.mkdir()
+    for name, dtype in _documented_arrays()["static"].items():
+        np.save(path / f"{name}.npy", np.asarray(columns[name], dtype=dtype))
+    dictionary = collection.dictionary
+    ids = range(len(dictionary))
+    (path / "strings.json").write_text(json.dumps(collection.strings))
+    (path / "dictionary.json").write_text(
+        json.dumps(
+            {
+                "tokens": [dictionary.token_of(i) for i in ids],
+                "frequencies": [dictionary.frequency_of(i) for i in ids],
+            }
+        )
+    )
+    (path / "manifest.json").write_text(
+        json.dumps(
+            {
+                "kind": "repro.index_bundle",
+                "version": 1,
+                "dynamic": False,
+                "scheme": "css",
+                "mode": collection.mode,
+                "q": collection.q,
+                "num_records": len(collection),
+                "num_lists": len(postings),
+            }
+        )
+    )
+
+
+class TestFormatContract:
+    def test_saved_arrays_match_the_documented_table(
+        self, tmp_path, word_collection, word_strings
+    ):
+        documented = _documented_arrays()
+        static = storage.save_index(
+            InvertedIndex(word_collection, scheme="css"), tmp_path / "static"
+        )
+        assert _saved_arrays(static) == documented["static"]
+        index = _dynamic_index(word_strings)
+        try:
+            dynamic = storage.save_index(index, tmp_path / "dynamic")
+            assert _saved_arrays(dynamic) == documented["dynamic"]
+        finally:
+            index.detach_append_log()
+
+    @pytest.mark.parametrize("mmap", [False, True])
+    def test_handmade_bundle_opens_and_answers(self, tmp_path, mmap):
+        from repro.similarity import tokenize_collection
+
+        strings = ["a b c", "a b d", "b c d e", "a e", "c d e f", "a b c d"]
+        collection = tokenize_collection(strings, mode="word")
+        _write_handmade_bundle(tmp_path / "handmade", collection)
+        assert storage.check_path(tmp_path / "handmade") == []
+        index = storage.open_index(tmp_path / "handmade", mmap=mmap)
+        assert index.num_postings() == sum(r.size for r in collection.records)
+        searcher = JaccardSearcher(index)
+        for query in strings:
+            assert searcher.search(query, 0.5) == brute_similarity_search(
+                collection, query, 0.5
+            )
 
 
 # ---------------------------------------------------------------------- #

@@ -682,3 +682,39 @@ class TestStageSumsReconcile:
             "search.filter",
             "search.verify",
         }
+
+    @staticmethod
+    def _children_ratio(document):
+        root, *rest = document["spans"]
+        children = [span for span in rest if span["parent"] == root["id"]]
+        return (
+            {span["name"] for span in children},
+            sum(span["ms"] for span in children) / root["ms"],
+        )
+
+    def test_self_join_stages_sum_to_the_join(self, global_tracer):
+        # the join the benchmark times: Algorithm 1's skeleton opens one
+        # join.probe span for every filter, so the trace has its stages
+        from repro.datasets.text import tweet_like
+        from repro.join import PositionFilterJoin
+        from repro.similarity import tokenize_collection
+
+        collection = tokenize_collection(tweet_like(600, 3))
+        PositionFilterJoin(collection, scheme="adapt").join(0.8)
+        (document,) = global_tracer.drain()
+        names, ratio = self._children_ratio(document)
+        assert names == {"join.probe", "join.finalize"}
+        assert len(document["spans"]) == 3  # one span per stage, none per record
+        assert 0.85 <= ratio <= 1.15
+
+    def test_grouped_search_has_the_searchers_stages(
+        self, word_collection, global_tracer
+    ):
+        from repro.search import GroupedJaccardSearcher, LengthGroupedIndex
+
+        searcher = GroupedJaccardSearcher(LengthGroupedIndex(word_collection))
+        searcher.search(word_collection.strings[0], 0.6)
+        (document,) = global_tracer.drain()
+        assert document["name"] == "search.grouped"
+        names, _ = self._children_ratio(document)
+        assert names == {"search.filter", "search.verify"}
