@@ -37,7 +37,7 @@ def _thresholds(name):
 
 
 def _metric(name):
-    return "edit_distance" if name == "aol" else "jaccard"
+    return "ed" if name == "aol" else "jaccard"
 
 
 @pytest.mark.parametrize("name", DATASETS)

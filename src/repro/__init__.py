@@ -28,7 +28,7 @@ Subpackages
 
 * :mod:`repro.compression` — offline codecs (Uncomp, MILC, CSS, PForDelta, …)
   and the online two-region lists (Fix, Vari, Adapt, Model),
-* :mod:`repro.core` — list operations and the scheme registry,
+* :mod:`repro.core` — the scheme registry and its factories,
 * :mod:`repro.similarity` — tokenizers, measures, verification,
 * :mod:`repro.search` — SSS engines (ScanCount / MergeSkip / DivideSkip),
 * :mod:`repro.join` — SSJ engines (Count / Prefix / Position / Segment),

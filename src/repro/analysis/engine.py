@@ -1,12 +1,11 @@
 """The lint engine: file walking, suppression handling, reporting.
 
-The engine parses each Python file once, derives its dotted module name
-(so rules can scope themselves to packages like ``repro.compression``),
-runs every selected rule from :data:`repro.analysis.rules.RULES`, and
-filters the findings against the file's suppression comments.  With
-``project=True`` it additionally feeds every parsed module into the
-whole-program index (:mod:`repro.analysis.project`) and runs the
-project-scoped rules RA10-RA13 on top.
+One pass: the engine parses each Python file once, derives its dotted
+module name (so rules can scope themselves to packages like
+``repro.compression``), builds the whole-program index
+(:mod:`repro.analysis.project`) over every parsed file, hands that index
+to every selected rule of :data:`repro.analysis.rules.RULES`, and filters
+the findings against the files' suppression comments.
 
 Suppression syntax (one rule code per comment)::
 
@@ -29,18 +28,10 @@ import json
 import re
 from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 from .project import build_project
-from .project_rules import PROJECT_RULES
-from .rules import (
-    RULES,
-    Module,
-    Violation,
-    enclosing_span,
-    following_span,
-    statement_spans,
-)
+from .rules import RULES, Module, Violation, statement_spans, tag_span
 
 __all__ = [
     "lint_paths",
@@ -96,28 +87,23 @@ def _module_name(path: Path) -> str:
     return ".".join(parts[start:])
 
 
-def _collect_suppressions(
-    lines: Sequence[str], path: Path, tree: Optional[ast.Module] = None
-) -> Tuple[Dict[str, Set[int]], List[Violation]]:
-    """Suppressed ``code -> line numbers`` plus RA00 findings for bad tags.
+def _collect_suppressions(module: Module) -> None:
+    """Fill ``module.suppressed`` and report reasonless tags as RA00.
 
-    With a parse tree available, each tag covers a full statement span: an
-    inline tag covers the innermost statement containing its line, a
-    standalone comment covers the next statement (``node.end_lineno``
-    included), so multi-line statements are silenced as one unit.
+    Each tag covers a full statement span (see
+    :func:`repro.analysis.rules.tag_span`), so multi-line statements are
+    silenced as one unit.
     """
-    spans = statement_spans(tree) if tree is not None else []
-    suppressed: Dict[str, Set[int]] = {}
-    problems: List[Violation] = []
-    for number, line in enumerate(lines, start=1):
+    spans = statement_spans(module.tree)
+    for number, line in enumerate(module.lines, start=1):
         match = _NOQA.search(line)
         if match is None:
             continue
         if not match.group("reason"):
-            problems.append(
+            module.problems.append(
                 Violation(
                     rule="RA00",
-                    path=str(path),
+                    path=str(module.path),
                     line=number,
                     col=match.start(),
                     message=(
@@ -127,96 +113,63 @@ def _collect_suppressions(
                 )
             )
             continue
-        if line.lstrip().startswith("#"):
-            # a standalone comment inside a multi-line statement covers
-            # that statement; one between statements covers the next
-            span = (
-                enclosing_span(spans, number, simple_only=True)
-                or following_span(spans, number)
-                or (number + 1, number + 1)
-            )
-        else:
-            span = enclosing_span(spans, number) or (number, number)
-        target = suppressed.setdefault(match.group("code"), set())
-        target.update(range(span[0], span[1] + 1))
-    return suppressed, problems
+        first, last = tag_span(spans, number, line)
+        target = module.suppressed.setdefault(match.group("code"), set())
+        target.update(range(first, last + 1))
 
 
-def load_module(path: Path) -> Optional[Module]:
-    """Parse one file into a :class:`Module`; ``None`` on a syntax error."""
+def load_module(path: Path) -> Module:
+    """Parse one file into a :class:`Module`, suppression map included.
+
+    A file that does not parse yields a module with an empty tree and an
+    RA99 entry in ``problems``, so no rule finds anything in it.
+    """
     path = Path(path)
     source = path.read_text(encoding="utf-8")
+    problems: List[Violation] = []
     try:
         tree = ast.parse(source, filename=str(path))
-    except SyntaxError:
-        return None
-    return Module(
+    except SyntaxError as error:
+        tree = ast.Module(body=[], type_ignores=[])
+        problems.append(
+            Violation(
+                rule="RA99",
+                path=str(path),
+                line=error.lineno or 1,
+                col=error.offset or 0,
+                message=f"file does not parse: {error.msg}",
+            )
+        )
+    module = Module(
         path=path,
         name=_module_name(path),
         lines=source.splitlines(),
         tree=tree,
+        problems=problems,
     )
+    if not problems:
+        _collect_suppressions(module)
+    return module
 
 
-def _parse_file(
-    path: Path,
-) -> Tuple[Optional[Module], List[Violation], Dict[str, Set[int]]]:
-    """``(module, parse problems, suppression map)`` for one file."""
-    path = Path(path)
-    source = path.read_text(encoding="utf-8")
-    lines = source.splitlines()
-    try:
-        tree = ast.parse(source, filename=str(path))
-    except SyntaxError as error:
-        problem = Violation(
-            rule="RA99",
-            path=str(path),
-            line=error.lineno or 1,
-            col=error.offset or 0,
-            message=f"file does not parse: {error.msg}",
-        )
-        return None, [problem], {}
-    module = Module(path=path, name=_module_name(path), lines=lines, tree=tree)
-    suppressed, problems = _collect_suppressions(lines, path, tree)
-    return module, problems, suppressed
-
-
-def _split_select(
-    select: Optional[Iterable[str]], project: bool
-) -> Tuple[Set[str], Set[str]]:
-    """Validate a rule selection into (per-file codes, project codes)."""
+def _selected(select: Optional[Iterable[str]]) -> Set[str]:
+    """The rule codes a selection names; ``None`` means every rule."""
     if select is None:
-        return set(RULES), set(PROJECT_RULES) if project else set()
+        return set(RULES)
     codes = set(select)
-    unknown = codes - set(RULES) - set(PROJECT_RULES)
+    unknown = codes - set(RULES)
     if unknown:
-        known = sorted(RULES) + sorted(PROJECT_RULES)
         raise ValueError(
-            f"unknown rule code(s) {sorted(unknown)}; known: {known}"
+            f"unknown rule code(s) {sorted(unknown)}; known: {sorted(RULES)}"
         )
-    project_codes = codes & set(PROJECT_RULES)
-    if project_codes and not project:
-        raise ValueError(
-            f"rule(s) {sorted(project_codes)} need the whole-program "
-            "index; run with --project (lint_paths(project=True))"
-        )
-    return codes & set(RULES), project_codes
+    return codes
 
 
 def lint_file(
     path: Path, select: Optional[Iterable[str]] = None
 ) -> List[Violation]:
-    """All per-file findings for one file (suppressions already applied)."""
-    codes, _ = _split_select(select, project=False)
-    module, findings, suppressed = _parse_file(Path(path))
-    if module is None:
-        return findings
-    for code in sorted(codes):
-        for violation in RULES[code].check(module):
-            if violation.line in suppressed.get(code, ()):
-                continue
-            findings.append(violation)
-    return findings
+    """All findings for one file, linted as a one-file program."""
+    return lint_paths([path], select)[0]
 
 
 def _iter_files(paths: Sequence[Path]) -> List[Path]:
@@ -235,44 +188,26 @@ def _iter_files(paths: Sequence[Path]) -> List[Path]:
 def lint_paths(
     paths: Optional[Sequence[Path]] = None,
     select: Optional[Iterable[str]] = None,
-    *,
-    project: bool = False,
 ) -> Tuple[List[Violation], int]:
     """Lint files/directories; returns ``(violations, files_checked)``.
 
     ``paths=None`` lints the source checkout itself (``src/repro`` plus
     the ``tests/`` and ``benchmarks/`` trees when present) — the
-    self-lint mode CI and the test suite run.  ``project=True`` builds
-    the whole-program index over every parsed file and runs the
-    project rules (RA10-RA13) as well.
+    self-lint mode CI and the test suite run.  Every selected rule sees
+    the whole-program index over exactly the files named.
     """
-    targets = [Path(p) for p in paths] if paths else default_targets()
-    files = _iter_files(targets)
-    file_codes, project_codes = _split_select(select, project)
-    violations: List[Violation] = []
-    modules: List[Module] = []
-    suppression_map: Dict[str, Dict[str, Set[int]]] = {}
-    for path in files:
-        module, problems, suppressed = _parse_file(path)
-        violations.extend(problems)
-        if module is None:
-            continue
-        modules.append(module)
-        suppression_map[str(path)] = suppressed
-        for code in sorted(file_codes):
-            for violation in RULES[code].check(module):
-                if violation.line in suppressed.get(code, ()):
-                    continue
-                violations.append(violation)
-    if project and project_codes:
-        index = build_project(modules)
-        for code in sorted(project_codes):
-            for violation in PROJECT_RULES[code].check(index):
-                suppressed_lines = suppression_map.get(
-                    violation.path, {}
-                ).get(code, set())
-                if violation.line in suppressed_lines:
-                    continue
+    codes = _selected(select)
+    files = _iter_files(list(paths) if paths else default_targets())
+    modules = {str(path): load_module(path) for path in files}
+    violations = [v for m in modules.values() for v in m.problems]
+    index = build_project(list(modules.values()))
+    for code in sorted(codes):
+        for violation in RULES[code].check(index):
+            # a finding outside the scanned files (the NAMES manifest) has
+            # no module and so no suppression
+            module = modules.get(violation.path)
+            tagged = module.suppressed if module is not None else {}
+            if violation.line not in tagged.get(code, ()):
                 violations.append(violation)
     violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return violations, len(files)
@@ -283,10 +218,24 @@ JSON_SCHEMA = "repro.analysis/v1"
 
 
 def format_violations(
-    violations: Sequence[Violation], fmt: str = "text", files_checked: int = 0
+    violations: Sequence[Violation],
+    fmt: str = "text",
+    files_checked: int = 0,
+    select: Optional[Iterable[str]] = None,
 ) -> str:
     """Render findings as ``text``, a stable ``json`` document, or
-    ``github`` workflow annotations."""
+    ``github`` workflow annotations.
+
+    ``select`` is the selection :func:`lint_paths` was given; the summary
+    line counts the rules that ran.
+    """
+    if violations:
+        summary = f"{len(violations)} violation(s) in {files_checked} files"
+    else:
+        summary = (
+            f"clean: {files_checked} files checked, "
+            f"{len(_selected(select))} rule(s), 0 violations"
+        )
     if fmt == "json":
         payload = {
             "schema": JSON_SCHEMA,
@@ -300,23 +249,10 @@ def format_violations(
             f"title={v.rule}::{v.message}"
             for v in violations
         ]
-        lines.append(_summary_line(violations, files_checked))
+        lines.append(summary)
         return "\n".join(lines)
     if fmt != "text":
         raise ValueError(
             f"format must be 'text', 'json', or 'github', got {fmt!r}"
         )
-    if not violations:
-        return _summary_line(violations, files_checked)
-    rendered = [v.render() for v in violations]
-    rendered.append(_summary_line(violations, files_checked))
-    return "\n".join(rendered)
-
-
-def _summary_line(violations: Sequence[Violation], files_checked: int) -> str:
-    if not violations:
-        return (
-            f"clean: {files_checked} files checked, "
-            f"{len(RULES) + len(PROJECT_RULES)} rules, 0 violations"
-        )
-    return f"{len(violations)} violation(s) in {files_checked} files"
+    return "\n".join([v.render() for v in violations] + [summary])

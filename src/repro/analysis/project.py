@@ -1,8 +1,8 @@
-"""The whole-program index behind the project rules (RA10-RA13).
+"""The whole-program index every lint rule is handed.
 
-One parse sweep over every module produces:
+One sweep over the already-parsed modules produces:
 
-- a module table (dotted name -> :class:`ModuleFacts`),
+- a module table (one :class:`ModuleFacts` per scanned file),
 - per-class attribute tables (which ``self.X`` attributes exist, which are
   locks, which are condition aliases of a lock, which hold unpicklable
   resources, which are built from project classes),
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set
 
-from .rules import Module, enclosing_span, following_span, statement_spans
+from .rules import Module, statement_spans, tag_span
 
 __all__ = [
     "AttrAccess",
@@ -158,12 +158,19 @@ class ModuleFacts:
 
 @dataclass
 class ProjectIndex:
-    """The cross-module view handed to every project rule."""
+    """The cross-module view handed to every rule."""
 
-    modules: Dict[str, ModuleFacts] = field(default_factory=dict)
+    #: one entry per scanned file, in scan order; dotted names are not
+    #: unique outside a ``repro`` tree (two ``conftest.py`` are both
+    #: ``conftest``), so this is a list, not a table keyed by name
+    modules: List[ModuleFacts] = field(default_factory=list)
+
+    def find_module(self, name: str) -> Optional[ModuleFacts]:
+        """The first scanned module with this dotted name."""
+        return next((f for f in self.modules if f.module.name == name), None)
 
     def iter_classes(self) -> Iterator[ClassInfo]:
-        for facts in self.modules.values():
+        for facts in self.modules:
             yield from facts.classes.values()
 
     def find_classes(self, simple_name: str) -> List[ClassInfo]:
@@ -177,8 +184,8 @@ class ProjectIndex:
         so fixture trees (``tmp/repro/...``) resolve to their own root and
         never leak facts from the installed package.
         """
-        for name, facts in self.modules.items():
-            parts = name.split(".")
+        for facts in self.modules:
+            parts = facts.module.name.split(".")
             if parts[0] != "repro":
                 continue
             path = facts.module.path.resolve()
@@ -439,15 +446,8 @@ def _collect_guarded_hints(module: Module) -> Dict[int, FrozenSet[str]]:
         )
         if not names:
             continue
-        if line.lstrip().startswith("#"):
-            span = (
-                enclosing_span(spans, number, simple_only=True)
-                or following_span(spans, number)
-                or (number + 1, number + 1)
-            )
-        else:
-            span = enclosing_span(spans, number) or (number, number)
-        for covered in range(span[0], span[1] + 1):
+        first, last = tag_span(spans, number, line)
+        for covered in range(first, last + 1):
             hints[covered] = hints.get(covered, frozenset()) | names
     return hints
 
@@ -482,7 +482,4 @@ def _scan_module(module: Module) -> ModuleFacts:
 
 def build_project(modules: Sequence[Module]) -> ProjectIndex:
     """One sweep over already-parsed modules -> the project index."""
-    index = ProjectIndex()
-    for module in modules:
-        index.modules[module.name] = _scan_module(module)
-    return index
+    return ProjectIndex([_scan_module(module) for module in modules])

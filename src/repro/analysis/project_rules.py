@@ -1,10 +1,11 @@
-"""The project-scoped rules (RA10-RA13), run over a :class:`ProjectIndex`.
+"""The whole-program rules (RA10-RA13).
 
-These rules see the whole program at once — class attribute tables, the
-method -> access map, and the call graph from :mod:`repro.analysis.project`
-— so they can check invariants no single file reveals: lock discipline
-(RA10), event-loop blocking through call chains (RA11), what actually
-crosses a fork/pickle boundary (RA12), and the telemetry namespace (RA13).
+These rules read the whole :class:`ProjectIndex` at once — class attribute
+tables, the method -> access map, and the call graph from
+:mod:`repro.analysis.project` — so they can check invariants no single
+file reveals: lock discipline (RA10), event-loop blocking through call
+chains (RA11), what actually crosses a fork/pickle boundary (RA12), and
+the telemetry namespace (RA13).
 
 Each rule is conservative: facts the index could not resolve produce no
 finding.  The escapes are the same as for the per-file rules — an inline
@@ -16,57 +17,14 @@ named lock through a mechanism the analyzer cannot see.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
-from typing import (
-    Dict,
-    FrozenSet,
-    Iterator,
-    List,
-    Optional,
-    Set,
-    Tuple,
-    Type,
-)
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from .project import ClassInfo, MethodInfo, ModuleFacts, ProjectIndex
-from .rules import Violation
+from .rules import Rule, Violation, register_rule
 
-__all__ = [
-    "PROJECT_RULES",
-    "ProjectRule",
-    "register_project_rule",
-    "project_rule_table",
-    "guarded_attribute_map",
-]
-
-
-class ProjectRule:
-    """Base class: subclasses set ``code``/``summary``, yield findings."""
-
-    code: str = ""
-    summary: str = ""
-
-    def check(self, project: ProjectIndex) -> Iterator[Violation]:
-        raise NotImplementedError
-
-
-#: the project-rule registry, keyed by code.
-PROJECT_RULES: Dict[str, ProjectRule] = {}
-
-
-def register_project_rule(cls: Type[ProjectRule]) -> Type[ProjectRule]:
-    if cls.code in PROJECT_RULES:
-        raise ValueError(f"duplicate project rule code {cls.code}")
-    PROJECT_RULES[cls.code] = cls()
-    return cls
-
-
-def project_rule_table() -> List[Tuple[str, str]]:
-    """``(code, summary)`` pairs for ``repro lint --explain`` and docs."""
-    return [
-        (code, PROJECT_RULES[code].summary)
-        for code in sorted(PROJECT_RULES)
-    ]
+__all__ = ["RA10_EXEMPT_METHODS", "guarded_attribute_map"]
 
 
 # ---------------------------------------------------------------------- #
@@ -74,8 +32,9 @@ def project_rule_table() -> List[Tuple[str, str]]:
 # ---------------------------------------------------------------------- #
 #: methods where unguarded access is fine by construction: the instance is
 #: not shared yet (``__init__``/``__new__``), is being torn down, or is
-#: mid-pickle on a single thread.
-_RA10_EXEMPT_METHODS = frozenset(
+#: mid-pickle on a single thread.  The runtime sanitizer exempts the same
+#: frames.
+RA10_EXEMPT_METHODS = frozenset(
     {
         "__init__",
         "__new__",
@@ -158,8 +117,8 @@ def guarded_attribute_map(cls: ClassInfo) -> Dict[str, FrozenSet[str]]:
     return {attr: frozenset(locks) for attr, locks in guarded.items()}
 
 
-@register_project_rule
-class GuardedByDiscipline(ProjectRule):
+@register_rule
+class GuardedByDiscipline(Rule):
     code = "RA10"
     summary = (
         "attributes written under a class lock must always be accessed "
@@ -168,7 +127,7 @@ class GuardedByDiscipline(ProjectRule):
     )
 
     def check(self, project: ProjectIndex) -> Iterator[Violation]:
-        for facts in project.modules.values():
+        for facts in project.modules:
             if not facts.module.in_package("repro"):
                 continue
             for cls in facts.classes.values():
@@ -185,7 +144,7 @@ class GuardedByDiscipline(ProjectRule):
             return
         entry = _entry_locks(cls, guards)
         for method in cls.methods.values():
-            if method.name in _RA10_EXEMPT_METHODS:
+            if method.name in RA10_EXEMPT_METHODS:
                 continue
             base = entry.get(method.name, frozenset())
             for access in method.accesses:
@@ -297,8 +256,8 @@ def _own_calls(node: ast.AST) -> Iterator[ast.Call]:
         stack.extend(ast.iter_child_nodes(current))
 
 
-@register_project_rule
-class EventLoopBlocking(ProjectRule):
+@register_rule
+class EventLoopBlocking(Rule):
     code = "RA11"
     summary = (
         "code reachable from async def in repro.serve must not call "
@@ -306,7 +265,7 @@ class EventLoopBlocking(ProjectRule):
     )
 
     def check(self, project: ProjectIndex) -> Iterator[Violation]:
-        for facts in project.modules.values():
+        for facts in project.modules:
             if not facts.module.in_package("repro.serve"):
                 continue
             yield from self._check_module(facts)
@@ -393,8 +352,8 @@ def _mentioned_names(node: ast.AST) -> Set[str]:
     return mentioned
 
 
-@register_project_rule
-class ForkPickleSafety(ProjectRule):
+@register_rule
+class ForkPickleSafety(Rule):
     code = "RA12"
     summary = (
         "classes shipped in executor payloads must neutralize locks, "
@@ -413,7 +372,7 @@ class ForkPickleSafety(ProjectRule):
             shipped.append(cls)
             return True
 
-        for facts in project.modules.values():
+        for facts in project.modules:
             if not facts.module.in_package("repro"):
                 continue
             for cls in facts.classes.values():
@@ -529,7 +488,13 @@ def telemetry_names(
             yield first.value, node
 
 
+#: every manifest line is lowercase dotted ``component.operation``; a
+#: bare component is a trace root naming a whole query tree ("join")
+_RA13_NAME = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
+
+
 def _read_manifest(path: Path) -> Dict[str, int]:
+    """Declared ``name -> line number`` (first occurrence wins)."""
     declared: Dict[str, int] = {}
     for number, raw in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
@@ -540,17 +505,18 @@ def _read_manifest(path: Path) -> Dict[str, int]:
     return declared
 
 
-@register_project_rule
-class TelemetryManifest(ProjectRule):
+@register_rule
+class TelemetryManifest(Rule):
     code = "RA13"
     summary = (
         "every constant METRICS/TRACER name must be declared in the "
-        "obs/NAMES manifest (and every manifest entry must be used)"
+        "obs/NAMES manifest, whose entries are dotted lowercase "
+        "component.operation and must each be used"
     )
 
     def check(self, project: ProjectIndex) -> Iterator[Violation]:
         uses: List[Tuple[str, ModuleFacts, ast.Call]] = []
-        for facts in project.modules.values():
+        for facts in project.modules:
             if not facts.module.in_package("repro"):
                 continue
             for name, node in telemetry_names(facts):
@@ -573,6 +539,20 @@ class TelemetryManifest(ProjectRule):
                 )
             return
         declared = _read_manifest(manifest)
+        # every constant name in the package has to be one of these lines,
+        # so the naming convention is checked here, once
+        for name, number in declared.items():
+            if not _RA13_NAME.match(name):
+                yield Violation(
+                    rule=self.code,
+                    path=str(manifest),
+                    line=number,
+                    col=0,
+                    message=(
+                        f"manifest entry {name!r} does not follow the "
+                        "dotted lowercase component.operation convention"
+                    ),
+                )
         used: Set[str] = set()
         for name, facts, node in uses:
             used.add(name)
@@ -590,7 +570,7 @@ class TelemetryManifest(ProjectRule):
             )
         # stale entries are only meaningful on a whole-tree scan; the
         # registry module's presence is the proxy for that
-        if "repro.obs.registry" not in project.modules:
+        if project.find_module("repro.obs.registry") is None:
             return
         for name, number in sorted(declared.items(), key=lambda kv: kv[1]):
             if name in used:

@@ -1,13 +1,16 @@
-"""The repo-specific lint rules (RA02-RA08).
+"""The rule base, the one registry, and the per-file rules.
 
 Each rule encodes an invariant the paper's pipeline depends on but generic
-linters cannot see — which modules are the compressed hot path, which
-integer literals are really the two-layer layout geometry, what shape a
-telemetry name must have.  Rules are small classes registered in
-:data:`RULES`; the engine hands each one a parsed :class:`Module` and
-collects :class:`Violation` records.
+linters cannot see — which integer literals are really the two-layer
+layout geometry, which attributes are the storage model's private vectors,
+which classes must be reachable through the scheme registry.  Rules are
+small classes registered in :data:`RULES`; the engine hands each one the
+:class:`~repro.analysis.project.ProjectIndex` of the scan and collects
+:class:`Violation` records.  A rule that needs one file at a time
+overrides :meth:`Rule.check_module`; the whole-program rules
+(:mod:`repro.analysis.project_rules`) override :meth:`Rule.check`.
 
-Every rule can be silenced for one line with an inline or preceding
+Every finding can be silenced with an inline or preceding
 ``# repro: noqa RAxx -- reason`` comment (see :mod:`repro.analysis.engine`);
 a suppression without a reason is itself flagged (RA00).
 """
@@ -15,10 +18,23 @@ a suppression without a reason is itself flagged (RA00).
 from __future__ import annotations
 
 import ast
-import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Type
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
+
+if TYPE_CHECKING:
+    from .project import ProjectIndex
 
 __all__ = [
     "Violation",
@@ -28,8 +44,7 @@ __all__ = [
     "register_rule",
     "rule_table",
     "statement_spans",
-    "enclosing_span",
-    "following_span",
+    "tag_span",
 ]
 
 
@@ -54,7 +69,12 @@ class Module:
     path: Path
     name: str  # dotted module name, e.g. ``repro.search.toccurrence``
     lines: List[str]
-    tree: ast.Module
+    tree: ast.Module  # empty when the file does not parse (see ``problems``)
+    #: rule code -> line numbers a justified ``# repro: noqa`` tag covers
+    suppressed: Dict[str, Set[int]] = field(default_factory=dict)
+    #: what reading the file itself found: RA99 (does not parse) and RA00
+    #: (suppression without a reason); never suppressible
+    problems: List[Violation] = field(default_factory=list)
 
     def in_package(self, *packages: str) -> bool:
         return any(
@@ -68,8 +88,13 @@ class Rule:
     code: str = ""
     summary: str = ""
 
-    def check(self, module: Module) -> Iterator[Violation]:
-        raise NotImplementedError
+    def check(self, project: ProjectIndex) -> Iterator[Violation]:
+        """Findings over the whole scan; by default, file by file."""
+        for facts in project.modules:
+            yield from self.check_module(facts.module)
+
+    def check_module(self, module: Module) -> Iterator[Violation]:
+        return iter(())
 
     def violation(
         self, module: Module, node: ast.AST, message: str
@@ -118,8 +143,8 @@ def statement_spans(tree: ast.AST) -> List[Tuple[int, int, bool]]:
     return spans
 
 
-def enclosing_span(
-    spans: Iterable[Tuple[int, int, bool]],
+def _enclosing_span(
+    spans: Sequence[Tuple[int, int, bool]],
     line: int,
     simple_only: bool = False,
 ) -> Optional[Tuple[int, int]]:
@@ -139,8 +164,8 @@ def enclosing_span(
     return best
 
 
-def following_span(
-    spans: Iterable[Tuple[int, int, bool]], line: int
+def _following_span(
+    spans: Sequence[Tuple[int, int, bool]], line: int
 ) -> Optional[Tuple[int, int]]:
     """The span of the first statement starting strictly after ``line``.
 
@@ -159,6 +184,24 @@ def following_span(
     if start is None:
         return None
     return (start, end)
+
+
+def tag_span(
+    spans: Sequence[Tuple[int, int, bool]], number: int, line: str
+) -> Tuple[int, int]:
+    """The ``(first, last)`` lines a comment tag on line ``number`` covers.
+
+    An inline tag covers the innermost statement containing its line.  A
+    standalone comment inside a multi-line statement covers that statement;
+    one between statements covers the next.
+    """
+    if line.lstrip().startswith("#"):
+        return (
+            _enclosing_span(spans, number, simple_only=True)
+            or _following_span(spans, number)
+            or (number + 1, number + 1)
+        )
+    return _enclosing_span(spans, number) or (number, number)
 
 
 def _walk(module: Module) -> Iterable[ast.AST]:
@@ -200,7 +243,7 @@ class MagicConstantDrift(Rule):
         "imported from repro.compression.constants, not retyped"
     )
 
-    def check(self, module: Module) -> Iterator[Violation]:
+    def check_module(self, module: Module) -> Iterator[Violation]:
         if not module.in_package("repro.compression"):
             return
         if module.name == "repro.compression.constants":
@@ -224,124 +267,6 @@ class MagicConstantDrift(Rule):
 
 
 # ---------------------------------------------------------------------- #
-# RA03 — telemetry names follow the component.operation convention
-# ---------------------------------------------------------------------- #
-#: METRICS spans/counters must be component.operation (>= 2 components);
-#: TRACER roots name a whole query tree, so a bare component is allowed
-#: ("search", "join") — but every component must still be a lowercase
-#: identifier ("Search", "join-run", "join run" all fail)
-_RA03_DOTTED = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)+$")
-_RA03_COMPONENT = re.compile(r"^[a-z][a-z0-9_]*(\.[a-z][a-z0-9_]*)*$")
-_RA03_METHODS = ("span", "inc", "observe", "trace")
-_RA03_RECEIVERS = ("METRICS", "TRACER")
-
-
-@register_rule
-class SpanNaming(Rule):
-    code = "RA03"
-    summary = (
-        "METRICS span/counter names must be dotted lowercase "
-        "component.operation; TRACER roots a lowercase component"
-    )
-
-    def check(self, module: Module) -> Iterator[Violation]:
-        for node in _walk(module):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _RA03_METHODS
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id.lstrip("_").upper() in _RA03_RECEIVERS
-            ):
-                continue
-            if not node.args:
-                continue
-            first = node.args[0]
-            if not (
-                isinstance(first, ast.Constant)
-                and isinstance(first.value, str)
-            ):
-                continue
-            pattern = (
-                _RA03_COMPONENT
-                if node.func.attr == "trace"
-                else _RA03_DOTTED
-            )
-            if not pattern.match(first.value):
-                yield self.violation(
-                    module,
-                    first,
-                    f"telemetry name {first.value!r} does not follow the "
-                    "dotted component.operation convention",
-                )
-
-
-# ---------------------------------------------------------------------- #
-# RA04 — executor payloads must be module-level callables
-# ---------------------------------------------------------------------- #
-@register_rule
-class PoolPayloadSafety(Rule):
-    code = "RA04"
-    summary = (
-        "callables submitted to executors must be module-level functions "
-        "(lambdas/closures break process pools under spawn)"
-    )
-
-    def check(self, module: Module) -> Iterator[Violation]:
-        nested = _nested_function_names(module.tree)
-        for node in _walk(module):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-            ):
-                continue
-            attr = node.func.attr
-            if attr == "submit":
-                pass
-            elif attr == "map" and _looks_like_executor(node.func.value):
-                pass
-            else:
-                continue
-            if not node.args:
-                continue
-            payload = node.args[0]
-            if isinstance(payload, ast.Lambda):
-                yield self.violation(
-                    module,
-                    payload,
-                    f"lambda passed to .{attr}(); hoist it to a "
-                    "module-level function so the payload survives a "
-                    "spawn-based process pool",
-                )
-            elif isinstance(payload, ast.Name) and payload.id in nested:
-                yield self.violation(
-                    module,
-                    payload,
-                    f"nested function {payload.id!r} passed to .{attr}(); "
-                    "hoist it to module level so the payload survives a "
-                    "spawn-based process pool",
-                )
-
-
-def _looks_like_executor(node: ast.AST) -> bool:
-    return isinstance(node, ast.Name) and (
-        "pool" in node.id.lower() or "executor" in node.id.lower()
-    )
-
-
-def _nested_function_names(tree: ast.Module) -> set:
-    names = set()
-    for outer in ast.walk(tree):
-        if isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for inner in ast.walk(outer):
-                if inner is not outer and isinstance(
-                    inner, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    names.add(inner.name)
-    return names
-
-
-# ---------------------------------------------------------------------- #
 # RA05 — every concrete scheme class is registered
 # ---------------------------------------------------------------------- #
 #: sentinel scheme_name values of the abstract base classes
@@ -356,7 +281,7 @@ class RegistryCompleteness(Rule):
         "with register_scheme (decorator or module-level call)"
     )
 
-    def check(self, module: Module) -> Iterator[Violation]:
+    def check_module(self, module: Module) -> Iterator[Violation]:
         registered = _names_registered_by_call(module.tree)
         for node in _walk(module):
             if not isinstance(node, ast.ClassDef):
@@ -433,7 +358,7 @@ class NoAssertInvariants(Rule):
         "(asserts vanish under python -O)"
     )
 
-    def check(self, module: Module) -> Iterator[Violation]:
+    def check_module(self, module: Module) -> Iterator[Violation]:
         if not module.in_package("repro"):
             # tests and benchmarks assert by design; only shipped library
             # code has to survive ``python -O``
@@ -462,7 +387,7 @@ class BroadExcept(Rule):
         "'# repro: noqa RA07 -- reason' justification unless it re-raises"
     )
 
-    def check(self, module: Module) -> Iterator[Violation]:
+    def check_module(self, module: Module) -> Iterator[Violation]:
         for node in _walk(module):
             if not isinstance(node, ast.ExceptHandler):
                 continue
@@ -524,7 +449,7 @@ class StorageModelPrivacy(Rule):
         "private to the storage layer; use the public block-store surface"
     )
 
-    def check(self, module: Module) -> Iterator[Violation]:
+    def check_module(self, module: Module) -> Iterator[Violation]:
         if not module.in_package("repro"):
             return
         if module.name in _RA08_WHITELIST:

@@ -31,6 +31,10 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Type
 
+from .engine import load_module
+from .project import build_project
+from .project_rules import RA10_EXEMPT_METHODS, guarded_attribute_map
+
 __all__ = [
     "LockDisciplineError",
     "guarded_plans",
@@ -53,20 +57,6 @@ _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("repro.obs.registry", "MetricsRegistry"),
 )
 
-#: frames allowed to write guarded attributes lock-free, mirroring the
-#: static rule's method whitelist
-_EXEMPT_FRAMES = frozenset(
-    {
-        "__init__",
-        "__new__",
-        "__del__",
-        "__getstate__",
-        "__setstate__",
-        "__reduce__",
-        "__reduce_ex__",
-    }
-)
-
 #: class -> original ``__setattr__`` from the class __dict__ (None when it
 #: was inherited), while the sanitizer is installed
 _PATCHED: Dict[type, Optional[Any]] = {}
@@ -80,18 +70,11 @@ def guarded_plans() -> Dict[str, Dict[str, Tuple[str, ...]]]:
     the canonical lock plus any condition alias wrapping it (owning
     ``self._wake`` and owning ``self._lock`` are the same thing).
     """
-    from .engine import load_module
-    from .project import build_project
-    from .project_rules import guarded_attribute_map
-
     modules = []
     for module_name, _ in _TARGETS:
         spec = importlib.import_module(module_name).__file__
-        if spec is None:
-            continue
-        module = load_module(Path(spec))
-        if module is not None:
-            modules.append(module)
+        if spec is not None:
+            modules.append(load_module(Path(spec)))
     index = build_project(modules)
     plans: Dict[str, Dict[str, Tuple[str, ...]]] = {}
     for _, class_name in _TARGETS:
@@ -143,7 +126,7 @@ def _make_setattr(
         candidates = guards.get(name)
         if candidates is not None:
             caller = sys._getframe(1).f_code.co_name
-            if caller not in _EXEMPT_FRAMES:
+            if caller not in RA10_EXEMPT_METHODS:
                 held = object.__getattribute__(self, "__dict__")
                 locks = [
                     held[lock] for lock in candidates if lock in held

@@ -15,9 +15,9 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..datasets.loader import Dataset
+from ..engine import SimilarityEngine
 from ..join import JOIN_FILTERS
-from ..search.edsearch import EditDistanceSearcher
-from ..search.searcher import InvertedIndex, JaccardSearcher
+from ..search.searcher import InvertedIndex
 
 __all__ = [
     "SearchIndexResult",
@@ -68,14 +68,17 @@ def run_search_queries(
     algorithm: str,
     metric: str = "jaccard",
 ) -> Dict[str, float]:
-    """Average per-query latency + result counts for one (algo, tau) cell."""
-    if metric == "edit_distance":
-        searcher = EditDistanceSearcher(index, algorithm=algorithm)
-    else:
-        searcher = JaccardSearcher(index, algorithm=algorithm, metric=metric)
+    """Average per-query latency + result counts for one (algo, tau) cell.
+
+    ``metric`` is the engine's spelling (``"jaccard"``/``"cosine"``/
+    ``"dice"``/``"ed"``); no decode cache, so every query pays its decodes.
+    """
+    engine = SimilarityEngine(
+        index=index, algorithm=algorithm, metric=metric, cache_entries=0
+    )
     start = time.perf_counter()
     total_results = sum(
-        len(searcher.search(query, threshold)) for query in queries
+        len(engine.search(query, threshold)) for query in queries
     )
     elapsed = time.perf_counter() - start
     return {

@@ -516,13 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated rule codes to run, e.g. RA02,RA07 (default all)",
     )
     lint.add_argument(
-        "--project",
-        action="store_true",
-        help="build the whole-program index and run the project rules "
-        "(RA10-RA13: lock discipline, async blocking, fork safety, "
-        "telemetry manifest) as well",
-    )
-    lint.add_argument(
         "--format",
         choices=("text", "json", "github"),
         default="text",
@@ -891,29 +884,19 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_lint(args) -> int:
-    from .analysis import (
-        format_violations,
-        lint_paths,
-        project_rule_table,
-        rule_table,
-    )
+    from .analysis import format_violations, lint_paths, rule_table
 
     if args.explain:
         for code, summary in rule_table():
             print(f"{code}  {summary}")
-        for code, summary in project_rule_table():
-            print(f"{code}* {summary}")
-        print("(* = project rule; needs --project)")
         return 0
     select = args.select.split(",") if args.select else None
     try:
-        violations, files_checked = lint_paths(
-            args.paths or None, select, project=args.project
-        )
+        violations, files_checked = lint_paths(args.paths or None, select)
     except (ValueError, FileNotFoundError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    print(format_violations(violations, args.format, files_checked))
+    print(format_violations(violations, args.format, files_checked, select))
     return 1 if violations else 0
 
 

@@ -4,8 +4,9 @@ Section 3.2 of the paper derives the operations every filtering technique
 needs from a posting list:
 
 * **Verification** — membership test (:meth:`SortedIDList.contains`),
-* **Intersection / Union** — provided generically in
-  :mod:`repro.core.listops` on top of cursors,
+* **Intersection / Union** — done where they are needed, on cursors and
+  decoded arrays (:mod:`repro.search.toccurrence`,
+  :mod:`repro.search.batchkernels`, the join filters),
 * **Insert** — appending ids in ascending order (online lists only,
   :class:`repro.compression.online.base.OnlineSortedIDList`).
 

@@ -1,4 +1,4 @@
-"""Core of the CSS framework: list operations and the scheme registry."""
+"""Core of the CSS framework: the scheme registry and its factories."""
 
 from .framework import (
     OFFLINE_SCHEMES,
@@ -9,7 +9,6 @@ from .framework import (
     register_scheme,
     scheme_factory,
 )
-from .listops import intersect, intersect_many, merge_counts, union_many
 
 __all__ = [
     "OFFLINE_SCHEMES",
@@ -19,8 +18,4 @@ __all__ = [
     "register_scheme",
     "scheme_factory",
     "UncompressedOnlineList",
-    "intersect",
-    "intersect_many",
-    "union_many",
-    "merge_counts",
 ]

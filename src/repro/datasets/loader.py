@@ -79,7 +79,7 @@ _METRICS: Dict[str, str] = {
     "dblp": "jaccard",
     "tweet": "jaccard",
     "dna": "jaccard",
-    "aol": "edit_distance",
+    "aol": "ed",
     "amazon": "jaccard",
     "zipf": "jaccard",
     "uniform": "jaccard",
@@ -114,7 +114,7 @@ class Dataset:
     def __post_init__(self) -> None:
         lengths = (
             self.collection.lengths
-            if self.metric != "edit_distance"
+            if self.metric != "ed"
             else np.asarray([len(text) for text in self.strings])
         )
         raw_bytes = sum(len(text) for text in self.strings)

@@ -1,4 +1,4 @@
-"""The whole-program index and the project rules RA10-RA13.
+"""The whole-program index and the rules that need it, RA10-RA13.
 
 Fixtures mimic the ``repro`` package layout under ``tmp_path`` (the
 module-name anchoring makes ``tmp/repro/serve/mod.py`` lint exactly like
@@ -11,10 +11,14 @@ from __future__ import annotations
 import textwrap
 from pathlib import Path
 
-import pytest
-
-from repro.analysis import build_project, guarded_attribute_map, lint_paths
-from repro.analysis.engine import _module_name, load_module
+from repro.analysis import (
+    build_project,
+    guarded_attribute_map,
+    lint_file,
+    lint_paths,
+    load_module,
+)
+from repro.analysis.engine import _module_name
 
 
 def write_tree(tmp_path, files):
@@ -30,14 +34,13 @@ def write_tree(tmp_path, files):
 
 def lint_project(tmp_path, files, select=None):
     paths = write_tree(tmp_path, files)
-    violations, _ = lint_paths(paths, select=select, project=True)
+    violations, _ = lint_paths(paths, select=select)
     return violations
 
 
 def index_of(tmp_path, files):
     paths = write_tree(tmp_path, files)
-    modules = [load_module(p) for p in paths]
-    return build_project([m for m in modules if m is not None])
+    return build_project([load_module(p) for p in paths])
 
 
 def codes(violations):
@@ -60,6 +63,14 @@ LOCKED_COUNTER = """
             with self._lock:
                 return self.total
     """
+
+UNGUARDED_READ = LOCKED_COUNTER.replace(
+    "        def read(self):\n"
+    "            with self._lock:\n"
+    "                return self.total\n",
+    "        def read(self):\n"
+    "            return self.total\n",
+)
 
 
 class TestModuleName:
@@ -142,10 +153,7 @@ class TestProjectIndex:
         # _grow's only visible call site holds the lock, so its write is
         # guarded — and produces no RA10 finding
         assert guarded_attribute_map(cls) == {"size": frozenset({"_lock"})}
-        violations = lint_paths(
-            [cls.path], select=["RA10"], project=True
-        )[0]
-        assert violations == []
+        assert lint_paths([cls.path], select=["RA10"])[0] == []
 
     def test_call_graph_resolves_self_and_module_calls(self, tmp_path):
         index = index_of(
@@ -165,7 +173,7 @@ class TestProjectIndex:
                 """
             },
         )
-        facts = index.modules["repro.serve.pipeline"]
+        facts = index.find_module("repro.serve.pipeline")
         assert "helper" in facts.functions
         (cls,) = index.find_classes("Runner")
         run_calls = {
@@ -179,15 +187,7 @@ class TestRA10:
     def test_unguarded_read_is_flagged(self, tmp_path):
         violations = lint_project(
             tmp_path,
-            {
-                "repro/engine/counter.py": LOCKED_COUNTER.replace(
-                    "        def read(self):\n"
-                    "            with self._lock:\n"
-                    "                return self.total\n",
-                    "        def read(self):\n"
-                    "            return self.total\n",
-                )
-            },
+            {"repro/engine/counter.py": UNGUARDED_READ},
             select=["RA10"],
         )
         assert codes(violations) == ["RA10"]
@@ -567,12 +567,15 @@ class TestRA13:
 
 
 class TestSelection:
-    def test_project_rule_without_project_mode_raises(self, tmp_path):
-        path = tmp_path / "repro" / "mod.py"
-        path.parent.mkdir(parents=True)
-        path.write_text("x = 1\n")
-        with pytest.raises(ValueError, match="--project"):
-            lint_paths([path], select=["RA10"], project=False)
+    def test_project_rule_needs_no_flag(self, tmp_path):
+        # there is one mode: a bare lint_paths over a directory builds the
+        # index and runs RA10, and so does lint_file on one file
+        (path,) = write_tree(
+            tmp_path, {"repro/engine/counter.py": UNGUARDED_READ}
+        )
+        assert codes(lint_paths([tmp_path])[0]) == ["RA10"]
+        assert codes(lint_paths([path], select=["RA10"])[0]) == ["RA10"]
+        assert codes(lint_file(path, select=["RA10"])) == ["RA10"]
 
     def test_default_project_run_includes_all_rules(self, tmp_path):
         violations = lint_project(
@@ -590,14 +593,10 @@ class TestSelection:
 
 
 class TestRealTree:
-    def test_shipped_package_is_project_clean(self):
-        violations, files_checked = lint_paths(project=True)
-        assert violations == [], [v.render() for v in violations]
-        assert files_checked > 50
-
     def test_obs_names_matches_the_live_collector(self):
         # every constant name in the manifest resolves; drift in either
-        # direction is an RA13 violation, checked project-wide above
+        # direction is an RA13 violation, which the whole-tree self-lint
+        # (test_analysis_rules.py::TestSelfLint) holds at zero
         root = Path(__file__).resolve().parent.parent
         manifest = root / "src" / "repro" / "obs" / "NAMES"
         assert manifest.is_file()
@@ -608,6 +607,6 @@ class TestRealTree:
         names = [n for n in names if n]
         assert len(names) == len(set(names)), "duplicate manifest entries"
         # metric names are dotted; bare trace roots (e.g. "join") are the
-        # one sanctioned exception (RA03 allows them for trace() only)
+        # one sanctioned exception
         assert all(" " not in n for n in names)
         assert sum("." in n for n in names) > 40

@@ -1,12 +1,14 @@
-"""Tests for the repo-specific lint engine (repro.analysis, rules RA02-RA08).
+"""Tests for the repo-specific lint engine and its per-file rules.
 
 Each rule gets a failing and a passing fixture snippet, written into a
 ``tmp/repro/...`` tree so the engine derives the same dotted module names
 it sees on the real source tree.  The suite ends with the self-lint gate:
-the shipped package must be clean.
+the shipped tree must be clean under every rule (the whole-program rules
+RA10-RA13 have their fixtures in ``test_analysis_project.py``).
 """
 
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -101,132 +103,88 @@ class TestRA02MagicConstants:
 
 
 class TestRA03SpanNaming:
+    """RA03's fixtures, re-aimed: the naming convention is RA13's now.
+
+    RA13 forces every constant telemetry name in a ``repro`` module into
+    ``obs/NAMES`` and checks the ``component.operation`` shape on the
+    manifest's lines, so a badly shaped name is a finding where it is used
+    (not declared) and where it would have to be declared (the manifest).
+    """
+
+    MANIFEST = "engine.batch.parallel\njoin.candidates\njoin\nsearch.sharded\n"
+
+    def lint_named(self, tmp_path, source, manifest=MANIFEST):
+        module = tmp_path / "repro" / "newmod.py"
+        names = tmp_path / "repro" / "obs" / "NAMES"
+        names.parent.mkdir(parents=True)
+        module.write_text(textwrap.dedent(source), encoding="utf-8")
+        names.write_text(manifest, encoding="utf-8")
+        found = lint_paths([tmp_path], select=["RA13"])[0]
+        return [(v.rule, Path(v.path).name) for v in found], found
+
     def test_undotted_metric_name_fires(self, tmp_path):
-        found = lint_snippet(
+        where, found = self.lint_named(
             tmp_path,
-            "repro/newmod.py",
             """
             _METRICS.inc("queries")
             """,
         )
-        assert codes(found) == ["RA03"]
+        assert where == [("RA13", "newmod.py")]
+        assert "not declared" in found[0].message
 
     def test_bad_casing_fires(self, tmp_path):
-        found = lint_snippet(
+        # declaring the name does not launder it: the manifest line fires
+        where, found = self.lint_named(
             tmp_path,
-            "repro/newmod.py",
             """
             METRICS.span("Engine.Search")
+            METRICS.inc("CacheHits")
             """,
+            manifest="Engine.Search\n",
         )
-        assert codes(found) == ["RA03"]
+        assert where == [("RA13", "newmod.py"), ("RA13", "NAMES")]
+        assert "'CacheHits' is not declared" in found[0].message
+        assert "convention" in found[1].message
 
     def test_dotted_name_passes(self, tmp_path):
-        found = lint_snippet(
+        where, _ = self.lint_named(
             tmp_path,
-            "repro/newmod.py",
             """
             _METRICS.span("engine.batch.parallel")
             _METRICS.inc("join.candidates", 3)
             """,
         )
-        assert found == []
+        assert where == []
 
     def test_tracer_root_may_be_single_component(self, tmp_path):
-        found = lint_snippet(
+        where, _ = self.lint_named(
             tmp_path,
-            "repro/newmod.py",
             """
             _TRACER.trace("join", threshold=0.8)
             _TRACER.trace("search.sharded")
             """,
         )
-        assert found == []
+        assert where == []
 
     def test_tracer_bad_component_fires(self, tmp_path):
-        found = lint_snippet(
+        where, _ = self.lint_named(
             tmp_path,
-            "repro/newmod.py",
             """
             _TRACER.trace("Join Run")
             """,
+            manifest="Join Run\n",
         )
-        assert codes(found) == ["RA03"]
+        assert where == [("RA13", "NAMES")]
 
     def test_non_constant_names_are_ignored(self, tmp_path):
-        found = lint_snippet(
+        where, _ = self.lint_named(
             tmp_path,
-            "repro/newmod.py",
             """
             def record(kind):
                 _METRICS.inc(kind)
             """,
         )
-        assert found == []
-
-
-class TestRA04PoolPayloads:
-    def test_lambda_submit_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/engine/newpool.py",
-            """
-            def run(pool, shard):
-                return pool.submit(lambda: shard.search("q"))
-            """,
-        )
-        assert codes(found) == ["RA04"]
-        assert "spawn" in found[0].message
-
-    def test_nested_function_submit_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/engine/newpool.py",
-            """
-            def run(pool, shard):
-                def task():
-                    return shard.search("q")
-
-                return pool.submit(task)
-            """,
-        )
-        assert codes(found) == ["RA04"]
-
-    def test_lambda_pool_map_fires(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/engine/newpool.py",
-            """
-            def run(pool, shards):
-                return list(pool.map(lambda s: s.close(), shards))
-            """,
-        )
-        assert codes(found) == ["RA04"]
-
-    def test_module_level_payload_passes(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/engine/newpool.py",
-            """
-            def _task(shard, query):
-                return shard.search(query)
-
-            def run(pool, shard):
-                return pool.submit(_task, shard, "q")
-            """,
-        )
-        assert found == []
-
-    def test_builtin_map_is_not_an_executor(self, tmp_path):
-        found = lint_snippet(
-            tmp_path,
-            "repro/engine/newpool.py",
-            """
-            def run(values):
-                return list(map(lambda v: v + 1, values))
-            """,
-        )
-        assert found == []
+        assert where == []
 
 
 class TestRA05RegistryCompleteness:
@@ -513,7 +471,7 @@ class TestSuppressions:
             tmp_path,
             "repro/compression/newmod.py",
             """
-            GROUPS = 69  # repro: noqa RA03 -- wrong rule on purpose
+            GROUPS = 69  # repro: noqa RA05 -- wrong rule on purpose
             """,
         )
         assert codes(found) == ["RA02"]
@@ -526,8 +484,8 @@ class TestSuppressions:
             "repro/compression/newmod.py",
             "GROUPS = 69  # repro: " + "noqa RA02\n",
         )
-        assert "RA00" in codes(found)
-        assert "justification" in found[0].message
+        (untagged,) = [v for v in found if v.rule == "RA00"]
+        assert "justification" in untagged.message
 
     def test_inline_noqa_covers_the_whole_statement(self, tmp_path):
         # regression: the tag sits on the first physical line, the flagged
@@ -655,6 +613,17 @@ class TestEngine:
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
             lint_paths(["does/not/exist"])
+
+    def test_summary_counts_the_rules_that_ran(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = tmp_path / "repro" / "mod.py"
+        path.parent.mkdir()
+        path.write_text("x = 1\n", encoding="utf-8")
+        assert main(["lint", str(path)]) == 0
+        assert f"{len(RULES)} rule(s), 0 violations" in capsys.readouterr().out
+        assert main(["lint", "--select", "RA02,RA07", str(path)]) == 0
+        assert "2 rule(s), 0 violations" in capsys.readouterr().out
 
 
 class TestSelfLint:

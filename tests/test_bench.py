@@ -64,7 +64,7 @@ class TestSearchKernels:
         index = build_search_index(small_aol, "css").index
         queries = sample_queries(small_aol, 5)
         out = run_search_queries(
-            index, queries, 1, "mergeskip", metric="edit_distance"
+            index, queries, 1, "mergeskip", metric="ed"
         )
         assert out["total_results"] >= len(queries)
 
@@ -89,7 +89,7 @@ class TestJoinKernels:
         index = build_search_index(small_aol, "css").index
         with pytest.raises(ValueError, match="integral"):
             run_search_queries(
-                index, ["query"], 1.9, "mergeskip", metric="edit_distance"
+                index, ["query"], 1.9, "mergeskip", metric="ed"
             )
 
     def test_all_schemes_agree_on_pairs(self, small_tweet):

@@ -119,7 +119,7 @@ class TestRegistry:
 
     def test_aol_uses_edit_distance(self):
         ds = load_dataset("aol", cardinality=100)
-        assert ds.metric == "edit_distance"
+        assert ds.metric == "ed"
         # edit-distance statistics use character lengths
         assert ds.statistics["average_length"] == pytest.approx(
             np.mean([len(s) for s in ds.strings])

@@ -13,7 +13,6 @@ from repro.compression import (
 )
 from repro.compression.base import MAX_ELEMENT, ListCursor
 from repro.compression.online import AdaptList, FixList
-from repro.core.listops import contains_all
 from repro.search import InvertedIndex, JaccardSearcher, merge_skip
 
 
@@ -58,14 +57,6 @@ class TestBaseCursor:
         assert cursor.exhausted
         cursor.seek(5)  # no-op
         assert cursor.remaining() == 0
-
-
-class TestListOps:
-    def test_contains_all(self):
-        lst = CSSList([1, 5, 9, 200])
-        assert contains_all(lst, [1, 9])
-        assert not contains_all(lst, [1, 2])
-        assert contains_all(lst, [])
 
 
 class TestLoadedIndexBehaviour:

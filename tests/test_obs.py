@@ -273,7 +273,7 @@ class TestEnabledMetrics:
     def test_enables_resets_and_restores(self):
         assert not METRICS.enabled
         METRICS.enabled = True
-        METRICS.inc("leftover")  # repro: noqa RA03 -- deliberately unconventional name, asserted below
+        METRICS.inc("leftover")
         try:
             with enabled_metrics() as registry:
                 assert registry is METRICS

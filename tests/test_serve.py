@@ -197,8 +197,6 @@ class TestCoalescedParity:
         with coalescer:
             with ThreadPoolExecutor(10) as pool:
                 futures = list(
-                    # repro: noqa RA04 -- thread pool only; the lambda
-                    # deliberately closes over the coalescer under test
                     pool.map(
                         lambda job: coalescer.submit(
                             job[0], BatchKey("jaccard", job[1])
@@ -515,8 +513,6 @@ class TestServerThread:
             queries = [word_strings[i % 30] for i in range(24)]
             with ThreadPoolExecutor(12) as pool:
                 responses = list(
-                    # repro: noqa RA04 -- thread pool only; the lambda
-                    # deliberately closes over the live server URL
                     pool.map(
                         lambda query: _post(
                             url, {"query": query, "threshold": 0.5}

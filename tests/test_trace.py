@@ -45,7 +45,7 @@ class TestTracerCore:
     def test_disabled_tracer_records_nothing(self):
         tracer = Tracer()  # disabled by default
         with tracer.trace("query"):
-            with tracer.span("stage"):  # repro: noqa RA03 -- minimal span name; test asserts nothing is recorded
+            with tracer.span("stage"):
                 pass
         assert list(tracer.buffer) == []
         assert tracer.dropped == 0
@@ -66,12 +66,10 @@ class TestTracerCore:
 
     def test_span_ids_form_a_tree(self, tracer):
         with tracer.trace("query"):
-            # single-word spans keep the asserted tree shape readable;
-            # the naming convention is not what this test is about
-            with tracer.span("filter"):  # repro: noqa RA03 -- see above
+            with tracer.span("filter"):
                 with tracer.span("decode"):
                     pass
-            with tracer.span("verify"):  # repro: noqa RA03 -- see above
+            with tracer.span("verify"):
                 pass
         (document,) = tracer.drain()
         by_name = {span["name"]: span for span in document["spans"]}
@@ -103,7 +101,7 @@ class TestTracerCore:
 
     def test_annotate_and_span_are_noops_without_active_trace(self, tracer):
         tracer.annotate(orphan=True)
-        with tracer.span("orphan"):  # repro: noqa RA03 -- span outside any trace; the no-op path is the subject
+        with tracer.span("orphan"):
             pass
         assert tracer.drain() == []
 
