@@ -7,8 +7,9 @@ bits in the stream, and random access to the *t*-th delta reads ``n`` bits at
 ``offset + n * (t - 1)`` (Example 3).
 
 :class:`BitBuffer` implements that stream on top of a numpy ``uint64`` array.
-Appends and bulk reads are vectorized; single-field reads are cheap Python
-integer arithmetic, which is what the in-block binary search uses.
+Appends and bulk reads are vectorized; single-field reads and writes are
+cheap Python integer arithmetic, which is what the in-block binary search
+and the join's position side vectors use.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .constants import MAX_DELTA_WIDTH
 __all__ = ["width_for", "BitBuffer"]
 
 _WORD_BITS = 64
+_WORD_MASK = (1 << _WORD_BITS) - 1
 
 
 def width_for(max_value: int) -> int:
@@ -91,6 +93,36 @@ class BitBuffer:
         np.bitwise_or.at(self._words, word_idx, low_parts)
         np.bitwise_or.at(self._words, word_idx + 1, high_parts)
         self._num_bits = start + width * values.size
+        return start
+
+    def append_one(self, value: int, width: int) -> int:
+        """Append one ``width``-bit field; return its start bit offset.
+
+        The scalar twin of :meth:`append` — same checks, same errors, same
+        packed words — in plain integer arithmetic, for callers that grow a
+        stream one field at a time (the join's position side vectors), where
+        :meth:`append`'s numpy set-up would dominate the write.
+        """
+        if not 1 <= width <= MAX_DELTA_WIDTH:
+            raise ValueError(
+                f"width must be in [1, {MAX_DELTA_WIDTH}], got {width}"
+            )
+        value = int(value)
+        if value >> width:
+            # a negative value is reported as append's uint64 cast shows it
+            raise ValueError(
+                f"value {value & _WORD_MASK} does not fit in {width} bits"
+            )
+        start = self._num_bits
+        self._ensure_capacity(width)
+        word, shift = divmod(start, _WORD_BITS)
+        words = self._words
+        words[word] = int(words[word]) | ((value << shift) & _WORD_MASK)
+        if shift + width > _WORD_BITS:
+            words[word + 1] = int(words[word + 1]) | (
+                value >> (_WORD_BITS - shift)
+            )
+        self._num_bits = start + width
         return start
 
     def read(self, bit_offset: int, width: int, count: int) -> np.ndarray:

@@ -7,7 +7,10 @@ the delta schemes do not apply; the paper stores them in a separate list
 
 :class:`FixedWidthVector` implements exactly that: an appendable bit-packed
 vector whose field width is the bit length of the current maximum, repacked
-(amortized) whenever a wider value arrives.
+(amortized) whenever a wider value arrives.  Appends and repacks write one
+field at a time with :meth:`BitBuffer.append_one` (integer arithmetic on at
+most two words): the vectors are appended to per position and stay short,
+so a numpy call per write would cost more than the write.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ class FixedWidthVector:
         needed = width_for(value)
         if needed > self._width:
             self._repack(needed)
-        self._data.append(np.asarray([value], dtype=np.uint64), self._width)
+        self._data.append_one(value, self._width)
         self._length += 1
 
     def extend(self, values: Iterable[int]) -> None:
@@ -47,11 +50,11 @@ class FixedWidthVector:
             self.append(value)
 
     def _repack(self, new_width: int) -> None:
-        existing = self.to_array()
+        old, old_width = self._data, self._width
         self._data = BitBuffer()
         self._width = new_width
-        if existing.size:
-            self._data.append(existing.astype(np.uint64), new_width)
+        for index in range(self._length):
+            self._data.append_one(old.read_one(0, old_width, index), new_width)
 
     def __getitem__(self, index: int) -> int:
         if not 0 <= index < self._length:

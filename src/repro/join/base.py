@@ -15,6 +15,7 @@ two-region online lists require.  Results are mapped back to original ids.
 from __future__ import annotations
 
 import functools
+import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -142,13 +143,14 @@ class SelfJoin(OnlineIndexMixin):
 
     :meth:`join` owns everything the filters share — threshold check, the
     (size, id) processing order, the interleaved probe-then-append pass
-    (one ``join.probe`` span: index time is charged to the join, per §2.1),
-    sealing the online lists, the :class:`JoinStats` epilogue and the
-    mapping back to original ids.  A filter subclass supplies
-    :meth:`_probe`, reading the per-join state :meth:`join` leaves on
-    ``self`` (``_records`` in processing order, ``_threshold``, ``_stats``,
-    ``_results``, ``_lists``), and may override :meth:`_index`,
-    :meth:`_items`, :meth:`_begin` and :meth:`_side_bits`.
+    (one ``join.probe`` span: index time is charged to the join, per §2.1;
+    with metrics on, its :meth:`_index` share is also summed into the
+    ``join.index`` timer), sealing the online lists, the :class:`JoinStats`
+    epilogue and the mapping back to original ids.  A filter subclass
+    supplies :meth:`_probe`, reading the per-join state :meth:`join` leaves
+    on ``self`` (``_records`` and their ``_sizes`` in processing order,
+    ``_threshold``, ``_stats``, ``_results``, ``_lists``), and may override
+    :meth:`_index`, :meth:`_items`, :meth:`_begin` and :meth:`_side_bits`.
     """
 
     def __init__(
@@ -170,15 +172,29 @@ class SelfJoin(OnlineIndexMixin):
         self._threshold = check_threshold(threshold, self.metric)
         self._init_index()
         items = self._items()
-        order = processing_order(np.asarray([len(item) for item in items]))
+        sizes = [len(item) for item in items]
+        order = processing_order(np.asarray(sizes))
         self._records = records = [items[i] for i in order]
+        self._sizes = [sizes[i] for i in order]
         self._stats = stats = JoinStats()
         self._results = results = []
         self._begin()
         probe, index = self._probe, self._index
         with _METRICS.span("join.probe"):
-            for sid, record in enumerate(records):
-                index(sid, probe(sid, record))
+            if _METRICS.enabled:
+                # the index share of the probe span, summed, not spanned:
+                # a span per record would cost more than the appends it times
+                index_s = 0.0
+                clock = time.perf_counter
+                for sid, record in enumerate(records):
+                    signatures = probe(sid, record)
+                    started = clock()
+                    index(sid, signatures)
+                    index_s += clock() - started
+                _METRICS.record_time("join.index", index_s)
+            else:
+                for sid, record in enumerate(records):
+                    index(sid, probe(sid, record))
         self._finalize_index(stats)
         stats.position_bits = self._side_bits()
         stats.pairs = len(results)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..similarity.measures import required_overlap
+from ..similarity.measures import required_overlaps
 from ..similarity.verify import verify_overlap_from
 from .base import SelfJoin
 
@@ -26,9 +26,12 @@ class CountFilterJoin(SelfJoin):
     """Self-join via signature-count filtering over online compressed lists."""
 
     def _probe(self, sid: int, record) -> List[int]:
-        records, lists, stats = self._records, self._lists, self._stats
-        threshold, metric = self._threshold, self.metric
+        records, sizes = self._records, self._sizes
+        lists, stats = self._lists, self._stats
         size_s = record.size
+        # records arrive size-ascending and only non-empty ones are indexed:
+        # every candidate has 1 <= size_r <= size_s
+        required = required_overlaps(1, size_s, self._threshold, self.metric)
         tokens = record.tolist()
         counts: Dict[int, int] = {}
         for token in tokens:
@@ -39,8 +42,7 @@ class CountFilterJoin(SelfJoin):
                 counts[rid] = counts.get(rid, 0) + 1
         stats.candidates += len(counts)
         for rid, shared in counts.items():
-            size_r = records[rid].size
-            needed = required_overlap(size_r, size_s, threshold, metric)
+            needed = required[sizes[rid] - 1]
             if shared < needed:
                 continue
             stats.verifications += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, List
 
 from ..compression.online import FixedWidthVector
-from ..similarity.measures import length_bounds, prefix_length, required_overlap
+from ..similarity.measures import length_bounds, prefix_length, required_overlaps
 from ..similarity.suffix_filter import suffix_overlap_bound
 from ..similarity.tokenize import TokenizedCollection
 from ..similarity.verify import verify_overlap_from
@@ -54,9 +54,12 @@ class PositionFilterJoin(SelfJoin):
         size_s = record.size
         if size_s == 0:
             return []
-        records, lists, stats = self._records, self._lists, self._stats
+        records, sizes = self._records, self._sizes
+        lists, stats = self._lists, self._stats
         threshold, metric = self._threshold, self.metric
         low, _ = length_bounds(size_s, threshold, metric)
+        # records arrive size-ascending: every candidate has size_r <= size_s
+        required = required_overlaps(low, size_s, threshold, metric)
         tokens = record[: prefix_length(size_s, threshold, metric)].tolist()
         overlaps: Dict[int, int] = {}
         for i, token in enumerate(tokens):
@@ -68,12 +71,12 @@ class PositionFilterJoin(SelfJoin):
                 current = overlaps.get(rid, 0)
                 if current == _PRUNED:
                     continue
-                size_r = records[rid].size
+                size_r = sizes[rid]
                 if size_r < low:
                     overlaps[rid] = _PRUNED
                     continue
                 j = positions[entry]
-                needed = required_overlap(size_r, size_s, threshold, metric)
+                needed = required[size_r - low]
                 upper = current + 1 + min(size_s - i - 1, size_r - j - 1)
                 if upper >= needed:
                     overlaps[rid] = current + 1
@@ -83,8 +86,7 @@ class PositionFilterJoin(SelfJoin):
         for rid, shared in overlaps.items():
             if shared <= 0:
                 continue
-            size_r = records[rid].size
-            needed = required_overlap(size_r, size_s, threshold, metric)
+            needed = required[sizes[rid] - low]
             if self.use_suffix_filter:
                 upper = suffix_overlap_bound(records[rid], record)
                 if upper < needed:
@@ -101,9 +103,13 @@ class PositionFilterJoin(SelfJoin):
         return tokens
 
     def _index(self, sid: int, signatures: List[int]) -> None:
+        positions = self._positions
         for i, token in enumerate(signatures):
             self._list_for(token).append(sid)
-            self._positions.setdefault(token, FixedWidthVector()).append(i)
+            vector = positions.get(token)
+            if vector is None:
+                vector = positions[token] = FixedWidthVector()
+            vector.append(i)
 
     def _side_bits(self) -> int:
         return sum(vector.size_bits() for vector in self._positions.values())

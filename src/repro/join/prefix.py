@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from ..similarity.measures import length_bounds, prefix_length, required_overlap
+from ..similarity.measures import length_bounds, prefix_length, required_overlaps
 from ..similarity.verify import verify_overlap_from
 from .base import SelfJoin
 
@@ -27,9 +27,12 @@ class PrefixFilterJoin(SelfJoin):
         size_s = record.size
         if size_s == 0:
             return []
-        records, lists, stats = self._records, self._lists, self._stats
+        records, sizes = self._records, self._sizes
+        lists, stats = self._lists, self._stats
         threshold, metric = self._threshold, self.metric
         low, _ = length_bounds(size_s, threshold, metric)
+        # records arrive size-ascending: every candidate has size_r <= size_s
+        required = required_overlaps(low, size_s, threshold, metric)
         tokens = record[: prefix_length(size_s, threshold, metric)].tolist()
         seen: Dict[int, bool] = {}
         for token in tokens:
@@ -40,11 +43,11 @@ class PrefixFilterJoin(SelfJoin):
                 if rid in seen:
                     continue
                 seen[rid] = True
-                size_r = records[rid].size
-                if size_r < low:  # records arrive size-ascending
+                size_r = sizes[rid]
+                if size_r < low:
                     continue
                 stats.verifications += 1
-                needed = required_overlap(size_r, size_s, threshold, metric)
+                needed = required[size_r - low]
                 if (
                     verify_overlap_from(records[rid], record, 0, 0, 0, needed)
                     >= needed

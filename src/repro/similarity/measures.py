@@ -23,6 +23,7 @@ __all__ = [
     "cosine",
     "dice",
     "required_overlap",
+    "required_overlaps",
     "length_bounds",
     "prefix_length",
     "index_prefix_length",
@@ -91,6 +92,20 @@ def required_overlap(
     else:  # dice
         bound = threshold / 2 * (size_r + size_s)
     return max(1, math.ceil(bound - 1e-9))
+
+
+def required_overlaps(
+    low: int, size_s: int, threshold: float, metric: str = "jaccard"
+) -> "list[int]":
+    """:func:`required_overlap` for every ``size_r`` in ``[low, size_s]``.
+
+    Entry ``size_r - low`` is ``required_overlap(size_r, size_s, ...)``: the
+    table a join probe indexes per candidate instead of re-deriving the bound.
+    """
+    return [
+        required_overlap(size_r, size_s, threshold, metric)
+        for size_r in range(low, size_s + 1)
+    ]
 
 
 def length_bounds(size: int, threshold: float, metric: str = "jaccard") -> "tuple[int, int]":

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.compression.bitpack import BitBuffer, width_for
+from repro.compression.constants import MAX_DELTA_WIDTH
 
 
 class TestWidthFor:
@@ -69,6 +70,64 @@ class TestBitBufferAppend:
         buf.append(values, 7)
         assert buf.num_bits == 7000
         assert np.array_equal(buf.read(0, 7, 1000), values.astype(np.uint64))
+
+
+class TestBitBufferAppendOne:
+    """``append_one`` is ``append`` of one field: same offsets, same words,
+    same ``num_bits``, same errors."""
+
+    @staticmethod
+    def _pair(fields):
+        scalar, vector = BitBuffer(initial_words=2), BitBuffer(initial_words=2)
+        for value, width in fields:
+            assert scalar.append_one(value, width) == vector.append(
+                np.array([value]), width
+            )
+        return scalar, vector
+
+    def _assert_same(self, fields):
+        scalar, vector = self._pair(fields)
+        assert scalar.num_bits == vector.num_bits
+        assert np.array_equal(scalar._words, vector._words)
+
+    def test_random_field_sequences_match_append(self):
+        rng = np.random.default_rng(25)
+        for _ in range(60):
+            fields = []
+            for _ in range(int(rng.integers(1, 80))):
+                width = int(rng.integers(1, MAX_DELTA_WIDTH + 1))
+                fields.append((int(rng.integers(0, 2**width)), width))
+            self._assert_same(fields)
+
+    def test_word_straddling_field(self):
+        # 11-bit fields: the sixth spans bits 55..65, across the word edge
+        self._assert_same([(1000 + i, 11) for i in range(12)])
+
+    def test_widest_field_all_ones(self):
+        top = 2**MAX_DELTA_WIDTH - 1
+        widest = (top, MAX_DELTA_WIDTH)
+        self._assert_same([widest] * 5 + [(1, 3), widest, widest])
+        scalar, _ = self._pair([(5, 7), (top, MAX_DELTA_WIDTH)])
+        assert scalar.read_one(7, MAX_DELTA_WIDTH, 0) == top
+
+    @pytest.mark.parametrize(
+        "value, width",
+        [
+            (-1, 4),
+            (16, 4),
+            (2**MAX_DELTA_WIDTH, MAX_DELTA_WIDTH),
+            (0, 0),
+            (0, MAX_DELTA_WIDTH + 1),
+        ],
+    )
+    def test_same_errors_as_append(self, value, width):
+        scalar = BitBuffer()
+        with pytest.raises(ValueError) as scalar_error:
+            scalar.append_one(value, width)
+        with pytest.raises(ValueError) as vector_error:
+            BitBuffer().append(np.array([value]), width)
+        assert str(scalar_error.value) == str(vector_error.value)
+        assert scalar.num_bits == 0 and not scalar._words.any()
 
 
 class TestBitBufferRead:

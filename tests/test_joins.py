@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.compression.bitpack import BitBuffer
+from repro.compression.online import FixedWidthVector
+from repro.compression.twolayer import TwoLayerStore
+from repro.datasets.text import tweet_like
 from repro.join import (
     CountFilterJoin,
     PositionFilterJoin,
@@ -134,6 +138,73 @@ class TestEvenPartition:
     def test_invalid_pieces(self):
         with pytest.raises(ValueError):
             even_partition(5, 0)
+
+
+@pytest.fixture(scope="module")
+def tweets():
+    return tokenize_collection(tweet_like(1000, 7), mode="word")
+
+
+#: (join, options) -> (candidates, verifications, pairs, index_bits,
+#: position_bits, num_lists, extras) on ``tweet_like(1000, 7)`` at
+#: tau = 0.8: the probe loops may get faster, never different.
+GOLDEN_STATS = {
+    (CountFilterJoin, ()): (498994, 50, 50, 205371, 0, 1210, {}),
+    (PrefixFilterJoin, ()): (5657, 2497, 50, 104694, 0, 1200, {}),
+    (PositionFilterJoin, ()): (5657, 563, 50, 104694, 6958, 1200, {}),
+    (PositionFilterJoin, (("use_suffix_filter", True),)): (
+        5657, 95, 50, 104694, 6958, 1200, {"suffix_pruned": 468}
+    ),
+    (PositionFilterJoin, (("scheme", "uncomp"),)): (
+        5657, 563, 50, 113280, 6958, 1200, {}
+    ),
+}
+
+
+class TestJoinStatsGolden:
+    @pytest.mark.parametrize("join_cls, options", list(GOLDEN_STATS))
+    def test_stats_pinned(self, join_cls, options, tweets):
+        join = join_cls(tweets, **dict(options))
+        join.join(0.8)
+        s = join.last_stats
+        got = (
+            s.candidates, s.verifications, s.pairs, s.index_bits,
+            s.position_bits, s.num_lists, s.extras,
+        )
+        assert got == GOLDEN_STATS[join_cls, options]
+
+
+class TestPositionSideVectorWrites:
+    def test_vectorised_append_only_on_seals(self, monkeypatch, tweets):
+        """Structural guard: the side vectors write each position with the
+        scalar ``append_one`` and repack field by field, so the vectorised
+        ``BitBuffer.append`` runs once per seal of an id block and never
+        once per appended position."""
+        calls = {"append": 0, "seals": 0, "repacks": 0}
+        append = BitBuffer.append
+        append_block = TwoLayerStore.append_block
+        repack = FixedWidthVector._repack
+
+        def counted(name, method):
+            def wrapper(*args):
+                calls[name] += 1
+                return method(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(BitBuffer, "append", counted("append", append))
+        monkeypatch.setattr(
+            TwoLayerStore, "append_block", counted("seals", append_block)
+        )
+        monkeypatch.setattr(
+            FixedWidthVector, "_repack", counted("repacks", repack)
+        )
+        join = PositionFilterJoin(tweets, scheme="adapt")
+        join.join(0.8)
+        appended = sum(len(vector) for vector in join._positions.values())
+        assert calls["seals"] > 0 and calls["repacks"] > 0
+        assert calls["append"] == calls["seals"]
+        assert appended > calls["append"]
 
 
 class TestJoinScaffolding:

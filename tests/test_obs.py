@@ -454,6 +454,16 @@ class TestInstrumentationEndToEnd:
         occupancy = registry.histograms["online.seal_occupancy"]
         assert occupancy.count == registry.counter("online.seals")
 
+    def test_self_join_splits_index_time_out_of_probe(self, word_collection):
+        from repro.join import PositionFilterJoin
+
+        with enabled_metrics() as registry:
+            PositionFilterJoin(word_collection, scheme="adapt").join(0.8)
+        index_s = registry.timer_seconds("join.index")
+        assert 0 < index_s <= registry.timer_seconds("join.probe")
+        # summed once per join, not one timer sample per record
+        assert registry.timers["join.index"][1] == 1
+
     def test_disabled_registry_records_nothing(self, word_collection):
         from repro.search import InvertedIndex, JaccardSearcher
 

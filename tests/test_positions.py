@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compression.bitpack import BitBuffer
 from repro.compression.online.positions import FixedWidthVector
 
 
@@ -40,6 +41,21 @@ class TestFixedWidthVector:
         vec.append(10_000)  # forces a repack to 14 bits
         assert vec.to_list() == values + [10_000]
         assert vec.width == 14
+
+    def test_repacked_words_equal_one_pack_at_final_width(self):
+        values = [0, 1, 3, 2, 7, 5, 40, 9, 1000, 3, 70_000, 6] * 4
+        vec = FixedWidthVector()
+        widths = []
+        for value in values:
+            vec.append(value)
+            widths.append(vec.width)
+        assert len(set(widths)) >= 5  # grown through several repacks
+        packed = BitBuffer()
+        packed.append(np.array(values), vec.width)
+        used = -(-packed.num_bits // 64)
+        assert vec._data.num_bits == packed.num_bits
+        assert np.array_equal(vec._data._words[:used], packed._words[:used])
+        assert not vec._data._words[used:].any()
 
     def test_size_accounting(self):
         vec = FixedWidthVector()
