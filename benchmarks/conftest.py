@@ -1,79 +1,23 @@
-"""Shared infrastructure for the benchmark suite.
+"""Shape tests for the paper's Chapter 7, one file per DESIGN.md §4 row.
 
-Every benchmark regenerates one table or figure of the paper's Chapter 7 at
-laptop scale (see DESIGN.md §4 for the experiment index).  Dataset
-cardinalities scale with ``REPRO_SCALE`` (default 1.0); datasets and indexes
-are cached per session so independent benches share them.
-
-Run with::
-
-    pytest benchmarks/ --benchmark-only
-
-Each bench prints a paper-vs-measured table; absolute numbers differ from
-the paper (Python vs C++, synthetic vs real corpora, scaled cardinalities),
-the *shape* — orderings and trends — is what reproduces.
+Each file names its ``repro.bench`` function as ``EXPERIMENT``; the
+module-scoped ``experiment`` fixture runs it once at ``REPRO_SCALE``
+(default 1.0), prints its markdown (``pytest <file> -s``) and hands the
+result to the file's assertions.  Absolute numbers differ from the paper
+(Python vs C++, synthetic vs real corpora, scaled cardinalities); the
+*shape* — orderings and trends — is what reproduces.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import pytest
 
-from repro.datasets import load_dataset
+from repro.bench import render_experiment
 from repro.datasets.loader import repro_scale
 
-#: per-experiment base cardinalities at REPRO_SCALE=1.0.  Search indexes are
-#: cheap to build once; joins are O(n * candidates) in pure Python, so the
-#: join experiments run on smaller slices, as recorded in EXPERIMENTS.md.
-SEARCH_CARDINALITY = {
-    "dblp": 5_000,
-    "tweet": 5_000,
-    "dna": 1_500,
-    "aol": 6_000,
-    "uniform": 6_000,
-    "amazon": 2_000,
-}
-JOIN_CARDINALITY = {
-    "dblp": 1_200,
-    "tweet": 1_500,
-    "dna": 500,
-    "aol": 2_500,
-    "zipf": 2_000,
-    "amazon": 800,
-}
-QUERY_COUNT = 50  # the paper uses 10,000; scaled with the datasets
 
-
-def scaled(base: int) -> int:
-    return max(100, int(base * repro_scale()))
-
-
-@lru_cache(maxsize=None)
-def dataset(name: str, cardinality: int):
-    return load_dataset(name, cardinality=cardinality)
-
-
-def search_dataset(name: str):
-    return dataset(name, scaled(SEARCH_CARDINALITY[name]))
-
-
-def join_dataset(name: str):
-    return dataset(name, scaled(JOIN_CARDINALITY[name]))
-
-
-@lru_cache(maxsize=None)
-def search_index(name: str, scheme: str):
-    from repro.bench import build_search_index
-
-    return build_search_index(search_dataset(name), scheme)
-
-
-def print_block(text: str) -> None:
-    """Print a bench table with surrounding blank lines (pytest -s friendly)."""
-    print("\n" + text + "\n")
-
-
-@pytest.fixture(scope="session")
-def query_count():
-    return max(10, int(QUERY_COUNT * repro_scale()))
+@pytest.fixture(scope="module")
+def experiment(request):
+    result = request.module.EXPERIMENT(repro_scale())
+    print("\n" + render_experiment(result) + "\n")
+    return result

@@ -8,38 +8,16 @@ blocks absorb skew — and (ii) that CSS's DP sits at or below the best fixed
 choice without tuning.
 """
 
-from conftest import print_block, search_dataset
-from repro.bench import render_table
-from repro.search import InvertedIndex
+from repro.bench import grid
 
-BLOCK_SIZES = [4, 8, 16, 32, 64, 128]
+EXPERIMENT = grid.ablation_block_size
 
 
-def test_block_size_sweep(benchmark):
-    dataset = search_dataset("tweet")
-
-    def sweep():
-        sizes = {
-            m: InvertedIndex(
-                dataset.collection, scheme="milc", block_size=m
-            ).size_mb()
-            for m in BLOCK_SIZES
-        }
-        sizes["css"] = InvertedIndex(dataset.collection, scheme="css").size_mb()
-        return sizes
-
-    sizes = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    best_fixed = min(sizes[m] for m in BLOCK_SIZES)
-    rows = [[str(m), round(sizes[m], 3)] for m in BLOCK_SIZES]
-    rows.append(["css (DP)", round(sizes["css"], 3)])
-    print_block(
-        render_table(
-            ["block size m", "index MB"],
-            rows,
-            title="Ablation A1: MILC block-size sweep vs CSS (Tweet)",
-        )
-    )
+def test_block_size_sweep(experiment):
+    sizes = dict(experiment.cells)
+    css = sizes.pop("css")
+    best_fixed = min(sizes.values())
     # CSS needs no tuning yet matches or beats the best fixed block size
-    assert sizes["css"] <= best_fixed * 1.02
+    assert css <= best_fixed * 1.02
     # extreme block sizes are visibly worse than the best
-    assert max(sizes[m] for m in BLOCK_SIZES) > best_fixed * 1.1
+    assert max(sizes.values()) > best_fixed * 1.1

@@ -6,63 +6,19 @@ smaller buffers clip the DP's view (worse compression), larger buffers
 cannot help (the optimum never needs more context) but cost more DP time.
 """
 
-import time
+from repro.bench import grid
+from repro.compression.online import THEOREM_1_BUFFER
 
-from conftest import join_dataset, print_block
-from repro.bench import render_table
-from repro.compression.online import THEOREM_1_BUFFER, VariList
-from repro.similarity.tokenize import tokenize_collection
-
-CAPACITIES = [8, 32, 69, 138, 276, 552]
+EXPERIMENT = grid.ablation_buffer
 
 
-def _token_lists(dataset):
-    """The actual posting-list id streams a prefix join would produce."""
-    streams = {}
-    for rid, record in enumerate(dataset.collection.records):
-        for token in record.tolist():
-            streams.setdefault(token, []).append(rid)
-    return [ids for ids in streams.values() if len(ids) > 1]
-
-
-def test_buffer_capacity_sweep(benchmark):
-    dataset = join_dataset("tweet")
-    streams = _token_lists(dataset)
-
-    def sweep():
-        table = {}
-        for capacity in CAPACITIES:
-            start = time.perf_counter()
-            total_bits = 0
-            for stream in streams:
-                lst = VariList(buffer_capacity=capacity)
-                lst.extend(stream)
-                lst.finalize()
-                total_bits += lst.size_bits()
-            table[capacity] = (total_bits, time.perf_counter() - start)
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [
-            f"{capacity}{' (Thm 1)' if capacity == THEOREM_1_BUFFER else ''}",
-            round(bits / 8 / 1024, 2),
-            round(seconds, 3),
-        ]
-        for capacity, (bits, seconds) in table.items()
-    ]
-    print_block(
-        render_table(
-            ["buffer capacity", "index KB", "build s"],
-            rows,
-            title="Ablation A2: Vari buffer capacity sweep (Tweet posting lists)",
-        )
-    )
+def test_buffer_capacity_sweep(experiment):
+    bits = {capacity: bits for capacity, (_, bits) in experiment.cells.items()}
     # Beyond the Theorem 1 bound extra capacity buys under 1%: Theorem 1
     # bounds *block* cardinality, and the only residual gain from a larger
     # window is slightly better first-block boundary placement.
-    theorem_bits = table[THEOREM_1_BUFFER][0]
+    theorem_bits = bits[THEOREM_1_BUFFER]
     for capacity in (276, 552):
-        assert table[capacity][0] >= theorem_bits * 0.99
+        assert bits[capacity] >= theorem_bits * 0.99
     # a tiny buffer visibly clips the DP
-    assert table[8][0] > theorem_bits
+    assert bits[8] > theorem_bits

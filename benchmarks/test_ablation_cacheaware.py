@@ -10,51 +10,13 @@ levels stay cache-resident) instead of jumping around the sorted array.
 
 import numpy as np
 
-from conftest import print_block, search_dataset
-from repro.bench import render_table
-from repro.compression.karytree import EytzingerIndex
-from repro.search import InvertedIndex
+from repro.bench import grid
+
+EXPERIMENT = grid.ablation_cacheaware
 
 
-def test_cache_aware_metadata_layout(benchmark):
-    dataset = search_dataset("dblp")
-    index = InvertedIndex(dataset.collection, scheme="css")
-    # metadata bases of the longest lists = the hot search structures
-    hot_lists = sorted(index.lists.values(), key=len)[-10:]
-
-    def sweep():
-        results = []
-        for lst in hot_lists:
-            bases = np.asarray(lst.store._bases, dtype=np.int64)
-            tree = EytzingerIndex(bases)
-            tree.touches = 0
-            keys = np.linspace(0, int(bases[-1]) * 1.1, 200).astype(np.int64)
-            mismatches = 0
-            top_level_touches = 0
-            for key in keys.tolist():
-                expected = int(np.searchsorted(bases, key, side="left"))
-                got = tree.lower_bound(key)
-                mismatches += got != expected
-            # fraction of touches landing in the first cache line's worth of
-            # the layout (8 int64 per 64-byte line): the tree's top levels
-            touches_per_key = tree.touches / keys.size
-            results.append(
-                (len(bases), touches_per_key, mismatches)
-            )
-        return results
-
-    results = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [blocks, round(touches, 2), int(np.ceil(np.log2(blocks))) + 1]
-        for blocks, touches, _ in results
-    ]
-    print_block(
-        render_table(
-            ["metadata blocks", "touches/lookup", "log2 bound"],
-            rows,
-            title="Ablation A6: Eytzinger metadata search (hot DBLP lists)",
-        )
-    )
+def test_cache_aware_metadata_layout(experiment):
+    results = experiment.cells["lists"]
     assert all(mismatches == 0 for _, _, mismatches in results)
     for blocks, touches, _ in results:
         assert touches <= np.ceil(np.log2(blocks)) + 1

@@ -8,56 +8,14 @@ capability, the property that actually disqualifies the sequential codecs
 for MergeSkip.
 """
 
-from conftest import print_block, search_dataset
-from repro.bench import render_table
-from repro.search import InvertedIndex
+from repro.bench import grid
 
-CODECS = [
-    ("uncomp", {}),
-    ("vbyte", {}),
-    ("groupvarint", {}),
-    ("simple8b", {}),
-    ("pfordelta", {}),  # classic p90 rule
-    ("pfordelta", {"width_rule": "opt"}),
-    ("eliasfano", {}),
-    ("roaring", {}),
-    ("milc", {}),
-    ("css", {}),
-]
+EXPERIMENT = grid.ablation_codecs
 
 
-def test_codec_comparison(benchmark):
-    dataset = search_dataset("tweet")
-
-    def sweep():
-        table = []
-        for scheme, kwargs in CODECS:
-            index = InvertedIndex(dataset.collection, scheme=scheme, **kwargs)
-            label = scheme + ("(opt)" if kwargs.get("width_rule") == "opt" else "")
-            table.append(
-                (
-                    label,
-                    index.size_mb(),
-                    index.compression_ratio(),
-                    index.supports_random_access,
-                )
-            )
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [label, round(mb, 3), round(ratio, 2), "yes" if ra else "NO"]
-        for label, mb, ratio, ra in table
-    ]
-    print_block(
-        render_table(
-            ["codec", "index MB", "ratio", "random access"],
-            rows,
-            title="Ablation A4: codec comparison (Tweet search index)",
-        )
-    )
-    sizes = {label: mb for label, mb, _, _ in table}
-    access = {label: ra for label, _, _, ra in table}
+def test_codec_comparison(experiment):
+    sizes = {label: mb for label, (mb, _) in experiment.cells.items()}
+    access = {label: ra for label, (_, ra) in experiment.cells.items()}
     # the disqualifier the paper leans on: sequential codecs can't seek
     assert not access["vbyte"] and not access["pfordelta"]
     assert access["milc"] and access["css"] and access["eliasfano"]

@@ -8,47 +8,13 @@ baseline and (ii) the offline CSS index rebuilt from scratch (the
 compression ceiling).
 """
 
-import time
+from repro.bench import grid
 
-from conftest import print_block, search_dataset
-from repro.bench import render_table
-from repro.search import InvertedIndex, JaccardSearcher
-from repro.search.dynamic import DynamicInvertedIndex
-
-SCHEMES = ["uncomp", "fix", "vari", "adapt"]
+EXPERIMENT = grid.ablation_dynamic
 
 
-def test_dynamic_index(benchmark):
-    dataset = search_dataset("tweet")
-
-    def sweep():
-        table = {}
-        for scheme in SCHEMES:
-            index = DynamicInvertedIndex(mode="word", scheme=scheme)
-            start = time.perf_counter()
-            index.add_many(dataset.strings)
-            ingest_seconds = time.perf_counter() - start
-            index.compact()
-            searcher = JaccardSearcher(index, algorithm="mergeskip")
-            probe = dataset.strings[0]
-            hits = len(searcher.search(probe, 0.8))
-            table[scheme] = (ingest_seconds, index.size_mb(), hits)
-        offline = InvertedIndex(dataset.collection, scheme="css")
-        table["offline css"] = (offline.build_seconds, offline.size_mb(), None)
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [name, round(seconds, 3), round(size_mb, 4)]
-        for name, (seconds, size_mb, _) in table.items()
-    ]
-    print_block(
-        render_table(
-            ["scheme", "build s", "index MB"],
-            rows,
-            title="Ablation A7: streaming-ingest search index (Tweet)",
-        )
-    )
+def test_dynamic_index(experiment):
+    table = experiment.cells
     # identical answers across schemes
     hits = {v[2] for k, v in table.items() if v[2] is not None}
     assert len(hits) == 1

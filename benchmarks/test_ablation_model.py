@@ -6,55 +6,15 @@ real posting-list streams: compression achieved and time spent per scheme
 (Fix / Vari / Adapt / Model).
 """
 
-import time
+from repro.bench import grid
 
-from conftest import join_dataset, print_block
-from repro.bench import render_table
-from repro.core.framework import online_factory
-
-SCHEMES = ["fix", "vari", "adapt", "model"]
+EXPERIMENT = grid.ablation_model
 
 
-def _token_lists(dataset):
-    streams = {}
-    for rid, record in enumerate(dataset.collection.records):
-        for token in record.tolist():
-            streams.setdefault(token, []).append(rid)
-    return [ids for ids in streams.values() if len(ids) > 1]
-
-
-def test_adapt_vs_model(benchmark):
-    dataset = join_dataset("dblp")
-    streams = _token_lists(dataset)
-
-    def sweep():
-        table = {}
-        for scheme in SCHEMES:
-            factory = online_factory(scheme)
-            start = time.perf_counter()
-            bits = 0
-            for stream in streams:
-                lst = factory()
-                lst.extend(stream)
-                lst.finalize()
-                bits += lst.size_bits()
-            table[scheme] = (bits, time.perf_counter() - start)
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [scheme, round(bits / 8 / 1024, 2), round(seconds, 3)]
-        for scheme, (bits, seconds) in table.items()
-    ]
-    print_block(
-        render_table(
-            ["scheme", "index KB", "build s"],
-            rows,
-            title="Ablation A3: online seal policies (DBLP posting lists)",
-        )
-    )
+def test_adapt_vs_model(experiment):
+    table = experiment.cells
     # the paper's justification for Adapt, quantified:
     # (i) Adapt is drastically cheaper to run than the full KDE model
-    assert table["adapt"][1] < table["model"][1]
+    assert table["adapt"][0].median < table["model"][0].median
     # (ii) Adapt compresses within a modest factor of the DP-based Vari
-    assert table["adapt"][0] <= table["vari"][0] * 1.4
+    assert table["adapt"][1] <= table["vari"][1] * 1.4

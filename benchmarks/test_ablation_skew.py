@@ -18,95 +18,22 @@ imbalance) does NOT widen the gap — frequency skew changes how long lists
 are, not how clustered each list's ids are.
 """
 
-import numpy as np
-
-from conftest import print_block, scaled
-from repro.bench import render_table
-from repro.compression import CSSList, MILCList
+from repro.bench import grid
 from repro.datasets.loader import repro_scale
 
-CONTRASTS = [1, 10, 100, 1_000, 10_000]
-_RUN_FRACTION = 0.8
+EXPERIMENT = grid.ablation_skew
 
 
-def _clustered_list(
-    rng: np.random.Generator, length: int, contrast: int
-) -> np.ndarray:
-    """Sorted ids: 80% run gaps of ~1-3, 20% jump gaps ~contrast larger."""
-    runs = rng.random(length) < _RUN_FRACTION
-    gaps = np.where(
-        runs,
-        rng.integers(1, 4, size=length),
-        rng.integers(max(1, contrast), 3 * contrast + 2, size=length),
-    )
-    return np.cumsum(gaps)
-
-
-def test_gap_contrast_sweep(benchmark):
-    length = scaled(20_000)
-
-    def sweep():
-        table = {}
-        rng = np.random.default_rng(123)
-        for contrast in CONTRASTS:
-            values = _clustered_list(rng, length, contrast)
-            milc = MILCList(values).size_bits()
-            css = CSSList(values).size_bits()
-            table[contrast] = (32 * length, milc, css)
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    rows = [
-        [
-            f"{contrast}x",
-            round(uncomp / milc, 3),
-            round(uncomp / css, 3),
-            round(100 * (milc - css) / milc, 2),
-        ]
-        for contrast, (uncomp, milc, css) in table.items()
-    ]
-    print_block(
-        render_table(
-            ["gap contrast", "milc ratio", "css ratio", "css advantage %"],
-            rows,
-            title="Ablation A8: compression vs within-list gap clustering",
-        )
-    )
-    advantages = [
-        (milc - css) / milc
-        for _, (_, milc, css) in sorted(table.items())
-    ]
+def test_gap_contrast_sweep(experiment):
+    advantages = experiment.cells["advantages"]
     # css never loses, and its edge widens as ids cluster (Example 1's claim)
     assert all(a >= -1e-9 for a in advantages)
     assert advantages[-1] > advantages[0] + 0.02
 
 
-def test_frequency_skew_negative_control(benchmark):
+def test_frequency_skew_negative_control(experiment):
     """List-length skew alone does not separate CSS from MILC."""
-    from repro.datasets.synthetic import zipf_sets
-    from repro.search import InvertedIndex
-    from repro.similarity import tokenize_collection
-
-    cardinality = scaled(1_500)
-
-    def sweep():
-        advantages = []
-        for skew in (0.0, 1.4):
-            strings = zipf_sets(
-                cardinality, average_size=25, universe=2_000, skew=skew, seed=7
-            )
-            collection = tokenize_collection(strings, mode="word")
-            milc = InvertedIndex(collection, scheme="milc").size_bits()
-            css = InvertedIndex(collection, scheme="css").size_bits()
-            advantages.append((milc - css) / milc)
-        return advantages
-
-    advantages = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    print_block(
-        "Ablation A8 (negative control): css advantage at frequency skew "
-        f"0.0 -> {advantages[0]:.2%}, at 1.4 -> {advantages[1]:.2%} "
-        "(list-length skew does not move the needle; gap clustering does)"
-    )
+    advantages = experiment.cells["control"]
     # the effect of pure frequency skew stays within a few points — at full
     # scale; on the 100-record smoke corpus the lists are so short that
     # per-block metadata dominates both schemes (0.053 measured at 0.05)

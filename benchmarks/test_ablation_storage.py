@@ -10,72 +10,18 @@ where the two-layer layout overtakes streaming PForDelta on SSD is the
 chapter's argument, quantified.
 """
 
-import numpy as np
+from repro.bench import grid
 
-from conftest import print_block
-from repro.bench import render_table
-from repro.compression import MILCList, PForDeltaList, UncompressedList
-from repro.compression.storage import DRAM, HDD, SSD, estimate_lookup_us
-
-LENGTHS = [10_000, 100_000, 1_000_000, 3_000_000]
-DEVICES = [DRAM, SSD, HDD]
+EXPERIMENT = grid.ablation_storage
 
 
-def _make_list(length: int) -> np.ndarray:
-    rng = np.random.default_rng(length)
-    return np.unique(rng.integers(0, 2**31, size=int(length * 1.1)))[:length]
-
-
-def test_storage_model(benchmark):
-    def sweep():
-        table = {}
-        for length in LENGTHS:
-            values = _make_list(length)
-            lists = {
-                "uncomp": UncompressedList(values),
-                "pfordelta": PForDeltaList(values),
-                "twolayer": MILCList(values, block_size=64),
-            }
-            for scheme, lst in lists.items():
-                for device in DEVICES:
-                    table[(length, scheme, device.name)] = estimate_lookup_us(
-                        lst, device
-                    )
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    for device in DEVICES:
-        rows = [
-            [f"{length:,}"]
-            + [
-                round(table[(length, scheme, device.name)], 2)
-                for scheme in ("uncomp", "pfordelta", "twolayer")
-            ]
-            for length in LENGTHS
-        ]
-        print_block(
-            render_table(
-                ["list length", "uncomp us", "pfordelta us", "twolayer us"],
-                rows,
-                title=f"Ablation A5 ({device.name}): modeled us per lookup",
-            )
-        )
-
+def test_storage_model(experiment):
     # §6.1's shape, at the 3M-element scale of the paper's corpora:
-    longest = LENGTHS[-1]
+    us = {key[1:]: v for key, v in experiment.cells.items() if key[0] == 3_000_000}
     # (i) on SSD/DRAM the two-layer probe pattern beats both alternatives
-    for device in (SSD, DRAM):
-        assert (
-            table[(longest, "twolayer", device.name)]
-            <= table[(longest, "uncomp", device.name)]
-        )
-        assert (
-            table[(longest, "twolayer", device.name)]
-            < table[(longest, "pfordelta", device.name)]
-        )
+    for device in ("ssd", "dram"):
+        assert us[("twolayer", device)] <= us[("uncomp", device)]
+        assert us[("twolayer", device)] < us[("pfordelta", device)]
     # (ii) on HDD the seek-bound probes lose to the streaming codec —
     # the two-layer benefit is specific to SSD/DRAM, as §6.1 says
-    assert (
-        table[(longest, "pfordelta", "hdd")]
-        < table[(longest, "twolayer", "hdd")]
-    )
+    assert us[("pfordelta", "hdd")] < us[("twolayer", "hdd")]

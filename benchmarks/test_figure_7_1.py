@@ -5,54 +5,15 @@ builds about as fast as Uncomp; CSS pays a visible (but offline, hence
 acceptable) dynamic-programming overhead.
 """
 
-import time
-
 import pytest
 
-from conftest import print_block, search_dataset
-from repro.bench import build_search_index, render_table
+from repro.bench import grid
 
-DATASETS = ["dblp", "tweet", "dna", "aol"]
-SCHEMES = ["uncomp", "pfordelta", "milc", "css"]
-
-_results = {}
+EXPERIMENT = grid.figure_7_1
 
 
-@pytest.mark.parametrize("name", DATASETS)
-def test_index_build_time(benchmark, name):
-    dataset = search_dataset(name)
-
-    def build_all():
-        times = {}
-        for scheme in SCHEMES:
-            start = time.perf_counter()
-            build_search_index(dataset, scheme)
-            times[scheme] = time.perf_counter() - start
-        return times
-
-    times = benchmark.pedantic(build_all, rounds=1, iterations=1)
-    _results[name] = times
-    for scheme, seconds in times.items():
-        benchmark.extra_info[f"{scheme}_s"] = round(seconds, 3)
-
+@pytest.mark.parametrize("name", ["dblp", "tweet", "dna", "aol"])
+def test_index_build_time(experiment, name):
+    times = experiment.cells[name]
     # shape: the CSS dynamic program dominates construction time
-    assert times["css"] >= times["milc"]
-
-
-def test_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = [
-        [name] + [round(_results[name][s], 3) for s in SCHEMES]
-        for name in DATASETS
-        if name in _results
-    ]
-    print_block(
-        render_table(
-            ["dataset"] + [f"{s}_s" for s in SCHEMES],
-            rows,
-            title=(
-                "Figure 7.1: Index build time (s) — paper shape: "
-                "MILC ~ Uncomp, CSS slower (offline DP)"
-            ),
-        )
-    )
+    assert times["css"].median >= times["milc"].median

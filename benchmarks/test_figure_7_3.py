@@ -9,79 +9,31 @@ Uncomp; Vari the slowest (per-seal dynamic programming); Adapt tracking
 Uncomp closely and occasionally beating it.
 """
 
+import statistics
+
 import pytest
 
-from conftest import join_dataset, print_block
-from repro.bench import run_join, render_table
-from repro.bench.paper_numbers import FIGURE_7_3_DNA_S, TABLE_7_3_SETUP
+from repro.bench import grid
 
-SCHEMES = ["uncomp", "fix", "vari", "adapt"]
-JACCARD_THRESHOLDS = [0.6, 0.7, 0.8, 0.9]
-ED_THRESHOLDS = [1, 2, 3]
-
-_results = {}
-
-
-def _thresholds(name):
-    return ED_THRESHOLDS if name == "aol" else JACCARD_THRESHOLDS
+EXPERIMENT = grid.figure_7_3
 
 
 @pytest.mark.parametrize("name", ["dblp", "tweet", "dna", "aol"])
-def test_join_time(benchmark, name):
-    dataset = join_dataset(name)
-    filter_name, _ = TABLE_7_3_SETUP[name]
-
-    def sweep():
-        table = {}
-        for threshold in _thresholds(name):
-            for scheme in SCHEMES:
-                table[(scheme, threshold)] = run_join(
-                    dataset, filter_name, scheme, threshold
-                )
-        return table
-
-    table = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    _results[name] = (filter_name, table)
-
-    import statistics
-
-    for threshold in _thresholds(name):
-        pair_counts = {
-            table[(scheme, threshold)].pairs for scheme in SCHEMES
-        }
+def test_join_time(experiment, name):
+    table = experiment.cells[name]
+    thresholds = sorted({t for _, t in table})
+    schemes = sorted({s for s, _ in table})
+    for threshold in thresholds:
+        pair_counts = {table[(scheme, threshold)].pairs for scheme in schemes}
         assert len(pair_counts) == 1, (name, threshold)
     # shape: compressed join time within a modest factor of Uncomp —
-    # compared on per-scheme medians across thresholds, since single cells
-    # (especially the first, which pays allocator warmup) are noisy
+    # compared on per-scheme medians across thresholds of each cell's
+    # median, since single cells are noisy
     medians = {
         scheme: statistics.median(
-            table[(scheme, t)].seconds for t in _thresholds(name)
+            table[(scheme, t)].time.median for t in thresholds
         )
-        for scheme in SCHEMES
+        for scheme in schemes
     }
     for scheme in ("fix", "adapt"):
         assert medians[scheme] < 5 * medians["uncomp"] + 1.0, (name, medians)
-
-
-def test_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for name, (filter_name, table) in _results.items():
-        rows = [
-            [scheme]
-            + [round(table[(scheme, t)].seconds, 3) for t in _thresholds(name)]
-            for scheme in SCHEMES
-        ]
-        print_block(
-            render_table(
-                ["scheme"] + [f"t={t}" for t in _thresholds(name)],
-                rows,
-                title=(
-                    f"Figure 7.3 ({name}, {filter_name} filter): "
-                    "join time (s) per threshold"
-                ),
-            )
-        )
-    print_block(
-        "Paper reference (DNA, Prefix Filter, tau=0.8): join seconds "
-        f"{FIGURE_7_3_DNA_S} — shape: Vari slowest, Adapt ~ Uncomp"
-    )

@@ -9,78 +9,18 @@ join time grows superlinearly ("quadratic, consistent with the increasing
 search space").
 """
 
-import numpy as np
+from repro.bench import grid
 
-from conftest import JOIN_CARDINALITY, SEARCH_CARDINALITY, print_block, scaled
-from repro.bench import (
-    build_search_index,
-    render_table,
-    run_join,
-    run_search_queries,
-    sample_queries,
-)
-from repro.datasets import load_dataset
-
-FRACTIONS = [0.2, 0.4, 0.6, 0.8, 1.0]
-
-_results = {}
+EXPERIMENT = grid.figure_7_5
 
 
-def test_search_time_scaling(benchmark, query_count):
-    base = scaled(SEARCH_CARDINALITY["uniform"])
-
-    def sweep():
-        times = []
-        for fraction in FRACTIONS:
-            dataset = load_dataset("uniform", cardinality=int(base * fraction))
-            index = build_search_index(dataset, "css").index
-            queries = sample_queries(dataset, max(10, query_count // 2))
-            cell = run_search_queries(index, queries, 0.8, "mergeskip")
-            times.append(cell["avg_ms"])
-        return times
-
-    times = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    _results["search_ms"] = times
+def test_search_time_scaling(experiment):
+    times = [timing.median for timing in experiment.cells["search_ms"]]
     # shape: more data -> more work; full size costs more than 20%
     assert times[-1] > times[0]
 
 
-def test_join_time_scaling(benchmark):
-    base = scaled(JOIN_CARDINALITY["zipf"])
-
-    def sweep():
-        times = []
-        for fraction in FRACTIONS:
-            dataset = load_dataset("zipf", cardinality=int(base * fraction))
-            times.append(run_join(dataset, "position", "adapt", 0.6).seconds)
-        return times
-
-    times = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    _results["join_s"] = times
+def test_join_time_scaling(experiment):
+    times = [timing.median for timing in experiment.cells["join_s"]]
     # shape: superlinear growth — 5x the data costs clearly more than 5x 20%'s
     assert times[-1] > times[0] * 3
-
-
-def test_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    if "search_ms" in _results:
-        rows.append(
-            ["search avg ms (MS on CSS)"]
-            + [round(v, 3) for v in _results["search_ms"]]
-        )
-    if "join_s" in _results:
-        rows.append(
-            ["join s (Position on Adapt)"]
-            + [round(v, 3) for v in _results["join_s"]]
-        )
-    print_block(
-        render_table(
-            ["experiment"] + [f"{int(f * 100)}%" for f in FRACTIONS],
-            rows,
-            title=(
-                "Figure 7.5: execution time scaling — paper shape: search "
-                "~linear, join ~quadratic"
-            ),
-        )
-    )

@@ -4,49 +4,14 @@ Regenerates the dataset-statistics table for the synthetic stand-ins at the
 configured scale, alongside the paper's full-scale numbers.
 """
 
-from conftest import print_block, search_dataset
-from repro.bench import render_table
-from repro.bench.paper_numbers import TABLE_7_1
+from repro.bench import grid
 
-DATASETS = ["dblp", "tweet", "dna", "aol"]
+EXPERIMENT = grid.table_7_1
 
 
-def test_table_7_1(benchmark):
-    def build():
-        return [search_dataset(name) for name in DATASETS]
-
-    datasets = benchmark.pedantic(build, rounds=1, iterations=1)
-    rows = []
-    for ds in datasets:
-        paper = TABLE_7_1[ds.name]
-        rows.append(
-            [
-                ds.name,
-                ds.statistics["average_length"],
-                paper["average_length"],
-                ds.statistics["cardinality"],
-                paper["cardinality"],
-                ds.statistics["size_mb"],
-                paper["size_mb"],
-            ]
-        )
-        benchmark.extra_info[ds.name] = ds.statistics
-    print_block(
-        render_table(
-            [
-                "dataset",
-                "avg_len",
-                "paper_avg_len",
-                "cardinality",
-                "paper_card",
-                "size_mb",
-                "paper_mb",
-            ],
-            rows,
-            title="Table 7.1: Statistics of Datasets (measured vs paper)",
-        )
-    )
+def test_table_7_1(experiment):
+    stats = experiment.cells
     # shape check: DNA has by far the longest signatures, as in the paper
-    lengths = {ds.name: ds.statistics["average_length"] for ds in datasets}
+    lengths = {name: s["average_length"] for name, s in stats.items()}
     assert lengths["dna"] == max(lengths.values())
-    assert all(ds.statistics["cardinality"] >= 100 for ds in datasets)
+    assert all(s["cardinality"] >= 100 for s in stats.values())

@@ -12,57 +12,18 @@ paper measures Adapt *above* Fix there).
 
 import pytest
 
-from conftest import join_dataset, print_block
-from repro.bench import run_join
-from repro.bench.tables import render_table
-from repro.bench.paper_numbers import TABLE_7_3_MB, TABLE_7_3_SETUP
+from repro.bench import grid
 
-SCHEMES = ["uncomp", "fix", "vari", "adapt"]
-
-_results = {}
+EXPERIMENT = grid.table_7_3
 
 
 @pytest.mark.parametrize("name", ["dblp", "tweet", "dna", "aol"])
-def test_join_index_size(benchmark, name):
-    dataset = join_dataset(name)
-    filter_name, threshold = TABLE_7_3_SETUP[name]
-
-    def run_all():
-        return {
-            scheme: run_join(dataset, filter_name, scheme, threshold)
-            for scheme in SCHEMES
-        }
-
-    results = benchmark.pedantic(run_all, rounds=1, iterations=1)
+def test_join_index_size(experiment, name):
+    results = experiment.cells[name]
     sizes = {scheme: result.index_mb for scheme, result in results.items()}
-    _results[name] = (filter_name, threshold, sizes)
-    for scheme, size in sizes.items():
-        benchmark.extra_info[f"{scheme}_mb"] = round(size, 4)
-
     # every scheme must produce the same join result
     pair_counts = {result.pairs for result in results.values()}
     assert len(pair_counts) == 1
 
     # shape: Vari compresses at least as well as Fix (it runs the DP)
     assert sizes["vari"] <= sizes["fix"] * 1.01
-
-
-def test_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    rows = []
-    for name, (filter_name, threshold, sizes) in _results.items():
-        paper = TABLE_7_3_MB[name]
-        rows.append(
-            [f"{name}/{filter_name}@{threshold}"]
-            + [sizes[s] for s in SCHEMES]
-            + [paper[s] for s in SCHEMES]
-        )
-    print_block(
-        render_table(
-            ["workload"]
-            + [f"{s}_mb" for s in SCHEMES]
-            + [f"paper_{s}" for s in SCHEMES],
-            rows,
-            title="Table 7.3: Index Size, Similarity Join (measured | paper)",
-        )
-    )

@@ -7,28 +7,14 @@ comfortably.  We reproduce the regime at scale: the same schemes, the same
 orderings, and the derived memory-budget multiple.
 """
 
-from conftest import join_dataset, print_block, search_dataset
-from repro.bench import build_search_index, render_table, run_join
-from repro.bench.paper_numbers import TABLE_7_4_GB
+from repro.bench import grid
 from repro.datasets.loader import repro_scale
 
-SEARCH_SCHEMES = ["uncomp", "pfordelta", "milc", "css"]
-JOIN_SCHEMES = ["uncomp", "fix", "vari", "adapt"]
-
-_results = {}
+EXPERIMENT = grid.table_7_4
 
 
-def test_search_index_sizes(benchmark):
-    dataset = search_dataset("amazon")
-
-    def build_all():
-        return {
-            scheme: build_search_index(dataset, scheme).size_mb
-            for scheme in SEARCH_SCHEMES
-        }
-
-    sizes = benchmark.pedantic(build_all, rounds=1, iterations=1)
-    _results["search"] = sizes
+def test_search_index_sizes(experiment):
+    sizes = experiment.cells["search"]
     assert sizes["css"] <= sizes["milc"] < sizes["uncomp"]
     # the case study's point: CSS is several times below Uncomp, so a memory
     # budget that Uncomp overflows still fits the CSS index — once lists are
@@ -38,35 +24,7 @@ def test_search_index_sizes(benchmark):
         assert sizes["uncomp"] / sizes["css"] > 2
 
 
-def test_join_index_sizes(benchmark):
-    dataset = join_dataset("amazon")
-
-    def run_all():
-        return {
-            scheme: run_join(dataset, "position", scheme, 0.6).index_mb
-            for scheme in JOIN_SCHEMES
-        }
-
-    sizes = benchmark.pedantic(run_all, rounds=1, iterations=1)
-    _results["join"] = sizes
+def test_join_index_sizes(experiment):
+    sizes = experiment.cells["join"]
     assert sizes["vari"] < sizes["uncomp"]
     assert sizes["adapt"] < sizes["uncomp"]
-
-
-def test_report(benchmark):
-    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    for kind, schemes in (("search", SEARCH_SCHEMES), ("join", JOIN_SCHEMES)):
-        if kind not in _results:
-            continue
-        paper = TABLE_7_4_GB[kind]
-        rows = [
-            [scheme, round(_results[kind][scheme], 4), paper[scheme]]
-            for scheme in schemes
-        ]
-        print_block(
-            render_table(
-                ["scheme", "measured_mb", "paper_gb"],
-                rows,
-                title=f"Table 7.4 ({kind}): Amazon case study index size",
-            )
-        )

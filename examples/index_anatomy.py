@@ -66,7 +66,7 @@ def main() -> None:
         "\n§6.1: the two-layer layout is an SSD/DRAM design).  At this demo"
         "\nscale lists are short, so streaming codecs still look cheap; the"
         "\ncrossover where the two-layer probes win sits near 10^6-element"
-        "\nlists — run `pytest benchmarks/test_ablation_storage.py` to see it."
+        "\nlists — `pytest benchmarks/test_ablation_storage.py -s` prints it."
     )
 
 

@@ -33,7 +33,8 @@ Subpackages
 * :mod:`repro.search` — SSS engines (ScanCount / MergeSkip / DivideSkip),
 * :mod:`repro.join` — SSJ engines (Count / Prefix / Position / Segment),
 * :mod:`repro.datasets` — seeded synthetic workloads,
-* :mod:`repro.bench` — the experiment harness behind ``benchmarks/``.
+* :mod:`repro.bench` — the Chapter 7 harness behind ``repro report`` and
+  ``benchmarks/``.
 """
 
 from .compression import (

@@ -1,199 +1,53 @@
-"""One-shot reproduction report: every headline table in one markdown file.
+"""One-shot reproduction report: every Chapter 7 experiment in one file.
 
-``python -m repro report -o report.md --scale 0.2`` regenerates the core
-evaluation-chapter results (dataset statistics, search/join index sizes,
-query and join timings, scalability) at the requested scale and writes a
-self-contained markdown report with the paper's numbers alongside.  The
-pytest benches in ``benchmarks/`` remain the canonical, assertion-checked
-versions; this module is the quick artifact generator.
+``python -m repro report -o report.md --scale 1.0`` runs the 18 functions
+of :mod:`repro.bench.grid` in DESIGN.md §4 order and writes their markdown
+sections — the same tables ``pytest benchmarks/<file> -s`` prints, and the
+ones EXPERIMENTS.md records — with the paper's numbers alongside.
 """
 
 from __future__ import annotations
 
-import time
-from typing import Dict, List
-
-from ..datasets import load_dataset
-from ..datasets.loader import default_cardinality
 from ..obs import enabled_metrics, profile_report, profile_to_markdown
-from .experiments import (
-    build_search_index,
-    run_join,
-    run_search_queries,
-    sample_queries,
-)
-from .paper_numbers import (
-    TABLE_7_1,
-    TABLE_7_2_MB,
-    TABLE_7_3_MB,
-    TABLE_7_3_SETUP,
-)
+from .experiments import EXPERIMENTS, REPEATS, query_count
+from .tables import render_experiment
 
 __all__ = ["generate_report"]
 
-_SEARCH_SCHEMES = ["uncomp", "pfordelta", "milc", "css"]
-_JOIN_SCHEMES = ["uncomp", "fix", "vari", "adapt"]
-_DATASETS = ["dblp", "tweet", "dna", "aol"]
-
-
-def _markdown_table(headers: List[str], rows: List[List]) -> str:
-    def fmt(cell) -> str:
-        if isinstance(cell, float):
-            return f"{cell:.3f}" if abs(cell) < 100 else f"{cell:,.1f}"
-        return str(cell)
-
-    lines = [
-        "| " + " | ".join(headers) + " |",
-        "|" + "|".join("---" for _ in headers) + "|",
-    ]
-    for row in rows:
-        lines.append("| " + " | ".join(fmt(cell) for cell in row) + " |")
-    return "\n".join(lines)
-
 
 def generate_report(
-    scale: float = 0.25, query_count: int = 20, profile: bool = False
+    scale: float = 0.25, queries: int = 0, profile: bool = False
 ) -> str:
     """Build the report and return it as a markdown string.
 
-    With ``profile=True`` the whole run executes under the global metrics
-    registry and an Instrumentation section (decoded blocks/elements, cursor
-    seeks, seal events, per-stage wall time) is appended — the markdown
-    rendering of the same document ``--profile`` dumps as ``BENCH_*.json``.
+    ``queries`` is the number of queries per search-timing cell (0:
+    50 x ``scale``, at least 10).  With ``profile=True`` the whole run
+    executes under the global metrics registry and an Instrumentation
+    section (decoded blocks/elements, cursor seeks, seal events, per-stage
+    wall time) is appended — the markdown rendering of the same document
+    ``--profile`` dumps as JSON.
     """
     if profile:
         with enabled_metrics():
-            body = _generate_report_body(scale, query_count)
+            body = _report_body(scale, queries)
             document = profile_report(
                 meta={"command": "report", "scale": scale}
             )
         return body + "\n" + profile_to_markdown(document)
-    return _generate_report_body(scale, query_count)
+    return _report_body(scale, queries)
 
 
-def _generate_report_body(scale: float, query_count: int) -> str:
-    started = time.perf_counter()
-    sections: List[str] = [
+def _report_body(scale: float, queries: int) -> str:
+    queries = queries or query_count(scale)
+    sections = [
         "# CSS reproduction report",
-        "",
-        f"Generated by `repro.bench.report` at scale factor {scale} "
-        f"({query_count} queries per cell). Paper values from Chapter 7; "
-        "shapes (orderings, trends) are the reproduction target, not "
-        "absolute magnitudes.",
-    ]
-
-    datasets = {
-        name: load_dataset(
-            name, cardinality=max(150, int(default_cardinality(name) * scale))
-        )
-        for name in _DATASETS
-    }
-
-    # ------------------------------------------------------------- 7.1 --
-    rows = [
-        [
-            name,
-            ds.statistics["cardinality"],
-            TABLE_7_1[name]["cardinality"],
-            round(ds.statistics["average_length"], 1),
-            TABLE_7_1[name]["average_length"],
-        ]
-        for name, ds in datasets.items()
+        f"Generated by `repro report --scale {scale} --queries {queries}`: "
+        f"the {len(EXPERIMENTS)} experiments of DESIGN.md §4, in its order. "
+        f"Timing cells are median [q1, q3] over n = {REPEATS} repeats. Paper "
+        "values from Chapter 7; shapes (orderings, trends) are the "
+        "reproduction target, not absolute magnitudes.",
     ]
     sections += [
-        "",
-        "## Table 7.1 — dataset statistics",
-        "",
-        _markdown_table(
-            ["dataset", "records", "paper records", "avg len", "paper avg"],
-            rows,
-        ),
+        render_experiment(run(scale, queries)) for run in EXPERIMENTS.values()
     ]
-
-    # ------------------------------------------------------------- 7.2 --
-    search_indexes: Dict[str, Dict[str, object]] = {}
-    rows = []
-    for name, ds in datasets.items():
-        built = {
-            scheme: build_search_index(ds, scheme)
-            for scheme in _SEARCH_SCHEMES
-        }
-        search_indexes[name] = built
-        rows.append(
-            [name]
-            + [round(built[s].size_mb, 4) for s in _SEARCH_SCHEMES]
-            + [TABLE_7_2_MB[name]["css"]]
-        )
-    sections += [
-        "",
-        "## Table 7.2 — search index size (MB)",
-        "",
-        _markdown_table(
-            ["dataset"] + _SEARCH_SCHEMES + ["paper css"], rows
-        ),
-    ]
-
-    # ------------------------------------------------- Figure 7.2 cut --
-    rows = []
-    for name, ds in datasets.items():
-        threshold = 2 if ds.metric == "ed" else 0.75
-        queries = sample_queries(ds, query_count)
-        cells = []
-        for scheme, algorithm in (
-            ("uncomp", "mergeskip"),
-            ("milc", "mergeskip"),
-            ("css", "mergeskip"),
-            ("pfordelta", "scancount"),
-        ):
-            cell = run_search_queries(
-                search_indexes[name][scheme].index,
-                queries,
-                threshold,
-                algorithm,
-                metric=ds.metric,
-            )
-            cells.append(round(cell["avg_ms"], 2))
-        rows.append([f"{name}@{threshold}"] + cells)
-    sections += [
-        "",
-        "## Figure 7.2 (one threshold) — avg query ms",
-        "",
-        _markdown_table(
-            ["workload", "MS-uncomp", "MS-milc", "MS-css", "SC-pfordelta"],
-            rows,
-        ),
-    ]
-
-    # ------------------------------------------------------------- 7.3 --
-    rows = []
-    for name in _DATASETS:
-        filter_name, threshold = TABLE_7_3_SETUP[name]
-        ds = load_dataset(
-            name,
-            cardinality=max(
-                150, int(default_cardinality(name) * scale * 0.4)
-            ),
-        )
-        results = {
-            scheme: run_join(ds, filter_name, scheme, threshold)
-            for scheme in _JOIN_SCHEMES
-        }
-        rows.append(
-            [f"{name}/{filter_name}"]
-            + [round(results[s].index_mb, 4) for s in _JOIN_SCHEMES]
-            + [round(results["adapt"].seconds, 2), TABLE_7_3_MB[name]["adapt"]]
-        )
-    sections += [
-        "",
-        "## Table 7.3 — join index size (MB) + Adapt join time (s)",
-        "",
-        _markdown_table(
-            ["workload"]
-            + [f"{s} MB" for s in _JOIN_SCHEMES]
-            + ["adapt s", "paper adapt MB"],
-            rows,
-        ),
-        "",
-        f"Report generated in {time.perf_counter() - started:.1f} s.",
-    ]
-    return "\n".join(sections) + "\n"
+    return "\n\n".join(sections) + "\n"

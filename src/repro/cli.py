@@ -529,11 +529,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     report = commands.add_parser(
-        "report", help="regenerate the headline paper tables as markdown"
+        "report",
+        help="regenerate every Chapter 7 table, figure and ablation as markdown",
     )
     report.add_argument("-o", "--output", default="report.md")
     report.add_argument("--scale", type=float, default=0.25)
-    report.add_argument("--queries", type=int, default=20)
+    report.add_argument(
+        "--queries",
+        type=int,
+        default=0,
+        help="queries per search-timing cell (default: 50 x scale, at least 10)",
+    )
     report.add_argument(
         "--profile",
         action="store_true",
@@ -904,7 +910,7 @@ def _cmd_report(args) -> int:
     from .bench.report import generate_report
 
     markdown = generate_report(
-        scale=args.scale, query_count=args.queries, profile=args.profile
+        scale=args.scale, queries=args.queries, profile=args.profile
     )
     Path(args.output).write_text(markdown, encoding="utf-8")
     print(f"wrote {args.output} ({len(markdown.splitlines())} lines)")

@@ -3,19 +3,14 @@
 Classical inverted-index engines hide decode bandwidth behind per-list
 caches (Pibiri & Venturini, *Techniques for Inverted Index Compression*);
 this module is that layer for the CSS reproduction.  One
-:class:`DecodeCache` instance can serve
+:class:`DecodeCache` instance serves the count-filter searchers (ScanCount
+consumes ``to_array()`` directly; MergeSkip/DivideSkip run their random
+accesses against the cached array when one exists, and against the
+compressed layout otherwise).
 
-* the count-filter searchers (ScanCount consumes ``to_array()`` directly;
-  MergeSkip/DivideSkip run their random accesses against the cached array
-  when one exists, and against the compressed layout otherwise), and
-* the R-S join probe phase, which replaces its ad-hoc per-join memo with
-  :meth:`DecodeCache.fetch_ids`.
+Two admission modes cover two access patterns:
 
-Two admission modes cover the two access patterns:
-
-* :meth:`fetch` / :meth:`fetch_ids` — decode-and-cache immediately (the
-  join probe decodes each list exactly once and reuses it for every
-  probing record, so caching on first touch is always right);
+* :meth:`fetch` — decode-and-cache immediately;
 * :meth:`admit` (used by :meth:`wrap`) — cache only after a list has been
   touched ``admit_after`` times (default 2).  Cold query lists keep the
   skip-based algorithms on the compressed layout, where partial access is
@@ -33,7 +28,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -44,22 +39,13 @@ __all__ = ["DecodeCache", "CachedListView"]
 
 
 class _Entry:
-    """One cached decode: the source list, its array, and a lazy id list."""
+    """One cached decode: the source list and its array."""
 
-    __slots__ = ("source", "array", "_ids")
+    __slots__ = ("source", "array")
 
     def __init__(self, source, array: np.ndarray) -> None:
         self.source = source
         self.array = array
-        self._ids: Optional[List[int]] = None
-
-    @property
-    def ids(self) -> List[int]:
-        """``array.tolist()``, materialized once (the join probe iterates
-        python ints; re-listing per probe would undo the memoization)."""
-        if self._ids is None:
-            self._ids = self.array.tolist()
-        return self._ids
 
 
 class DecodeCache:
@@ -153,14 +139,6 @@ class DecodeCache:
             if entry is None:
                 entry = self._insert(lst, self._decode(lst))
             return entry.array
-
-    def fetch_ids(self, lst) -> List[int]:
-        """Decoded ids as a python list (the join-probe access path)."""
-        with self._lock:
-            entry = self._lookup(lst)
-            if entry is None:
-                entry = self._insert(lst, self._decode(lst))
-            return entry.ids
 
     def admit(self, lst) -> Optional[np.ndarray]:
         """Cached array, decoding only once ``lst`` proves hot.

@@ -14,9 +14,8 @@ underlying the prefix filter is inconsistent and the join would be wrong
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-from ..engine.cache import DecodeCache
 from ..obs import METRICS as _METRICS
 from ..similarity.measures import length_bounds, prefix_length, required_overlap
 from ..similarity.tokenize import TokenizedCollection
@@ -30,12 +29,8 @@ class PrefixFilterRSJoin(OnlineIndexMixin):
     """Prefix-filter join between two collections over compressed lists.
 
     The probe phase reads each indexed posting list many times (once per
-    probing record that shares the token); decodes go through a
-    :class:`~repro.engine.cache.DecodeCache` so every list is decoded at
-    most once per join.  Pass a ``cache`` to share decode state with an
-    engine; by default each ``join()`` uses a private unbounded cache,
-    which reproduces the old per-join memo exactly (bounded by the number
-    of indexed lists).
+    probing record that shares the token); a per-join memo keyed by token
+    decodes every list at most once per join.
     """
 
     def __init__(
@@ -44,7 +39,6 @@ class PrefixFilterRSJoin(OnlineIndexMixin):
         right: TokenizedCollection,
         scheme: str = "adapt",
         metric: str = "jaccard",
-        cache: Optional[DecodeCache] = None,
         **scheme_kwargs,
     ) -> None:
         if left.dictionary is not right.dictionary:
@@ -56,7 +50,6 @@ class PrefixFilterRSJoin(OnlineIndexMixin):
         self.right = right
         self.scheme = scheme
         self.metric = metric
-        self.cache = cache
         self._scheme_kwargs = scheme_kwargs
         self.last_stats = JoinStats()
 
@@ -78,11 +71,8 @@ class PrefixFilterRSJoin(OnlineIndexMixin):
         left_records = self.left.records
         # The left index is static for the whole probe phase, so each posting
         # list is decoded at most once and the decoded ids are reused by every
-        # probing record.  The decode cache (shared with an engine, or a
-        # private unbounded one) replaces the old per-join dict memo.
-        cache = self.cache
-        if cache is None:
-            cache = DecodeCache(max_entries=None, max_bytes=None, admit_after=1)
+        # probing record.
+        decoded: Dict[int, List[int]] = {}
         with _METRICS.span("join.probe"):
             for sid, record in enumerate(self.right.records):
                 size_s = record.size
@@ -92,8 +82,11 @@ class PrefixFilterRSJoin(OnlineIndexMixin):
                 prefix = prefix_length(size_s, threshold, self.metric)
                 seen: Dict[int, bool] = {}
                 for token in record[:prefix].tolist():
-                    posting = self._lists.get(token)
-                    rids = [] if posting is None else cache.fetch_ids(posting)
+                    rids = decoded.get(token)
+                    if rids is None:
+                        posting = self._lists.get(token)
+                        rids = [] if posting is None else posting.to_array().tolist()
+                        decoded[token] = rids
                     for rid in rids:
                         if rid in seen:
                             continue

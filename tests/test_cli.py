@@ -459,8 +459,18 @@ class TestCheck:
         assert "violations" in capsys.readouterr().out
 
 
+@pytest.fixture
+def two_section_report(monkeypatch):
+    """`repro report` over two of its 18 sections (the full grid is the
+    benchmarks' job, and takes most of a minute even at small scale)."""
+    from repro.bench import EXPERIMENTS
+
+    cheap = {name: EXPERIMENTS[name] for name in ("Table 7.2", "Table 7.3")}
+    monkeypatch.setattr("repro.bench.report.EXPERIMENTS", cheap)
+
+
 class TestReport:
-    def test_report_written(self, tmp_path, capsys):
+    def test_report_written(self, tmp_path, capsys, two_section_report):
         out = tmp_path / "report.md"
         assert (
             main(
@@ -476,6 +486,7 @@ class TestReport:
         assert "Table 7.2" in text
         assert "Table 7.3" in text
         assert "paper css" in text
+        assert text.index("## Table 7.2") < text.index("## Table 7.3")
 
 
 class TestProfile:
@@ -597,7 +608,7 @@ class TestProfile:
         # query), so the count lands between 1 and the query count
         assert 1 <= report["timers"]["search.filter"]["count"] <= 12
 
-    def test_report_with_profile_section(self, tmp_path):
+    def test_report_with_profile_section(self, tmp_path, two_section_report):
         out = tmp_path / "report.md"
         assert (
             main(

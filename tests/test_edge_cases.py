@@ -112,6 +112,7 @@ class TestTableFormatting:
         assert format_value(1234567.0) == "1,234,567"
         assert format_value("text") == "text"
         assert format_value(7) == "7"
+        assert format_value(1234567) == "1,234,567"
 
 
 class TestCLIErrors:

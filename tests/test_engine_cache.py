@@ -36,13 +36,6 @@ class TestFetchAccounting:
         assert len(cache) == 2
         assert cache.stats()["bytes"] == a.to_array().nbytes + b.to_array().nbytes
 
-    def test_fetch_ids_returns_same_list_object(self):
-        cache = DecodeCache()
-        lst = make_list()
-        ids = cache.fetch_ids(lst)
-        assert ids is cache.fetch_ids(lst)  # memoized, not re-listed
-        assert ids == lst.to_array().tolist()
-
     def test_cached_array_is_readonly(self):
         cache = DecodeCache()
         array = cache.fetch(make_list())

@@ -120,23 +120,6 @@ class TestProbeDecodeBound:
         assert decoded_lists <= len(join._lists)
 
 
-class TestSharedDecodeCache:
-    def test_shared_cache_same_pairs_and_records_hits(self, rs_collections):
-        from repro.engine import DecodeCache
-
-        left, right = rs_collections
-        baseline = PrefixFilterRSJoin(left, right, scheme="adapt").join(0.7)
-        cache = DecodeCache(max_entries=None, max_bytes=None, admit_after=1)
-        join = PrefixFilterRSJoin(left, right, scheme="adapt", cache=cache)
-        assert join.join(0.7) == baseline
-        stats = cache.stats()
-        # every decoded list went through the shared cache, and probing
-        # records re-reading a hot list were served from it
-        assert stats["misses"] > 0
-        assert stats["misses"] <= len(join._lists)
-        assert stats["hits"] > 0
-
-
 class TestTokenizePair:
     def test_shared_dictionary(self):
         left, right = tokenize_pair(["a b"], ["b c"], mode="word")
