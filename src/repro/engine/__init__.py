@@ -19,8 +19,9 @@ merge with local→global id remapping, bit-identical to a single shard.
 The decode cache is the piece the paper's two-layer layout motivates:
 posting lists are stored bit-packed, and every decode costs real work — so
 hot lists (Zipf token distributions make most workloads hot) are decoded
-once and served as arrays to ScanCount/MergeSkip/DivideSkip and to the
-join probe phase, with ``obs`` counters for hits/misses/evictions/bytes.
+once and served as arrays to ScanCount/MergeSkip/DivideSkip, with ``obs``
+counters for hits/misses/evictions/bytes.  (Joins keep their own per-join
+decode memo and never touch this cache.)
 """
 
 from .cache import CachedListView, DecodeCache
@@ -42,9 +43,8 @@ def open_engine(path, *, mmap: bool = True, **engine_kwargs):
     Reads the manifest kind once and returns
     :meth:`SimilarityEngine.open` or :meth:`ShardedEngine.open` of
     ``path``; ``engine_kwargs`` are the serving knobs both take
-    (``algorithm``, ``metric``, ``cache_entries``, ``cache_admit_after``,
-    ``kernel``).  Raises ``ValueError`` for a path
-    that holds no bundle of either kind.
+    (``algorithm``, ``metric``, ``cache_entries``).  Raises ``ValueError``
+    for a path that holds no bundle of either kind.
     """
     from .. import storage
 

@@ -8,14 +8,19 @@ consumes ``to_array()`` directly; MergeSkip/DivideSkip run their random
 accesses against the cached array when one exists, and against the
 compressed layout otherwise).
 
-Two admission modes cover two access patterns:
+Two admission modes cover the two query paths:
 
-* :meth:`fetch` — decode-and-cache immediately;
-* :meth:`admit` (used by :meth:`wrap`) — cache only after a list has been
-  touched ``admit_after`` times (default 2).  Cold query lists keep the
-  skip-based algorithms on the compressed layout, where partial access is
-  the whole point; lists that repeat across queries get decoded once and
-  pinned.
+* :meth:`fetch` — decode-and-cache immediately.  The batch path uses it:
+  a batch decodes every probed list anyway, so
+  :func:`~repro.search.batchkernels.decode_postings` looks each distinct
+  list up once per batch — one hit, or one miss that decodes and inserts.
+* :meth:`admit` (through :meth:`wrap`) — cache only after a list has been
+  touched ``admit_after`` times (default 2).  The single-query path uses
+  it, once per probed list per query, at filter time: cold query lists
+  keep the skip-based algorithms on the compressed layout, where partial
+  access is the whole point; lists that repeat across queries get decoded
+  once and pinned.  Every touch short of admission counts a miss with no
+  insertion.
 
 Entries are keyed by posting-list *identity* — the cache holds a strong
 reference to the list object, so a key can never be silently reused while
@@ -53,7 +58,7 @@ class DecodeCache:
 
     ``max_entries`` / ``max_bytes`` of ``None`` mean unbounded on that
     axis.  ``admit_after`` is the admission threshold for :meth:`admit`;
-    ``1`` caches on first touch.
+    ``1`` caches on first touch.  The engines keep the default of 2.
     """
 
     def __init__(

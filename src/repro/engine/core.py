@@ -86,20 +86,7 @@ def _obs_config():
     )
 
 
-def _check_kernel(kernel: str) -> str:
-    if kernel not in ("auto", "serial"):
-        raise ValueError(f"kernel must be 'auto' or 'serial', got {kernel!r}")
-    return kernel
-
-
-def _answer_chunk(searcher, chunk: List[str], threshold, use_kernel: bool):
-    """One chunk through the batch kernels or the serial per-query loop."""
-    if use_kernel:
-        return searcher.search_many_batched(chunk, threshold)
-    return [searcher.search(query, threshold) for query in chunk]
-
-
-def _run_chunk(chunk: List[str], threshold, obs=None, use_kernel=False):
+def _run_chunk(chunk: List[str], threshold, obs=None):
     """Answer one chunk in a pool worker; returns ``(results, delta)``.
 
     With telemetry on, the worker's registry/tracer are reset before the
@@ -110,7 +97,7 @@ def _run_chunk(chunk: List[str], threshold, obs=None, use_kernel=False):
     """
     searcher = _WORKER_ENGINE.searcher
     if obs is None:
-        return _answer_chunk(searcher, chunk, threshold, use_kernel), None
+        return searcher.search_many_batched(chunk, threshold), None
     metrics_on, traces_on, sample_rate, slow_ms = obs
     _METRICS.reset()
     _METRICS.enabled = metrics_on
@@ -119,7 +106,7 @@ def _run_chunk(chunk: List[str], threshold, obs=None, use_kernel=False):
     )
     _TRACER.clear()
     try:
-        results = _answer_chunk(searcher, chunk, threshold, use_kernel)
+        results = searcher.search_many_batched(chunk, threshold)
         delta = {
             "metrics": _METRICS.snapshot(full=True) if metrics_on else None,
             "traces": _TRACER.drain() if traces_on else None,
@@ -146,14 +133,14 @@ class SimilarityEngine:
         Offline scheme name, T-occurrence algorithm, and similarity metric
         (``jaccard`` / ``cosine`` / ``dice`` / ``ed`` — ``ed`` thresholds
         are integer edit distances).
-    cache_entries / cache_admit_after:
-        Decode-cache capacity and admission knobs; ``cache_entries=0``
-        disables the cache entirely.
-    kernel:
-        ``"auto"`` (default) routes batches through the vectorized
-        :mod:`~repro.search.batchkernels` whenever the searcher/algorithm
-        pair has one; ``"serial"`` pins the per-query path (the parity
-        oracle).  Single-query ``search`` is always per-query.
+    cache_entries:
+        Decode-cache capacity; ``cache_entries=0`` disables the cache
+        entirely.
+
+    How a batch is answered — the vectorized
+    :mod:`~repro.search.batchkernels` or the per-query loop — is the
+    searcher's decision (:meth:`CountFilterSearcher.search_many_batched`);
+    single-query ``search`` is always per-query.
     """
 
     def __init__(
@@ -165,8 +152,6 @@ class SimilarityEngine:
         algorithm: str = "mergeskip",
         metric: str = "jaccard",
         cache_entries: Optional[int] = 1024,
-        cache_admit_after: int = 2,
-        kernel: str = "auto",
         **scheme_kwargs,
     ) -> None:
         if index is None:
@@ -187,9 +172,7 @@ class SimilarityEngine:
             None
             if cache_entries == 0
             else DecodeCache(
-                max_entries=cache_entries,
-                max_bytes=_CACHE_MAX_BYTES,
-                admit_after=cache_admit_after,
+                max_entries=cache_entries, max_bytes=_CACHE_MAX_BYTES
             )
         )
         if metric == "ed":
@@ -200,7 +183,6 @@ class SimilarityEngine:
             self.searcher = JaccardSearcher(
                 index, algorithm=algorithm, metric=metric, cache=self.cache
             )
-        self.kernel = _check_kernel(kernel)
         self._pool = WorkerPool()
 
     # ------------------------------------------------------------------ #
@@ -218,18 +200,15 @@ class SimilarityEngine:
         queries: Sequence[str],
         threshold,
         workers: Optional[int] = 1,
-        kernel: Optional[str] = None,
     ) -> List[SearchResult]:
         """Answer ``queries`` in order; identical results to serial ``search``.
 
         ``workers > 1`` partitions the batch into chunks over a reused
         ``fork`` process pool.  Small batches, ``workers in (None, 0, 1)``
         and platforms without ``fork`` run in-process — pool overhead would
-        dominate, or there is no pool to be had.  ``kernel`` overrides the
-        engine-level setting per call: under ``"auto"`` every chunk (and
-        the in-process path) runs through the batch T-occurrence kernels
-        when available; under ``"serial"`` each query runs the per-query
-        algorithm.
+        dominate, or there is no pool to be had.  Every chunk (and the
+        in-process batch) is the searcher's ``search_many_batched``, which
+        picks the batch T-occurrence kernels or the per-query algorithm.
 
         Failure semantics: only *pool-infrastructure* failures (a broken
         worker process, a pickling failure, an ``OSError``, an executor
@@ -243,19 +222,20 @@ class SimilarityEngine:
         queries = list(queries)
         if not queries:
             return []
-        # getattr: test doubles and custom searchers may not expose the flag
-        use_kernel = _check_kernel(kernel or self.kernel) == "auto" and getattr(
-            self.searcher, "supports_batch_kernel", False
-        )
+        searcher = self.searcher
         workers = int(workers or 1)
         if (
             workers <= 1
             or len(queries) < max(4, 2 * workers)
             or "fork" not in multiprocessing.get_all_start_methods()
         ):
-            span = "engine.batch.kernel" if use_kernel else "engine.batch.serial"
+            span = (
+                "engine.batch.kernel"
+                if searcher.supports_batch_kernel
+                else "engine.batch.serial"
+            )
             with _METRICS.span(span):
-                return _answer_chunk(self.searcher, queries, threshold, use_kernel)
+                return searcher.search_many_batched(queries, threshold)
 
         chunk_size = max(1, math.ceil(len(queries) / (workers * 4)))
         chunks = [
@@ -280,9 +260,7 @@ class SimilarityEngine:
                     try:
                         for chunk in chunks:
                             futures.append(
-                                pool.submit(
-                                    _run_chunk, chunk, threshold, obs, use_kernel
-                                )
+                                pool.submit(_run_chunk, chunk, threshold, obs)
                             )
                     # a submit-time RuntimeError is the executor refusing
                     # work ("cannot schedule new futures after shutdown":
@@ -329,8 +307,8 @@ class SimilarityEngine:
         if missing:
             with _METRICS.span("engine.batch.serial"):
                 for position in missing:
-                    chunk_results[position] = _answer_chunk(
-                        self.searcher, chunks[position], threshold, use_kernel
+                    chunk_results[position] = searcher.search_many_batched(
+                        chunks[position], threshold
                     )
         results = [result for chunk in chunk_results for result in chunk]
         if _METRICS.enabled:
@@ -417,8 +395,8 @@ class SimilarityEngine:
         """Reconstitute an engine from a bundle saved with :meth:`save`.
 
         ``serving`` are the constructor's serving knobs (``algorithm``,
-        ``metric``, ``cache_entries``, ``cache_admit_after``, ``kernel``),
-        forwarded as given so their defaults live in ``__init__`` only.
+        ``metric``, ``cache_entries``), forwarded as given so their
+        defaults live in ``__init__`` only.
         ``mmap=True`` (the default, static bundles only) serves the
         posting-list payloads zero-copy off memory-mapped files — N
         engines opened from one bundle (or N fork workers of one engine)

@@ -154,15 +154,11 @@ class ShardedEngine:
         for dynamic shards (default ``"adapt"``).
     algorithm / metric:
         As on :class:`~repro.engine.core.SimilarityEngine`.
-    cache_entries / cache_admit_after:
-        Per-shard :class:`DecodeCache` knobs (``cache_entries=0`` disables).
+    cache_entries:
+        Per-shard :class:`DecodeCache` capacity (``0`` disables).
     build_workers:
         Process-pool size for the parallel static build; default
         ``min(shards, cpu_count)``.  ``1`` forces a serial build.
-    kernel:
-        ``"auto"`` routes each shard's sub-batch through the batch
-        T-occurrence kernels when available; ``"serial"`` pins the
-        per-query path (see :class:`~repro.engine.core.SimilarityEngine`).
     """
 
     #: wall-clock of the static shard build (0.0 for dynamic or opened engines)
@@ -181,9 +177,7 @@ class ShardedEngine:
         algorithm: str = "mergeskip",
         metric: str = "jaccard",
         cache_entries: Optional[int] = 1024,
-        cache_admit_after: int = 2,
         build_workers: Optional[int] = None,
-        kernel: str = "auto",
         **scheme_kwargs,
     ) -> None:
         if shards < 1:
@@ -236,8 +230,6 @@ class ShardedEngine:
             algorithm=algorithm,
             metric=metric,
             cache_entries=cache_entries,
-            cache_admit_after=cache_admit_after,
-            kernel=kernel,
         )
 
     def _from_indexes(
@@ -254,7 +246,7 @@ class ShardedEngine:
 
         ``assignments[k][local]`` is the global id of shard ``k``'s record
         ``local``; ``serving`` are the ``SimilarityEngine`` serving knobs
-        (algorithm, metric, cache capacity, kernel), defaulted there.
+        (algorithm, metric, cache capacity), defaulted there.
         """
         self.shards: List[SimilarityEngine] = [
             SimilarityEngine(index=index, **serving) for index in indexes
@@ -267,7 +259,6 @@ class ShardedEngine:
         first = self.shards[0]
         self.algorithm = first.algorithm
         self.metric = first.metric
-        self.kernel = first.kernel
 
     # ------------------------------------------------------------------ #
     # build
@@ -341,12 +332,11 @@ class ShardedEngine:
         queries: Sequence[str],
         threshold,
         workers: Optional[int] = 1,
-        kernel: Optional[str] = None,
     ) -> List[SearchResult]:
         """Answer ``queries`` in order: every shard answers the whole batch
-        through its own ``search_batch`` (``workers`` and ``kernel`` mean
-        what they mean there — ``workers > 1`` is each shard's fork pool,
-        one shard at a time), then the per-shard answers are merged.
+        through its own ``search_batch`` (``workers`` means what it means
+        there — ``workers > 1`` is each shard's fork pool, one shard at a
+        time), then the per-shard answers are merged.
         Results are identical to a serial loop of :meth:`search` calls."""
         queries = list(queries)
         if not queries:
@@ -354,9 +344,7 @@ class ShardedEngine:
         started = time.perf_counter()
         with _METRICS.span("engine.shard.batch"):
             per_shard = [
-                shard.search_batch(
-                    queries, threshold, workers=workers, kernel=kernel
-                )
+                shard.search_batch(queries, threshold, workers=workers)
                 for shard in self.shards
             ]
             merged = [

@@ -8,8 +8,9 @@ dispatch, the post-query stats bookkeeping, and the two pieces the batched
 engine adds to every searcher:
 
 * an optional shared :class:`~repro.engine.cache.DecodeCache` — when set,
-  probed posting lists are wrapped so hot lists are served from their
-  cached decoded form instead of being re-decoded per query;
+  hot lists are served from their cached decoded form instead of being
+  re-decoded per query (a query wraps its lists at filter time, a batch
+  looks each distinct list up once);
 * the :class:`~repro.search.result.SearchResult` plumbing — ``search()``
   returns a frozen result carrying its own :class:`SearchStats`.
 
@@ -102,15 +103,16 @@ class CountFilterSearcher:
         """True when batches can run through :mod:`~repro.search.batchkernels`."""
         return self.algorithm in BATCH_ALGORITHMS
 
-    def _probe_lists(self, tokens: Sequence[int]) -> List:
-        """Posting lists for ``tokens``, cache-wrapped when a cache is set."""
-        lists = self.index.posting_lists(tokens)
+    def _candidates(self, lists, threshold: int):
+        """One query's T-occurrence problem on the per-query algorithm.
+
+        The lists are cache-wrapped here, at filter time, so a cold list
+        keeps its compressed-layout skips until its second touch.  The
+        batch path never comes here: it decodes every probed list anyway.
+        """
         cache = self.cache
         if cache is not None:
             lists = [cache.wrap(lst) for lst in lists]
-        return lists
-
-    def _candidates(self, lists, threshold: int):
         return run_algorithm(
             self.algorithm, lists, threshold, len(self.index.collection)
         )
@@ -197,11 +199,15 @@ class CountFilterSearcher:
     ) -> List[SearchResult]:
         """Answer a batch through the batch-native T-occurrence kernels.
 
-        Plans every query (one ``search.plan`` span), solves all the "filter"-mode plans in one
+        The one place that chooses between the batch kernels and the
+        per-query path — every engine batch, in process or in a pool
+        worker, comes here.  Plans every query (one ``search.plan`` span),
+        solves all the "filter"-mode plans in one
         :func:`~repro.search.batchkernels.batch_candidates` call (each
-        distinct posting list decoded once for the whole batch), then
-        verifies per query.  Returns exactly :meth:`search_many`'s results;
-        per-result ``seconds`` are batch-attributed rather than per-query.
+        distinct posting list looked up in the decode cache, and decoded,
+        once for the whole batch), then verifies per query.  Returns
+        exactly :meth:`search_many`'s results; per-result ``seconds`` are
+        batch-attributed rather than per-query.
         Falls back to the serial path when the searcher or algorithm has no
         batch kernel (e.g. DivideSkip), or when the tracer is enabled with
         *no trace active on this thread* — the slow-query log wants one

@@ -76,7 +76,8 @@ def decode_postings(
         memo = {}
     arrays: List[np.ndarray] = []
     for lst in lists:
-        inner = getattr(lst, "inner", lst)  # unwrap a CachedListView
+        # searchers pass raw lists; the e2e layer replay passes cache.wrap views
+        inner = getattr(lst, "inner", lst)
         key = id(inner)
         array = memo.get(key)
         if array is None:

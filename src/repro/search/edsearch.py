@@ -101,7 +101,7 @@ class EditDistanceSearcher(CountFilterSearcher):
             query=query, threshold=delta, stats=stats, started=started
         )
         if count_threshold >= 1 and query_ids.size >= count_threshold:
-            lists = self._probe_lists(query_ids.tolist())
+            lists = self.index.posting_lists(query_ids.tolist())
             stats.lists_probed = len(lists)
             stats.postings_available = sum(len(lst) for lst in lists)
             plan.mode = "filter"

@@ -118,7 +118,7 @@ class GroupedJaccardSearcher(JaccardSearcher):
 
     def _plan_candidates(self, plan: QueryPlan) -> None:
         query_ids, low, high, signature_size = plan.payload
-        index, cache, stats = self.index, self.cache, plan.stats
+        index, stats = self.index, plan.stats
         tokens = query_ids.tolist()
         candidates: List[int] = []
         with _METRICS.span("search.filter"):
@@ -135,8 +135,6 @@ class GroupedJaccardSearcher(JaccardSearcher):
                 )
                 if group_threshold > query_ids.size:
                     continue
-                if cache is not None:
-                    probe = [cache.wrap(lst) for lst in probe]
                 stats.lists_probed += len(probe)
                 stats.postings_available += sum(len(lst) for lst in probe)
                 stats.count_threshold = max(

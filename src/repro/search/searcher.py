@@ -154,7 +154,7 @@ class JaccardSearcher(CountFilterSearcher):
         if count_threshold > query_ids.size:
             # too many query tokens unseen in the collection
             return
-        lists = self._probe_lists(query_ids.tolist())
+        lists = self.index.posting_lists(query_ids.tolist())
         stats.lists_probed = len(lists)
         stats.postings_available = sum(len(lst) for lst in lists)
         plan.mode = "filter"

@@ -11,8 +11,8 @@ Routes
     Body ``{"query": str, "threshold": num}`` (``"tau"`` is accepted as an
     alias).  The request is enqueued on the :class:`BatchCoalescer` and
     coalesced with concurrent compatible requests into one
-    ``search_batch(kernel="auto")`` call; the response carries this
-    request's own result — bit-identical to a direct ``engine.search``.
+    ``search_batch`` call; the response carries this request's own
+    result — bit-identical to a direct ``engine.search``.
     ``"metric"`` optionally overrides the engine's set-similarity metric
     per request (jaccard/cosine/dice interchange on the same index;
     ``ed`` needs an ed-built index).  A body with ``"queries": [...]``
@@ -165,10 +165,7 @@ class ServeApp:
         self.health_max_age_s = health_max_age_s
         self.started_at = time.time()
         self.coalescer = BatchCoalescer(
-            self._run_batch,
-            self._run_one,
-            window_s=window_ms / 1000.0,
-            max_batch=max_batch,
+            self._run_batch, window_s=window_ms / 1000.0, max_batch=max_batch
         )
         #: the one always-on serve-layer registry: route counters and the
         #: runtime gauges land next to the coalescer's own series
@@ -242,7 +239,6 @@ class ServeApp:
                     index=self.engine.index,
                     metric=metric,
                     algorithm=self.engine.algorithm,
-                    kernel=self.engine.kernel,
                 )
                 self._engines[metric] = engine
         return engine
@@ -250,9 +246,9 @@ class ServeApp:
     def _run_batch(self, queries: List[str], key: BatchKey):
         engine = self._engine_for(key.metric)
         # child span under the coalescer's "serve.batch" trace (or a root
-        # trace of its own on the explicit-batch path) — either way the
-        # engine call runs inside an active trace, which keeps the batch
-        # kernels engaged (see CountFilterSearcher.search_many_batched)
+        # trace of its own on the explicit-batch and rescue paths) — either
+        # way the engine call runs inside an active trace, which keeps the
+        # batch kernels engaged (see CountFilterSearcher.search_many_batched)
         with _TRACER.trace(
             "serve.execute",
             queries=len(queries),
@@ -262,9 +258,6 @@ class ServeApp:
             return engine.search_batch(
                 queries, key.threshold, workers=self.batch_workers
             )
-
-    def _run_one(self, query: str, key: BatchKey):
-        return self._engine_for(key.metric).search(query, key.threshold)
 
     # ------------------------------------------------------------------ #
     # ASGI entry point
@@ -513,7 +506,6 @@ class ServeApp:
             "engine": type(engine).__name__,
             "metric": engine.metric,
             "algorithm": engine.algorithm,
-            "kernel": engine.kernel,
             "shards": getattr(engine, "num_shards", 1),
             "records": engine.num_records,
             "bundle": str(self.bundle_path) if self.bundle_path else None,

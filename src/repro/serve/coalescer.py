@@ -19,7 +19,7 @@ Correctness contract
   metrics are never batched together; each future resolves to its own
   query's answer, demuxed by position.
 * **Failure isolation** — when a batch call raises, the batch is re-run
-  one request at a time, so a poisoned request (bad threshold, searcher
+  as batches of one, so a poisoned request (bad threshold, searcher
   error) receives exactly its own exception and its innocent batchmates
   still get their results.
 
@@ -86,10 +86,8 @@ class BatchCoalescer:
     run_batch:
         ``(queries, key) -> [SearchResult]`` — answers a whole batch
         sharing one :class:`BatchKey` (the app binds this to
-        ``engine.search_batch``).
-    run_one:
-        ``(query, key) -> SearchResult`` — the single-query rescue path
-        used to isolate failures when a batch call raises.
+        ``engine.search_batch``).  It is also the rescue path: when a
+        batch call raises, each request re-runs alone as a batch of one.
     window_s:
         How long the oldest pending request may wait for batchmates
         before its batch is dispatched anyway.
@@ -101,7 +99,6 @@ class BatchCoalescer:
     def __init__(
         self,
         run_batch: Callable[[List[str], BatchKey], Sequence],
-        run_one: Callable[[str, BatchKey], object],
         *,
         window_s: float = 0.002,
         max_batch: int = 64,
@@ -111,7 +108,6 @@ class BatchCoalescer:
         if max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._run_batch = run_batch
-        self._run_one = run_one
         self.window_s = window_s
         self.max_batch = max_batch
         #: the serve layer's one always-on registry: :class:`ServeApp`
@@ -310,7 +306,7 @@ class BatchCoalescer:
         self.metrics.inc("serve.rescued_requests", len(batch))
         for request in batch:
             try:
-                result = self._run_one(request.query, key)
+                (result,) = self._run_batch([request.query], key)
             # repro: noqa RA07 -- the exception IS this request's answer
             except BaseException as single_error:
                 request.future.set_exception(single_error)

@@ -22,6 +22,7 @@ from repro.search import (
     SearchStats,
     brute_similarity_search,
 )
+from repro.similarity import tokenize_collection
 
 #: scheme -> algorithms it can run (PForDelta is sequential-decode only).
 SCHEME_ALGORITHMS = {
@@ -251,26 +252,27 @@ class TestWorkerTelemetry:
         assert registry.counter("engine.batch.worker_chunks") > 0
         assert registry.timer_seconds("search.filter") > 0
 
-    def test_worker_aggregation_bit_identical_to_serial(
-        self, word_collection
-    ):
+    def test_worker_aggregation_bit_identical_to_serial(self, word_strings):
         """Acceptance criterion: counter totals under workers=2 equal a
         serial run exactly (the cache is disabled — forked per-worker
-        caches would legitimately change hit/decode counts; the kernel is
-        pinned to 'serial' — batch-kernel counters legitimately depend on
-        how the batch is chunked).  The same holds through a
-        ``ShardedEngine``, whose batch is each shard's batch:
-        ``engine.shard.queries`` counts every request once, while
-        ``engine.batch.*`` counts one batch per shard."""
-        queries = word_collection.strings[:16]
+        caches would legitimately change hit/decode counts; the algorithm
+        is DivideSkip, which has no batch kernel, so the searcher answers
+        every chunk per query — batch-kernel counters legitimately depend
+        on how the batch is chunked).  The records are 2-gram sets, long
+        enough that DivideSkip's short-list MergeSkip needs T >= 2 and
+        seeks.  The same holds through a ``ShardedEngine``, whose batch is
+        each shard's batch: ``engine.shard.queries`` counts every request
+        once, while ``engine.batch.*`` counts one batch per shard."""
+        collection = tokenize_collection(word_strings, mode="qgram", q=2)
+        queries = word_strings[:16]
 
         def profiled_run(engine_class, workers):
             with engine_class(
-                word_collection, scheme="css", cache_entries=0,
-                kernel="serial",
+                collection, scheme="css", cache_entries=0,
+                algorithm="divideskip",
             ) as engine:
                 with enabled_metrics() as registry:
-                    engine.search_batch(queries, 0.6, workers=workers)
+                    engine.search_batch(queries, 0.9, workers=workers)
             snapshot = registry.snapshot(full=True)
             batched = snapshot["counters"].get("engine.batch.queries", 0)
             # batch-orchestration counters only exist on parallel runs
@@ -333,6 +335,9 @@ class _PoisonedSearcher:
         if query == self.poison:
             raise RuntimeError("poisoned query")
         return self.inner.search(query, threshold)
+
+    def search_many_batched(self, queries, threshold):
+        return [self.search(query, threshold) for query in queries]
 
 
 class _FlakyPool:

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from repro.compression import CSSList, UncompressedList
-from repro.engine import CachedListView, DecodeCache
+from repro.datasets import tweet_like
+from repro.engine import CachedListView, DecodeCache, SimilarityEngine
 from repro.obs import enabled_metrics
+from repro.similarity import tokenize_collection
 
 
 def make_list(start=0, count=50, step=3, cls=CSSList):
@@ -176,3 +178,44 @@ class TestCachedListView:
             seen.append(cursor.value())
             cursor.advance()
         assert seen == lst.to_array().tolist()
+
+
+class TestEngineAccounting:
+    """What a hit and a miss count on each engine path: a batch looks each
+    distinct probed list up once; a single query wraps each of its lists
+    once and admits a list on its second touch."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        strings = tweet_like(1500, 7)
+        return tokenize_collection(strings), strings[:64]
+
+    def test_batch_reads_the_cache_once_per_distinct_list(self, corpus):
+        collection, queries = corpus
+        engine = SimilarityEngine(collection, cache_entries=100000)
+        probed = {
+            id(lst)
+            for query in queries
+            for lst in engine.searcher._plan(query, 0.8).lists
+        }
+        assert engine.cache_stats()["misses"] == 0  # planning reads no cache
+        engine.search_batch(queries, 0.8)
+        first = engine.cache_stats()
+        assert first["misses"] == first["insertions"] == len(probed) == 306
+        assert first["hits"] == 0
+        engine.search_batch(queries, 0.8)
+        second = engine.cache_stats()
+        assert second["hits"] == len(probed)
+        assert second["misses"] == first["misses"]
+
+    def test_single_query_path_admits_on_second_touch(self, corpus):
+        collection, queries = corpus
+        engine = SimilarityEngine(collection, cache_entries=100000)
+        for query in queries:
+            engine.search(query, 0.8)
+        stats = engine.cache_stats()
+        assert (stats["hits"], stats["misses"], stats["insertions"]) == (
+            531,
+            416,
+            110,
+        )

@@ -119,9 +119,10 @@ class TestOfflineSchemes:
 
 class TestOnlineSchemesInterleaved:
     """Dynamic two-region lists: searches between add() rounds must track
-    the growing corpus exactly — with ``cache_admit_after=1`` every decode
-    is cached immediately, so a missing cache invalidation on ingest would
-    surface as a stale (smaller) result set."""
+    the growing corpus exactly.  Every round is also answered as one
+    in-process batch, which caches every probed list on its first touch,
+    so a missing cache invalidation on ingest would surface next round as
+    a stale (smaller) result set."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
@@ -130,7 +131,6 @@ class TestOnlineSchemesInterleaved:
         engine = SimilarityEngine(
             index=DynamicInvertedIndex(mode="word", scheme=scheme),
             algorithm=algorithm,
-            cache_admit_after=1,
         )
         collection = engine.index.collection
         queries = _sample_queries(SEED + 5, strings, ["w0 w1", "w39 w38"])
@@ -138,15 +138,20 @@ class TestOnlineSchemesInterleaved:
             engine.add(text)
         cursor = 30
         while True:
-            for query in queries:
-                for threshold in (0.5, 0.75):
-                    expected = brute_similarity_search(
-                        collection, query, threshold
-                    )
+            for threshold in (0.5, 0.75):
+                expected = [
+                    brute_similarity_search(collection, query, threshold)
+                    for query in queries
+                ]
+                for query, ids in zip(queries, expected):
                     got = list(engine.search(query, threshold).ids)
-                    assert got == expected, (
+                    assert got == ids, (
                         scheme, algorithm, threshold, query, cursor,
                     )
+                batched = engine.search_batch(queries, threshold)
+                assert [list(result.ids) for result in batched] == expected, (
+                    scheme, algorithm, threshold, cursor,
+                )
             # one more input: the same round as fork-pool chunks (every
             # add() retired the pool, so these workers forked this round)
             pooled = engine.search_batch(queries, 0.5, workers=2)
@@ -169,7 +174,6 @@ class TestOnlineSchemesInterleaved:
             index=DynamicInvertedIndex(mode="qgram", q=2, scheme=scheme),
             algorithm="mergeskip",
             metric="ed",
-            cache_admit_after=1,
         )
         collection = engine.index.collection
         queries = _sample_queries(SEED + 7, strings, ["abab", "cccc"])
@@ -177,10 +181,17 @@ class TestOnlineSchemesInterleaved:
             engine.add(text)
         cursor = 25
         while True:
-            for query in queries:
-                expected = brute_edit_distance_search(collection, query, 1)
+            expected = [
+                brute_edit_distance_search(collection, query, 1)
+                for query in queries
+            ]
+            for query, ids in zip(queries, expected):
                 got = list(engine.search(query, 1).ids)
-                assert got == expected, (scheme, query, cursor)
+                assert got == ids, (scheme, query, cursor)
+            batched = engine.search_batch(queries, 1)
+            assert [list(result.ids) for result in batched] == expected, (
+                scheme, cursor,
+            )
             if cursor >= len(strings):
                 break
             for text in strings[cursor : cursor + 15]:
@@ -253,12 +264,11 @@ class TestBatchKernelParity:
         engine = SimilarityEngine(
             index=DynamicInvertedIndex(mode="word", scheme=scheme),
             algorithm=algorithm,
-            cache_admit_after=1,
         )
         engine.add_many(strings)
         queries = _sample_queries(SEED + 14, strings, ["w0 w1", "w39 w38"])
-        serial = engine.search_batch(queries, 0.5, kernel="serial")
-        batched = engine.search_batch(queries, 0.5, kernel="auto")
+        serial = [engine.search(q, 0.5) for q in queries]
+        batched = engine.search_batch(queries, 0.5)
         assert [r.ids for r in serial] == [r.ids for r in batched]
 
 
@@ -333,7 +343,9 @@ class TestCompactionParity:
     change a single answer: the compacted index is checked against brute
     force *and* against the answers recorded before compaction, then the
     interleaved-ingest invariant is re-checked on top of the compacted
-    base (new adds land in a fresh online region)."""
+    base (new adds land in a fresh online region).  Every round is also
+    answered as one in-process batch, which caches every probed list on
+    its first touch."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
@@ -342,27 +354,31 @@ class TestCompactionParity:
         engine = SimilarityEngine(
             index=DynamicInvertedIndex(mode="word", scheme=scheme),
             algorithm=algorithm,
-            cache_admit_after=1,
         )
         engine.add_many(strings[:70])
         collection = engine.index.collection
         queries = _sample_queries(SEED + 20, strings, ["w0 w1", "w39 w38"])
-        before = {
-            (query, threshold): list(engine.search(query, threshold).ids)
-            for query in queries
-            for threshold in (0.5, 0.75)
-        }
+
+        def answers(threshold):
+            """Each query alone, checked against the same round batched."""
+            alone = [list(engine.search(q, threshold).ids) for q in queries]
+            batched = engine.search_batch(queries, threshold)
+            assert [list(r.ids) for r in batched] == alone, (
+                scheme, algorithm, threshold,
+            )
+            return alone
+
+        before = {threshold: answers(threshold) for threshold in (0.5, 0.75)}
         engine.compact()
-        for (query, threshold), expected in before.items():
-            assert list(engine.search(query, threshold).ids) == expected, (
-                scheme, algorithm, threshold, query,
+        for threshold, expected in before.items():
+            assert answers(threshold) == expected, (
+                scheme, algorithm, threshold,
             )
         engine.add_many(strings[70:])
-        for query in queries:
-            expected = brute_similarity_search(collection, query, 0.5)
-            assert list(engine.search(query, 0.5).ids) == expected, (
-                scheme, algorithm, query,
-            )
+        assert answers(0.5) == [
+            brute_similarity_search(collection, query, 0.5)
+            for query in queries
+        ], (scheme, algorithm)
 
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_compacted_edit_distance_matches_brute(self, scheme):
@@ -371,17 +387,19 @@ class TestCompactionParity:
             index=DynamicInvertedIndex(mode="qgram", q=2, scheme=scheme),
             algorithm="mergeskip",
             metric="ed",
-            cache_admit_after=1,
         )
         engine.add_many(strings)
         collection = engine.index.collection
         engine.compact()
         queries = _sample_queries(SEED + 22, strings, ["abab", "cccc"])
-        for query in queries:
-            expected = brute_edit_distance_search(collection, query, 1)
-            assert list(engine.search(query, 1).ids) == expected, (
-                scheme, query,
-            )
+        expected = [
+            brute_edit_distance_search(collection, query, 1)
+            for query in queries
+        ]
+        for query, ids in zip(queries, expected):
+            assert list(engine.search(query, 1).ids) == ids, (scheme, query)
+        batched = engine.search_batch(queries, 1)
+        assert [list(result.ids) for result in batched] == expected, scheme
 
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_compact_save_reopen_matches_brute(self, tmp_path, scheme):

@@ -71,10 +71,7 @@ class TestFires:
         assert cache.hits == 99
 
     def test_condition_alias_ownership_passes(self, sanitizer):
-        coalescer = BatchCoalescer(
-            lambda queries, key: [None] * len(queries),
-            lambda query, key: None,
-        )
+        coalescer = BatchCoalescer(lambda queries, key: [None] * len(queries))
         try:
             with coalescer._wake:
                 coalescer._inflight = 1
@@ -102,7 +99,6 @@ class TestNormalOperationIsClean:
     def test_coalescer_workload(self, sanitizer):
         coalescer = BatchCoalescer(
             lambda queries, key: [q.upper() for q in queries],
-            lambda query, key: query.upper(),
             max_batch=4,
         )
         try:

@@ -37,33 +37,27 @@ def app(engine):
 # scripted runners for coalescer-only tests
 # ---------------------------------------------------------------------- #
 class _Runner:
-    """Records every batch/single call; raises on queries named 'poison'."""
+    """Records every batch call; a batch holding a query named 'poison'
+    raises naming it."""
 
     def __init__(self):
         self.batches = []
-        self.singles = []
         self.lock = threading.Lock()
 
     def run_batch(self, queries, key):
         with self.lock:
             self.batches.append((list(queries), key))
-        if any("poison" in query for query in queries):
-            raise RuntimeError("poisoned batch")
+        for query in queries:
+            if "poison" in query:
+                raise ValueError(f"bad query: {query}")
         return [f"{query}@{key.metric}/{key.threshold}" for query in queries]
-
-    def run_one(self, query, key):
-        with self.lock:
-            self.singles.append((query, key))
-        if "poison" in query:
-            raise ValueError(f"bad query: {query}")
-        return f"{query}@{key.metric}/{key.threshold}"
 
 
 class TestCoalescer:
     def test_same_key_requests_share_one_batch(self):
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=0.05, max_batch=8
+            runner.run_batch, window_s=0.05, max_batch=8
         ) as coalescer:
             key = BatchKey("jaccard", 0.8)
             futures = [coalescer.submit(f"q{i}", key) for i in range(5)]
@@ -77,7 +71,7 @@ class TestCoalescer:
     def test_distinct_keys_never_share_a_batch(self):
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=0.05, max_batch=8
+            runner.run_batch, window_s=0.05, max_batch=8
         ) as coalescer:
             futures = {
                 (metric, threshold): coalescer.submit(
@@ -96,7 +90,7 @@ class TestCoalescer:
     def test_full_batch_dispatches_before_window(self):
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=30.0, max_batch=3
+            runner.run_batch, window_s=30.0, max_batch=3
         ) as coalescer:
             key = BatchKey("jaccard", 0.8)
             futures = [coalescer.submit(f"q{i}", key) for i in range(3)]
@@ -107,7 +101,7 @@ class TestCoalescer:
     def test_window_releases_a_lone_request(self):
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=0.01, max_batch=64
+            runner.run_batch, window_s=0.01, max_batch=64
         ) as coalescer:
             future = coalescer.submit("solo", BatchKey("jaccard", 0.8))
             result, batch_size = future.result(timeout=5)
@@ -118,7 +112,7 @@ class TestCoalescer:
         # exception while its innocent batchmates still get their results
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=0.05, max_batch=8
+            runner.run_batch, window_s=0.05, max_batch=8
         ) as coalescer:
             key = BatchKey("jaccard", 0.8)
             good = [coalescer.submit(f"q{i}", key) for i in range(3)]
@@ -129,23 +123,45 @@ class TestCoalescer:
                 assert batch_size == 1  # answered via the rescue path
             with pytest.raises(ValueError, match="bad query: poison"):
                 bad.result(timeout=5)
-        assert len(runner.singles) == 4  # every batchmate re-ran alone
+        # every batchmate re-ran alone, as a batch of one
+        sizes = [len(queries) for queries, _ in runner.batches]
+        assert sizes == [4, 1, 1, 1, 1]
         assert coalescer.stats()["rescued_requests"] == 4
+
+    def test_wrong_length_rescue_is_that_requests_error(self):
+        calls = []
+
+        def run_batch(queries, key):
+            calls.append(list(queries))
+            if len(queries) > 1:
+                raise RuntimeError("batch failed")
+            return [] if queries == ["empty"] else [f"{queries[0]}!"]
+
+        with BatchCoalescer(
+            run_batch, window_s=0.05, max_batch=8
+        ) as coalescer:
+            key = BatchKey("jaccard", 0.8)
+            good = coalescer.submit("q", key)
+            bad = coalescer.submit("empty", key)
+            assert good.result(timeout=5) == ("q!", 1)
+            with pytest.raises(ValueError):
+                bad.result(timeout=5)
+        assert calls == [["q", "empty"], ["q"], ["empty"]]
 
     def test_lone_poisoned_request_gets_the_batch_error_directly(self):
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=0.01, max_batch=8
+            runner.run_batch, window_s=0.01, max_batch=8
         ) as coalescer:
             future = coalescer.submit("poison", BatchKey("jaccard", 0.8))
-            with pytest.raises(RuntimeError, match="poisoned batch"):
+            with pytest.raises(ValueError, match="bad query: poison"):
                 future.result(timeout=5)
-        assert runner.singles == []  # nothing to isolate: no re-run
+        assert len(runner.batches) == 1  # nothing to isolate: no re-run
 
     def test_close_flushes_pending_then_rejects(self):
         runner = _Runner()
         coalescer = BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=5.0, max_batch=64
+            runner.run_batch, window_s=5.0, max_batch=64
         )
         future = coalescer.submit("q", BatchKey("jaccard", 0.8))
         coalescer.close()
@@ -156,7 +172,7 @@ class TestCoalescer:
     def test_stats_shape(self):
         runner = _Runner()
         with BatchCoalescer(
-            runner.run_batch, runner.run_one, window_s=0.02, max_batch=8
+            runner.run_batch, window_s=0.02, max_batch=8
         ) as coalescer:
             key = BatchKey("jaccard", 0.8)
             futures = [coalescer.submit(f"q{i}", key) for i in range(4)]
@@ -174,9 +190,9 @@ class TestCoalescer:
     def test_knob_validation(self):
         runner = _Runner()
         with pytest.raises(ValueError, match="window_s"):
-            BatchCoalescer(runner.run_batch, runner.run_one, window_s=-1)
+            BatchCoalescer(runner.run_batch, window_s=-1)
         with pytest.raises(ValueError, match="max_batch"):
-            BatchCoalescer(runner.run_batch, runner.run_one, max_batch=0)
+            BatchCoalescer(runner.run_batch, max_batch=0)
 
 
 class TestCoalescedParity:
@@ -187,7 +203,6 @@ class TestCoalescedParity:
         # future must resolve to exactly its own query's direct answer
         coalescer = BatchCoalescer(
             lambda queries, key: engine.search_batch(queries, key.threshold),
-            lambda query, key: engine.search(query, key.threshold),
             window_s=0.05,
             max_batch=16,
         )

@@ -282,7 +282,6 @@ class TestDynamicSharding:
             routing="hash",
             dynamic=True,
             scheme="adapt",
-            cache_admit_after=1,
         )
         engine.add_many(["alpha beta", "alpha gamma", "alpha delta"])
         # warm every shard's cache for the shared token
