@@ -168,11 +168,11 @@ class BitBuffer:
         word_idx = (positions >> np.uint64(6)).astype(np.int64)
         shifts = positions & np.uint64(63)
         low = self._words[word_idx] >> shifts
-        high_shift = (np.uint64(64) - shifts) & np.uint64(63)
-        high = np.where(
-            shifts + widths > 64,
-            self._words[word_idx + 1] << high_shift,
-            np.uint64(0),
+        # the next word's bits land at 64 - shift and up: past the field
+        # (and masked off) unless it straddles; two shifts keep every
+        # shift count below 64, so shift 0 contributes nothing
+        high = (self._words[word_idx + 1] << np.uint64(1)) << (
+            np.uint64(63) - shifts
         )
         masks = (np.uint64(1) << widths) - np.uint64(1)
         return (low | high) & masks
@@ -202,10 +202,11 @@ class BitBuffer:
         if total == 0:
             return np.empty(0, dtype=np.uint64)
         per_field_width = np.repeat(widths, counts)
-        # index of each field within its run: 0,1,2,... per run
+        # field f of run i (global field index g) starts at
+        # offsets[i] + widths[i] * (g - run_starts[i])
         run_starts = np.cumsum(counts) - counts
-        intra = np.arange(total, dtype=np.int64) - np.repeat(run_starts, counts)
-        positions = np.repeat(offsets, counts) + per_field_width * intra
+        positions = per_field_width * np.arange(total, dtype=np.int64)
+        positions += np.repeat(offsets - widths * run_starts, counts)
         return self.gather(positions, per_field_width)
 
     def read_one(self, bit_offset: int, width: int, index: int) -> int:

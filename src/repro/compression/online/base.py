@@ -148,15 +148,26 @@ class OnlineSortedIDList(SortedIDList):
         return self._buffer[index - compressed]
 
     def to_array(self) -> np.ndarray:
+        return self.with_buffer(self._store.to_array())
+
+    def with_buffer(self, compressed: np.ndarray) -> np.ndarray:
+        """The whole list, given its compressed region decoded.
+
+        ``compressed`` is ``store.to_array()``; :meth:`to_array` is this
+        over it, and a batch that decodes many lists' compressed regions
+        together (:func:`~repro.compression.twolayer.decode_stores`)
+        finishes each list here, so both count the same ``online.*``
+        decode.
+        """
         if _METRICS.enabled:
             _METRICS.inc("online.list_decodes")
             _METRICS.inc("online.elements_decoded", len(self))
+        if not self._buffer:
+            return compressed
         tail = np.asarray(self._buffer, dtype=np.int64)
-        if len(self._store) == 0:
+        if compressed.size == 0:
             return tail
-        if tail.size == 0:
-            return self._store.to_array()
-        return np.concatenate([self._store.to_array(), tail])
+        return np.concatenate([compressed, tail])
 
     def lower_bound(self, key: int) -> int:
         compressed = len(self._store)

@@ -27,12 +27,27 @@ from .bitpack import BitBuffer, width_for
 from .constants import ELEMENT_BITS, MAX_DELTA_WIDTH, METADATA_BITS
 
 __all__ = [
+    "DECODE_CHUNK_ELEMENTS",
     "LayoutError",
+    "SCALAR_DECODE_ELEMENTS",
     "TwoLayerStore",
     "TwoLayerList",
     "block_cost_bits",
     "block_saving_bits",
+    "decode_stores",
 ]
+
+#: element budget of one :func:`decode_stores` gather pass.  ~16k ids keep
+#: every int64 temporary of the pass at <= 128 KiB; one gather over a whole
+#: 190k-id batch (or 64k-id chunks) raised a cold batch's peak RSS by ~16%.
+DECODE_CHUNK_ELEMENTS = 1 << 14
+
+#: a chunk of fewer ids decodes in plain integer arithmetic: a numpy pass
+#: spends tens of µs on per-call set-up before it reads a bit, more than
+#: the scalar loop needs for a chunk this small.  A large cold batch
+#: almost never makes such a chunk; a small served batch on a warm cache,
+#: whose misses are a few short lists, nearly always does.
+SCALAR_DECODE_ELEMENTS = 256
 
 
 def block_cost_bits(count: int, max_delta: int) -> int:
@@ -130,6 +145,35 @@ def _layout_violations(
 
 
 _METADATA_KEYS = ("bases", "offsets", "widths", "starts")
+
+
+def _decode_runs(
+    data: BitBuffer,
+    bases: np.ndarray,
+    offsets: np.ndarray,
+    widths: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """The gather core: decode blocks given as parallel per-block vectors.
+
+    Block *i* holds ``counts[i]`` ids: ``bases[i]``, then ``counts[i] - 1``
+    deltas packed at ``widths[i]`` bits from bit ``offsets[i]`` of
+    ``data``.  Blocks pack at different widths, so every delta of every
+    block is read by one :meth:`BitBuffer.gather_runs` — decode cost is
+    paid once per call, not once per block.
+    """
+    total = int(counts.sum())
+    if _METRICS.enabled:
+        _METRICS.inc("twolayer.blocks_decoded", int(counts.size))
+        _METRICS.inc("twolayer.elements_decoded", total)
+    out = np.repeat(bases, counts)
+    if total > counts.size:  # some block holds deltas
+        deltas = data.gather_runs(offsets, widths, counts - 1)
+        # non-base slots are everything except each block's first slot
+        mask = np.ones(total, dtype=bool)
+        mask[np.cumsum(counts) - counts] = False
+        out[mask] += deltas.view(np.int64)  # fields < 2**32: exact
+    return out
 
 
 class TwoLayerStore:
@@ -372,11 +416,8 @@ class TwoLayerStore:
     def decode_blocks(self, blocks: np.ndarray) -> np.ndarray:
         """Decode the given block indices in one vectorized gather pass.
 
-        Blocks pack deltas at different widths, so the decode builds one
-        (bit position, width) pair per non-base element and gathers them all
-        at once (:meth:`BitBuffer.gather_runs`) — decode cost is paid once
-        per touched block, not once per cursor touch, which is what the
-        batch T-occurrence kernels need.
+        Decode cost is paid once per touched block, not once per cursor
+        touch, which is what the batch T-occurrence kernels need.
         """
         blocks = np.asarray(blocks, dtype=np.int64)
         if blocks.size == 0:
@@ -386,28 +427,27 @@ class TwoLayerStore:
                 f"block index out of range for {self.num_blocks} blocks"
             )
         self._sync()
-        counts = self._starts_np[blocks + 1] - self._starts_np[blocks]
-        total = int(counts.sum())
-        if _METRICS.enabled:
-            _METRICS.inc("twolayer.blocks_decoded", int(blocks.size))
-            _METRICS.inc("twolayer.elements_decoded", total)
-        out = np.repeat(self._bases_np[blocks], counts)
-        delta_counts = counts - 1
-        if int(delta_counts.sum()):
-            deltas = self._data.gather_runs(
-                self._offsets_np[blocks], self._widths_np[blocks], delta_counts
-            )
-            # non-base slots are everything except each block's first slot
-            mask = np.ones(total, dtype=bool)
-            mask[np.cumsum(counts) - counts] = False
-            out[mask] += deltas.astype(np.int64)
-        return out
+        return _decode_runs(
+            self._data,
+            self._bases_np[blocks],
+            self._offsets_np[blocks],
+            self._widths_np[blocks],
+            self._starts_np[blocks + 1] - self._starts_np[blocks],
+        )
 
     def to_array(self) -> np.ndarray:
         """Decode the whole store in one vectorized pass."""
         if not self.num_blocks:
             return np.empty(0, dtype=np.int64)
-        return self.decode_blocks(np.arange(self.num_blocks, dtype=np.int64))
+        self._sync()
+        starts = self._starts_np
+        return _decode_runs(
+            self._data,
+            self._bases_np,
+            self._offsets_np,
+            self._widths_np,
+            starts[1:] - starts[:-1],
+        )
 
     def lower_bound(self, key: int) -> int:
         """Global index of the first id ``>= key``.
@@ -444,6 +484,134 @@ class TwoLayerStore:
     def iter_blocks(self) -> Iterator[np.ndarray]:
         for block in range(self.num_blocks):
             yield self.decode_block(block)
+
+
+def decode_stores(stores: Sequence[TwoLayerStore]) -> List[np.ndarray]:
+    """Decode many stores together: ``[store.to_array() for store in stores]``.
+
+    The stores are cut, in order, into chunks of at most
+    :data:`DECODE_CHUNK_ELEMENTS` ids (a larger store is a chunk of its
+    own).  A chunk concatenates its stores' data words, rebases every
+    block's bit offset by its store's word base and decodes every block of
+    every store with one gather, so the numpy set-up that
+    :meth:`TwoLayerStore.to_array` pays per list is paid per chunk; a
+    chunk of fewer than :data:`SCALAR_DECODE_ELEMENTS` ids skips numpy's
+    set-up altogether.  A store's array may be a view into its chunk's.
+    """
+    arrays: List[np.ndarray] = []
+    chunk: List[TwoLayerStore] = []
+    sizes: List[int] = []
+    elements = 0
+    for store in stores:
+        size = len(store)
+        if chunk and elements + size > DECODE_CHUNK_ELEMENTS:
+            arrays += _decode_chunk(chunk, sizes, elements)
+            chunk, sizes, elements = [], [], 0
+        chunk.append(store)
+        sizes.append(size)
+        elements += size
+    if chunk:
+        arrays += _decode_chunk(chunk, sizes, elements)
+    return arrays
+
+
+def _decode_chunk(
+    stores: List[TwoLayerStore], sizes: List[int], elements: int
+) -> List[np.ndarray]:
+    """Every block of ``stores`` (``sizes`` ids each) in one pass."""
+    if elements < SCALAR_DECODE_ELEMENTS:
+        out = _decode_scalar(stores)
+    elif len(stores) == 1:
+        return [stores[0].to_array()]
+    else:
+        out = _gather_stores(stores)
+    arrays: List[np.ndarray] = []
+    start = 0
+    for size in sizes:
+        arrays.append(out[start : start + size])
+        start += size
+    return arrays
+
+
+def _gather_stores(stores: List[TwoLayerStore]) -> np.ndarray:
+    """The numpy pass: concatenated words, rebased offsets, one gather."""
+    bases: List[np.ndarray] = []
+    offsets: List[np.ndarray] = []
+    widths: List[np.ndarray] = []
+    firsts: List[np.ndarray] = []  # starts[:-1] and starts[1:], per store
+    lasts: List[np.ndarray] = []
+    words: List[np.ndarray] = []
+    blocks: List[int] = []  # per store
+    num_bits: List[int] = []
+    word_bits: List[int] = []  # first bit of the store's words in the chunk
+    word_base = 0
+    for store in stores:
+        store._sync()
+        starts = store._starts_np
+        bases.append(store._bases_np)
+        offsets.append(store._offsets_np)
+        widths.append(store._widths_np)
+        firsts.append(starts[:-1])
+        lasts.append(starts[1:])
+        bits = store._data.num_bits
+        used = store._data._words[: (bits + 63) // 64]
+        words.append(used)
+        blocks.append(starts.size - 1)
+        num_bits.append(bits)
+        word_bits.append(64 * word_base)
+        word_base += used.size
+    # one zero word past the end: the reader's two-word reads may touch it
+    words.append(np.zeros(1, dtype=np.uint64))
+    counts = np.concatenate(lasts) - np.concatenate(firsts)
+    local = np.concatenate(offsets)
+    width = np.concatenate(widths)
+    limits, rebase = np.repeat(
+        np.asarray([num_bits, word_bits], dtype=np.int64), blocks, axis=1
+    )
+    # the gather's own bound is the concatenated buffer's end; a block must
+    # stay inside *its own* store's bits, or it would read a neighbour's
+    if bool(((local < 0) | (local + width * (counts - 1) > limits)).any()):
+        raise IndexError("block data lies outside its store's num_bits")
+    data = BitBuffer()
+    data._words = np.concatenate(words)
+    data._num_bits = 64 * word_base
+    return _decode_runs(
+        data, np.concatenate(bases), local + rebase, width, counts
+    )
+
+
+def _decode_scalar(stores: List[TwoLayerStore]) -> np.ndarray:
+    """Every id of ``stores``, concatenated, in plain integer arithmetic."""
+    ids: List[int] = []
+    blocks = 0
+    for store in stores:
+        data = store._data
+        bits = data.num_bits
+        # the data words as one integer: bit t of the stream is bit t here
+        words = data._words[: (bits + 63) // 64].astype("<u8", copy=False)
+        stream = int.from_bytes(words.tobytes(), "little")
+        starts = store._starts
+        for block in range(store.num_blocks):
+            base = int(store._bases[block])
+            ids.append(base)
+            count = int(starts[block + 1]) - int(starts[block])
+            if count == 1:
+                continue
+            offset = int(store._offsets[block])
+            width = int(store._widths[block])
+            if offset < 0 or offset + width * (count - 1) > bits:
+                raise IndexError("block data lies outside its store's num_bits")
+            mask = (1 << width) - 1
+            run = stream >> offset
+            ids += [
+                base + ((run >> shift) & mask)
+                for shift in range(0, width * (count - 1), width)
+            ]
+        blocks += store.num_blocks
+    if _METRICS.enabled:
+        _METRICS.inc("twolayer.blocks_decoded", blocks)
+        _METRICS.inc("twolayer.elements_decoded", len(ids))
+    return np.asarray(ids, dtype=np.int64)
 
 
 class TwoLayerCursor:

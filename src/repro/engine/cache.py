@@ -10,10 +10,14 @@ compressed layout otherwise).
 
 Two admission modes cover the two query paths:
 
-* :meth:`fetch` — decode-and-cache immediately.  The batch path uses it:
-  a batch decodes every probed list anyway, so
+* :meth:`fetch_many` (:meth:`fetch` is its one-list case) —
+  decode-and-cache immediately.  The batch path uses it: a batch decodes
+  every probed list anyway, so
   :func:`~repro.search.batchkernels.decode_postings` looks each distinct
-  list up once per batch — one hit, or one miss that decodes and inserts.
+  list up once per batch — one hit, or one miss — and decodes all the
+  batch's misses in one pass before inserting them.  An inserted array
+  owns its memory (a slice of the pass's output is copied), so
+  ``current_bytes`` is what the entries hold.
 * :meth:`admit` (through :meth:`wrap`) — cache only after a list has been
   touched ``admit_after`` times (default 2).  The single-query path uses
   it, once per probed list per query, at filter time: cold query lists
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -41,6 +45,10 @@ from ..compression.base import SortedIDList
 from ..obs import METRICS as _METRICS
 
 __all__ = ["DecodeCache", "CachedListView"]
+
+
+def _to_arrays(lists: List) -> List[np.ndarray]:
+    return [lst.to_array() for lst in lists]
 
 
 class _Entry:
@@ -102,6 +110,10 @@ class DecodeCache:
 
     def _insert(self, lst, array: np.ndarray) -> _Entry:
         array = np.ascontiguousarray(array, dtype=np.int64)
+        if array.base is not None:
+            # a view (one list's slice of a batch decode) would keep its
+            # whole base alive while current_bytes counts only the slice
+            array = array.copy()
         array.flags.writeable = False  # shared across queries and threads
         entry = _Entry(lst, array)
         self._entries[id(lst)] = entry
@@ -123,11 +135,6 @@ class DecodeCache:
             self.evictions += 1
             _METRICS.inc("engine.cache.evictions")
 
-    def _decode(self, lst) -> np.ndarray:
-        # the underlying codec's own decode counters (twolayer.*, online.*)
-        # fire here, exactly once per miss-and-admit
-        return lst.to_array()
-
     # ------------------------------------------------------------------ #
     # public surface
     # ------------------------------------------------------------------ #
@@ -139,11 +146,37 @@ class DecodeCache:
 
     def fetch(self, lst) -> np.ndarray:
         """Decoded array for ``lst``; decodes and caches on miss."""
+        (array,) = self.fetch_many([lst], _to_arrays)
+        return array
+
+    def fetch_many(
+        self,
+        lists: Sequence,
+        decode_many: Callable[[List], List[np.ndarray]],
+    ) -> List[np.ndarray]:
+        """Decoded arrays for ``lists``, in order; decodes and caches misses.
+
+        Counts one hit or one miss per *distinct* list.  The misses are
+        decoded together — ``decode_many(missed)`` returns their arrays in
+        order, and the codecs' own decode counters (``twolayer.*``,
+        ``online.*``) fire there, once per miss — then inserted.
+        """
         with self._lock:
-            entry = self._lookup(lst)
-            if entry is None:
-                entry = self._insert(lst, self._decode(lst))
-            return entry.array
+            arrays: Dict[int, np.ndarray] = {}
+            missed: Dict[int, object] = {}
+            for lst in lists:
+                if id(lst) in arrays or id(lst) in missed:
+                    continue
+                entry = self._lookup(lst)
+                if entry is None:
+                    missed[id(lst)] = lst
+                else:
+                    arrays[id(lst)] = entry.array
+            if missed:
+                decoded = decode_many(list(missed.values()))
+                for lst, array in zip(missed.values(), decoded):
+                    arrays[id(lst)] = self._insert(lst, array).array
+            return [arrays[id(lst)] for lst in lists]
 
     def admit(self, lst) -> Optional[np.ndarray]:
         """Cached array, decoding only once ``lst`` proves hot.
@@ -164,7 +197,7 @@ class DecodeCache:
                 while len(self._touches) > 4 * (self.max_entries or 1024):
                     self._touches.popitem(last=False)
                 return None
-            return self._insert(lst, self._decode(lst)).array
+            return self._insert(lst, lst.to_array()).array
 
     def wrap(self, lst: SortedIDList) -> SortedIDList:
         """``lst`` wrapped in a :class:`CachedListView` bound to this cache."""

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import List, Optional, Sequence
 
 from ..obs import METRICS as _METRICS
@@ -226,11 +227,16 @@ class CountFilterSearcher:
         rows = [i for i, plan in enumerate(plans) if plan.mode == "filter"]
         answers: List = []
         if rows:
-            memo: dict = {}
             with _METRICS.span("search.filter"):
+                # one decode over every row's lists, then split back per row
+                decoded = iter(
+                    decode_postings(
+                        [lst for i in rows for lst in plans[i].lists],
+                        self.cache,
+                    )
+                )
                 per_query_arrays = [
-                    decode_postings(plans[i].lists, self.cache, memo)
-                    for i in rows
+                    list(islice(decoded, len(plans[i].lists))) for i in rows
                 ]
                 answers = batch_candidates(
                     self.algorithm,

@@ -23,12 +23,16 @@ Both kernels are exact: for every query they return the same candidate set,
 in the same ascending order, as the serial algorithm — the serial per-query
 path stays in the tree as the parity oracle (``tests/test_parity_fuzz.py``).
 
-Decode discipline: each distinct posting list is decoded **once per batch**
-(:func:`decode_postings`), through the engine's
-:class:`~repro.engine.cache.DecodeCache` when one is configured, and the
-two-layer decode itself batches all touched blocks into a single gather
-(:meth:`~repro.compression.twolayer.TwoLayerStore.decode_blocks`) — decode
-cost is paid once per touched block, never once per cursor touch.
+Decode discipline: a batch calls :func:`decode_postings` **once**, over
+every row's lists.  Each distinct posting list is looked up once — in the
+engine's :class:`~repro.engine.cache.DecodeCache` when one is configured
+(``fetch_many``: one hit or one miss per list) — and every list the cache
+missed is decoded in one pass: all their two-layer blocks go through
+:func:`~repro.compression.twolayer.decode_stores`, a few bounded gathers
+of at most :data:`~repro.compression.twolayer.DECODE_CHUNK_ELEMENTS` ids
+each, so numpy's per-call set-up is paid per chunk, not per list (a chunk
+too small to repay it decodes in integer arithmetic), and decode cost is
+never paid once per cursor touch.
 """
 
 from __future__ import annotations
@@ -37,7 +41,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..compression.online import OnlineSortedIDList
 from ..compression.simdsearch import kary_lower_bound_many
+from ..compression.twolayer import TwoLayerList, decode_stores
 
 __all__ = [
     "BATCH_ALGORITHMS",
@@ -59,6 +65,37 @@ _INF = np.iinfo(np.int64).max
 SCANCOUNT_CELL_BUDGET = 1 << 23
 
 
+#: the ``to_array`` methods that are a decode of the list's ``store`` (an
+#: online list then appends its buffer via ``with_buffer``); a class that
+#: overrides ``to_array`` decodes its own way and keeps it
+_STORE_DECODES = (TwoLayerList.to_array, OnlineSortedIDList.to_array)
+
+
+def _decode_lists(lists: Sequence) -> List[np.ndarray]:
+    """``[lst.to_array() for lst in lists]``, two-layer lists decoded together.
+
+    Every two-layer store among ``lists`` — a MILC/CSS list's, or an
+    online list's compressed region, whose buffered tail is appended
+    after — goes through one
+    :func:`~repro.compression.twolayer.decode_stores` call; other schemes
+    (uncomp, PForDelta, ...) keep their own ``to_array``.
+    """
+    arrays: Dict[int, np.ndarray] = {}
+    two_layer: List[int] = []
+    for slot, lst in enumerate(lists):
+        if type(lst).to_array in _STORE_DECODES:
+            two_layer.append(slot)
+        else:
+            arrays[slot] = lst.to_array()
+    decoded = decode_stores([lists[slot].store for slot in two_layer])
+    for slot, array in zip(two_layer, decoded):
+        lst = lists[slot]
+        if isinstance(lst, OnlineSortedIDList):
+            array = lst.with_buffer(array)
+        arrays[slot] = array
+    return [arrays[slot] for slot in range(len(lists))]
+
+
 def decode_postings(
     lists: Sequence,
     cache=None,
@@ -66,31 +103,37 @@ def decode_postings(
 ) -> List[np.ndarray]:
     """Decoded id arrays for ``lists``, each distinct list decoded once.
 
-    ``memo`` (shared across the queries of one batch) maps list identity to
-    its decoded array, so a posting list probed by many queries in the
-    batch decodes a single time.  With a
-    :class:`~repro.engine.cache.DecodeCache` supplied the decode goes
-    through ``cache.fetch`` and is shared with later batches too.
+    ``memo`` (shared across the calls of one batch) maps list identity to
+    its decoded array, so a posting list probed by many queries decodes a
+    single time.  The lists not in ``memo`` are decoded together
+    (:func:`_decode_lists`); with a
+    :class:`~repro.engine.cache.DecodeCache` supplied they go through one
+    ``cache.fetch_many`` — one hit or one miss per distinct list, the
+    misses decoded together and inserted — and are shared with later
+    batches too.
     """
     if memo is None:
         memo = {}
-    arrays: List[np.ndarray] = []
+    fresh: Dict[int, object] = {}
     for lst in lists:
         # searchers pass raw lists; the e2e layer replay passes cache.wrap views
         inner = getattr(lst, "inner", lst)
         key = id(inner)
-        array = memo.get(key)
-        if array is None:
-            if getattr(lst, "cached", False):
-                array = lst.to_array()
-            elif cache is not None:
-                array = cache.fetch(inner)
-            else:
-                # no cache configured: the per-batch memo is the cache
-                array = inner.to_array()
-            memo[key] = array
-        arrays.append(array)
-    return arrays
+        if key in memo or key in fresh:
+            continue
+        if getattr(lst, "cached", False):
+            memo[key] = lst.to_array()
+        else:
+            fresh[key] = inner
+    if fresh:
+        missing = list(fresh.values())
+        if cache is not None:
+            decoded = cache.fetch_many(missing, _decode_lists)
+        else:
+            # no cache configured: the per-batch memo is the cache
+            decoded = _decode_lists(missing)
+        memo.update(zip(fresh, decoded))
+    return [memo[id(getattr(lst, "inner", lst))] for lst in lists]
 
 
 def _validate_thresholds(thresholds: np.ndarray, batch: int) -> None:

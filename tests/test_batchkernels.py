@@ -173,3 +173,48 @@ class TestDecodePostings:
         b = decode_postings([lst], cache=cache, memo=memo)
         assert len(memo) == 1
         assert a[0].tolist() == b[0].tolist() == [5, 6]
+
+    def test_mixed_schemes_match_to_array(self, rng):
+        """Two-layer stores (offline lists, online compressed regions with
+        their buffered tails) decode together; other schemes decode alone."""
+        from repro.core import offline_factory, online_factory
+
+        lists = []
+        for scheme in ("css", "milc", "uncomp", "pfordelta"):
+            for _ in range(3):
+                size = int(rng.integers(1, 700))
+                ids = np.unique(rng.integers(0, 50_000, size=size))
+                lists.append(offline_factory(scheme)(ids))
+        for scheme in ("adapt", "fix", "uncomp"):
+            for size in (0, 5, 300):
+                lst = online_factory(scheme)()
+                lst.extend(np.cumsum(rng.integers(1, 60, size=size)).tolist())
+                lists.append(lst)
+        # some online list holds both regions
+        assert any(lst.num_blocks and lst.buffer_length for lst in lists[12:])
+        got = decode_postings(lists)
+        for lst, array in zip(lists, got):
+            assert array.tolist() == lst.to_array().tolist()
+
+    def test_overridden_to_array_is_kept(self):
+        """A list class that decodes its own way is not routed through its
+        store, even when it has one."""
+        from repro.compression.online.adapt import AdaptList
+
+        class ShiftedAdapt(AdaptList):
+            def to_array(self):
+                return super().to_array() + 1
+
+        class ShiftedCSS(CSSList):
+            def to_array(self):
+                return super().to_array() + 1
+
+        online = ShiftedAdapt()
+        online.extend(range(0, 3000, 7))
+        assert online.num_blocks and online.buffer_length
+        ids = np.arange(0, 900, 3, dtype=np.int64)
+        offline, plain = ShiftedCSS(ids), CSSList(ids)
+        got = decode_postings([online, offline, plain])
+        assert got[0].tolist() == online.to_array().tolist()
+        assert got[1].tolist() == offline.to_array().tolist()
+        assert got[2].tolist() == plain.to_array().tolist()

@@ -30,6 +30,27 @@ class TestFetchAccounting:
         assert registry.counter("engine.cache.hits") == 1
         assert registry.counter("engine.cache.bytes_added") == first.nbytes
 
+    def test_fetch_many_one_lookup_per_distinct_list(self):
+        cache = DecodeCache()
+        a, b, c = make_list(0), make_list(1000), make_list(2000)
+        cache.fetch(a)
+        calls = []
+
+        def decode_many(lists):
+            calls.append(list(lists))
+            return [lst.to_array() for lst in lists]
+
+        out = cache.fetch_many([b, a, b, c, a], decode_many)
+        assert out[0] is out[2] and out[1] is out[4]
+        assert [o.tolist() for o in out] == [
+            lst.to_array().tolist() for lst in (b, a, b, c, a)
+        ]
+        assert len(calls) == 1 and [id(x) for x in calls[0]] == [id(b), id(c)]
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["insertions"]) == (1, 3, 3)
+        cache.fetch_many([a, b, c], decode_many)  # all hits: no decode call
+        assert len(calls) == 1
+
     def test_distinct_lists_distinct_entries(self):
         cache = DecodeCache()
         a, b = make_list(0), make_list(1000)
@@ -193,11 +214,7 @@ class TestEngineAccounting:
     def test_batch_reads_the_cache_once_per_distinct_list(self, corpus):
         collection, queries = corpus
         engine = SimilarityEngine(collection, cache_entries=100000)
-        probed = {
-            id(lst)
-            for query in queries
-            for lst in engine.searcher._plan(query, 0.8).lists
-        }
+        probed = self._distinct_lists(engine, queries)
         assert engine.cache_stats()["misses"] == 0  # planning reads no cache
         engine.search_batch(queries, 0.8)
         first = engine.cache_stats()
@@ -207,6 +224,58 @@ class TestEngineAccounting:
         second = engine.cache_stats()
         assert second["hits"] == len(probed)
         assert second["misses"] == first["misses"]
+
+    @staticmethod
+    def _distinct_lists(engine, queries):
+        distinct = {}
+        for query in queries:
+            for lst in engine.searcher._plan(query, 0.8).lists:
+                distinct[id(lst)] = lst
+        return list(distinct.values())
+
+    @pytest.mark.parametrize("cache_entries", [0, 100000])
+    def test_cold_batch_decode_counters(self, corpus, cache_entries):
+        """One pass over the batch's misses counts what one ``to_array``
+        per distinct list counts."""
+        collection, queries = corpus
+        engine = SimilarityEngine(collection, cache_entries=cache_entries)
+        distinct = self._distinct_lists(engine, queries)
+        with enabled_metrics() as registry:
+            engine.search_batch(queries, 0.8)
+        assert registry.counter("twolayer.blocks_decoded") == sum(
+            lst.num_blocks for lst in distinct
+        )
+        assert registry.counter("twolayer.elements_decoded") == sum(
+            len(lst) for lst in distinct
+        )
+
+    def test_cache_entries_own_their_memory(self, corpus):
+        collection, queries = corpus
+        engine = SimilarityEngine(collection, cache_entries=100000)
+        engine.search_batch(queries, 0.8)
+        arrays = [engine.cache.get(lst) for lst in self._distinct_lists(
+            engine, queries
+        )]
+        assert all(array is not None and array.base is None for array in arrays)
+        assert engine.cache.current_bytes == sum(array.nbytes for array in arrays)
+
+    def test_mixed_batch_decodes_only_the_misses(self, corpus):
+        collection, queries = corpus
+        engine = SimilarityEngine(collection, cache_entries=100000)
+        distinct = self._distinct_lists(engine, queries)
+        for lst in distinct[::2]:
+            engine.cache.fetch(lst)
+        before = engine.cache_stats()
+        results = engine.search_batch(queries, 0.8)
+        after = engine.cache_stats()
+        reference = SimilarityEngine(collection, cache_entries=0)
+        assert [r.ids for r in results] == [
+            reference.search(query, 0.8).ids for query in queries
+        ]
+        misses = after["misses"] - before["misses"]
+        assert misses == after["insertions"] - before["insertions"]
+        assert misses == len(distinct) - len(distinct[::2])
+        assert after["hits"] - before["hits"] == len(distinct[::2])
 
     def test_single_query_path_admits_on_second_touch(self, corpus):
         collection, queries = corpus

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+import repro.compression.twolayer as twolayer
 from repro.compression.bitpack import BitBuffer
-from repro.compression.twolayer import TwoLayerStore
+from repro.compression.constants import MAX_DELTA_WIDTH, MAX_ELEMENT
+from repro.compression.twolayer import TwoLayerStore, decode_stores
+from repro.obs import enabled_metrics
 
 
 class TestGather:
@@ -174,21 +177,23 @@ class TestGatherRuns:
             buf.gather_runs(np.asarray([0]), np.asarray([4]), np.asarray([-1]))
 
 
-class TestDecodeBlocks:
-    def _store(self, rng, blocks=20):
-        store = TwoLayerStore()
-        base = 0
-        for _ in range(blocks):
-            base += int(rng.integers(1, 10**4))
-            run = base + np.cumsum(
-                rng.integers(1, 500, size=int(rng.integers(1, 40)))
-            )
-            store.append_block(run)
-            base = int(run[-1])
-        return store
+def _random_store(rng, blocks):
+    """``blocks`` random blocks of 1-39 ids each."""
+    store = TwoLayerStore()
+    base = 0
+    for _ in range(blocks):
+        base += int(rng.integers(1, 10**4))
+        run = base + np.cumsum(
+            rng.integers(1, 500, size=int(rng.integers(1, 40)))
+        )
+        store.append_block(run)
+        base = int(run[-1])
+    return store
 
+
+class TestDecodeBlocks:
     def test_subset_matches_per_block_decode(self, rng):
-        store = self._store(rng)
+        store = _random_store(rng, 20)
         blocks = np.asarray([0, 3, 17, 4])
         expected = np.concatenate(
             [store.decode_block(int(b)) for b in blocks]
@@ -196,18 +201,130 @@ class TestDecodeBlocks:
         assert np.array_equal(store.decode_blocks(blocks), expected)
 
     def test_empty_selection(self, rng):
-        store = self._store(rng, blocks=3)
+        store = _random_store(rng, 3)
         assert store.decode_blocks(np.empty(0, np.int64)).size == 0
 
     def test_out_of_range_rejected(self, rng):
-        store = self._store(rng, blocks=3)
+        store = _random_store(rng, 3)
         with pytest.raises(IndexError):
             store.decode_blocks(np.asarray([3]))
         with pytest.raises(IndexError):
             store.decode_blocks(np.asarray([-1]))
 
     def test_max_width_bits(self, rng):
-        store = self._store(rng)
+        store = _random_store(rng, 20)
         # repro: noqa RA08 -- asserting the public accessor against the raw
         assert store.max_width_bits() == max(store._widths)
         assert TwoLayerStore().max_width_bits() == 0
+
+
+def _assert_matches_to_array(stores):
+    got = decode_stores(stores)
+    assert len(got) == len(stores)
+    for store, array in zip(stores, got):
+        assert array.dtype == np.int64
+        assert np.array_equal(array, store.to_array())
+
+
+@pytest.fixture(params=["gather", "scalar"])
+def decode_pass(request, monkeypatch):
+    """Every chunk through the numpy gather, or through the scalar loop."""
+    threshold = 0 if request.param == "gather" else 1 << 40
+    monkeypatch.setattr(twolayer, "SCALAR_DECODE_ELEMENTS", threshold)
+
+
+@pytest.mark.usefixtures("decode_pass")
+class TestDecodeStores:
+    """``decode_stores`` equals a per-store ``to_array``, chunked or not."""
+
+    def test_random_stores(self, rng):
+        stores = [
+            _random_store(rng, int(rng.integers(0, 25))) for _ in range(60)
+        ]
+        _assert_matches_to_array(stores)
+
+    def test_empty_input(self):
+        assert decode_stores([]) == []
+
+    def test_empty_stores_among_others(self, rng):
+        stores = [TwoLayerStore(), _random_store(rng, 4), TwoLayerStore()]
+        got = decode_stores(stores)
+        assert [array.size for array in got] == [0, len(stores[1]), 0]
+        _assert_matches_to_array(stores)
+
+    def test_single_element_blocks(self):
+        stores = []
+        for start in range(5):
+            store = TwoLayerStore()
+            for value in (start, 100 + start, 10**6 + start):
+                store.append_block(np.asarray([value]))
+            stores.append(store)
+        stores.append(_random_store(np.random.default_rng(3), 6))
+        _assert_matches_to_array(stores)
+
+    def test_full_width_deltas(self):
+        stores = []
+        for shift in range(4):
+            store = TwoLayerStore()
+            store.append_block(
+                np.asarray([shift, 2**31 + shift, MAX_ELEMENT - 3 + shift])
+            )
+            assert store.max_width_bits() == MAX_DELTA_WIDTH
+            stores.append(store)
+        _assert_matches_to_array(stores)
+
+    def test_word_straddling_fields(self):
+        stores = []
+        for start in range(3):
+            store = TwoLayerStore()
+            # 27-bit deltas: fields cross 64-bit word boundaries, and every
+            # store ends mid-word, so its neighbour's words start a new word
+            store.append_block(start + np.arange(21) * 2**22)
+            store.append_block(2**27 + start + np.arange(9) * 2**21)
+            stores.append(store)
+        _assert_matches_to_array(stores)
+
+    def test_frozen_zero_copy_stores(self, rng):
+        stores = [
+            TwoLayerStore.from_arrays(
+                _random_store(rng, int(rng.integers(1, 12))).to_arrays(),
+                copy=False,
+            )
+            for _ in range(10)
+        ]
+        _assert_matches_to_array(stores)
+
+    @pytest.mark.parametrize("budget", [1, 7, 64, 300])
+    def test_chunk_edges_mid_batch(self, rng, monkeypatch, budget):
+        """Stores larger than the budget, and chunk edges between stores
+        in the middle of the batch, change nothing."""
+        stores = [
+            _random_store(rng, int(rng.integers(0, 15))) for _ in range(40)
+        ]
+        assert max(len(store) for store in stores) > budget
+        monkeypatch.setattr(twolayer, "DECODE_CHUNK_ELEMENTS", budget)
+        _assert_matches_to_array(stores)
+
+    def test_counters_sum_over_stores(self, rng):
+        stores = [_random_store(rng, int(rng.integers(1, 9))) for _ in range(20)]
+        with enabled_metrics() as registry:
+            decode_stores(stores)
+        assert registry.counter("twolayer.blocks_decoded") == sum(
+            store.num_blocks for store in stores
+        )
+        assert registry.counter("twolayer.elements_decoded") == sum(
+            len(store) for store in stores
+        )
+
+    def test_block_past_its_own_bits_rejected(self, rng):
+        """A store whose metadata points past its own ``num_bits`` raises,
+        instead of reading the next store's words."""
+        broken, neighbour = _random_store(rng, 6), _random_store(rng, 6)
+        broken.append_block(10**7 + np.arange(0, 3000, 100))  # 12-bit deltas
+        # the last block's deltas now end past the store's data: in the
+        # concatenated buffer they would run into the neighbour's words
+        broken._data._num_bits -= 70
+        with pytest.raises(IndexError):
+            broken.to_array()
+        with pytest.raises(IndexError, match="num_bits"):
+            decode_stores([broken, neighbour])
