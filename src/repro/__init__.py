@@ -50,7 +50,7 @@ from .compression import (
 from .compression.online import AdaptList, FixList, ModelList, VariList
 from .core import offline_factory, online_factory, register_scheme
 from .datasets import load_dataset
-from .engine import DecodeCache, ShardedEngine, SimilarityEngine
+from .engine import DecodeCache, SimilarityEngine
 from .join import (
     CountFilterJoin,
     PrefixFilterRSJoin,
@@ -91,7 +91,6 @@ __all__ = [
     "online_factory",
     "register_scheme",
     "SimilarityEngine",
-    "ShardedEngine",
     "DecodeCache",
     "SearchResult",
     "SearchStats",

@@ -31,7 +31,7 @@ from typing import List, Optional, Sequence
 
 from .core.framework import OFFLINE_SCHEMES, ONLINE_SCHEMES
 from .datasets import dataset_names, load_dataset
-from .engine import ShardedEngine, SimilarityEngine, open_engine
+from .engine import SimilarityEngine
 from .obs import (
     METRICS,
     TRACER,
@@ -250,14 +250,6 @@ def _add_engine_args(parser: argparse.ArgumentParser) -> None:
         help="serve a persisted bundle zero-copy off memory-mapped arrays "
         "(bundle directories only; workers share the page cache)",
     )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="partition an index built from a corpus into N shards served "
-        "by a fan-out/merge engine (default: 1, monolithic; results are "
-        "identical; a bundle fixed its shard count at save time)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -339,9 +331,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=1,
-        help="fork-pool size for --queries-file batches; with --shards, "
-        "per shard (default: 1, the in-process batch kernels; pays on "
-        "large corpus x batch, see EXPERIMENTS.md)",
+        help="fork-pool size for --queries-file batches (default: 1, the "
+        "in-process batch kernels; pays on large corpus x batch, see "
+        "EXPERIMENTS.md)",
     )
     _add_engine_args(search)
     search.add_argument(
@@ -354,13 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--load-index",
         default=None,
         help="persisted index to reuse: a bundle directory (saved with "
-        "SimilarityEngine.save / ShardedEngine.save / `repro index OUT`)",
-    )
-    search.add_argument(
-        "--routing",
-        choices=("contiguous", "hash"),
-        default="contiguous",
-        help="shard routing mode for --shards > 1 (default: contiguous)",
+        "SimilarityEngine.save / `repro index OUT`)",
     )
     _add_profile_arg(search)
     _add_trace_args(search)
@@ -401,9 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-workers",
         type=int,
         default=1,
-        help="fork-pool size for the coalesced search_batch calls; with "
-        "--shards, per shard (default: 1, batch kernels on the dispatcher "
-        "thread)",
+        help="fork-pool size for the coalesced search_batch calls "
+        "(default: 1, batch kernels on the dispatcher thread)",
     )
     serve.add_argument(
         "--slow-ms",
@@ -485,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
         "CSS blocks (Algorithm 2's DP), in place or to a new bundle",
     )
     compact.add_argument(
-        "index", help="a dynamic index bundle or sharded bundle directory"
+        "index", help="a dynamic index bundle directory"
     )
     compact.add_argument(
         "-o",
@@ -498,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         "check", help="validate the integrity of a persisted index"
     )
     check.add_argument(
-        "index", help="an index bundle / sharded bundle directory"
+        "index", help="an index bundle directory"
     )
 
     lint = commands.add_parser(
@@ -654,15 +639,7 @@ def _cmd_index(args) -> int:
 
 def _engine_args_problem(args, bundle) -> Optional[str]:
     """Why the engine arguments cannot apply to this source, if they cannot:
-    ``--shards`` partitions an index built here, ``--mmap`` maps a saved one."""
-    if args.shards < 1:
-        return f"--shards must be >= 1, got {args.shards}"
-    if bundle is not None and args.shards > 1:
-        return (
-            "--shards applies to an index built from a corpus; a bundle "
-            "directory already fixed its shard count at save time (save a "
-            "partitioned one with ShardedEngine.save)"
-        )
+    ``--mmap`` maps a saved bundle, not an index built here."""
     if bundle is None and args.mmap:
         return (
             "--mmap applies to bundle directories; persist one first with "
@@ -675,31 +652,21 @@ def _engine_args_problem(args, bundle) -> Optional[str]:
 def _engine_from_args(args, lines: Optional[List[str]], bundle):
     """The one place parsed arguments become an engine.
 
-    ``bundle`` (a saved bundle directory) is reopened as whichever engine
-    saved it; otherwise the corpus ``lines`` are tokenized and indexed
-    under ``--scheme``, partitioned when ``--shards > 1``.  Edit distance
+    ``bundle`` (a saved bundle directory) is reopened; otherwise the
+    corpus ``lines`` are tokenized and indexed under ``--scheme``.  Edit distance
     always runs on q-grams (``q=2`` unless ``--mode qgram`` chose a width).
     Raises ``ValueError`` for an unopenable bundle or an unsupported
     scheme/algorithm pairing.
     """
     serving = {"algorithm": args.algorithm, "metric": args.metric}
     if bundle is not None:
-        return open_engine(bundle, mmap=args.mmap, **serving)
+        return SimilarityEngine.open(bundle, mmap=args.mmap, **serving)
     ed = args.metric == "ed"
     collection = tokenize_collection(
         lines,
         mode="qgram" if ed else args.mode,
         q=2 if ed and args.mode == "word" else args.q,
     )
-    if args.shards > 1:
-        return ShardedEngine(
-            collection,
-            shards=args.shards,
-            # `serve` has no --routing: it builds contiguous shards
-            routing=getattr(args, "routing", "contiguous"),
-            scheme=args.scheme,
-            **serving,
-        )
     return SimilarityEngine(collection, scheme=args.scheme, **serving)
 
 
@@ -763,7 +730,6 @@ def _cmd_search(args) -> int:
             metric=args.metric,
             threshold=args.threshold,
             workers=args.workers,
-            shards=args.shards,
             cache=cache_stats,
         )
     return 0
@@ -813,12 +779,8 @@ def _cmd_serve(args) -> int:
 
 def _describe_served(app) -> str:
     engine = app.engine
-    shards = getattr(engine, "num_shards", 1)
     source = f" from {app.bundle_path}" if app.bundle_path else ""
-    return (
-        f"{engine.num_records} records ({engine.metric}, "
-        f"{shards} shard{'s' if shards != 1 else ''}){source}"
-    )
+    return f"{engine.num_records} records ({engine.metric}){source}"
 
 
 def _cmd_top(args) -> int:
@@ -849,7 +811,7 @@ def _cmd_compact(args) -> int:
         return 2
     output = args.output or target
     try:
-        engine = open_engine(target, mmap=False)
+        engine = SimilarityEngine.open(target, mmap=False)
         try:
             stats = engine.compact()
         except TypeError as error:  # a static (offline) index
@@ -859,17 +821,11 @@ def _cmd_compact(args) -> int:
     except ValueError as error:
         print(f"error: {error}")
         return 1
-    all_stats = stats if isinstance(stats, list) else [stats]
-    lists = sum(stats.lists_compacted for stats in all_stats)
-    skipped = sum(stats.lists_skipped for stats in all_stats)
-    postings = sum(stats.postings for stats in all_stats)
-    bits_before = sum(stats.bits_before for stats in all_stats)
-    bits_after = sum(stats.bits_after for stats in all_stats)
-    seconds = sum(stats.seconds for stats in all_stats)
     print(
-        f"compacted {lists} lists ({skipped} skipped, {postings} postings) "
-        f"in {seconds:.3f} s: {bits_before / 8 / 1024:.1f} KiB -> "
-        f"{bits_after / 8 / 1024:.1f} KiB, saved to {output}"
+        f"compacted {stats.lists_compacted} lists ({stats.lists_skipped} "
+        f"skipped, {stats.postings} postings) in {stats.seconds:.3f} s: "
+        f"{stats.bits_before / 8 / 1024:.1f} KiB -> "
+        f"{stats.bits_after / 8 / 1024:.1f} KiB, saved to {output}"
     )
     return 0
 

@@ -2,8 +2,7 @@
 
 A :class:`~repro.engine.core.SimilarityEngine` keeps a lazily-created
 ``fork`` process pool that batches reuse across calls and that ingest,
-compaction and infrastructure failures retire (a sharded engine holds no
-pool of its own: each shard is an engine with one of these).  How that
+compaction and infrastructure failures retire.  How that
 handle is guarded, and how it survives a fork or a pickle, is decided
 here once: every field is read and written under one lock, a pickled pool
 comes back empty with a fresh lock, and a forked worker calls

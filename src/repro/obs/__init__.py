@@ -9,12 +9,13 @@ candidates / verifications / per-phase wall time in search and join.
 
 The layer is cross-process: registries snapshot and :meth:`merge
 <repro.obs.registry.MetricsRegistry.merge>` losslessly, so the fork-pool
-workers of :class:`~repro.engine.core.SimilarityEngine` and the shard
-builders of :class:`~repro.engine.sharded.ShardedEngine` ship their deltas
-back and ``--profile`` totals match a serial run exactly.  Per-query trace
-trees (:data:`TRACER`, :mod:`repro.obs.trace`) capture the span structure
-of individual queries under a sampling policy with a slow-query log, and
-:mod:`repro.obs.export` renders everything as Prometheus text or JSONL.
+workers of :class:`~repro.engine.core.SimilarityEngine` and the forked list
+encoders of a parallel :class:`~repro.search.searcher.InvertedIndex` build
+ship their deltas back and ``--profile`` totals match a serial run
+exactly.  Per-query trace trees (:data:`TRACER`, :mod:`repro.obs.trace`)
+capture the span structure of individual queries under a sampling policy
+with a slow-query log, and :mod:`repro.obs.export` renders everything as
+Prometheus text or JSONL.
 
 Disabled by default at near-zero cost; the CLI's ``--profile`` flag (and
 :class:`enabled_metrics` in library code) turns it on and dumps the

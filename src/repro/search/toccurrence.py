@@ -52,8 +52,8 @@ def scan_count(
             max_id = max(max_id, int(ids[-1]))
     if max_id < 0:
         return np.empty(0, dtype=np.int64)
-    # a dynamic index may have grown past the build-time universe (sharded
-    # add() after load); the counter must cover every id actually posted
+    # a dynamic index may have grown past the universe the caller read
+    # (an add() in between); the counter must cover every id actually posted
     counts = np.zeros(max(universe, max_id + 1), dtype=np.int32)
     for ids in arrays:
         counts[ids] += 1

@@ -10,12 +10,11 @@ arrives as many concurrent single-query requests.  Three pieces:
   :meth:`~repro.engine.core.SimilarityEngine.search_batch` call, with the
   answers demuxed back per request — bit-identical to direct engine calls.
 * :mod:`repro.serve.app` — a framework-free ASGI 3 application fronting a
-  :class:`~repro.engine.core.SimilarityEngine` or
-  :class:`~repro.engine.sharded.ShardedEngine`: ``POST /search``,
+  :class:`~repro.engine.core.SimilarityEngine`: ``POST /search``,
   ``GET /metrics`` (Prometheus text via
   :func:`repro.obs.export.to_prometheus`), ``GET /healthz`` (the
   ``repro check`` bundle validator) and ``GET /`` (an info document).
-  Runnable under any ASGI server: ``ServeApp(open_engine(path))``.
+  Runnable under any ASGI server: ``ServeApp(SimilarityEngine.open(path))``.
 * :mod:`repro.serve.server` — a dependency-free asyncio HTTP/1.1 server
   speaking the ASGI protocol, so ``repro serve`` works on a bare python
   install; it is what the CLI boots when uvicorn is not around.

@@ -29,7 +29,7 @@ Routes
     gauges) and, when enabled, the engine registry.
 
 ``GET /``
-    An info document: engine shape, records, shards, coalescing knobs and
+    An info document: engine shape, records, coalescing knobs and
     the achieved coalescing stats.
 
 ``GET /debug/vars``
@@ -114,7 +114,7 @@ class ServeApp:
     Parameters
     ----------
     engine:
-        The :class:`SimilarityEngine` / :class:`ShardedEngine` to serve.
+        The :class:`SimilarityEngine` to serve.
     bundle_path:
         The bundle directory the engine was opened from, if any —
         ``/healthz`` runs the structural validator over it.
@@ -225,12 +225,6 @@ class ServeApp:
                     if self.engine.metric != "ed"
                     else " (edit-distance indexes answer only 'ed')"
                 ),
-            )
-        if not isinstance(self.engine, SimilarityEngine):
-            raise _HttpError(
-                400,
-                f"per-request metric overrides need a single-index engine; "
-                f"this sharded engine serves {self.engine.metric!r} only",
             )
         with self._engines_lock:
             engine = self._engines.get(metric)
@@ -506,7 +500,6 @@ class ServeApp:
             "engine": type(engine).__name__,
             "metric": engine.metric,
             "algorithm": engine.algorithm,
-            "shards": getattr(engine, "num_shards", 1),
             "records": engine.num_records,
             "bundle": str(self.bundle_path) if self.bundle_path else None,
             "window_ms": self.window_ms,

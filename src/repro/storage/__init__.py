@@ -18,43 +18,30 @@ package is that lifecycle made real, for both halves of the paper:
 * **compaction** (:mod:`~repro.storage.compaction`) seals the online
   two-region lists into offline CSS blocks with the paper's Algorithm-2
   dynamic program — same ids, optimal layout, still appendable.
-* **sharded bundles** (:mod:`~repro.storage.sharded`) hold one
-  self-contained bundle per shard, so a sharded engine reopens without a
-  caller-supplied collection.
 
 Entry points for applications are ``SimilarityEngine.save`` / ``.open`` /
-``.compact``, their :class:`~repro.engine.sharded.ShardedEngine`
-counterparts and :func:`repro.engine.open_engine`; the functions here are
-the engine-free core.
+``.compact``; the functions here are the engine-free core.
 """
 
 from .bundle import (
     BUNDLE_KIND,
     BUNDLE_VERSION,
-    SHARDED_BUNDLE_KIND,
-    SHARDED_BUNDLE_VERSION,
     open_index,
     read_manifest,
     save_index,
 )
-from .check import check_bundle, check_path, check_sharded_bundle
+from .check import check_bundle, check_path
 from .compaction import CompactionStats, compact_index, compact_list
-from .sharded import open_sharded, save_sharded
 
 __all__ = [
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
-    "SHARDED_BUNDLE_KIND",
-    "SHARDED_BUNDLE_VERSION",
     "CompactionStats",
     "check_bundle",
     "check_path",
-    "check_sharded_bundle",
     "compact_index",
     "compact_list",
     "open_index",
-    "open_sharded",
     "read_manifest",
     "save_index",
-    "save_sharded",
 ]

@@ -40,8 +40,6 @@ __all__ = [
     "require",
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
-    "SHARDED_BUNDLE_KIND",
-    "SHARDED_BUNDLE_VERSION",
     "LOG_NAME",
     "save_index",
     "open_index",
@@ -51,12 +49,9 @@ __all__ = [
 
 BUNDLE_KIND = "repro.index_bundle"
 BUNDLE_VERSION = 1
-SHARDED_BUNDLE_KIND = "repro.sharded_bundle"
-SHARDED_BUNDLE_VERSION = 1
-_MANIFEST_VERSIONS = {
-    BUNDLE_KIND: BUNDLE_VERSION,
-    SHARDED_BUNDLE_KIND: SHARDED_BUNDLE_VERSION,
-}
+#: the kind of a removed bundle layout (one sub-bundle per shard), refused
+#: by name so an old directory fails with a way out, not a bare mismatch
+_REMOVED_KIND = "repro.sharded_bundle"
 MANIFEST_NAME = "manifest.json"
 LOG_NAME = "log.jsonl"
 
@@ -132,19 +127,26 @@ def read_manifest(
 
     With ``kind`` the manifest must declare that kind at the version this
     code reads; without it the caller dispatches on ``manifest["kind"]``.
+    A manifest of the removed multi-shard layout is always a
+    ``ValueError`` that names the kind and how to rebuild.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.is_file():
         raise ValueError(f"{path} is not an index bundle (no {MANIFEST_NAME})")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if manifest.get("kind") == _REMOVED_KIND:
+        raise ValueError(
+            f"{path} is a {_REMOVED_KIND} directory, a layout this version "
+            "no longer reads; rebuild it with `repro index CORPUS OUT`"
+        )
     if kind is not None:
         if manifest.get("kind") != kind:
             raise ValueError(
                 f"{manifest_path} is not a {kind} manifest "
                 f"(kind={manifest.get('kind')!r})"
             )
-        if manifest.get("version") != _MANIFEST_VERSIONS[kind]:
+        if manifest.get("version") != BUNDLE_VERSION:
             raise ValueError(
                 f"unsupported {kind} version {manifest.get('version')} "
                 f"in {manifest_path}"

@@ -15,15 +15,9 @@ from pathlib import Path
 from typing import List, Union
 
 from ..compression.validate import check_index
-from .bundle import (
-    BUNDLE_KIND,
-    SHARDED_BUNDLE_KIND,
-    open_index,
-    read_manifest,
-)
-from .sharded import open_sharded, shard_dir
+from .bundle import BUNDLE_KIND, open_index, read_manifest
 
-__all__ = ["check_bundle", "check_path", "check_sharded_bundle"]
+__all__ = ["check_bundle", "check_path"]
 
 
 def check_bundle(path: Union[str, Path], max_lists: int = 0) -> List[str]:
@@ -48,38 +42,10 @@ def check_bundle(path: Union[str, Path], max_lists: int = 0) -> List[str]:
             detach()
 
 
-def check_sharded_bundle(
-    path: Union[str, Path], max_lists: int = 0
-) -> List[str]:
-    """Violations of a sharded bundle directory.
-
-    Manifest/assignment cross-checks run via the sharded opener; every
-    shard's posting lists are then checked individually, prefixed with
-    the shard directory they belong to.
-    """
-    path = Path(path)
-    try:
-        indexes, _assignments, _manifest = open_sharded(path, mmap=False)
-    # repro: noqa RA07 -- load failure on untrusted input is the finding itself
-    except Exception as error:
-        return [f"load failed ({type(error).__name__}): {error}"]
-    issues: List[str] = []
-    for position, index in enumerate(indexes):
-        try:
-            for issue in check_index(index, max_lists=max_lists):
-                issues.append(f"{shard_dir(position)}: {issue}")
-        finally:
-            detach = getattr(index, "detach_append_log", None)
-            if detach is not None:
-                detach()
-    return issues
-
-
 def check_path(path: Union[str, Path], max_lists: int = 0) -> List[str]:
-    """Route the bundle directory at ``path`` to its checker by the kind
-    its ``manifest.json`` declares (index bundle or sharded bundle).  A
-    missing path, a non-directory or an unrecognizable manifest is
-    reported as a violation.
+    """Check the bundle directory at ``path`` once its ``manifest.json``
+    declares an index bundle.  A missing path, a non-directory or an
+    unrecognizable manifest is reported as a violation.
     """
     path = Path(path)
     if not path.is_dir():
@@ -91,6 +57,4 @@ def check_path(path: Union[str, Path], max_lists: int = 0) -> List[str]:
         return [f"load failed ({type(error).__name__}): manifest.json: {error}"]
     if kind == BUNDLE_KIND:
         return check_bundle(path, max_lists=max_lists)
-    if kind == SHARDED_BUNDLE_KIND:
-        return check_sharded_bundle(path, max_lists=max_lists)
     return [f"{path}: unrecognized manifest kind {kind!r}"]

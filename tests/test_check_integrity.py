@@ -2,14 +2,13 @@
 
 The paper's losslessness requirement means a corrupted on-disk index must
 never silently serve wrong ids.  These tests corrupt saved bundle
-directories and sharded bundles — semantically (tampered arrays re-saved
+directories — semantically (tampered arrays re-saved
 as valid ``.npy`` files) and physically (random bit flips in the layout
 arrays) — and assert the checkers flag them, and the loader refuses them,
 while a pristine bundle stays clean.
 """
 
 import json
-import shutil
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from repro import storage
 from repro.cli import main as cli_main
 from repro.storage import check_path
-from repro.engine import ShardedEngine, open_engine
+from repro.engine import SimilarityEngine
 from repro.search.searcher import InvertedIndex
 from repro.similarity.tokenize import tokenize_collection
 
@@ -81,7 +80,7 @@ class TestSemanticCorruption:
         assert issues and "load failed" in issues[0]
         # and the serving path refuses the bundle instead of answering
         with pytest.raises(ValueError, match=message):
-            open_engine(saved_bundle)
+            SimilarityEngine.open(saved_bundle)
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -102,7 +101,7 @@ class TestSemanticCorruption:
         )
         tamper(bundle, "uncomp_counts", mutate)
         with pytest.raises(ValueError, match=message):
-            open_engine(bundle)
+            SimilarityEngine.open(bundle)
 
     def test_disordered_bases(self, saved_bundle):
         block_counts = np.load(saved_bundle / "block_counts.npy")
@@ -161,41 +160,24 @@ class TestBitFlipFuzz:
         assert check_path(saved_bundle) == []
 
 
-@pytest.fixture()
-def saved_sharded(collection, tmp_path):
-    with ShardedEngine(collection, shards=2, build_workers=1) as engine:
-        return engine.save(tmp_path / "sharded")
-
-
-class TestShardedChecks:
-    def test_clean_then_corrupt_shard_is_attributed(self, saved_sharded):
-        assert check_path(saved_sharded) == []
-        tamper(saved_sharded / "shard-00000", "widths", assign(slice(None), 99))
-        issues = check_path(saved_sharded)
-        assert issues and "shard-00000" in issues[0]
-
-    def test_tampered_manifest_is_caught(self, saved_sharded):
-        manifest_path = saved_sharded / "manifest.json"
+class TestManifestChecks:
+    def test_tampered_manifest_is_caught(self, saved_bundle):
+        manifest_path = saved_bundle / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["num_records"] += 1
         manifest_path.write_text(json.dumps(manifest))
-        issues = check_path(saved_sharded)
+        issues = check_path(saved_bundle)
         assert issues and "load failed" in issues[0]
         with pytest.raises(ValueError, match="manifest"):
-            open_engine(saved_sharded)
+            SimilarityEngine.open(saved_bundle)
 
-    def test_foreign_manifest_kind_is_rejected(self, saved_sharded):
-        manifest_path = saved_sharded / "manifest.json"
+    def test_foreign_manifest_kind_is_rejected(self, saved_bundle):
+        manifest_path = saved_bundle / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["kind"] = "something.else"
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match="manifest"):
-            ShardedEngine.open(saved_sharded)
-
-    def test_missing_shard_directory_is_caught(self, saved_sharded):
-        shutil.rmtree(saved_sharded / "shard-00001")
-        issues = check_path(saved_sharded)
-        assert issues and "load failed" in issues[0]
+            SimilarityEngine.open(saved_bundle)
 
 
 @pytest.fixture()
@@ -279,7 +261,3 @@ class TestCheckCLI:
         tamper(saved_bundle, "widths", assign(slice(None), 99))
         assert cli_main(["check", str(saved_bundle)]) == 1
         assert "integrity violations" in capsys.readouterr().out
-
-    def test_sharded_bundle_passes(self, saved_sharded, capsys):
-        assert cli_main(["check", str(saved_sharded)]) == 0
-        assert "no violations" in capsys.readouterr().out

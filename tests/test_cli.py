@@ -189,31 +189,15 @@ class TestServeCommand:
         assert app.max_batch == 7
         assert str(app.bundle_path) == bundle
 
-    def test_serves_a_corpus_file_with_shards(
-        self, corpus, served_app, capsys
-    ):
-        assert main(["serve", corpus, "--shards", "2"]) == 0
+    def test_serves_a_corpus_file(self, corpus, served_app, capsys):
+        assert main(["serve", corpus]) == 0
         (app,) = served_app
-        assert type(app.engine).__name__ == "ShardedEngine"
-        assert app.engine.num_shards == 2
+        assert type(app.engine).__name__ == "SimilarityEngine"
         assert app.bundle_path is None
 
     def test_mmap_needs_a_bundle(self, corpus, served_app, capsys):
         assert main(["serve", corpus, "--mmap"]) == 2
         assert "repro index" in capsys.readouterr().out
-
-    def test_shards_flag_rejected_for_bundles(
-        self, corpus, tmp_path, served_app, capsys
-    ):
-        bundle = str(tmp_path / "bundle.out")
-        assert main(["index", corpus, bundle]) == 0
-        capsys.readouterr()
-        assert main(["serve", bundle, "--shards", "2"]) == 2
-        assert "--shards" in capsys.readouterr().out
-
-    def test_bad_shard_count_rejected(self, corpus, served_app, capsys):
-        assert main(["serve", corpus, "--shards", "0"]) == 2
-        assert "--shards" in capsys.readouterr().out
 
 
 class TestThresholdValidation:
@@ -265,62 +249,6 @@ class TestThresholdValidation:
             == 2
         )
         assert "integral" in capsys.readouterr().out
-
-
-class TestShardedSearch:
-    def test_sharded_matches_monolithic(self, corpus, word_strings, capsys):
-        query = word_strings[0]
-        base = ["search", corpus, query, "--threshold", "0.8"]
-        assert main(base) == 0
-        mono_out = capsys.readouterr().out
-        assert main(base + ["--shards", "3"]) == 0
-        sharded_out = capsys.readouterr().out
-        assert [
-            line for line in sharded_out.splitlines() if line.startswith("[")
-        ] == [line for line in mono_out.splitlines() if line.startswith("[")]
-
-    def test_hash_routing(self, corpus, word_strings, capsys):
-        query = word_strings[0]
-        assert (
-            main(
-                [
-                    "search", corpus, query,
-                    "--threshold", "0.8",
-                    "--shards", "2", "--routing", "hash",
-                ]
-            )
-            == 0
-        )
-        assert "[" in capsys.readouterr().out
-
-    def test_shards_rejects_loaded_index(self, corpus, tmp_path, capsys):
-        index_path = str(tmp_path / "idx.bundle")
-        assert main(["index", corpus, index_path, "--scheme", "css"]) == 0
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "search", corpus, "anything",
-                    "--threshold", "0.8",
-                    "--load-index", index_path,
-                    "--shards", "2",
-                ]
-            )
-            == 2
-        )
-        assert "ShardedEngine.save" in capsys.readouterr().out
-
-    def test_zero_shards_rejected(self, corpus, capsys):
-        assert (
-            main(
-                [
-                    "search", corpus, "anything",
-                    "--threshold", "0.8", "--shards", "0",
-                ]
-            )
-            == 2
-        )
-        assert "--shards" in capsys.readouterr().out
 
 
 class TestBlankLines:

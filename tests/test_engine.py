@@ -12,7 +12,7 @@ from repro.core.framework import (
     scheme_factory,
 )
 from repro.compression import UncompressedList
-from repro.engine import ShardedEngine, SimilarityEngine
+from repro.engine import SimilarityEngine
 from repro.obs import enabled_metrics
 from repro.search import (
     DynamicInvertedIndex,
@@ -260,14 +260,12 @@ class TestWorkerTelemetry:
         every chunk per query — batch-kernel counters legitimately depend
         on how the batch is chunked).  The records are 2-gram sets, long
         enough that DivideSkip's short-list MergeSkip needs T >= 2 and
-        seeks.  The same holds through a ``ShardedEngine``, whose batch is
-        each shard's batch: ``engine.shard.queries`` counts every request
-        once, while ``engine.batch.*`` counts one batch per shard."""
+        seeks."""
         collection = tokenize_collection(word_strings, mode="qgram", q=2)
         queries = word_strings[:16]
 
-        def profiled_run(engine_class, workers):
-            with engine_class(
+        def profiled_run(workers):
+            with SimilarityEngine(
                 collection, scheme="css", cache_entries=0,
                 algorithm="divideskip",
             ) as engine:
@@ -289,18 +287,14 @@ class TestWorkerTelemetry:
             }
             return snapshot, batched
 
-        for engine_class, per_query, batches in (
-            (SimilarityEngine, "search.queries", 1),
-            (ShardedEngine, "engine.shard.queries", 2),  # shards=2
-        ):
-            serial, _ = profiled_run(engine_class, 0)
-            parallel, batched = profiled_run(engine_class, 2)
-            assert batched == batches * len(queries)
-            assert parallel["counters"] == serial["counters"]
-            assert parallel["timers"] == serial["timers"]
-            assert parallel["histograms"] == serial["histograms"]
-            assert serial["counters"][per_query] == len(queries)
-            assert serial["counters"]["cursor.seeks"] > 0
+        serial, _ = profiled_run(0)
+        parallel, batched = profiled_run(2)
+        assert batched == len(queries)
+        assert parallel["counters"] == serial["counters"]
+        assert parallel["timers"] == serial["timers"]
+        assert parallel["histograms"] == serial["histograms"]
+        assert serial["counters"]["search.queries"] == len(queries)
+        assert serial["counters"]["cursor.seeks"] > 0
 
     def test_worker_traces_ship_back(self, word_collection):
         from repro.obs import TRACER

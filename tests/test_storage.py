@@ -2,9 +2,9 @@
 
 Covers the bundle directory format end to end: static round-trips (eager
 and zero-copy mmap), dynamic snapshot + append-log replay, online→offline
-compaction, the sharded layouts, the engine-level save/open/compact API,
-and the contract that every load error names the offending file and array
-key.
+compaction, the engine-level save/open/compact API, the refusal of the
+removed sharded layout, and the contract that every load error names the
+offending file and array key.
 """
 
 import json
@@ -15,7 +15,8 @@ import numpy as np
 import pytest
 
 from repro import storage
-from repro.engine import ShardedEngine, SimilarityEngine, open_engine
+from repro.cli import main as cli_main
+from repro.engine import SimilarityEngine
 from repro.search import (
     DynamicInvertedIndex,
     InvertedIndex,
@@ -478,68 +479,6 @@ class TestCompaction:
 
 
 # ---------------------------------------------------------------------- #
-# sharded bundles
-# ---------------------------------------------------------------------- #
-class TestShardedBundle:
-    @pytest.mark.parametrize("mmap", [False, True])
-    def test_static_roundtrip(
-        self, tmp_path, word_collection, word_strings, mmap
-    ):
-        engine = ShardedEngine(
-            word_collection, shards=3, routing="hash", build_workers=1
-        )
-        path = engine.save(tmp_path / "shards")
-        reopened = ShardedEngine.open(path, mmap=mmap)
-        assert reopened.num_shards == 3
-        assert reopened.routing == "hash"
-        assert reopened.num_records == engine.num_records
-        for qid in (0, 17, 40):
-            for tau in (0.6, 0.9):
-                query = word_strings[qid]
-                assert reopened.search(query, tau) == engine.search(query, tau)
-        engine.close()
-        reopened.close()
-
-    def test_dynamic_roundtrip_with_log_replay(self, tmp_path, word_strings):
-        engine = ShardedEngine(shards=2, routing="hash", dynamic=True)
-        engine.add_many(word_strings[:60])
-        path = engine.save(tmp_path / "shards")
-        engine.add_many(word_strings[60:80])  # lands in the per-shard logs
-        for shard in engine.shards:
-            shard.index.detach_append_log()
-        reopened = ShardedEngine.open(path)
-        assert reopened.num_records == 80
-        for qid in (0, 40, 70):
-            query = word_strings[qid]
-            assert reopened.search(query, 0.6) == engine.search(query, 0.6)
-        for shard in reopened.shards:
-            shard.index.detach_append_log()
-        engine.close()
-        reopened.close()
-
-    def test_manifest_and_shard_dirs(self, tmp_path, word_collection):
-        engine = ShardedEngine(word_collection, shards=2, build_workers=1)
-        path = engine.save(tmp_path / "shards")
-        manifest = storage.read_manifest(path, storage.SHARDED_BUNDLE_KIND)
-        assert manifest["kind"] == storage.SHARDED_BUNDLE_KIND
-        assert manifest["shards"] == 2
-        assert (path / "shard-00000" / "manifest.json").exists()
-        assert (path / "shard-00001" / "assignment.npy").exists()
-        engine.close()
-
-    def test_sharded_compact_then_reopen_mmap(self, tmp_path, word_strings):
-        engine = ShardedEngine(shards=2, routing="hash", dynamic=True)
-        engine.add_many(word_strings[:80])
-        answers = [engine.search(word_strings[q], 0.6) for q in (0, 40)]
-        stats = engine.compact()
-        assert len(stats) == 2
-        assert [engine.search(word_strings[q], 0.6) for q in (0, 40)] == (
-            answers
-        )
-        engine.close()
-
-
-# ---------------------------------------------------------------------- #
 # the engine-level unified API
 # ---------------------------------------------------------------------- #
 class TestEnginePersistenceAPI:
@@ -574,12 +513,6 @@ class TestEnginePersistenceAPI:
             engine.compact()
         engine.close()
 
-    def test_compact_on_static_sharded_engine_raises(self, word_collection):
-        engine = ShardedEngine(word_collection, shards=2, build_workers=1)
-        with pytest.raises(TypeError, match="static"):
-            engine.compact()
-        engine.close()
-
     def test_engine_compact_returns_stats_and_stays_correct(
         self, word_strings
     ):
@@ -592,30 +525,15 @@ class TestEnginePersistenceAPI:
         assert engine.search(query, 0.6) == before
         engine.close()
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            SimilarityEngine,
-            lambda c: ShardedEngine(c, shards=1, build_workers=1),
-            lambda c: ShardedEngine(
-                c, shards=3, routing="hash", build_workers=1
-            ),
-        ],
-        ids=["mono", "sharded-1", "sharded-3"],
-    )
-    def test_open_engine_round_trip_has_one_surface(
-        self, tmp_path, word_collection, build
-    ):
-        """Whichever class saved the bundle, ``open_engine`` hands back an
-        engine with the same surface and the same answers."""
+    def test_open_round_trip_has_one_surface(self, tmp_path, word_collection):
+        """A reopened engine has the saved one's surface and answers, with
+        the serving knobs given to ``open``."""
         queries = word_collection.strings[:8] + ["tok0 tok1 tok2"]
-        with SimilarityEngine(word_collection) as reference:
-            expected = [reference.search(q, 0.6).ids for q in queries]
-            stat_names = set(reference.cache_stats())
-        with build(word_collection) as engine:
+        with SimilarityEngine(word_collection) as engine:
+            expected = [engine.search(q, 0.6).ids for q in queries]
+            stat_names = set(engine.cache_stats())
             path = engine.save(tmp_path / "bundle")
-        with open_engine(path, algorithm="scancount") as opened:
-            assert type(opened) is type(engine)
+        with SimilarityEngine.open(path, algorithm="scancount") as opened:
             assert opened.algorithm == "scancount"
             assert opened.num_records == len(word_collection)
             assert opened.pool_workers == 0
@@ -624,12 +542,71 @@ class TestEnginePersistenceAPI:
             assert [result.ids for result in batch] == expected
             assert set(opened.cache_stats()) == stat_names
 
-    def test_open_engine_rejects_a_foreign_directory(self, tmp_path):
+    def test_open_rejects_a_foreign_directory(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps({"kind": "exotic"}))
-        with pytest.raises(ValueError, match="not an index bundle .*exotic"):
-            open_engine(tmp_path)
+        with pytest.raises(ValueError, match="not a repro.index_bundle .*exotic"):
+            SimilarityEngine.open(tmp_path)
         with pytest.raises(ValueError, match="no manifest.json"):
-            open_engine(tmp_path / "missing")
+            SimilarityEngine.open(tmp_path / "missing")
+
+
+# ---------------------------------------------------------------------- #
+# the removed sharded layout
+# ---------------------------------------------------------------------- #
+def _open_bundle(path):
+    SimilarityEngine.open(path)
+
+
+def _cli(*argv):
+    def run(path):
+        code = cli_main([arg.format(path=path) for arg in argv])
+        assert code != 0
+    return run
+
+
+class TestRemovedShardedBundle:
+    """A sharded bundle left on disk by an older version fails cleanly
+    everywhere a bundle goes in: an error naming the kind and the rebuild,
+    never a traceback or a ``KeyError``."""
+
+    @pytest.fixture
+    def old_bundle(self, tmp_path):
+        path = tmp_path / "old.bundle"
+        (path / "shard-00000").mkdir(parents=True)
+        manifest = {
+            "kind": "repro.sharded_bundle",
+            "version": 1,
+            "dynamic": False,
+            "shards": 1,
+            "routing": "contiguous",
+            "scheme": "css",
+            "num_records": 0,
+            "shard_records": [0],
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        return path
+
+    @pytest.mark.parametrize(
+        "enter",
+        [
+            _open_bundle,
+            _cli("search", "{path}/corpus.txt", "q", "--load-index", "{path}"),
+            _cli("serve", "{path}"),
+            _cli("compact", "{path}"),
+            _cli("check", "{path}"),
+        ],
+        ids=["open", "search", "serve", "compact", "check"],
+    )
+    def test_fails_cleanly(self, old_bundle, enter, capsys):
+        (old_bundle / "corpus.txt").write_text("a b c\n")
+        try:
+            enter(old_bundle)
+        except ValueError as error:
+            message = str(error)
+        else:
+            message = capsys.readouterr().out
+        assert "repro.sharded_bundle" in message
+        assert "rebuild it with `repro index CORPUS OUT`" in message
 
 
 # ---------------------------------------------------------------------- #
@@ -657,14 +634,3 @@ class TestCheckBundle:
         log.write_text(log.read_text()[:-15])
         issues = storage.check_bundle(path)
         assert issues and "log.jsonl" in issues[0]
-
-    def test_corrupt_shard_is_attributed(self, tmp_path, word_collection):
-        engine = ShardedEngine(word_collection, shards=2, build_workers=1)
-        path = engine.save(tmp_path / "shards")
-        engine.close()
-        target = path / "shard-00001" / "widths.npy"
-        widths = np.load(target).copy()
-        widths[0] = 50
-        np.save(target, widths)
-        issues = storage.check_sharded_bundle(path)
-        assert issues and "shard-00001" in issues[0]
