@@ -51,7 +51,7 @@ class LockDisciplineError(AssertionError):
 #: the guarded classes of the serving/engine/observability stack
 _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("repro.serve.coalescer", "BatchCoalescer"),
-    ("repro.engine.pool", "WorkerPool"),
+    ("repro.core.fork", "WorkerPool"),
     ("repro.engine.cache", "DecodeCache"),
     ("repro.obs.trace", "Tracer"),
     ("repro.obs.registry", "MetricsRegistry"),

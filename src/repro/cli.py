@@ -384,13 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         "are pending (default: 64)",
     )
     serve.add_argument(
-        "--batch-workers",
-        type=int,
-        default=1,
-        help="fork-pool size for the coalesced search_batch calls "
-        "(default: 1, batch kernels on the dispatcher thread)",
-    )
-    serve.add_argument(
         "--slow-ms",
         type=float,
         default=None,
@@ -759,7 +752,6 @@ def _cmd_serve(args) -> int:
         bundle_path=bundle,
         window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
-        batch_workers=args.batch_workers,
         slow_ms=args.slow_ms,
         max_pending=args.max_pending,
         trace_sample=args.trace_sample if args.trace_sample > 0 else None,

@@ -19,7 +19,7 @@ Two admission modes cover the two query paths:
   owns its memory (a slice of the pass's output is copied), so
   ``current_bytes`` is what the entries hold.
 * :meth:`admit` (through :meth:`wrap`) — cache only after a list has been
-  touched ``admit_after`` times (default 2).  The single-query path uses
+  touched :data:`ADMIT_AFTER` times.  The single-query path uses
   it, once per probed list per query, at filter time: cold query lists
   keep the skip-based algorithms on the compressed layout, where partial
   access is the whole point; lists that repeat across queries get decoded
@@ -44,7 +44,11 @@ import numpy as np
 from ..compression.base import SortedIDList
 from ..obs import METRICS as _METRICS
 
-__all__ = ["DecodeCache", "CachedListView"]
+__all__ = ["ADMIT_AFTER", "DecodeCache", "CachedListView"]
+
+#: touches before :meth:`DecodeCache.admit` decodes and caches a list: a
+#: list probed once stays compressed, one that repeats gets pinned
+ADMIT_AFTER = 2
 
 
 def _to_arrays(lists: List) -> List[np.ndarray]:
@@ -62,28 +66,20 @@ class _Entry:
 
 
 class DecodeCache:
-    """Bounded LRU ``posting list -> decoded array`` cache.
-
-    ``max_entries`` / ``max_bytes`` of ``None`` mean unbounded on that
-    axis.  ``admit_after`` is the admission threshold for :meth:`admit`;
-    ``1`` caches on first touch.  The engines keep the default of 2.
-    """
+    """Bounded LRU ``posting list -> decoded array`` cache; ``max_entries``
+    / ``max_bytes`` of ``None`` mean unbounded on that axis."""
 
     def __init__(
         self,
         max_entries: Optional[int] = 1024,
         max_bytes: Optional[int] = 64 << 20,
-        admit_after: int = 2,
     ) -> None:
         if max_entries is not None and max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         if max_bytes is not None and max_bytes < 0:
             raise ValueError(f"max_bytes must be >= 0, got {max_bytes}")
-        if admit_after < 1:
-            raise ValueError(f"admit_after must be >= 1, got {admit_after}")
         self.max_entries = max_entries
         self.max_bytes = max_bytes
-        self.admit_after = admit_after
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
         self._touches: "OrderedDict[int, int]" = OrderedDict()
         self._lock = threading.Lock()
@@ -181,15 +177,15 @@ class DecodeCache:
     def admit(self, lst) -> Optional[np.ndarray]:
         """Cached array, decoding only once ``lst`` proves hot.
 
-        Counts one hit or miss per call; on the ``admit_after``-th touch
-        the list is decoded and cached.
+        Counts one hit or miss per call; on the :data:`ADMIT_AFTER`-th
+        touch the list is decoded and cached.
         """
         with self._lock:
             entry = self._lookup(lst)
             if entry is not None:
                 return entry.array
             touches = self._touches.get(id(lst), 0) + 1
-            if touches < self.admit_after:
+            if touches < ADMIT_AFTER:
                 self._touches[id(lst)] = touches
                 self._touches.move_to_end(id(lst))
                 # the touch table is advisory; cap it so it cannot outgrow
@@ -257,7 +253,6 @@ class DecodeCache:
             for slot in (
                 "max_entries",
                 "max_bytes",
-                "admit_after",
                 "current_bytes",
                 "hits",
                 "misses",

@@ -7,17 +7,11 @@ that :meth:`SimilarityEngine.search_batch` reuses across calls.
 
 A batch runs one of two ways: in this process, or (``workers > 1``) as
 chunks over a ``fork``-context process pool — the index is inherited
-copy-on-write by the workers (no per-task pickling of the index), only
-query chunks go out and :class:`SearchResult` lists come back, so a
-CPU-bound Python query loop actually scales with cores.  The pool pays
-once corpus × batch is large (EXPERIMENTS.md records the crossover); a
-platform without ``fork`` runs every batch in-process.
-Pool-*infrastructure* failures (broken worker, pickling error,
-``OSError``, an executor shut down under the batch) fall back to the
-in-process path for the chunks the pool did not answer; genuine query
-exceptions propagate exactly as a serial ``search`` loop would raise them
-— ``search_batch`` never returns different answers than a serial loop, it
-only changes how fast they arrive.
+copy-on-write by the workers, only query chunks go out and
+:class:`SearchResult` lists come back, so a CPU-bound Python query loop
+scales with cores.  The pool pays once corpus × batch is large
+(EXPERIMENTS.md records the crossover).  It follows
+:mod:`repro.core.fork`, and either way the answers are a serial loop's.
 
 Dynamic ingest (:meth:`add`) invalidates exactly the cached posting lists
 the new record touched and retires the pool (forked workers hold the
@@ -27,28 +21,19 @@ pre-ingest index image).
 from __future__ import annotations
 
 import math
-import multiprocessing
-import pickle
+from concurrent.futures import Executor
+from itertools import repeat
 from pathlib import Path
-from concurrent.futures import BrokenExecutor, Executor, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
+from ..core import fork
 from ..obs import METRICS as _METRICS
-from ..obs import TRACER as _TRACER
 from ..search.edsearch import EditDistanceSearcher
 from ..search.result import SearchResult
 from ..search.searcher import InvertedIndex, JaccardSearcher
 from .cache import DecodeCache
-from .pool import WorkerPool
 
 __all__ = ["SimilarityEngine"]
-
-#: pool-infrastructure failures: the worker transport broke, not the query.
-#: Only these trigger the serial fallback — a dead forked worker
-#: (``BrokenProcessPool`` is a ``BrokenExecutor``), a task or result that
-#: would not pickle, or an OS-level resource failure.  Anything else raised
-#: out of a chunk is a genuine query error and must propagate unchanged.
-_POOL_FAILURES = (BrokenExecutor, pickle.PicklingError, OSError)
 
 #: byte cap of every engine's decode cache (entry count is the tuned knob)
 _CACHE_MAX_BYTES = 64 << 20
@@ -60,62 +45,13 @@ _WORKER_ENGINE: Optional["SimilarityEngine"] = None
 def _init_worker(engine: "SimilarityEngine") -> None:
     global _WORKER_ENGINE
     _WORKER_ENGINE = engine
-    # under fork the worker inherits the parent's engine object verbatim,
-    # including its executor handle; drop it so worker-side teardown never
-    # touches the parent's pool machinery
+    # the forked engine still holds the parent's executor handle: drop it
     engine._pool.forget()
-    # the worker records into its own fork-inherited registry; each chunk
-    # resets it, runs profiled, and ships the delta back (see _run_chunk)
-    _METRICS.enabled = False
-    _TRACER.enabled = False
 
 
-def _obs_config():
-    """Telemetry switches to ship with a process-pool chunk, or ``None``.
-
-    ``None`` means nothing is collecting — the worker skips all registry
-    bookkeeping and returns no delta.
-    """
-    if not _METRICS.enabled and not _TRACER.enabled:
-        return None
-    return (
-        _METRICS.enabled,
-        _TRACER.enabled,
-        _TRACER.sample_rate,
-        _TRACER.slow_ms,
-    )
-
-
-def _run_chunk(chunk: List[str], threshold, obs=None):
-    """Answer one chunk in a pool worker; returns ``(results, delta)``.
-
-    With telemetry on, the worker's registry/tracer are reset before the
-    chunk and their delta — the lossless ``snapshot(full=True)`` plus any
-    retained trace documents — rides back with the results, so the parent
-    can fold worker-side metrics in and ``--profile`` under ``--workers``
-    reports exactly what a serial run would.
-    """
-    searcher = _WORKER_ENGINE.searcher
-    if obs is None:
-        return searcher.search_many_batched(chunk, threshold), None
-    metrics_on, traces_on, sample_rate, slow_ms = obs
-    _METRICS.reset()
-    _METRICS.enabled = metrics_on
-    _TRACER.configure(
-        enabled=traces_on, sample_rate=sample_rate, slow_ms=slow_ms
-    )
-    _TRACER.clear()
-    try:
-        results = searcher.search_many_batched(chunk, threshold)
-        delta = {
-            "metrics": _METRICS.snapshot(full=True) if metrics_on else None,
-            "traces": _TRACER.drain() if traces_on else None,
-        }
-    finally:
-        _METRICS.enabled = False
-        _METRICS.reset()
-        _TRACER.enabled = False
-    return results, delta
+def _run_chunk(chunk: List[str], threshold) -> List[SearchResult]:
+    """Answer one chunk of a batch in a pool worker."""
+    return _WORKER_ENGINE.searcher.search_many_batched(chunk, threshold)
 
 
 class SimilarityEngine:
@@ -183,7 +119,7 @@ class SimilarityEngine:
             self.searcher = JaccardSearcher(
                 index, algorithm=algorithm, metric=metric, cache=self.cache
             )
-        self._pool = WorkerPool()
+        self._pool = fork.WorkerPool()
 
     # ------------------------------------------------------------------ #
     # single-query path
@@ -203,127 +139,52 @@ class SimilarityEngine:
     ) -> List[SearchResult]:
         """Answer ``queries`` in order; identical results to serial ``search``.
 
-        ``workers > 1`` partitions the batch into chunks over a reused
-        ``fork`` process pool.  Small batches, ``workers in (None, 0, 1)``
-        and platforms without ``fork`` run in-process — pool overhead would
-        dominate, or there is no pool to be had.  Every chunk (and the
-        in-process batch) is the searcher's ``search_many_batched``, which
-        picks the batch T-occurrence kernels or the per-query algorithm.
+        ``workers > 1`` splits the batch into chunks over a reused ``fork``
+        pool of at most :func:`~repro.core.fork.usable_cpus` workers; small
+        batches, one usable CPU and platforms without ``fork`` run
+        in-process.  Each chunk is the searcher's ``search_many_batched``.
 
-        Failure semantics: only *pool-infrastructure* failures (a broken
-        worker process, a pickling failure, an ``OSError``, an executor
-        that refuses work because it was shut down) fall back to the
-        in-process path, and only for the chunks the pool did not answer —
-        chunks that already completed keep their results and their merged
-        worker telemetry, so obs counters are never double-counted.  A
-        genuine query exception (bad threshold, searcher bug) propagates
-        immediately, exactly as it would from a serial ``search`` loop.
+        Failure semantics: a pool-*infrastructure* failure (a dead worker,
+        a pickling failure, an ``OSError``, a pool shut down under the
+        batch) retires the pool and answers the whole batch again in
+        process, discarding the pool's telemetry so nothing counts twice.
+        A genuine query exception propagates, as from a serial loop.
         """
         queries = list(queries)
         if not queries:
             return []
         searcher = self.searcher
-        workers = int(workers or 1)
-        if (
-            workers <= 1
-            or len(queries) < max(4, 2 * workers)
-            or "fork" not in multiprocessing.get_all_start_methods()
-        ):
-            span = (
-                "engine.batch.kernel"
-                if searcher.supports_batch_kernel
-                else "engine.batch.serial"
-            )
-            with _METRICS.span(span):
+        workers = fork.fork_workers(int(workers or 1))
+        if workers > 1 and len(queries) >= max(4, 2 * workers):
+            chunk_size = max(1, math.ceil(len(queries) / (workers * 4)))
+            chunks = [
+                queries[i : i + chunk_size]
+                for i in range(0, len(queries), chunk_size)
+            ]
+            with _METRICS.span("engine.batch.parallel"):
+                answered = fork.pool_map(
+                    lambda: self._pool.get(workers, self._make_pool),
+                    _run_chunk,
+                    chunks,
+                    repeat(threshold),
+                )
+            _METRICS.inc("engine.batch.queries", len(queries))
+            if answered is not None:
+                _METRICS.inc("engine.batch.worker_chunks", len(chunks))
+                return [result for chunk in answered for result in chunk]
+            # the transport died, not the queries: retire the broken pool,
+            # so the next batch forks a fresh one, and answer it all here
+            self.close()
+        elif searcher.supports_batch_kernel:
+            with _METRICS.span("engine.batch.kernel"):
                 return searcher.search_many_batched(queries, threshold)
-
-        chunk_size = max(1, math.ceil(len(queries) / (workers * 4)))
-        chunks = [
-            queries[i : i + chunk_size]
-            for i in range(0, len(queries), chunk_size)
-        ]
-        chunk_results: List[Optional[List[SearchResult]]] = [None] * len(chunks)
-        pool: Optional[Executor] = None
-        infrastructure_broken = False
-        worker_chunks = 0
-        # workers record telemetry into their own registries and ship the
-        # delta back with the results (see _run_chunk)
-        obs = _obs_config()
-        try:
-            try:
-                pool = self._pool.get(workers, self._make_pool)
-            except _POOL_FAILURES:
-                infrastructure_broken = True
-            if pool is not None:
-                with _METRICS.span("engine.batch.parallel"):
-                    futures = []
-                    try:
-                        for chunk in chunks:
-                            futures.append(
-                                pool.submit(_run_chunk, chunk, threshold, obs)
-                            )
-                    # a submit-time RuntimeError is the executor refusing
-                    # work ("cannot schedule new futures after shutdown":
-                    # add() / compact() / close() on another thread retired
-                    # it between get and submit), not a query
-                    except _POOL_FAILURES + (RuntimeError,):
-                        infrastructure_broken = True
-                    for position, future in enumerate(futures):
-                        try:
-                            answers, delta = future.result()
-                        except _POOL_FAILURES:
-                            infrastructure_broken = True
-                        except BaseException:
-                            # a genuine query error: cancel what has not
-                            # started and let it propagate — no serial rerun,
-                            # the serial path would raise the same exception
-                            for pending in futures[position + 1 :]:
-                                pending.cancel()
-                            raise
-                        else:
-                            chunk_results[position] = answers
-                            if delta is not None:
-                                # fold the worker's registry delta and traces
-                                # in: worker-side counters (blocks decoded,
-                                # cursor seeks, ...) aggregate exactly as a
-                                # serial run
-                                _METRICS.merge(delta.get("metrics"))
-                                _TRACER.ingest(delta.get("traces"))
-                                worker_chunks += 1
-        finally:
-            if infrastructure_broken:
-                # the transport died, not the queries: retire the broken
-                # executor *unconditionally* — including when a genuine
-                # query error is propagating out of this batch.  Leaving it
-                # cached would make every subsequent batch re-trip the
-                # failure before falling back; disposal here means the next
-                # call lazily recreates a fresh pool.
-                self.close()
-        missing = [
-            position
-            for position, chunk in enumerate(chunk_results)
-            if chunk is None
-        ]
-        if missing:
-            with _METRICS.span("engine.batch.serial"):
-                for position in missing:
-                    chunk_results[position] = searcher.search_many_batched(
-                        chunks[position], threshold
-                    )
-        results = [result for chunk in chunk_results for result in chunk]
-        if _METRICS.enabled:
-            _METRICS.inc("engine.batch.queries", len(results))
-            _METRICS.inc("engine.batch.worker_chunks", worker_chunks)
-        return results
+        # no batch kernel (DivideSkip), or a rerun after the pool broke
+        with _METRICS.span("engine.batch.serial"):
+            return searcher.search_many_batched(queries, threshold)
 
     def _make_pool(self, workers: int) -> Executor:
         """A fork process pool: workers inherit the index copy-on-write."""
-        return ProcessPoolExecutor(
-            max_workers=workers,
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_worker,
-            initargs=(self,),
-        )
+        return fork.process_pool(workers, _init_worker, initargs=(self,))
 
     # ------------------------------------------------------------------ #
     # pool lifecycle
@@ -344,12 +205,6 @@ class SimilarityEngine:
         except (RuntimeError, OSError, AttributeError):
             # interpreter teardown: pool internals may already be reclaimed
             pass
-
-    @property
-    def pool_workers(self) -> int:
-        """Size of the live worker pool (0 when none is up) — what the
-        serving layer's pool-size gauge reads."""
-        return self._pool.workers
 
     # ------------------------------------------------------------------ #
     # dynamic ingest

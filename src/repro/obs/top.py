@@ -110,14 +110,11 @@ def render_top(
     lines = [f"repro top — {target}"]
     uptime = samples.get("repro_serve_uptime_seconds")
     rss = samples.get("repro_process_rss_bytes")
-    pool = samples.get("repro_engine_pool_workers")
     summary = []
     if uptime is not None:
         summary.append(f"up {uptime:.0f}s")
     if rss:
         summary.append(f"rss {rss / (1 << 20):.1f} MiB")
-    if pool is not None:
-        summary.append(f"pool {pool:.0f}")
     cache_entries = samples.get("repro_engine_cache_entries")
     if cache_entries is not None:
         cache_bytes = samples.get("repro_engine_cache_bytes", 0.0)

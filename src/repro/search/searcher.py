@@ -12,26 +12,23 @@ requires for the search (as opposed to join) setting.
 Lists encode independently, and under CSS encoding is nearly all of a
 build (its partition dynamic program is ~99% of it at ``dblp_like(6000)``
 3-grams).  So a build whose scheme has an entry in
-:data:`PARALLEL_BUILD_POSTINGS` and reaches that many postings, on a host
-where this process may run on more than one CPU and ``fork`` exists,
-encodes its vocabulary in chunks over a process pool: the forked workers
-inherit the grouped ids, each encodes one chunk of about equal encoding
-cost, and the parent assembles one index with the same lists, in the same
-order, as the serial build.  A pool that fails builds serially.
+:data:`PARALLEL_BUILD_POSTINGS` and reaches that many postings encodes its
+vocabulary over a :mod:`repro.core.fork` pool: the forked workers inherit
+the grouped ids, each encodes one chunk of about equal cost, and the
+parent assembles the serial build's lists, in its order.  A pool that
+fails builds serially.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 import time
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+from contextlib import ExitStack
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..compression.base import ELEMENT_BITS, SortedIDList
+from ..core import fork
 from ..core.framework import offline_factory
 from ..obs import METRICS as _METRICS
 from ..similarity.measures import length_bounds, required_overlap
@@ -107,7 +104,6 @@ PARALLEL_BUILD_POSTINGS = {"css": 40_000, "milc": 500_000}
 _LIST_COST_POSTINGS = 8
 
 #: the build a forked encoder works on, installed by the pool initializer
-#: (fork hands the initargs over without pickling them)
 _BUILD_JOB: Optional[Tuple] = None
 
 
@@ -116,19 +112,14 @@ def _init_encoder(*job) -> None:
     _BUILD_JOB = job
 
 
-def _encode_chunk(bounds: Tuple[int, int]) -> Tuple[List, Optional[dict]]:
-    """Encode the lists ``bounds`` of the inherited build job; with the
-    parent profiled, record into this worker's registry and ship the
-    delta back for merging."""
-    id_lists, factory, scheme_kwargs, profiled = _BUILD_JOB
+def _encode_chunk(bounds: Tuple[int, int]) -> List:
+    """Encode the lists ``bounds`` of the inherited build job."""
+    id_lists, factory, scheme_kwargs = _BUILD_JOB
     low, high = bounds
-    _METRICS.reset()
-    _METRICS.enabled = profiled
-    lists = [
+    return [
         factory(np.asarray(ids, dtype=np.int64), **scheme_kwargs)
         for ids in id_lists[low:high]
     ]
-    return lists, _METRICS.snapshot(full=True) if profiled else None
 
 
 def _chunk_bounds(sizes: Sequence[int], chunks: int) -> List[Tuple[int, int]]:
@@ -138,14 +129,6 @@ def _chunk_bounds(sizes: Sequence[int], chunks: int) -> List[Tuple[int, int]]:
     targets = cumulative[-1] * np.arange(1, chunks) / chunks
     cuts = [0, *np.searchsorted(cumulative, targets).tolist(), len(sizes)]
     return [(low, high) for low, high in zip(cuts, cuts[1:]) if low < high]
-
-
-def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity mask where the OS
-    has one (a cpuset or ``taskset`` limit), else the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _encode_parallel(
@@ -160,25 +143,20 @@ def _encode_parallel(
     sizes = [len(ids) for ids in id_lists]
     # this is the threshold: every worker gets at least half of it to
     # encode, so a build below it gets fewer than two
-    workers = min(_usable_cpus(), sum(sizes) // (threshold // 2))
-    if workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    workers = fork.fork_workers(sum(sizes) // (threshold // 2))
+    if workers < 2:
         return None
     bounds = _chunk_bounds(sizes, workers)
-    try:
-        with ProcessPoolExecutor(
-            max_workers=len(bounds),
-            mp_context=multiprocessing.get_context("fork"),
-            initializer=_init_encoder,
-            initargs=(id_lists, factory, scheme_kwargs, _METRICS.enabled),
-        ) as pool:
-            encoded = list(pool.map(_encode_chunk, bounds))
-    except (BrokenExecutor, pickle.PicklingError, OSError):
-        return None
-    # fold each worker's registry delta in, so a profile counts the codec
-    # work that ran in the children
-    for _, delta in encoded:
-        _METRICS.merge(delta)
-    return [lst for lists, _ in encoded for lst in lists]
+    job = (id_lists, factory, scheme_kwargs)
+    with ExitStack() as owned:
+        encoded = fork.pool_map(
+            lambda: owned.enter_context(
+                fork.process_pool(len(bounds), _init_encoder, initargs=job)
+            ),
+            _encode_chunk,
+            bounds,
+        )
+    return None if encoded is None else [lst for part in encoded for lst in part]
 
 
 class InvertedIndex(PostingIndex):

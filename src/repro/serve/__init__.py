@@ -1,8 +1,8 @@
 """``repro.serve`` — the async HTTP serving layer.
 
-The batch kernels and worker pools (PR 7) made *batches* fast; this
-package makes that speed reachable from the network, where traffic
-arrives as many concurrent single-query requests.  Three pieces:
+The batch kernels made *batches* fast; this package makes that speed
+reachable from the network, where traffic arrives as many concurrent
+single-query requests.  Three pieces:
 
 * :mod:`repro.serve.coalescer` — a micro-batching queue.  Concurrent
   ``POST /search`` requests wait up to a configurable window (or until a

@@ -120,10 +120,6 @@ class ServeApp:
         ``/healthz`` runs the structural validator over it.
     window_ms / max_batch:
         Coalescing knobs (see :class:`BatchCoalescer`).
-    batch_workers:
-        ``workers`` for the coalesced ``search_batch`` calls (1 keeps the
-        batch on the dispatcher thread; the batch kernels usually beat a
-        pool for coalesced sizes).
     slow_ms:
         When set, enables the global tracer with always-sample-slow:
         requests/batches slower than this land in ``TRACER.slow_log``
@@ -150,7 +146,6 @@ class ServeApp:
         bundle_path=None,
         window_ms: float = 2.0,
         max_batch: int = 64,
-        batch_workers: int = 1,
         slow_ms: Optional[float] = None,
         trace_sample: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -160,7 +155,6 @@ class ServeApp:
         self.bundle_path = bundle_path
         self.window_ms = window_ms
         self.max_batch = max_batch
-        self.batch_workers = batch_workers
         self.max_pending = max_pending
         self.health_max_age_s = health_max_age_s
         self.started_at = time.time()
@@ -202,10 +196,6 @@ class ServeApp:
         self.metrics.register_gauge(
             "engine.cache.bytes",
             lambda: self.engine.cache_stats()["bytes"],
-        )
-        self.metrics.register_gauge(
-            "engine.pool.workers",
-            lambda: self.engine.pool_workers,
         )
 
     # ------------------------------------------------------------------ #
@@ -249,9 +239,7 @@ class ServeApp:
             metric=key.metric,
             threshold=key.threshold,
         ):
-            return engine.search_batch(
-                queries, key.threshold, workers=self.batch_workers
-            )
+            return engine.search_batch(queries, key.threshold)
 
     # ------------------------------------------------------------------ #
     # ASGI entry point
@@ -321,12 +309,8 @@ class ServeApp:
                 return
 
     def close(self) -> None:
-        """Shut the coalescer (and any secondary engines) down."""
+        """Shut the coalescer down."""
         self.coalescer.close()
-        with self._engines_lock:
-            engines = list(self._engines.values())
-        for engine in engines:
-            engine.close()
 
     # ------------------------------------------------------------------ #
     # routes

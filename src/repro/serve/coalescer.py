@@ -28,7 +28,7 @@ thread, so coalesced batches never overlap each other.  That is not a
 serialization point for the whole serving layer: :class:`ServeApp` answers
 an explicit ``"queries"`` batch on an ``asyncio.to_thread`` worker, which
 can run the same engine concurrently with the dispatcher (the engines'
-shared state — decode cache, worker pool — is lock-guarded for that).
+shared decode cache is lock-guarded for that).
 """
 
 from __future__ import annotations

@@ -29,6 +29,16 @@ def _lock_sanitizer():
     finally:
         sanitize.uninstall()
 
+
+@pytest.fixture
+def two_usable_cpus(monkeypatch):
+    """Let a ``workers=2`` batch fork on any host: pools never run more
+    workers than the CPUs this process may use."""
+    from repro.core import fork
+
+    monkeypatch.setattr(fork, "usable_cpus", lambda: 2)
+
+
 #: the running-example list of Figure 2.2, reconstructed from Examples 1-3.
 FIGURE_2_2_LIST = [
     3, 6, 11, 12, 13, 16, 989, 990, 992, 1000, 1020, 1042,

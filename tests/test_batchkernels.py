@@ -156,7 +156,7 @@ class TestDecodePostings:
     def test_cache_route(self):
         from repro.engine.cache import DecodeCache
 
-        cache = DecodeCache(max_entries=8, admit_after=1)
+        cache = DecodeCache(max_entries=8)
         lst = CSSList(np.asarray([3, 9, 27], dtype=np.int64))
         out = decode_postings([lst], cache=cache)
         assert out[0].tolist() == [3, 9, 27]
@@ -165,8 +165,9 @@ class TestDecodePostings:
     def test_cached_view_unwrapped_to_shared_memo_key(self):
         from repro.engine.cache import DecodeCache
 
-        cache = DecodeCache(max_entries=8, admit_after=1)
+        cache = DecodeCache(max_entries=8)
         lst = CSSList(np.asarray([5, 6], dtype=np.int64))
+        cache.fetch(lst)
         view = cache.wrap(lst)
         memo = {}
         a = decode_postings([view], cache=cache, memo=memo)

@@ -505,7 +505,7 @@ class TestProfile:
         assert not METRICS.enabled
 
     def test_batch_profile_with_workers_reports_worker_counters(
-        self, corpus, tmp_path, word_strings, capsys
+        self, corpus, tmp_path, word_strings, capsys, two_usable_cpus
     ):
         """Regression: worker-side counters used to read 0 under --workers N
         because the forked workers' registries were never folded back."""
@@ -619,7 +619,7 @@ class TestTraceFlag:
         assert not TRACER.enabled  # switched back off after the command
 
     def test_batch_trace_with_workers(
-        self, corpus, queries_file, tmp_path, capsys
+        self, corpus, queries_file, tmp_path, capsys, two_usable_cpus
     ):
         from repro.obs import load_traces
 

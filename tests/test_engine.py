@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+from repro.core import fork
 from repro.core.framework import (
     OFFLINE_SCHEMES,
     register_scheme,
@@ -143,6 +144,7 @@ class TestEngineSingleQuery:
                 assert cached.search(query, 0.6) == uncached.search(query, 0.6)
 
 
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestSearchBatch:
     @pytest.mark.parametrize(
         "scheme,algorithm",
@@ -191,7 +193,7 @@ class TestSearchBatch:
         self, word_collection, monkeypatch
     ):
         monkeypatch.setattr(
-            "repro.engine.core.multiprocessing.get_all_start_methods",
+            "repro.core.fork.multiprocessing.get_all_start_methods",
             lambda: ["spawn"],
         )
         queries = word_collection.strings[:16]
@@ -226,7 +228,22 @@ class TestSearchBatch:
                     word_collection.strings[:16], 1.5, workers=2
                 )
 
+    def test_pool_never_outgrows_the_usable_cpus(
+        self, word_collection, monkeypatch
+    ):
+        # the build's rule: at most usable_cpus() workers
+        queries = word_collection.strings[:16]
+        with SimilarityEngine(word_collection, scheme="css") as engine:
+            expected = engine.search_batch(queries, 0.7)
+            assert engine.search_batch(queries, 0.7, workers=4) == expected
+            assert engine._pool._workers == 2
+            monkeypatch.setattr(fork, "usable_cpus", lambda: 1)
+            engine.close()
+            assert engine.search_batch(queries, 0.7, workers=4) == expected
+            assert engine._pool._executor is None  # one CPU: no pool
 
+
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestWorkerTelemetry:
     """Cross-process metric aggregation (the worker-delta protocol).
 
@@ -335,28 +352,30 @@ class _PoisonedSearcher:
 
 
 class _FlakyPool:
-    """Delegates to a real executor but raises OSError on the Nth submit
-    (a pool-infrastructure failure, as opposed to a query error)."""
+    """Delegates to a real executor but refuses to map with an OSError (a
+    pool-infrastructure failure, as opposed to a query error)."""
 
-    def __init__(self, inner, fail_at):
+    def __init__(self, inner):
         self._inner = inner
-        self._fail_at = fail_at
-        self._submits = 0
 
-    def submit(self, *args, **kwargs):
-        self._submits += 1
-        if self._submits == self._fail_at:
-            raise OSError("induced transport failure")
-        return self._inner.submit(*args, **kwargs)
+    def map(self, *args, **kwargs):
+        raise OSError("induced transport failure")
 
     def shutdown(self, wait=True, cancel_futures=False):
         self._inner.shutdown(wait=wait, cancel_futures=cancel_futures)
 
 
+def _install_flaky_pool(engine):
+    real_pool = engine._pool.get(2, engine._make_pool)
+    with engine._pool._lock:  # write discipline: sanitizer-checked
+        engine._pool._executor = _FlakyPool(real_pool)
+
+
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestBatchFailureSemantics:
-    """Only pool-*infrastructure* failures may fall back to the serial
-    path, and only for unanswered chunks; genuine query errors propagate
-    immediately with no serial rerun and no double-counted obs counters."""
+    """A pool-*infrastructure* failure retires the pool and answers the
+    whole batch again in process; a genuine query error propagates, with
+    no in-process rerun when the pool is healthy."""
 
     def test_query_error_propagates_process_mode(self, word_collection):
         queries = list(word_collection.strings[:15])
@@ -380,22 +399,21 @@ class TestBatchFailureSemantics:
             baseline = [
                 list(r) for r in engine.search_batch(queries, 0.7, workers=1)
             ]
-            real_pool = engine._pool.get(2, engine._make_pool)
-            with engine._pool._lock:  # write discipline: sanitizer-checked
-                engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
+            _install_flaky_pool(engine)
             with enabled_metrics() as registry:
                 results = engine.search_batch(queries, 0.7, workers=2)
             assert engine._pool._executor is None
             assert [list(r) for r in results] == baseline
-            # replicated counters cover only pool-served chunks; the
-            # serially-rerun remainder recorded live — one count per query
+            # the whole batch reran in process: one count per query
             assert registry.counter("search.queries") == len(queries)
             assert registry.counter("engine.batch.queries") == len(queries)
+            assert registry.counter("engine.batch.worker_chunks") == 0
+            assert "engine.batch.serial" in registry.snapshot()["timers"]
 
     def test_killed_workers_recover_with_a_fresh_pool(self, word_collection):
-        # regression: the broken executor must be disposed after the
-        # serial fallback, so the *next* batch lazily builds a fresh pool
-        # instead of re-tripping BrokenProcessPool forever
+        # the broken executor is retired before the rerun, so the *next*
+        # batch lazily builds a fresh pool instead of re-tripping
+        # BrokenProcessPool forever
         queries = word_collection.strings[:16]
         with SimilarityEngine(word_collection, scheme="css") as engine:
             baseline = [
@@ -404,8 +422,11 @@ class TestBatchFailureSemantics:
             engine.search_batch(queries, 0.7, workers=2)  # spawn workers
             for process in engine._pool._executor._processes.values():
                 process.kill()
-            results = engine.search_batch(queries, 0.7, workers=2)
+            with enabled_metrics() as registry:
+                results = engine.search_batch(queries, 0.7, workers=2)
             assert [list(r) for r in results] == baseline
+            # chunks a worker answered before the kill are not merged
+            assert registry.counter("search.queries") == len(queries)
             assert engine._pool._executor is None  # broken executor retired
             results = engine.search_batch(queries, 0.7, workers=2)
             assert [list(r) for r in results] == baseline
@@ -414,24 +435,63 @@ class TestBatchFailureSemantics:
     def test_broken_pool_disposed_when_query_error_propagates(
         self, word_collection
     ):
-        # regression: infrastructure failure AND a genuine query error in
-        # the same batch — the error propagates (no serial rerun of the
-        # poisoned chunk) but the broken executor must still be retired
+        # infrastructure failure AND a genuine query error in the same
+        # batch: the in-process rerun raises the error, and the broken
+        # executor is retired all the same
         queries = list(word_collection.strings[:15])
-        queries.insert(2, "!!poison!!")  # chunk 1 of 8 (2 queries a chunk)
+        queries.insert(2, "!!poison!!")
         with SimilarityEngine(word_collection, scheme="css") as engine:
-            # installed before the pool is built: the fork workers inherit it
             wrapper = _PoisonedSearcher(engine.searcher, "!!poison!!")
             engine.searcher = wrapper
-            real_pool = engine._pool.get(2, engine._make_pool)
-            with engine._pool._lock:  # write discipline: sanitizer-checked
-                engine._pool._executor = _FlakyPool(real_pool, fail_at=3)
+            _install_flaky_pool(engine)
             with pytest.raises(RuntimeError, match="poisoned"):
                 engine.search_batch(queries, 0.7, workers=2)
-            assert wrapper.calls == []  # nothing re-ran in this process
             assert engine._pool._executor is None  # retired despite the propagation
 
+    def test_build_and_query_pools_fail_through_one_helper(
+        self, word_collection, monkeypatch
+    ):
+        from concurrent.futures.process import BrokenProcessPool
 
+        from repro.engine import core
+        from repro.search import searcher
+
+        failed = []
+        pool_map = fork.pool_map
+
+        def spy(open_pool, fn, *iterables):
+            answered = pool_map(open_pool, fn, *iterables)
+            if answered is None:
+                failed.append(fn)
+            return answered
+
+        class BrokenBuildPool:
+            def __init__(self, *args, **kwargs):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, *args):
+                raise BrokenProcessPool("a worker died")
+
+        monkeypatch.setattr(fork, "pool_map", spy)
+        with monkeypatch.context() as build:
+            build.setattr(searcher, "PARALLEL_BUILD_POSTINGS", {"css": 2})
+            build.setattr(fork, "ProcessPoolExecutor", BrokenBuildPool)
+            index = InvertedIndex(word_collection)
+        queries = word_collection.strings[:16]
+        with SimilarityEngine(index=index) as engine:
+            expected = engine.search_batch(queries, 0.7)
+            _install_flaky_pool(engine)
+            assert engine.search_batch(queries, 0.7, workers=2) == expected
+        assert failed == [searcher._encode_chunk, core._run_chunk]
+
+
+@pytest.mark.usefixtures("two_usable_cpus")
 class TestPoolSurvivesPickleAndFork:
     """``WorkerPool`` owns how the executor handle crosses process images."""
 
@@ -441,13 +501,13 @@ class TestPoolSurvivesPickleAndFork:
         queries = word_collection.strings[:16]
         with SimilarityEngine(word_collection, scheme="css") as engine:
             expected = engine.search_batch(queries, 0.7, workers=2)
-            assert engine.pool_workers == 2
+            assert engine._pool._workers == 2
             clone = pickle.loads(pickle.dumps(engine))
-            assert engine.pool_workers == 2  # the original keeps its pool
+            assert engine._pool._workers == 2  # the original keeps its pool
         with clone:
-            assert clone.pool_workers == 0 and clone._pool._executor is None
+            assert clone._pool._workers == 0 and clone._pool._executor is None
             assert clone.search_batch(queries, 0.7, workers=2) == expected
-            assert clone.pool_workers == 2  # fresh lock, fresh executor
+            assert clone._pool._workers == 2  # fresh lock, fresh executor
 
     def test_forget_drops_the_handle_without_shutting_it_down(
         self, word_collection
@@ -456,7 +516,7 @@ class TestPoolSurvivesPickleAndFork:
             executor = engine._pool.get(2, engine._make_pool)
             stale_lock = engine._pool._lock
             engine._pool.forget()  # what a forked worker does
-            assert engine.pool_workers == 0
+            assert engine._pool._workers == 0
             assert engine._pool._lock is not stale_lock
             # still alive: the parent image owns its shutdown
             assert executor.submit(len, "ab").result(timeout=10) == 2
@@ -483,7 +543,7 @@ class TestDynamicIngest:
         assert list(after) == sorted(set(before.ids) | {40})
         assert engine.cache_stats()["invalidations"] > 0
 
-    def test_batch_after_ingest_consistent(self, word_strings):
+    def test_batch_after_ingest_consistent(self, word_strings, two_usable_cpus):
         index = DynamicInvertedIndex(mode="word", scheme="adapt")
         engine = SimilarityEngine(index=index)
         engine.add_many(word_strings[:30])

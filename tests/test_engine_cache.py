@@ -77,7 +77,7 @@ class TestFetchAccounting:
 
 class TestAdmission:
     def test_admit_after_two_touches(self):
-        cache = DecodeCache(admit_after=2)
+        cache = DecodeCache()
         lst = make_list()
         assert cache.admit(lst) is None  # touch 1: stays compressed
         assert len(cache) == 0
@@ -87,13 +87,7 @@ class TestAdmission:
         assert cache.admit(lst) is not None  # touch 3: served from cache
         assert cache.stats()["hits"] == 1
 
-    def test_admit_after_one_caches_immediately(self):
-        cache = DecodeCache(admit_after=1)
-        assert cache.admit(make_list()) is not None
-
     def test_invalid_knobs_rejected(self):
-        with pytest.raises(ValueError):
-            DecodeCache(admit_after=0)
         with pytest.raises(ValueError):
             DecodeCache(max_entries=-1)
         with pytest.raises(ValueError):
@@ -102,7 +96,7 @@ class TestAdmission:
 
 class TestEviction:
     def test_lru_eviction_under_entry_bound(self):
-        cache = DecodeCache(max_entries=2, admit_after=1)
+        cache = DecodeCache(max_entries=2)
         lists = [make_list(i * 1000) for i in range(3)]
         with enabled_metrics() as registry:
             for lst in lists:
@@ -119,7 +113,7 @@ class TestEviction:
         assert cache.stats()["hits"] == hits + 1
 
     def test_touch_refreshes_lru_position(self):
-        cache = DecodeCache(max_entries=2, admit_after=1)
+        cache = DecodeCache(max_entries=2)
         a, b, c = (make_list(i * 1000) for i in range(3))
         cache.fetch(a)
         cache.fetch(b)
@@ -131,9 +125,7 @@ class TestEviction:
 
     def test_byte_bound_evicts(self):
         one_entry_bytes = make_list().to_array().nbytes
-        cache = DecodeCache(
-            max_entries=None, max_bytes=one_entry_bytes, admit_after=1
-        )
+        cache = DecodeCache(max_entries=None, max_bytes=one_entry_bytes)
         cache.fetch(make_list(0))
         cache.fetch(make_list(1000))
         assert len(cache) == 1
@@ -143,7 +135,7 @@ class TestEviction:
 
 class TestInvalidation:
     def test_invalidate_drops_entry(self):
-        cache = DecodeCache(admit_after=1)
+        cache = DecodeCache()
         lst = make_list()
         cache.fetch(lst)
         assert cache.invalidate(lst)
@@ -154,7 +146,7 @@ class TestInvalidation:
         assert cache.stats()["misses"] == misses + 1
 
     def test_clear(self):
-        cache = DecodeCache(admit_after=1)
+        cache = DecodeCache()
         for i in range(4):
             cache.fetch(make_list(i * 1000))
         cache.clear()
@@ -166,7 +158,7 @@ class TestInvalidation:
 class TestCachedListView:
     @pytest.mark.parametrize("cls", [UncompressedList, CSSList])
     def test_view_matches_inner_in_both_states(self, cls):
-        cache = DecodeCache(admit_after=2)
+        cache = DecodeCache()
         lst = make_list(cls=cls)
         reference = lst.to_array()
         cold = cache.wrap(lst)  # not yet admitted: delegates to compressed
@@ -190,8 +182,9 @@ class TestCachedListView:
         assert cache.wrap(view) is view
 
     def test_cursor_runs_on_view(self):
-        cache = DecodeCache(admit_after=1)
+        cache = DecodeCache()
         lst = make_list()
+        cache.fetch(lst)
         view = cache.wrap(lst)
         cursor = view.cursor()
         seen = []

@@ -12,6 +12,7 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro.core import fork
 from repro.core.framework import OFFLINE_SCHEMES, offline_factory
 from repro.datasets.text import dblp_like
 from repro.engine import SimilarityEngine
@@ -36,7 +37,7 @@ def parallel(monkeypatch):
     monkeypatch.setattr(
         searcher, "PARALLEL_BUILD_POSTINGS", dict.fromkeys(OFFLINE_SCHEMES, 2)
     )
-    monkeypatch.setattr(searcher, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(fork, "usable_cpus", lambda: 2)
     pooled = []
     encode = searcher._encode_parallel
 
@@ -157,7 +158,7 @@ def test_pool_failure_falls_back_to_serial(
 ):
     expected = serial_index(monkeypatch, collection)
     broken = type("Broken", (_BrokenPool,), {"failure": failure})
-    monkeypatch.setattr(searcher, "ProcessPoolExecutor", broken)
+    monkeypatch.setattr(fork, "ProcessPoolExecutor", broken)
     built = InvertedIndex(collection)
     assert parallel == [False]
     assert_same_index(built, expected)
@@ -167,8 +168,8 @@ def test_small_build_never_creates_a_pool(monkeypatch, word_collection):
     def forbidden(*args, **kwargs):
         raise AssertionError("a build below the threshold created a pool")
 
-    monkeypatch.setattr(searcher, "ProcessPoolExecutor", forbidden)
-    monkeypatch.setattr(searcher, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(fork, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(fork, "usable_cpus", lambda: 8)
     postings = sum(record.size for record in word_collection.records)
     assert postings < searcher.PARALLEL_BUILD_POSTINGS["css"]
     index = InvertedIndex(word_collection)
@@ -183,9 +184,9 @@ def test_cheap_schemes_never_create_a_pool(monkeypatch, collection, scheme):
     def forbidden(*args, **kwargs):
         raise AssertionError(f"a {scheme} build created a pool")
 
-    monkeypatch.setattr(searcher, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(fork, "ProcessPoolExecutor", forbidden)
     monkeypatch.setattr(searcher, "PARALLEL_BUILD_POSTINGS", {"css": 2, "milc": 2})
-    monkeypatch.setattr(searcher, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(fork, "usable_cpus", lambda: 8)
     index = InvertedIndex(collection, scheme=scheme)
     assert index.num_postings() == sum(r.size for r in collection.records)
 
@@ -198,11 +199,11 @@ def test_one_usable_cpu_builds_serially(monkeypatch, collection):
     def forbidden(*args, **kwargs):
         raise AssertionError("a one-CPU process created a pool")
 
-    monkeypatch.setattr(searcher, "ProcessPoolExecutor", forbidden)
+    monkeypatch.setattr(fork, "ProcessPoolExecutor", forbidden)
     monkeypatch.setattr(searcher, "PARALLEL_BUILD_POSTINGS", {"css": 2})
-    monkeypatch.setattr(searcher.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(fork.os, "cpu_count", lambda: 64)
     monkeypatch.setattr(
-        searcher.os, "sched_getaffinity", lambda pid: {0}, raising=False
+        fork.os, "sched_getaffinity", lambda pid: {0}, raising=False
     )
-    assert searcher._usable_cpus() == 1
+    assert fork.usable_cpus() == 1
     InvertedIndex(collection)

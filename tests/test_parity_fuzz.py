@@ -126,7 +126,7 @@ class TestOnlineSchemesInterleaved:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
-    def test_matches_brute_jaccard(self, scheme, algorithm):
+    def test_matches_brute_jaccard(self, scheme, algorithm, two_usable_cpus):
         strings = _word_strings(SEED + 4, 90, vocab=40)
         engine = SimilarityEngine(
             index=DynamicInvertedIndex(mode="word", scheme=scheme),
@@ -155,7 +155,7 @@ class TestOnlineSchemesInterleaved:
             # one more input: the same round as fork-pool chunks (every
             # add() retired the pool, so these workers forked this round)
             pooled = engine.search_batch(queries, 0.5, workers=2)
-            assert engine.pool_workers == 2, "the batch never reached a pool"
+            assert engine._pool._workers == 2, "the batch never reached a pool"
             assert [list(result.ids) for result in pooled] == [
                 brute_similarity_search(collection, query, 0.5)
                 for query in queries

@@ -724,54 +724,6 @@ class TestRequestTracing:
         names = [span["name"] for span in document["spans"]]
         assert names.count("search.filter") == 1
 
-    def test_trace_tree_shape_same_serial_and_pooled(
-        self, engine, word_strings
-    ):
-        # same span-tree shape whether the coalesced batch runs on the
-        # dispatcher thread (workers=1) or fans out to a fork pool
-        from repro.obs import TRACER
-
-        shapes = {}
-        for workers in (1, 2):
-            app = ServeApp(
-                engine,
-                window_ms=20.0,
-                max_batch=32,
-                batch_workers=workers,
-                trace_sample=1.0,
-            )
-            TRACER.clear()
-            try:
-                _gather(app, word_strings[:6])
-                status, payload = _call(app, "GET", "/debug/trace?n=64")
-                documents = [
-                    json.loads(line)
-                    for line in payload.decode().splitlines()
-                ]
-                request = next(
-                    d for d in documents if d["name"] == "serve.request"
-                )
-                spans = {span["id"]: span for span in request["spans"]}
-                shapes[workers] = {
-                    (
-                        span["name"],
-                        spans[span["parent"]]["name"]
-                        if span["parent"] is not None
-                        else None,
-                    )
-                    for span in request["spans"]
-                    if span["name"].startswith("serve.")
-                }
-            finally:
-                app.close()
-                TRACER.configure(
-                    enabled=False, sample_rate=1.0, slow_ms=None
-                )
-                TRACER.clear()
-        assert shapes[1] == shapes[2]
-        assert ("serve.queue", "serve.request") in shapes[1]
-        assert ("serve.execute", "serve.batch") in shapes[1]
-
 
 class TestDebugRoutes:
     def test_debug_vars_snapshot(self, traced_app, word_strings):
@@ -790,7 +742,6 @@ class TestDebugRoutes:
             "process.rss_bytes",
             "engine.cache.entries",
             "engine.cache.bytes",
-            "engine.pool.workers",
         ):
             assert name in gauges, name
         assert gauges["process.rss_bytes"] > 0

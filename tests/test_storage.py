@@ -536,7 +536,7 @@ class TestEnginePersistenceAPI:
         with SimilarityEngine.open(path, algorithm="scancount") as opened:
             assert opened.algorithm == "scancount"
             assert opened.num_records == len(word_collection)
-            assert opened.pool_workers == 0
+            assert opened._pool._workers == 0
             assert [opened.search(q, 0.6).ids for q in queries] == expected
             batch = opened.search_batch(queries, 0.6, workers=2)
             assert [result.ids for result in batch] == expected
