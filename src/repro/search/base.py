@@ -32,14 +32,16 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
 from ..obs import trace_query as _trace_query
 from .batchkernels import BATCH_ALGORITHMS, batch_candidates, decode_postings
 from .result import SearchResult, SearchStats
-from .toccurrence import ALGORITHMS, run_algorithm
+from .toccurrence import ALGORITHMS, num_long_lists, run_algorithm
 
 __all__ = ["CountFilterSearcher", "QueryPlan"]
 
@@ -56,8 +58,10 @@ class QueryPlan:
       (e.g. the edit-distance length-filter fallback when T degenerates);
     * ``"empty"`` — the query provably has no answers.
 
-    ``payload`` carries whatever the subclass's verifier needs (query token
-    ids, length window, ...); the base class never looks inside it.
+    ``sizes`` are the lengths of ``lists``, read once while planning (a
+    ScanCount batch splits the lists by them).  ``payload`` carries
+    whatever the subclass's verifier needs (query token ids, length
+    window, ...); the base class never looks inside it.
     """
 
     query: str
@@ -66,6 +70,7 @@ class QueryPlan:
     started: float
     mode: str = "empty"
     lists: List = field(default_factory=list)
+    sizes: List[int] = field(default_factory=list)
     count_threshold: int = 1
     payload: tuple = ()
     direct_candidates: Optional[List[int]] = None
@@ -126,6 +131,55 @@ class CountFilterSearcher:
     def _verify(self, plan: QueryPlan, candidates: List[int]) -> List[int]:
         """Exact-verify candidate ids against ``plan`` (subclass hook)."""
         raise NotImplementedError
+
+    def _overlap_needs(self, plans: Sequence[QueryPlan]) -> Optional[np.ndarray]:
+        """The overlap each record size needs to answer each plan (hook).
+
+        ``needs[row, s]`` is the least count a record of size ``s`` must
+        reach in ``plans[row]``'s lists to be an answer, or
+        :data:`~repro.search.batchkernels.UNREACHABLE`; a size past the
+        last column reads the last column.  ``None``, the default, has no
+        such bound: a ScanCount batch then counts every probed list at the
+        plan's T.
+        """
+        return None
+
+    def _count_rows(
+        self, plans: Sequence[QueryPlan]
+    ) -> Tuple[List[List], List[int], Optional[np.ndarray]]:
+        """Each plan's lists to count, its count floor, and its size bound.
+
+        With a per-size bound (:meth:`_overlap_needs`) a ScanCount batch
+        counts only each row's short lists: DivideSkip's split
+        (:func:`~repro.search.toccurrence.num_long_lists`) sets the ``L``
+        longest aside, the floor drops to ``T - L``, and a record's need
+        drops by ``L`` too, since it occurs at most ``L`` times in the
+        lists set aside.  ``_verify`` restores the exact answers.
+        """
+        needs = (
+            self._overlap_needs(plans) if self.algorithm == "scancount" else None
+        )
+        if needs is None:
+            return (
+                [plan.lists for plan in plans],
+                [plan.count_threshold for plan in plans],
+                None,
+            )
+        probed: List[List] = []
+        floors: List[int] = []
+        for row, plan in enumerate(plans):
+            lists, sizes, threshold = plan.lists, plan.sizes, plan.count_threshold
+            num_long = 0
+            # a row with fewer lists than T has no answers; the kernel skips it
+            if len(lists) >= threshold:
+                num_long = num_long_lists(threshold, max(sizes))
+            if num_long:
+                shortest = sorted(range(len(lists)), key=sizes.__getitem__)
+                lists = [lists[j] for j in shortest[: len(lists) - num_long]]
+                needs[row] -= num_long
+            probed.append(lists)
+            floors.append(threshold - num_long)
+        return probed, floors, needs
 
     def _finish(
         self,
@@ -206,7 +260,8 @@ class CountFilterSearcher:
         solves all the "filter"-mode plans in one
         :func:`~repro.search.batchkernels.batch_candidates` call (each
         distinct posting list looked up in the decode cache, and decoded,
-        once for the whole batch), then verifies per query.  Returns
+        once for the whole batch; a ScanCount batch only its short lists,
+        see :meth:`_count_rows`), then verifies per query.  Returns
         exactly :meth:`search_many`'s results; per-result ``seconds`` are
         batch-attributed rather than per-query.
         Falls back to the serial path when the searcher or algorithm has no
@@ -228,21 +283,26 @@ class CountFilterSearcher:
         answers: List = []
         if rows:
             with _METRICS.span("search.filter"):
+                probed, floors, needs = self._count_rows(
+                    [plans[i] for i in rows]
+                )
                 # one decode over every row's lists, then split back per row
                 decoded = iter(
                     decode_postings(
-                        [lst for i in rows for lst in plans[i].lists],
-                        self.cache,
+                        [lst for lists in probed for lst in lists], self.cache
                     )
                 )
                 per_query_arrays = [
-                    list(islice(decoded, len(plans[i].lists))) for i in rows
+                    list(islice(decoded, len(lists))) for lists in probed
                 ]
+                collection = self.index.collection
                 answers = batch_candidates(
                     self.algorithm,
                     per_query_arrays,
-                    [plans[i].count_threshold for i in rows],
-                    len(self.index.collection),
+                    floors,
+                    len(collection),
+                    needs,
+                    collection.lengths,
                 )
         by_row = dict(zip(rows, answers))
         return [

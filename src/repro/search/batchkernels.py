@@ -10,7 +10,11 @@ surveyed by Pibiri & Venturini and of the paper's §6.2.2 k-ary layout:
   query's posting ids, keyed ``query_idx * universe + record_id`` so a
   single ``np.bincount`` counts all queries at once, followed by one
   vectorized per-query threshold test against the length-bound-derived
-  ``T`` values.
+  ``T`` values.  Given a per-record-size need it also keeps a record only
+  if its count reaches the need of the record's own size; that is what
+  lets a searcher count only a query's short lists (DivideSkip's split,
+  :meth:`~repro.search.base.CountFilterSearcher._count_rows`), so a
+  batch decodes a few percent of the postings it probes.
 * :func:`batch_merge_skip` — a data-parallel MergeSkip.  All cursors of
   all queries live in one padded matrix over a shared decoded arena; each
   round finds every query's T-th-smallest frontier with one sort, emits
@@ -22,6 +26,9 @@ kary_lower_bound_many` call — one vector pass per binary-search level,
 Both kernels are exact: for every query they return the same candidate set,
 in the same ascending order, as the serial algorithm — the serial per-query
 path stays in the tree as the parity oracle (``tests/test_parity_fuzz.py``).
+A divided ScanCount batch returns a different candidate set, a superset
+of the answers that verification turns into exactly the serial answers
+(``tests/test_scancount_split.py``).
 
 Decode discipline: a batch calls :func:`decode_postings` **once**, over
 every row's lists.  Each distinct posting list is looked up once — in the
@@ -47,6 +54,7 @@ from ..compression.twolayer import TwoLayerList, decode_stores
 
 __all__ = [
     "BATCH_ALGORITHMS",
+    "UNREACHABLE",
     "decode_postings",
     "batch_scan_count",
     "batch_merge_skip",
@@ -58,6 +66,10 @@ __all__ = [
 BATCH_ALGORITHMS = ("scancount", "mergeskip")
 
 _INF = np.iinfo(np.int64).max
+
+#: a per-size need no count reaches: the record size is outside the
+#: query's length window
+UNREACHABLE = _INF
 
 #: cap on the (queries x universe) counter matrix one ScanCount chunk
 #: materializes; larger batches split into query chunks under the same key
@@ -149,6 +161,8 @@ def batch_scan_count(
     per_query_arrays: Sequence[Sequence[np.ndarray]],
     thresholds: Sequence[int],
     universe: int,
+    needs: Optional[np.ndarray] = None,
+    lengths: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """Whole-batch ScanCount: one id accumulation answers every query.
 
@@ -159,6 +173,11 @@ def batch_scan_count(
     in bounds) and counted by a single ``np.bincount`` per chunk; the
     threshold test compares each row's counts against its own T in one
     broadcast.  Returns one ascending candidate array per query.
+
+    ``needs`` adds a per-record-size bound: row *i* also needs a count of
+    ``needs[i, s]`` for a record of size ``s = lengths[record_id]``, sizes
+    past the last column reading the last column.  The threshold is then a
+    floor that prunes the counter matrix before sizes are gathered.
     """
     thresholds = np.asarray(thresholds, dtype=np.int64)
     batch = len(per_query_arrays)
@@ -193,8 +212,14 @@ def batch_scan_count(
         counts = np.bincount(keys, minlength=len(chunk) * width).reshape(
             len(chunk), width
         )
-        chunk_thresholds = thresholds[np.asarray(chunk, dtype=np.int64)]
-        hit_rows, hit_ids = np.nonzero(counts >= chunk_thresholds[:, None])
+        chunk_rows = np.asarray(chunk, dtype=np.int64)
+        hit_rows, hit_ids = np.nonzero(
+            counts >= thresholds[chunk_rows][:, None]
+        )
+        if needs is not None:
+            sizes = np.minimum(lengths[hit_ids], needs.shape[1] - 1)
+            keep = counts[hit_rows, hit_ids] >= needs[chunk_rows[hit_rows], sizes]
+            hit_rows, hit_ids = hit_rows[keep], hit_ids[keep]
         boundaries = np.searchsorted(hit_rows, np.arange(len(chunk) + 1))
         for local, row in enumerate(chunk):
             out[row] = hit_ids[boundaries[local] : boundaries[local + 1]]
@@ -313,10 +338,15 @@ def batch_candidates(
     per_query_arrays: Sequence[Sequence[np.ndarray]],
     thresholds: Sequence[int],
     universe: int,
+    needs: Optional[np.ndarray] = None,
+    lengths: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
-    """Dispatch one batch of T-occurrence problems to the named kernel."""
+    """Dispatch one batch of T-occurrence problems to the named kernel
+    (only ScanCount takes the per-record-size bound)."""
     if algorithm == "scancount":
-        return batch_scan_count(per_query_arrays, thresholds, universe)
+        return batch_scan_count(
+            per_query_arrays, thresholds, universe, needs, lengths
+        )
     if algorithm == "mergeskip":
         return batch_merge_skip(per_query_arrays, thresholds)
     raise ValueError(

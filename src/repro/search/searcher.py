@@ -31,10 +31,15 @@ from ..compression.base import ELEMENT_BITS, SortedIDList
 from ..core import fork
 from ..core.framework import offline_factory
 from ..obs import METRICS as _METRICS
-from ..similarity.measures import length_bounds, required_overlap
+from ..similarity.measures import (
+    length_bounds,
+    required_overlap,
+    required_overlap_array,
+)
 from ..similarity.tokenize import TokenizedCollection
 from ..similarity.verify import verify_overlap_from
 from .base import CountFilterSearcher, QueryPlan
+from .batchkernels import UNREACHABLE
 from .result import SearchResult, SearchStats
 
 __all__ = [
@@ -239,11 +244,27 @@ class JaccardSearcher(CountFilterSearcher):
             # too many query tokens unseen in the collection
             return
         lists = self.index.posting_lists(query_ids.tolist())
+        sizes = [len(lst) for lst in lists]
         stats.lists_probed = len(lists)
-        stats.postings_available = sum(len(lst) for lst in lists)
+        stats.postings_available = sum(sizes)
         plan.mode = "filter"
         plan.lists = lists
+        plan.sizes = sizes
         plan.count_threshold = max(1, count_threshold)
+
+    def _overlap_needs(self, plans: Sequence[QueryPlan]) -> np.ndarray:
+        """``required_overlap(|q|, s)`` for every record size ``s`` inside
+        each query's length window, :data:`UNREACHABLE` outside it."""
+        windows = np.asarray([plan.payload[1:] for plan in plans])
+        low, high, signature_size = windows.T[:, :, None]
+        largest = min(int(high.max()), int(self.index.collection.lengths.max()))
+        sizes = np.arange(largest + 2)
+        thresholds = np.asarray([plan.threshold for plan in plans])[:, None]
+        needs = required_overlap_array(
+            signature_size, sizes, thresholds, self.metric
+        )
+        needs[(sizes < low) | (sizes > high)] = UNREACHABLE
+        return needs
 
     def _verify(self, plan: QueryPlan, candidates: List[int]) -> List[int]:
         query_ids, low, high, signature_size = plan.payload

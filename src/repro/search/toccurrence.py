@@ -27,7 +27,17 @@ import numpy as np
 
 from ..compression.base import SortedIDList
 
-__all__ = ["scan_count", "merge_skip", "divide_skip", "ALGORITHMS", "run_algorithm"]
+__all__ = [
+    "scan_count",
+    "merge_skip",
+    "divide_skip",
+    "num_long_lists",
+    "ALGORITHMS",
+    "run_algorithm",
+]
+
+#: DivideSkip's weight on the longest list's length (Li et al.)
+DIVIDE_SKIP_MU = 0.01
 
 
 def scan_count(
@@ -106,14 +116,31 @@ def merge_skip(lists: Sequence[SortedIDList], threshold: int) -> np.ndarray:
     return np.asarray(results, dtype=np.int64)
 
 
+def num_long_lists(
+    threshold: int, longest: int, mu: float = DIVIDE_SKIP_MU
+) -> int:
+    """DivideSkip's split: how many of the longest lists a T-occurrence
+    problem at ``threshold`` may set aside, ``longest`` being the length
+    of the longest list.
+
+    ``L = min(T - 1, floor(T / (mu * log2(longest) + 1)))``.  A record
+    occurs at most ``L`` times in those lists, so it must occur at least
+    ``T - L >= 1`` times in the others.
+    """
+    return min(
+        threshold - 1,
+        int(threshold / (mu * math.log2(max(longest, 2)) + 1)),
+    )
+
+
 def divide_skip(
-    lists: Sequence[SortedIDList], threshold: int, mu: float = 0.01
+    lists: Sequence[SortedIDList], threshold: int, mu: float = DIVIDE_SKIP_MU
 ) -> np.ndarray:
     """DivideSkip: long lists verified by lookup, short lists via MergeSkip.
 
-    ``L = min(T - 1, T / (mu * log2(longest) + 1))`` lists are "long"; a
-    record must occur ``T - L`` times in the short lists, then its membership
-    in the long lists is checked by binary search.
+    :func:`num_long_lists` says how many lists are "long"; a record must
+    occur ``T - L`` times in the short lists, then its membership in the
+    long lists is checked by binary search.
     """
     if threshold < 1:
         raise ValueError(f"threshold must be >= 1, got {threshold}")
@@ -121,11 +148,7 @@ def divide_skip(
     if len(populated) < threshold:
         return np.empty(0, dtype=np.int64)
     ordered = sorted(populated, key=len)
-    longest = len(ordered[-1])
-    num_long = min(
-        threshold - 1,
-        int(threshold / (mu * math.log2(max(longest, 2)) + 1)),
-    )
+    num_long = num_long_lists(threshold, len(ordered[-1]), mu)
     if num_long <= 0:
         return merge_skip(populated, threshold)
     short, long_lists = ordered[:-num_long], ordered[-num_long:]

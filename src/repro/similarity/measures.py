@@ -24,6 +24,7 @@ __all__ = [
     "dice",
     "required_overlap",
     "required_overlaps",
+    "required_overlap_array",
     "length_bounds",
     "prefix_length",
     "index_prefix_length",
@@ -106,6 +107,27 @@ def required_overlaps(
         required_overlap(size_r, size_s, threshold, metric)
         for size_r in range(low, size_s + 1)
     ]
+
+
+def required_overlap_array(
+    size_r, size_s, threshold, metric: str = "jaccard"
+) -> np.ndarray:
+    """:func:`required_overlap` over broadcast arrays of sizes (and
+    thresholds), as ``int64``.
+
+    The same float operations in the same order as the scalar function, so
+    every entry is bit-identical to it.
+    """
+    _check_metric(metric)
+    size_r = np.asarray(size_r, dtype=np.int64)
+    size_s = np.asarray(size_s, dtype=np.int64)
+    if metric == "jaccard":
+        bound = threshold / (1 + threshold) * (size_r + size_s)
+    elif metric == "cosine":
+        bound = threshold * np.sqrt(size_r * size_s)
+    else:  # dice
+        bound = threshold / 2 * (size_r + size_s)
+    return np.maximum(1, np.ceil(bound - 1e-9)).astype(np.int64)
 
 
 def length_bounds(size: int, threshold: float, metric: str = "jaccard") -> "tuple[int, int]":

@@ -223,8 +223,18 @@ class TestBatchKernelParity:
                 batched = searcher.search_many_batched(queries, threshold)
                 for a, b in zip(serial, batched):
                     assert a.ids == b.ids, (scheme, algorithm, threshold, a.query)
-                    assert a.stats.candidates == b.stats.candidates
-                    assert a.stats.verifications == b.stats.verifications
+                    if algorithm == "scancount":
+                        # a ScanCount batch counts only the short lists
+                        # under a per-size bound: its candidates are the
+                        # records passing that, not the serial count filter
+                        assert (
+                            b.stats.results
+                            <= b.stats.verifications
+                            <= b.stats.candidates
+                        )
+                    else:
+                        assert a.stats.candidates == b.stats.candidates
+                        assert a.stats.verifications == b.stats.verifications
                     assert a.stats.count_threshold == b.stats.count_threshold
 
     @pytest.mark.parametrize("scheme", sorted(OFFLINE_SCHEMES))
