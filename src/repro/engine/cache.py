@@ -3,28 +3,19 @@
 Classical inverted-index engines hide decode bandwidth behind per-list
 caches (Pibiri & Venturini, *Techniques for Inverted Index Compression*);
 this module is that layer for the CSS reproduction.  One
-:class:`DecodeCache` instance serves the count-filter searchers (ScanCount
-consumes ``to_array()`` directly; MergeSkip/DivideSkip run their random
-accesses against the cached array when one exists, and against the
-compressed layout otherwise).
+:class:`DecodeCache` instance serves every read of a searcher's posting
+lists, and it has one admission rule: a list is decoded and cached on its
+first touch.  Every miss is an insertion, on either query path:
 
-Two admission modes cover the two query paths:
-
-* :meth:`fetch_many` (:meth:`fetch` is its one-list case) —
-  decode-and-cache immediately.  The batch path uses it: a batch decodes
-  every probed list anyway, so
+* a batch calls :meth:`fetch_many` once —
   :func:`~repro.search.batchkernels.decode_postings` looks each distinct
-  list up once per batch — one hit, or one miss — and decodes all the
+  list up once per batch (one hit, or one miss) and decodes all the
   batch's misses in one pass before inserting them.  An inserted array
   owns its memory (a slice of the pass's output is copied), so
-  ``current_bytes`` is what the entries hold.
-* :meth:`admit` (through :meth:`wrap`) — cache only after a list has been
-  touched :data:`ADMIT_AFTER` times.  The single-query path uses
-  it, once per probed list per query, at filter time: cold query lists
-  keep the skip-based algorithms on the compressed layout, where partial
-  access is the whole point; lists that repeat across queries get decoded
-  once and pinned.  Every touch short of admission counts a miss with no
-  insertion.
+  ``current_bytes`` is what the entries hold;
+* a single query wraps each probed list at filter time (:meth:`wrap`,
+  one :meth:`fetch` per list), so the per-query algorithms run their
+  random accesses on the decoded array through a :class:`CachedListView`.
 
 Entries are keyed by posting-list *identity* — the cache holds a strong
 reference to the list object, so a key can never be silently reused while
@@ -44,15 +35,7 @@ import numpy as np
 from ..compression.base import SortedIDList
 from ..obs import METRICS as _METRICS
 
-__all__ = ["ADMIT_AFTER", "DecodeCache", "CachedListView"]
-
-#: touches before :meth:`DecodeCache.admit` decodes and caches a list: a
-#: list probed once stays compressed, one that repeats gets pinned
-ADMIT_AFTER = 2
-
-
-def _to_arrays(lists: List) -> List[np.ndarray]:
-    return [lst.to_array() for lst in lists]
+__all__ = ["DecodeCache", "CachedListView"]
 
 
 class _Entry:
@@ -81,7 +64,6 @@ class DecodeCache:
         self.max_entries = max_entries
         self.max_bytes = max_bytes
         self._entries: "OrderedDict[int, _Entry]" = OrderedDict()
-        self._touches: "OrderedDict[int, int]" = OrderedDict()
         self._lock = threading.Lock()
         self.current_bytes = 0
         self.hits = 0
@@ -114,7 +96,6 @@ class DecodeCache:
         entry = _Entry(lst, array)
         self._entries[id(lst)] = entry
         self._entries.move_to_end(id(lst))
-        self._touches.pop(id(lst), None)
         self.current_bytes += array.nbytes
         self.insertions += 1
         _METRICS.inc("engine.cache.bytes_added", int(array.nbytes))
@@ -142,8 +123,11 @@ class DecodeCache:
 
     def fetch(self, lst) -> np.ndarray:
         """Decoded array for ``lst``; decodes and caches on miss."""
-        (array,) = self.fetch_many([lst], _to_arrays)
-        return array
+        with self._lock:
+            entry = self._lookup(lst)
+            if entry is None:
+                entry = self._insert(lst, lst.to_array())
+            return entry.array
 
     def fetch_many(
         self,
@@ -174,52 +158,28 @@ class DecodeCache:
                     arrays[id(lst)] = self._insert(lst, array).array
             return [arrays[id(lst)] for lst in lists]
 
-    def admit(self, lst) -> Optional[np.ndarray]:
-        """Cached array, decoding only once ``lst`` proves hot.
-
-        Counts one hit or miss per call; on the :data:`ADMIT_AFTER`-th
-        touch the list is decoded and cached.
-        """
-        with self._lock:
-            entry = self._lookup(lst)
-            if entry is not None:
-                return entry.array
-            touches = self._touches.get(id(lst), 0) + 1
-            if touches < ADMIT_AFTER:
-                self._touches[id(lst)] = touches
-                self._touches.move_to_end(id(lst))
-                # the touch table is advisory; cap it so it cannot outgrow
-                # the cache it feeds
-                while len(self._touches) > 4 * (self.max_entries or 1024):
-                    self._touches.popitem(last=False)
-                return None
-            return self._insert(lst, lst.to_array()).array
-
     def wrap(self, lst: SortedIDList) -> SortedIDList:
-        """``lst`` wrapped in a :class:`CachedListView` bound to this cache."""
+        """``lst`` as a :class:`CachedListView` over :meth:`fetch`'s array."""
         if isinstance(lst, CachedListView):
             return lst
-        return CachedListView(lst, self.admit(lst), self)
+        return CachedListView(lst, self.fetch(lst))
 
     def invalidate(self, lst) -> bool:
         """Drop ``lst``'s entry (dynamic ingest appended to the list)."""
         with self._lock:
             entry = self._entries.get(id(lst))
             if entry is None or entry.source is not lst:
-                self._touches.pop(id(lst), None)
                 return False
             del self._entries[id(lst)]
-            self._touches.pop(id(lst), None)
             self.current_bytes -= entry.array.nbytes
             self.invalidations += 1
             return True
 
     def clear(self) -> None:
-        """Drop every entry and touch record (counters are kept)."""
+        """Drop every entry (counters are kept)."""
         with self._lock:
             dropped = len(self._entries)
             self._entries.clear()
-            self._touches.clear()
             self.current_bytes = 0
             self.invalidations += dropped
 
@@ -263,7 +223,6 @@ class DecodeCache:
         }
         with self._lock:
             state["_entries"] = OrderedDict(self._entries)
-            state["_touches"] = OrderedDict(self._touches)
         return state
 
     def __setstate__(self, state):
@@ -273,67 +232,38 @@ class DecodeCache:
 
 
 class CachedListView(SortedIDList):
-    """A :class:`SortedIDList` facade that prefers the cached decode.
+    """A :class:`SortedIDList` facade over a list's cached decode.
 
-    When the cache holds the list's array, random access, ``lower_bound``
-    and ``to_array`` are served from the array (``np.searchsorted`` beats
-    python-level bit unpacking by a wide margin); otherwise every call
-    falls through to the compressed layout, preserving the skip-based
-    algorithms' partial-access behaviour on cold lists.
+    Random access, ``lower_bound`` and ``to_array`` are served from the
+    decoded array (``np.searchsorted`` beats python-level bit unpacking by
+    a wide margin); ``size_bits`` stays the compressed list's.
     """
 
-    __slots__ = ("_inner", "_array", "_cache")
+    __slots__ = ("_inner", "_array")
 
-    def __init__(
-        self,
-        inner: SortedIDList,
-        array: Optional[np.ndarray],
-        cache: DecodeCache,
-    ) -> None:
+    def __init__(self, inner: SortedIDList, array: np.ndarray) -> None:
         self._inner = inner
         self._array = array
-        self._cache = cache
 
     @property
     def scheme_name(self) -> str:  # type: ignore[override]
         return self._inner.scheme_name
 
     @property
-    def supports_random_access(self) -> bool:  # type: ignore[override]
-        return self._array is not None or self._inner.supports_random_access
-
-    @property
     def inner(self) -> SortedIDList:
         return self._inner
 
-    @property
-    def cached(self) -> bool:
-        return self._array is not None
-
     def __len__(self) -> int:
-        arr = self._array
-        return int(arr.size) if arr is not None else len(self._inner)
+        return int(self._array.size)
 
     def __getitem__(self, index: int) -> int:
-        arr = self._array
-        return int(arr[index]) if arr is not None else self._inner[index]
+        return int(self._array[index])
 
     def to_array(self) -> np.ndarray:
-        arr = self._array
-        return arr if arr is not None else self._inner.to_array()
+        return self._array
 
     def lower_bound(self, key: int) -> int:
-        arr = self._array
-        if arr is not None:
-            return int(np.searchsorted(arr, key, side="left"))
-        return self._inner.lower_bound(key)
-
-    def contains(self, key: int) -> bool:
-        arr = self._array
-        if arr is not None:
-            position = int(np.searchsorted(arr, key, side="left"))
-            return position < arr.size and int(arr[position]) == key
-        return self._inner.contains(key)
+        return int(np.searchsorted(self._array, key, side="left"))
 
     def size_bits(self) -> int:
         return self._inner.size_bits()

@@ -73,9 +73,9 @@ class SimilarityEngine:
         Decode-cache capacity; ``cache_entries=0`` disables the cache
         entirely.
 
-    How a batch is answered — the vectorized
-    :mod:`~repro.search.batchkernels` or the per-query loop — is the
-    searcher's decision (:meth:`CountFilterSearcher.search_many_batched`);
+    Every batch is answered by the searcher's
+    :meth:`CountFilterSearcher.search_many_batched` (the vectorized
+    :mod:`~repro.search.batchkernels`, which every algorithm has);
     single-query ``search`` is always per-query.
     """
 
@@ -175,11 +175,9 @@ class SimilarityEngine:
             # the transport died, not the queries: retire the broken pool,
             # so the next batch forks a fresh one, and answer it all here
             self.close()
-        elif searcher.supports_batch_kernel:
-            with _METRICS.span("engine.batch.kernel"):
+            with _METRICS.span("engine.batch.rerun"):
                 return searcher.search_many_batched(queries, threshold)
-        # no batch kernel (DivideSkip), or a rerun after the pool broke
-        with _METRICS.span("engine.batch.serial"):
+        with _METRICS.span("engine.batch.kernel"):
             return searcher.search_many_batched(queries, threshold)
 
     def _make_pool(self, workers: int) -> Executor:

@@ -8,9 +8,9 @@ dispatch, the post-query stats bookkeeping, and the two pieces the batched
 engine adds to every searcher:
 
 * an optional shared :class:`~repro.engine.cache.DecodeCache` — when set,
-  hot lists are served from their cached decoded form instead of being
-  re-decoded per query (a query wraps its lists at filter time, a batch
-  looks each distinct list up once);
+  every probed list is decoded once, on its first touch, and served from
+  its cached decoded form after that (a query wraps its lists at filter
+  time, a batch looks each distinct list up once);
 * the :class:`~repro.search.result.SearchResult` plumbing — ``search()``
   returns a frozen result carrying its own :class:`SearchStats`.
 
@@ -21,10 +21,10 @@ threshold, plus whatever the verifier needs), and
 :meth:`CountFilterSearcher._verify` turns candidate ids into answers.
 Between the two sits candidate generation — per query via
 :func:`~repro.search.toccurrence.run_algorithm`, or for a whole batch at
-once via :mod:`repro.search.batchkernels`.  Because both paths share the
-plan and verify code verbatim, the serial path is the batched kernels'
-parity oracle by construction: any divergence is inside the kernels, where
-the fuzz suite hunts for it.
+once via :mod:`repro.search.batchkernels`, which every algorithm has.
+Because both paths share the plan and verify code verbatim, the serial
+path is the batched kernels' parity oracle by construction: any divergence
+is inside the kernels, where the fuzz suite hunts for it.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ import numpy as np
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
 from ..obs import trace_query as _trace_query
-from .batchkernels import BATCH_ALGORITHMS, batch_candidates, decode_postings
+from .batchkernels import batch_candidates, decode_postings
 from .result import SearchResult, SearchStats
 from .toccurrence import ALGORITHMS, num_long_lists, run_algorithm
 
@@ -59,9 +59,9 @@ class QueryPlan:
     * ``"empty"`` — the query provably has no answers.
 
     ``sizes`` are the lengths of ``lists``, read once while planning (a
-    ScanCount batch splits the lists by them).  ``payload`` carries
-    whatever the subclass's verifier needs (query token ids, length
-    window, ...); the base class never looks inside it.
+    batch splits the lists by them).  ``payload`` carries whatever the
+    subclass's verifier needs (query token ids, length window, ...); the
+    base class never looks inside it.
     """
 
     query: str
@@ -104,17 +104,12 @@ class CountFilterSearcher:
     # ------------------------------------------------------------------ #
     # shared query machinery
     # ------------------------------------------------------------------ #
-    @property
-    def supports_batch_kernel(self) -> bool:
-        """True when batches can run through :mod:`~repro.search.batchkernels`."""
-        return self.algorithm in BATCH_ALGORITHMS
-
     def _candidates(self, lists, threshold: int):
         """One query's T-occurrence problem on the per-query algorithm.
 
-        The lists are cache-wrapped here, at filter time, so a cold list
-        keeps its compressed-layout skips until its second touch.  The
-        batch path never comes here: it decodes every probed list anyway.
+        With a cache the lists are wrapped here, at filter time: each is
+        decoded and cached on its first touch, and the algorithm runs on
+        the arrays.  Without one it runs on the compressed layout.
         """
         cache = self.cache
         if cache is not None:
@@ -139,8 +134,8 @@ class CountFilterSearcher:
         reach in ``plans[row]``'s lists to be an answer, or
         :data:`~repro.search.batchkernels.UNREACHABLE`; a size past the
         last column reads the last column.  ``None``, the default, has no
-        such bound: a ScanCount batch then counts every probed list at the
-        plan's T.
+        such bound: a ScanCount or DivideSkip batch then counts every
+        probed list at the plan's T.
         """
         return None
 
@@ -149,15 +144,16 @@ class CountFilterSearcher:
     ) -> Tuple[List[List], List[int], Optional[np.ndarray]]:
         """Each plan's lists to count, its count floor, and its size bound.
 
-        With a per-size bound (:meth:`_overlap_needs`) a ScanCount batch
-        counts only each row's short lists: DivideSkip's split
+        With a per-size bound (:meth:`_overlap_needs`) a ScanCount or
+        DivideSkip batch (the divided ScanCount) counts only each row's
+        short lists: DivideSkip's split
         (:func:`~repro.search.toccurrence.num_long_lists`) sets the ``L``
         longest aside, the floor drops to ``T - L``, and a record's need
         drops by ``L`` too, since it occurs at most ``L`` times in the
         lists set aside.  ``_verify`` restores the exact answers.
         """
         needs = (
-            self._overlap_needs(plans) if self.algorithm == "scancount" else None
+            self._overlap_needs(plans) if self.algorithm != "mergeskip" else None
         )
         if needs is None:
             return (
@@ -260,12 +256,11 @@ class CountFilterSearcher:
         solves all the "filter"-mode plans in one
         :func:`~repro.search.batchkernels.batch_candidates` call (each
         distinct posting list looked up in the decode cache, and decoded,
-        once for the whole batch; a ScanCount batch only its short lists,
-        see :meth:`_count_rows`), then verifies per query.  Returns
-        exactly :meth:`search_many`'s results; per-result ``seconds`` are
-        batch-attributed rather than per-query.
-        Falls back to the serial path when the searcher or algorithm has no
-        batch kernel (e.g. DivideSkip), or when the tracer is enabled with
+        once for the whole batch; a ScanCount or DivideSkip batch only its
+        short lists, see :meth:`_count_rows`), then verifies per query.
+        Returns exactly :meth:`search_many`'s answers; per-result
+        ``seconds`` are batch-attributed rather than per-query.
+        Falls back to the serial path only when the tracer is enabled with
         *no trace active on this thread* — the slow-query log wants one
         trace document per query, which only the per-query path produces.
         Inside an already-active trace (the serving layer's batch trace)
@@ -273,9 +268,7 @@ class CountFilterSearcher:
         impossible anyway, and the batched ``search.filter`` /
         ``search.verify`` spans land in the caller's tree instead.
         """
-        if not self.supports_batch_kernel or (
-            _TRACER.enabled and not _TRACER.is_tracing()
-        ):
+        if _TRACER.enabled and not _TRACER.is_tracing():
             return self.search_many(queries, threshold)
         with _METRICS.span("search.plan"):
             plans = [self._plan(query, threshold) for query in queries]

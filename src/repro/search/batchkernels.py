@@ -26,9 +26,9 @@ kary_lower_bound_many` call — one vector pass per binary-search level,
 Both kernels are exact: for every query they return the same candidate set,
 in the same ascending order, as the serial algorithm — the serial per-query
 path stays in the tree as the parity oracle (``tests/test_parity_fuzz.py``).
-A divided ScanCount batch returns a different candidate set, a superset
-of the answers that verification turns into exactly the serial answers
-(``tests/test_scancount_split.py``).
+A divided ScanCount batch (every DivideSkip batch is one) returns a
+different candidate set, a superset of the answers that verification
+turns into exactly the serial answers (``tests/test_scancount_split.py``).
 
 Decode discipline: a batch calls :func:`decode_postings` **once**, over
 every row's lists.  Each distinct posting list is looked up once — in the
@@ -51,19 +51,15 @@ import numpy as np
 from ..compression.online import OnlineSortedIDList
 from ..compression.simdsearch import kary_lower_bound_many
 from ..compression.twolayer import TwoLayerList, decode_stores
+from .toccurrence import ALGORITHMS
 
 __all__ = [
-    "BATCH_ALGORITHMS",
     "UNREACHABLE",
     "decode_postings",
     "batch_scan_count",
     "batch_merge_skip",
     "batch_candidates",
 ]
-
-#: algorithms with a batch-native kernel; DivideSkip keeps its per-query
-#: long/short re-verification structure and stays on the serial path.
-BATCH_ALGORITHMS = ("scancount", "mergeskip")
 
 _INF = np.iinfo(np.int64).max
 
@@ -128,12 +124,13 @@ def decode_postings(
         memo = {}
     fresh: Dict[int, object] = {}
     for lst in lists:
-        # searchers pass raw lists; the e2e layer replay passes cache.wrap views
+        # searchers pass raw lists; the e2e layer replay passes cache.wrap
+        # views, which already hold their decoded array
         inner = getattr(lst, "inner", lst)
         key = id(inner)
         if key in memo or key in fresh:
             continue
-        if getattr(lst, "cached", False):
+        if inner is not lst:
             memo[key] = lst.to_array()
         else:
             fresh[key] = inner
@@ -342,13 +339,14 @@ def batch_candidates(
     lengths: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
     """Dispatch one batch of T-occurrence problems to the named kernel
-    (only ScanCount takes the per-record-size bound)."""
-    if algorithm == "scancount":
+    (a DivideSkip batch is the divided ScanCount, whose long lists the
+    searcher set aside; MergeSkip takes no per-record-size bound)."""
+    if algorithm in ("scancount", "divideskip"):
         return batch_scan_count(
             per_query_arrays, thresholds, universe, needs, lengths
         )
     if algorithm == "mergeskip":
         return batch_merge_skip(per_query_arrays, thresholds)
     raise ValueError(
-        f"algorithm must be one of {BATCH_ALGORITHMS}, got {algorithm!r}"
+        f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
     )

@@ -7,7 +7,6 @@ import pytest
 
 from repro.compression import CSSList, UncompressedList
 from repro.search.batchkernels import (
-    BATCH_ALGORITHMS,
     batch_candidates,
     batch_merge_skip,
     batch_scan_count,
@@ -118,9 +117,6 @@ class TestBatchMergeSkip:
 
 
 class TestBatchDispatch:
-    def test_algorithms_tuple(self):
-        assert BATCH_ALGORITHMS == ("scancount", "mergeskip")
-
     def test_dispatch_matches_kernels(self, rng):
         per_query, thresholds = _random_batch(rng, batch=6)
         by_name = batch_candidates("mergeskip", per_query, thresholds, 3000)
@@ -130,7 +126,7 @@ class TestBatchDispatch:
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):
-            batch_candidates("divideskip", [], [], 10)
+            batch_candidates("heapmerge", [], [], 10)
 
 
 class TestDecodePostings:

@@ -1,6 +1,7 @@
 """Tests for `repro.engine.SimilarityEngine` and the redesigned search API."""
 
 import dataclasses
+import math
 import pickle
 import warnings
 
@@ -270,24 +271,24 @@ class TestWorkerTelemetry:
         assert registry.timer_seconds("search.filter") > 0
 
     def test_worker_aggregation_bit_identical_to_serial(self, word_strings):
-        """Acceptance criterion: counter totals under workers=2 equal a
-        serial run exactly (the cache is disabled — forked per-worker
-        caches would legitimately change hit/decode counts; the algorithm
-        is DivideSkip, which has no batch kernel, so the searcher answers
-        every chunk per query — batch-kernel counters legitimately depend
-        on how the batch is chunked).  The records are 2-gram sets, long
-        enough that DivideSkip's short-list MergeSkip needs T >= 2 and
-        seeks."""
+        """Acceptance criterion: counter totals under workers=2 equal the
+        same chunks answered in process one after another, exactly.  The
+        cache is disabled (forked per-worker caches would legitimately
+        change hit/decode counts) and the in-process run uses the pool's
+        chunking, since batch-kernel counters depend on how a batch is
+        cut."""
         collection = tokenize_collection(word_strings, mode="qgram", q=2)
         queries = word_strings[:16]
+        workers = 2
+        chunk_size = math.ceil(len(queries) / (4 * workers))
 
-        def profiled_run(workers):
+        def profiled_run(run):
             with SimilarityEngine(
                 collection, scheme="css", cache_entries=0,
                 algorithm="divideskip",
             ) as engine:
                 with enabled_metrics() as registry:
-                    engine.search_batch(queries, 0.9, workers=workers)
+                    run(engine)
             snapshot = registry.snapshot(full=True)
             batched = snapshot["counters"].get("engine.batch.queries", 0)
             # batch-orchestration counters only exist on parallel runs
@@ -304,14 +305,22 @@ class TestWorkerTelemetry:
             }
             return snapshot, batched
 
-        serial, _ = profiled_run(0)
-        parallel, batched = profiled_run(2)
+        def in_process(engine):
+            for start in range(0, len(queries), chunk_size):
+                engine.searcher.search_many_batched(
+                    queries[start : start + chunk_size], 0.9
+                )
+
+        serial, _ = profiled_run(in_process)
+        parallel, batched = profiled_run(
+            lambda engine: engine.search_batch(queries, 0.9, workers=workers)
+        )
         assert batched == len(queries)
         assert parallel["counters"] == serial["counters"]
         assert parallel["timers"] == serial["timers"]
         assert parallel["histograms"] == serial["histograms"]
         assert serial["counters"]["search.queries"] == len(queries)
-        assert serial["counters"]["cursor.seeks"] > 0
+        assert serial["counters"]["twolayer.blocks_decoded"] > 0
 
     def test_worker_traces_ship_back(self, word_collection):
         from repro.obs import TRACER
@@ -408,7 +417,7 @@ class TestBatchFailureSemantics:
             assert registry.counter("search.queries") == len(queries)
             assert registry.counter("engine.batch.queries") == len(queries)
             assert registry.counter("engine.batch.worker_chunks") == 0
-            assert "engine.batch.serial" in registry.snapshot()["timers"]
+            assert "engine.batch.rerun" in registry.snapshot()["timers"]
 
     def test_killed_workers_recover_with_a_fresh_pool(self, word_collection):
         # the broken executor is retired before the rerun, so the *next*

@@ -76,17 +76,6 @@ class TestFetchAccounting:
 
 
 class TestAdmission:
-    def test_admit_after_two_touches(self):
-        cache = DecodeCache()
-        lst = make_list()
-        assert cache.admit(lst) is None  # touch 1: stays compressed
-        assert len(cache) == 0
-        assert cache.admit(lst) is not None  # touch 2: decoded + cached
-        assert len(cache) == 1
-        assert cache.stats()["hits"] == 0
-        assert cache.admit(lst) is not None  # touch 3: served from cache
-        assert cache.stats()["hits"] == 1
-
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
             DecodeCache(max_entries=-1)
@@ -158,14 +147,17 @@ class TestInvalidation:
 class TestCachedListView:
     @pytest.mark.parametrize("cls", [UncompressedList, CSSList])
     def test_view_matches_inner_in_both_states(self, cls):
+        """A view made on a miss (decoded and cached on that first touch)
+        and one made on the hit that follows hold the same array."""
         cache = DecodeCache()
         lst = make_list(cls=cls)
         reference = lst.to_array()
-        cold = cache.wrap(lst)  # not yet admitted: delegates to compressed
-        assert not cold.cached
-        hot = cache.wrap(lst)  # second touch: served from the cached array
-        assert hot.cached
-        for view in (cold, hot):
+        missed = cache.wrap(lst)
+        assert (cache.stats()["misses"], cache.stats()["insertions"]) == (1, 1)
+        hit = cache.wrap(lst)
+        assert cache.stats()["hits"] == 1
+        assert hit.to_array() is missed.to_array()
+        for view in (missed, hit):
             assert len(view) == len(lst)
             assert np.array_equal(view.to_array(), reference)
             assert [view[i] for i in range(len(view))] == reference.tolist()
@@ -197,7 +189,8 @@ class TestCachedListView:
 class TestEngineAccounting:
     """What a hit and a miss count on each engine path: a batch looks each
     distinct probed list up once; a single query wraps each of its lists
-    once and admits a list on its second touch."""
+    once.  Either way a list is decoded and cached on its first touch, so
+    every miss is an insertion."""
 
     @pytest.fixture(scope="class")
     def corpus(self):
@@ -270,14 +263,37 @@ class TestEngineAccounting:
         assert misses == len(distinct) - len(distinct[::2])
         assert after["hits"] - before["hits"] == len(distinct[::2])
 
-    def test_single_query_path_admits_on_second_touch(self, corpus):
+    def test_single_query_path_caches_on_first_touch(self, corpus):
         collection, queries = corpus
-        engine = SimilarityEngine(collection, cache_entries=100000)
+        index = SimilarityEngine(collection, cache_entries=0).index
+        for query in queries[:8]:
+            engine = SimilarityEngine(index=index, cache_entries=100000)
+            probed = self._distinct_lists(engine, [query])
+            engine.search(query, 0.8)
+            first = engine.cache_stats()
+            assert first["misses"] == first["insertions"] == len(probed)
+            assert first["hits"] == 0
+            engine.search(query, 0.8)
+            second = engine.cache_stats()
+            assert second["hits"] == len(probed)
+            assert second["misses"] == first["misses"]
+        engine = SimilarityEngine(index=index, cache_entries=100000)
         for query in queries:
             engine.search(query, 0.8)
         stats = engine.cache_stats()
         assert (stats["hits"], stats["misses"], stats["insertions"]) == (
-            531,
-            416,
-            110,
+            641,
+            306,
+            306,
         )
+
+    def test_interleaved_paths_insert_every_miss(self, corpus):
+        collection, queries = corpus
+        engine = SimilarityEngine(collection, cache_entries=100000)
+        for start in range(0, len(queries), 16):
+            for query in queries[start : start + 4]:
+                engine.search(query, 0.8)
+            engine.search_batch(queries[start + 4 : start + 16], 0.8)
+            stats = engine.cache_stats()
+            assert stats["misses"] == stats["insertions"]
+        assert stats["misses"] == len(self._distinct_lists(engine, queries))

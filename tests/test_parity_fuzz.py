@@ -10,8 +10,8 @@ original suite was written) rather than a hand-picked subset:
   corpus and :func:`brute_edit_distance_search` on a random q-gram corpus;
 * every online scheme × every algorithm through a
   :class:`DynamicInvertedIndex` behind a :class:`SimilarityEngine`, with
-  searches *interleaved* between ``add()`` rounds and an always-admit
-  decode cache, so a stale (un-invalidated) cached decode cannot hide;
+  searches *interleaved* between ``add()`` rounds and a decode cache
+  that caches every list on its first touch, so a stale (un-invalidated) cached decode cannot hide;
   each round also answers the same queries as ``workers=2`` fork-pool
   chunks, so a worker holding a pre-ingest index image cannot hide either.
 
@@ -201,9 +201,9 @@ class TestOnlineSchemesInterleaved:
 
 class TestBatchKernelParity:
     """The batch kernels' acceptance gate: for every offline scheme and
-    every batch-capable algorithm, ``search_many_batched`` must be
-    bit-identical to the serial per-query path (the parity oracle) — same
-    ids, same candidate and verification counts."""
+    every algorithm, ``search_many_batched`` must be bit-identical to the
+    serial per-query path (the parity oracle) — same ids, and for MergeSkip
+    the same candidate and verification counts."""
 
     @pytest.mark.parametrize("scheme", sorted(OFFLINE_SCHEMES))
     def test_jaccard_batched_matches_serial(self, scheme):
@@ -213,20 +213,18 @@ class TestBatchKernelParity:
         queries = _sample_queries(
             SEED + 9, strings, ["w0 w1 w2", "zzz unseen tokens", "w59", ""]
         )
-        for algorithm in ("scancount", "mergeskip"):
-            if algorithm not in _supported_algorithms(index):
-                continue
+        for algorithm in _supported_algorithms(index):
             searcher = JaccardSearcher(index, algorithm=algorithm)
-            assert searcher.supports_batch_kernel
             for threshold in (0.45, 0.8):
                 serial = [searcher.search(q, threshold) for q in queries]
                 batched = searcher.search_many_batched(queries, threshold)
                 for a, b in zip(serial, batched):
                     assert a.ids == b.ids, (scheme, algorithm, threshold, a.query)
-                    if algorithm == "scancount":
-                        # a ScanCount batch counts only the short lists
-                        # under a per-size bound: its candidates are the
-                        # records passing that, not the serial count filter
+                    if algorithm != "mergeskip":
+                        # a ScanCount or DivideSkip batch counts only the
+                        # short lists under a per-size bound: its
+                        # candidates are the records passing that, not the
+                        # serial count filter
                         assert (
                             b.stats.results
                             <= b.stats.verifications
@@ -256,16 +254,31 @@ class TestBatchKernelParity:
                     assert a.ids == b.ids, (scheme, algorithm, delta, a.query)
                     assert a.stats.candidates == b.stats.candidates
 
-    def test_divideskip_falls_back_to_serial(self):
+    def test_divideskip_batch_matches_serial(self):
+        """A DivideSkip batch is the divided ScanCount; the edit-distance
+        searcher has no per-size bound, so its batch counts every list at
+        T and its candidates are the serial count filter's."""
         strings = _word_strings(SEED + 12, 40)
         collection = tokenize_collection(strings, mode="word")
-        index = InvertedIndex(collection, scheme="css")
-        searcher = JaccardSearcher(index, algorithm="divideskip")
-        assert not searcher.supports_batch_kernel
+        searcher = JaccardSearcher(
+            InvertedIndex(collection, scheme="css"), algorithm="divideskip"
+        )
         queries = strings[:8]
         serial = [searcher.search(q, 0.6) for q in queries]
         batched = searcher.search_many_batched(queries, 0.6)
         assert [r.ids for r in serial] == [r.ids for r in batched]
+        strings = _char_strings(SEED + 12, 60)
+        collection = tokenize_collection(strings, mode="qgram", q=2)
+        searcher = EditDistanceSearcher(
+            InvertedIndex(collection, scheme="css"), algorithm="divideskip"
+        )
+        queries = _sample_queries(SEED + 13, strings, ["abcd", "dddddddd"])
+        for delta in (1, 2):
+            serial = [searcher.search(q, delta) for q in queries]
+            batched = searcher.search_many_batched(queries, delta)
+            for a, b in zip(serial, batched):
+                assert a.ids == b.ids, (delta, a.query)
+                assert a.stats.candidates == b.stats.candidates
 
     @pytest.mark.parametrize("algorithm", ("scancount", "mergeskip"))
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))

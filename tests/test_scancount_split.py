@@ -1,6 +1,7 @@
 """The divided ScanCount batch: only each query's short lists are counted.
 
-A ScanCount batch of :class:`JaccardSearcher` sets each query's ``L``
+A ScanCount or DivideSkip batch of :class:`JaccardSearcher` sets each
+query's ``L``
 longest lists aside (DivideSkip's split, ``num_long_lists``), counts the
 rest, and keeps a record only if its short-list count plus ``L`` reaches
 the overlap its own size needs.  These tests pin that the answers stay
@@ -73,12 +74,13 @@ def _assert_parity(searcher, collection, queries, metric):
 def test_batched_equals_serial_and_brute(scheme, metric):
     strings = _word_strings(SEED, 90)
     collection = tokenize_collection(strings, mode="word")
-    searcher = JaccardSearcher(
-        InvertedIndex(collection, scheme=scheme),
-        algorithm="scancount",
-        metric=metric,
-    )
-    _assert_parity(searcher, collection, _queries(strings), metric)
+    index = InvertedIndex(collection, scheme=scheme)
+    algorithms = ["scancount"]
+    if index.supports_random_access:  # DivideSkip needs it (Figure 7.2)
+        algorithms.append("divideskip")
+    for algorithm in algorithms:
+        searcher = JaccardSearcher(index, algorithm=algorithm, metric=metric)
+        _assert_parity(searcher, collection, _queries(strings), metric)
 
 
 @pytest.mark.parametrize("metric", METRICS)
