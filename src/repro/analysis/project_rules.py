@@ -191,7 +191,7 @@ _RA11_PATH_IO = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
 _RA11_ENGINE_CALLS = frozenset(
-    {"search", "search_batch", "search_many", "add", "add_many"}
+    {"search", "search_batch", "add", "add_many"}
 )
 
 

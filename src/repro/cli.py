@@ -145,7 +145,8 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
         "--trace",
         default=None,
         metavar="FILE",
-        help="collect per-query trace trees and dump them to FILE as JSONL "
+        help="collect one trace tree per engine call (a search, a "
+        "--queries-file batch, a join) and dump them to FILE as JSONL "
         "(render with `repro stats FILE`)",
     )
     parser.add_argument(
@@ -153,7 +154,7 @@ def _add_trace_args(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=1.0,
         metavar="RATE",
-        help="fraction of queries to trace, in [0, 1] (default: 1.0)",
+        help="fraction of engine calls to trace, in [0, 1] (default: 1.0)",
     )
     parser.add_argument(
         "--slow-ms",
@@ -272,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="With a text corpus: per-scheme index sizes and "
         "compression ratios.  With a --profile JSON document: render it as "
         "Prometheus text exposition, markdown or JSON.  With a --trace "
-        "JSONL dump: render the per-query span trees.",
+        "JSONL dump: render the span trees, one per engine call.",
     )
     stats.add_argument(
         "corpus",

@@ -25,7 +25,7 @@ from .storage import DRAM, HDD, SSD, StorageDevice, estimate_lookup_us
 from .partition import optimal_partition, partition_savings
 from .pfordelta import PForDeltaList
 from .roaring import RoaringList
-from .simdsearch import KarySearcher, kary_lower_bound_many
+from .simdsearch import KarySearcher
 from .simple8b import Simple8bList
 from .twolayer import TwoLayerList, TwoLayerStore, block_cost_bits, block_saving_bits
 from .uncompressed import UncompressedList
@@ -48,7 +48,6 @@ __all__ = [
     "Simple8bList",
     "GroupVarintList",
     "KarySearcher",
-    "kary_lower_bound_many",
     "EliasFanoList",
     "EytzingerIndex",
     "LayoutStats",

@@ -8,9 +8,7 @@ Schlegel et al.), descending into one of ``k+1`` partitions per step —
 numpy broadcasting is CPython's vector unit, so the faithful analog is a
 loop that compares the key against ``k`` evenly spaced pivots in one
 vectorized expression per step.  :class:`KarySearcher` instruments the step
-count so tests and the benches can verify the ``log_k`` depth; for bulk
-workloads :func:`kary_lower_bound_many` resolves *many* keys per step in
-one vector pass — the real win available to a Python engine.
+count so tests and the benches can verify the ``log_k`` depth.
 """
 
 from __future__ import annotations
@@ -20,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["KarySearcher", "kary_lower_bound_many"]
+__all__ = ["KarySearcher"]
 
 
 class KarySearcher:
@@ -63,50 +61,3 @@ class KarySearcher:
         """The ``ceil(log_k n)`` bound the layout is designed for."""
         size = max(2, int(self._values.size))
         return max(1, math.ceil(math.log(size, self.k)))
-
-
-def kary_lower_bound_many(
-    sorted_values: np.ndarray,
-    keys: np.ndarray,
-    lo: np.ndarray = None,
-    hi: np.ndarray = None,
-) -> np.ndarray:
-    """Resolve many lower bounds in one vectorized pass per level.
-
-    Each iteration halves every key's interval simultaneously — a data-
-    parallel binary search (``log2 n`` fully vectorized steps), the bulk
-    analog of the per-key k-ary search.
-
-    ``lo`` / ``hi`` optionally give a per-key search window ``[lo_i, hi_i)``.
-    The window need only be sorted *internally*: the batch kernels
-    concatenate many posting lists into one arena and bound each key to its
-    own list's segment, so every cursor in a batch advances in one vector
-    pass per level even though the arena is not globally sorted.
-    """
-    values = np.asarray(sorted_values, dtype=np.int64)
-    keys = np.asarray(keys, dtype=np.int64)
-    if lo is None:
-        lo = np.zeros(keys.size, dtype=np.int64)
-    else:
-        lo = np.array(lo, dtype=np.int64, copy=True)
-    if hi is None:
-        hi = np.full(keys.size, values.size, dtype=np.int64)
-    else:
-        hi = np.array(hi, dtype=np.int64, copy=True)
-    if lo.shape != keys.shape or hi.shape != keys.shape:
-        raise ValueError("lo/hi bounds must match the keys' shape")
-    if keys.size == 0 or values.size == 0:
-        return lo
-    if int(lo.min()) < 0 or int(hi.max()) > values.size:
-        raise ValueError("lower-bound window outside the value array")
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) // 2
-        probe = values[np.minimum(mid, values.size - 1)]
-        go_right = active & (probe < keys)
-        go_left = active & ~go_right
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    return lo

@@ -5,17 +5,17 @@ caches (Pibiri & Venturini, *Techniques for Inverted Index Compression*);
 this module is that layer for the CSS reproduction.  One
 :class:`DecodeCache` instance serves every read of a searcher's posting
 lists, and it has one admission rule: a list is decoded and cached on its
-first touch.  Every miss is an insertion, on either query path:
+first touch, so every miss is an insertion.  Every engine call — a batch,
+or a single query as a batch of one — calls :meth:`fetch_many` once:
+:func:`~repro.search.batchkernels.decode_postings` looks each distinct
+list up once per call (one hit, or one miss) and decodes all the call's
+misses in one pass before inserting them.  An inserted array owns its
+memory (a slice of the pass's output is copied), so ``current_bytes`` is
+what the entries hold.
 
-* a batch calls :meth:`fetch_many` once —
-  :func:`~repro.search.batchkernels.decode_postings` looks each distinct
-  list up once per batch (one hit, or one miss) and decodes all the
-  batch's misses in one pass before inserting them.  An inserted array
-  owns its memory (a slice of the pass's output is copied), so
-  ``current_bytes`` is what the entries hold;
-* a single query wraps each probed list at filter time (:meth:`wrap`,
-  one :meth:`fetch` per list), so the per-query algorithms run their
-  random accesses on the decoded array through a :class:`CachedListView`.
+:meth:`wrap` and :class:`CachedListView` serve no engine path; they are
+kept only because the frozen layer replay of the end-to-end benchmark
+(``benchmarks/e2e/layers.py``) still calls them.
 
 Entries are keyed by posting-list *identity* — the cache holds a strong
 reference to the list object, so a key can never be silently reused while
@@ -159,7 +159,8 @@ class DecodeCache:
             return [arrays[id(lst)] for lst in lists]
 
     def wrap(self, lst: SortedIDList) -> SortedIDList:
-        """``lst`` as a :class:`CachedListView` over :meth:`fetch`'s array."""
+        """``lst`` as a :class:`CachedListView` over :meth:`fetch`'s array
+        (kept only for the frozen benchmark replay)."""
         if isinstance(lst, CachedListView):
             return lst
         return CachedListView(lst, self.fetch(lst))
@@ -235,8 +236,9 @@ class CachedListView(SortedIDList):
     """A :class:`SortedIDList` facade over a list's cached decode.
 
     Random access, ``lower_bound`` and ``to_array`` are served from the
-    decoded array (``np.searchsorted`` beats python-level bit unpacking by
-    a wide margin); ``size_bits`` stays the compressed list's.
+    decoded array; ``size_bits`` stays the compressed list's.  No engine
+    path builds one: :meth:`DecodeCache.wrap` keeps it for the frozen
+    benchmark replay only.
     """
 
     __slots__ = ("_inner", "_array")

@@ -5,8 +5,11 @@ dynamic), the searcher for the configured metric, a shared
 :class:`~repro.engine.cache.DecodeCache`, and a lazily-created worker pool
 that :meth:`SimilarityEngine.search_batch` reuses across calls.
 
-A batch runs one of two ways: in this process, or (``workers > 1``) as
-chunks over a ``fork``-context process pool — the index is inherited
+Every query goes through the searcher's batch path,
+:meth:`~repro.search.base.CountFilterSearcher.search_many_batched`: a
+single :meth:`SimilarityEngine.search` is a batch of one.  A batch runs
+one of two ways: in this process, or (``workers > 1``) as chunks over a
+``fork``-context process pool — the index is inherited
 copy-on-write by the workers, only query chunks go out and
 :class:`SearchResult` lists come back, so a CPU-bound Python query loop
 scales with cores.  The pool pays once corpus × batch is large
@@ -22,12 +25,15 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor
+from contextlib import nullcontext
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
 
 from ..core import fork
 from ..obs import METRICS as _METRICS
+from ..obs import TRACER as _TRACER
+from ..obs import trace_query as _trace_query
 from ..search.edsearch import EditDistanceSearcher
 from ..search.result import SearchResult
 from ..search.searcher import InvertedIndex, JaccardSearcher
@@ -50,8 +56,11 @@ def _init_worker(engine: "SimilarityEngine") -> None:
 
 
 def _run_chunk(chunk: List[str], threshold) -> List[SearchResult]:
-    """Answer one chunk of a batch in a pool worker."""
-    return _WORKER_ENGINE.searcher.search_many_batched(chunk, threshold)
+    """Answer one chunk of a batch in a pool worker; when the parent
+    traces, the chunk is an ``engine.batch`` root trace of its own, which
+    ships back with the answers."""
+    with _TRACER.trace("engine.batch", queries=len(chunk), threshold=threshold):
+        return _WORKER_ENGINE.searcher.search_many_batched(chunk, threshold)
 
 
 class SimilarityEngine:
@@ -73,10 +82,11 @@ class SimilarityEngine:
         Decode-cache capacity; ``cache_entries=0`` disables the cache
         entirely.
 
-    Every batch is answered by the searcher's
-    :meth:`CountFilterSearcher.search_many_batched` (the vectorized
-    :mod:`~repro.search.batchkernels`, which every algorithm has);
-    single-query ``search`` is always per-query.
+    Every query is answered by the searcher's
+    :meth:`CountFilterSearcher.search_many_batched` (the batch
+    T-occurrence path of :mod:`~repro.search.batchkernels`); a single
+    ``search`` is a batch of one.  With the tracer on, each engine call
+    is one trace document.
     """
 
     def __init__(
@@ -125,8 +135,11 @@ class SimilarityEngine:
     # single-query path
     # ------------------------------------------------------------------ #
     def search(self, query: str, threshold) -> SearchResult:
-        """Answer one query; see the searcher classes for semantics."""
-        return self.searcher.search(query, threshold)
+        """Answer one query, as a batch of one under its own root trace;
+        see the searcher classes for semantics."""
+        searcher = self.searcher
+        with _trace_query(query, threshold, kind=searcher.trace_kind):
+            return searcher.search_many_batched([query], threshold)[0]
 
     # ------------------------------------------------------------------ #
     # batch path
@@ -149,10 +162,26 @@ class SimilarityEngine:
         batch) retires the pool and answers the whole batch again in
         process, discarding the pool's telemetry so nothing counts twice.
         A genuine query exception propagates, as from a serial loop.
+
+        With the tracer on, the batch is one ``engine.batch`` root trace,
+        or, inside a caller's trace (the server's batch), spans of it.
         """
         queries = list(queries)
         if not queries:
             return []
+        root = (
+            nullcontext()
+            if _TRACER.is_tracing()
+            else _TRACER.trace(
+                "engine.batch", queries=len(queries), threshold=threshold
+            )
+        )
+        with root:
+            return self._search_batch(queries, threshold, workers)
+
+    def _search_batch(
+        self, queries: List[str], threshold, workers: Optional[int]
+    ) -> List[SearchResult]:
         searcher = self.searcher
         workers = fork.fork_workers(int(workers or 1))
         if workers > 1 and len(queries) >= max(4, 2 * workers):

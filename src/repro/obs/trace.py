@@ -220,6 +220,11 @@ class Tracer:
     # ------------------------------------------------------------------ #
     # recording
     # ------------------------------------------------------------------ #
+    def _forget_active(self) -> None:
+        """Leave any trace active in this process (a forked child: the
+        trace the forking thread had open would never finish here)."""
+        self._local = threading.local()
+
     def is_tracing(self) -> bool:
         """Is a trace active on the current thread?"""
         return getattr(self._local, "trace", None) is not None
@@ -386,6 +391,10 @@ class _TracerSpan:
 #: the process-global tracer; ``METRICS.tracer`` points here so registry
 #: spans feed the active trace (wired up in ``repro.obs.__init__``).
 TRACER = Tracer()
+
+# a pool worker forked inside a traced engine call starts outside any trace
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=TRACER._forget_active)
 
 
 def trace_query(

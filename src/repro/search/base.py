@@ -8,9 +8,9 @@ dispatch, the post-query stats bookkeeping, and the two pieces the batched
 engine adds to every searcher:
 
 * an optional shared :class:`~repro.engine.cache.DecodeCache` — when set,
-  every probed list is decoded once, on its first touch, and served from
-  its cached decoded form after that (a query wraps its lists at filter
-  time, a batch looks each distinct list up once);
+  a batch looks each distinct probed list up once, and a list is decoded
+  and cached on its first touch (``search()`` never reads it: it runs on
+  the compressed layout);
 * the :class:`~repro.search.result.SearchResult` plumbing — ``search()``
   returns a frozen result carrying its own :class:`SearchStats`.
 
@@ -20,11 +20,12 @@ Queries run in two phases shared by the serial and batched paths:
 threshold, plus whatever the verifier needs), and
 :meth:`CountFilterSearcher._verify` turns candidate ids into answers.
 Between the two sits candidate generation — per query via
-:func:`~repro.search.toccurrence.run_algorithm`, or for a whole batch at
-once via :mod:`repro.search.batchkernels`, which every algorithm has.
-Because both paths share the plan and verify code verbatim, the serial
-path is the batched kernels' parity oracle by construction: any divergence
-is inside the kernels, where the fuzz suite hunts for it.
+:func:`~repro.search.toccurrence.run_algorithm` on the compressed lists,
+or for a whole batch at once over decoded lists via
+:mod:`repro.search.batchkernels`.  Because both paths share the plan and
+verify code verbatim, the serial path is the batch path's parity oracle
+by construction: any divergence is inside the batch candidates, where the
+fuzz suite hunts for it.
 """
 
 from __future__ import annotations
@@ -105,15 +106,8 @@ class CountFilterSearcher:
     # shared query machinery
     # ------------------------------------------------------------------ #
     def _candidates(self, lists, threshold: int):
-        """One query's T-occurrence problem on the per-query algorithm.
-
-        With a cache the lists are wrapped here, at filter time: each is
-        decoded and cached on its first touch, and the algorithm runs on
-        the arrays.  Without one it runs on the compressed layout.
-        """
-        cache = self.cache
-        if cache is not None:
-            lists = [cache.wrap(lst) for lst in lists]
+        """One query's T-occurrence problem on the per-query algorithm,
+        run on the compressed layout."""
         return run_algorithm(
             self.algorithm, lists, threshold, len(self.index.collection)
         )
@@ -214,7 +208,7 @@ class CountFilterSearcher:
                 plan.query, plan.threshold, plan.stats, [], plan.started
             )
         if kernel_candidates is not None:
-            candidates = [int(i) for i in kernel_candidates]
+            candidates = kernel_candidates.tolist()
         elif plan.mode == "direct":
             candidates = plan.direct_candidates or []
         else:
@@ -232,44 +226,30 @@ class CountFilterSearcher:
     def search(self, query: str, threshold) -> SearchResult:
         """Ids of the records within ``threshold`` of ``query``, ascending.
 
-        The serial plan -> filter -> verify flow, which is also the batch
-        kernels' parity oracle.
+        The paper's per-query plan -> filter -> verify flow on the
+        compressed lists, which is also the batch path's parity oracle.
         """
         with _trace_query(query, threshold, kind=self.trace_kind):
             return self._execute(self._plan(query, threshold), None)
 
-    def search_many(
-        self, queries: Sequence[str], threshold
-    ) -> List[SearchResult]:
-        """Serial batch; :meth:`repro.engine.SimilarityEngine.search_batch`
-        is the parallel equivalent."""
-        return [self.search(query, threshold) for query in queries]
-
     def search_many_batched(
         self, queries: Sequence[str], threshold
     ) -> List[SearchResult]:
-        """Answer a batch through the batch-native T-occurrence kernels.
+        """Answer a batch through the batch T-occurrence path.
 
-        The one place that chooses between the batch kernels and the
-        per-query path — every engine batch, in process or in a pool
-        worker, comes here.  Plans every query (one ``search.plan`` span),
+        Every engine call comes here — a single ``engine.search`` is a
+        batch of one, and an engine batch runs here in process or in a
+        pool worker.  Plans every query (one ``search.plan`` span),
         solves all the "filter"-mode plans in one
         :func:`~repro.search.batchkernels.batch_candidates` call (each
         distinct posting list looked up in the decode cache, and decoded,
         once for the whole batch; a ScanCount or DivideSkip batch only its
         short lists, see :meth:`_count_rows`), then verifies per query.
-        Returns exactly :meth:`search_many`'s answers; per-result
-        ``seconds`` are batch-attributed rather than per-query.
-        Falls back to the serial path only when the tracer is enabled with
-        *no trace active on this thread* — the slow-query log wants one
-        trace document per query, which only the per-query path produces.
-        Inside an already-active trace (the serving layer's batch trace)
-        the kernel path is kept: starting per-query root traces there is
-        impossible anyway, and the batched ``search.filter`` /
-        ``search.verify`` spans land in the caller's tree instead.
+        Returns exactly a :meth:`search` loop's answers; per-result
+        ``seconds`` are batch-attributed rather than per-query.  The
+        spans land in whatever trace the caller holds open (the engine's
+        root trace, or the serving layer's batch trace).
         """
-        if _TRACER.enabled and not _TRACER.is_tracing():
-            return self.search_many(queries, threshold)
         with _METRICS.span("search.plan"):
             plans = [self._plan(query, threshold) for query in queries]
         rows = [i for i, plan in enumerate(plans) if plan.mode == "filter"]

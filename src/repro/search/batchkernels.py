@@ -1,10 +1,9 @@
-"""Batch-native T-occurrence kernels: whole-query-batch ScanCount/MergeSkip.
+"""Batch T-occurrence: one decode per batch, then ScanCount or MergeSkip.
 
-The serial algorithms in :mod:`repro.search.toccurrence` run per-query,
-per-cursor Python — heap pops and bit-field reads dominated the profile at
-a few thousand QPS.  This module answers the *whole batch* with a handful
-of numpy passes, the Python analog of the block-wise/SIMD decoding tricks
-surveyed by Pibiri & Venturini and of the paper's §6.2.2 k-ary layout:
+The serial algorithms in :mod:`repro.search.toccurrence` run per query on
+the compressed layout.  A batch instead decodes each list it reads once
+(:func:`decode_postings`, Pibiri & Venturini's decode-then-operate regime)
+and answers all its queries over the decoded ids:
 
 * :func:`batch_scan_count` — one concatenated accumulation over every
   query's posting ids, keyed ``query_idx * universe + record_id`` so a
@@ -15,16 +14,12 @@ surveyed by Pibiri & Venturini and of the paper's §6.2.2 k-ary layout:
   lets a searcher count only a query's short lists (DivideSkip's split,
   :meth:`~repro.search.base.CountFilterSearcher._count_rows`), so a
   batch decodes a few percent of the postings it probes.
-* :func:`batch_merge_skip` — a data-parallel MergeSkip.  All cursors of
-  all queries live in one padded matrix over a shared decoded arena; each
-  round finds every query's T-th-smallest frontier with one sort, emits
-  the rows whose minimum reaches it, and advances **every** lagging cursor
-  in the batch through one :func:`~repro.compression.simdsearch.\
-kary_lower_bound_many` call — one vector pass per binary-search level,
-  exactly the skip structure of Li et al.'s MergeSkip.
+* MergeSkip — the paper's heap, :func:`~repro.search.toccurrence.\
+merge_skip` itself, run once per query with one :class:`_IdCursor` per
+  decoded list of that query.  There is no second MergeSkip.
 
-Both kernels are exact: for every query they return the same candidate set,
-in the same ascending order, as the serial algorithm — the serial per-query
+Both are exact: for every query they return the same candidate set, in
+the same ascending order, as the serial algorithm — the serial per-query
 path stays in the tree as the parity oracle (``tests/test_parity_fuzz.py``).
 A divided ScanCount batch (every DivideSkip batch is one) returns a
 different candidate set, a superset of the answers that verification
@@ -44,28 +39,25 @@ never paid once per cursor touch.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..compression.online import OnlineSortedIDList
-from ..compression.simdsearch import kary_lower_bound_many
 from ..compression.twolayer import TwoLayerList, decode_stores
-from .toccurrence import ALGORITHMS
+from .toccurrence import ALGORITHMS, merge_skip
 
 __all__ = [
     "UNREACHABLE",
     "decode_postings",
     "batch_scan_count",
-    "batch_merge_skip",
     "batch_candidates",
 ]
 
-_INF = np.iinfo(np.int64).max
-
 #: a per-size need no count reaches: the record size is outside the
 #: query's length window
-UNREACHABLE = _INF
+UNREACHABLE = np.iinfo(np.int64).max
 
 #: cap on the (queries x universe) counter matrix one ScanCount chunk
 #: materializes; larger batches split into query chunks under the same key
@@ -122,12 +114,14 @@ def decode_postings(
     """
     if memo is None:
         memo = {}
+    keys: List[int] = []
     fresh: Dict[int, object] = {}
     for lst in lists:
         # searchers pass raw lists; the e2e layer replay passes cache.wrap
         # views, which already hold their decoded array
         inner = getattr(lst, "inner", lst)
         key = id(inner)
+        keys.append(key)
         if key in memo or key in fresh:
             continue
         if inner is not lst:
@@ -142,15 +136,15 @@ def decode_postings(
             # no cache configured: the per-batch memo is the cache
             decoded = _decode_lists(missing)
         memo.update(zip(fresh, decoded))
-    return [memo[id(getattr(lst, "inner", lst))] for lst in lists]
+    return [memo[key] for key in keys]
 
 
-def _validate_thresholds(thresholds: np.ndarray, batch: int) -> None:
-    if thresholds.size != batch:
+def _validate_thresholds(thresholds: Sequence[int], batch: int) -> None:
+    if len(thresholds) != batch:
         raise ValueError(
-            f"expected {batch} thresholds, got {thresholds.size}"
+            f"expected {batch} thresholds, got {len(thresholds)}"
         )
-    if thresholds.size and int(thresholds.min()) < 1:
+    if batch and min(thresholds) < 1:
         raise ValueError("thresholds must be >= 1")
 
 
@@ -176,23 +170,19 @@ def batch_scan_count(
     past the last column reading the last column.  The threshold is then a
     floor that prunes the counter matrix before sizes are gathered.
     """
-    thresholds = np.asarray(thresholds, dtype=np.int64)
     batch = len(per_query_arrays)
     _validate_thresholds(thresholds, batch)
     out: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * batch
     live: List[int] = []
     max_id = -1
-    for row in range(batch):
-        arrays = per_query_arrays[row]
-        if not arrays or len(arrays) < int(thresholds[row]):
+    for row, arrays in enumerate(per_query_arrays):
+        # a row with fewer lists than T has no answers
+        if len(arrays) < thresholds[row]:
             continue
-        populated = False
-        for ids in arrays:
-            if ids.size:
-                populated = True
-                max_id = max(max_id, int(ids[-1]))
-        if populated:
+        tails = [int(ids[-1]) for ids in arrays if ids.size]
+        if tails:
             live.append(row)
+            max_id = max(max_id, *tails)
     if not live:
         return out
     width = max(int(universe), max_id + 1)
@@ -204,130 +194,62 @@ def batch_scan_count(
             offset = local * width
             for ids in per_query_arrays[row]:
                 if ids.size:
-                    key_parts.append(ids + offset)
+                    key_parts.append(ids + offset if offset else ids)
         keys = np.concatenate(key_parts)
         counts = np.bincount(keys, minlength=len(chunk) * width).reshape(
             len(chunk), width
         )
-        chunk_rows = np.asarray(chunk, dtype=np.int64)
-        hit_rows, hit_ids = np.nonzero(
-            counts >= thresholds[chunk_rows][:, None]
-        )
+        floors = np.asarray([thresholds[row] for row in chunk])
+        hit_rows, hit_ids = (counts >= floors[:, None]).nonzero()
         if needs is not None:
             sizes = np.minimum(lengths[hit_ids], needs.shape[1] - 1)
+            chunk_rows = np.asarray(chunk)
             keep = counts[hit_rows, hit_ids] >= needs[chunk_rows[hit_rows], sizes]
             hit_rows, hit_ids = hit_rows[keep], hit_ids[keep]
-        boundaries = np.searchsorted(hit_rows, np.arange(len(chunk) + 1))
+        boundaries = hit_rows.searchsorted(np.arange(len(chunk) + 1))
         for local, row in enumerate(chunk):
             out[row] = hit_ids[boundaries[local] : boundaries[local + 1]]
     return out
 
 
-def batch_merge_skip(
-    per_query_arrays: Sequence[Sequence[np.ndarray]],
-    thresholds: Sequence[int],
-) -> List[np.ndarray]:
-    """Data-parallel MergeSkip over every query's cursors at once.
+class _IdCursor:
+    """One decoded posting list as the list and cursor
+    :func:`~repro.search.toccurrence.merge_skip` drives (``len``,
+    ``cursor()``, then :class:`~repro.compression.base.ListCursor`'s
+    ``value`` / ``advance`` / ``seek`` / ``exhausted``).
 
-    All posting lists of all queries are laid out in one arena; each query
-    row keeps a padded vector of (segment, position) cursors.  Per round:
-
-    1. gather every frontier value with one fancy-index read,
-    2. per-row sort yields the minimum and the T-th smallest (the *pivot*),
-    3. rows whose minimum equals the pivot have >= T cursors parked on it —
-       emit the value (Li et al.'s match case),
-    4. every cursor below its row's skip target (``min+1`` on a match, the
-       pivot otherwise) seeks forward via one
-       :func:`kary_lower_bound_many` call bounded to its own segment — all
-       skip jumps in the batch advance together, one vector pass per
-       binary-search level.
-
-    Rows drop out when fewer than T cursors remain, exactly like the serial
-    heap draining below the threshold.  Returns ascending candidate arrays
-    identical to :func:`repro.search.toccurrence.merge_skip` per query.
+    The ids are a Python list, whose items MergeSkip reads one at a time
+    more cheaply than numpy scalars; a seek is a ``bisect``.  Each cursor
+    serves one list of one query, so it is its own cursor.
     """
-    thresholds = np.asarray(thresholds, dtype=np.int64)
-    batch = len(per_query_arrays)
-    _validate_thresholds(thresholds, batch)
-    out: List[np.ndarray] = [np.empty(0, dtype=np.int64)] * batch
-    row_ids: List[int] = []
-    row_arrays: List[List[np.ndarray]] = []
-    for row in range(batch):
-        arrays = [ids for ids in per_query_arrays[row] if ids.size]
-        if len(arrays) >= int(thresholds[row]):
-            row_ids.append(row)
-            row_arrays.append(arrays)
-    if not row_ids:
-        return out
 
-    flat = [ids for arrays in row_arrays for ids in arrays]
-    arena = np.concatenate(flat)
-    sizes = np.asarray([ids.size for ids in flat], dtype=np.int64)
-    flat_starts = np.cumsum(sizes) - sizes
+    __slots__ = ("_ids", "_index")
 
-    num_rows = len(row_ids)
-    num_cols = max(len(arrays) for arrays in row_arrays)
-    sstart = np.zeros((num_rows, num_cols), dtype=np.int64)
-    slen = np.zeros((num_rows, num_cols), dtype=np.int64)
-    cursor = 0
-    for r, arrays in enumerate(row_arrays):
-        for c, ids in enumerate(arrays):
-            sstart[r, c] = flat_starts[cursor]
-            slen[r, c] = sizes[cursor]
-            cursor += 1
-    pos = np.zeros((num_rows, num_cols), dtype=np.int64)
-    rows = np.asarray(row_ids, dtype=np.int64)
-    T = thresholds[rows]
+    def __init__(self, ids: np.ndarray) -> None:
+        self._ids = ids.tolist()
+        self._index = 0
 
-    emitted_rows: List[np.ndarray] = []
-    emitted_vals: List[np.ndarray] = []
-    while rows.size:
-        active = pos < slen
-        alive = active.sum(axis=1) >= T
-        if not alive.all():
-            # a row below T live cursors can answer nothing further
-            rows, pos, sstart, slen, T = (
-                rows[alive],
-                pos[alive],
-                sstart[alive],
-                slen[alive],
-                T[alive],
-            )
-            continue
-        absidx = sstart + pos
-        val = np.where(active, arena[np.where(active, absidx, 0)], _INF)
-        sorted_vals = np.sort(val, axis=1)
-        minv = sorted_vals[:, 0]
-        pivot = sorted_vals[np.arange(rows.size), T - 1]
-        emit = pivot == minv
-        if emit.any():
-            emitted_rows.append(rows[emit])
-            emitted_vals.append(minv[emit])
-        # match rows advance their parked cursors past the emitted value;
-        # skip rows jump everything below the pivot up to it
-        target = np.where(emit, minv + 1, pivot)
-        move = val < target[:, None]
-        move_rows = np.nonzero(move)[0]
-        keys = target[move_rows]
-        landed = kary_lower_bound_many(
-            arena, keys, lo=absidx[move], hi=(sstart + slen)[move]
-        )
-        pos[move] = landed - sstart[move]
+    def __len__(self) -> int:
+        return len(self._ids)
 
-    if emitted_rows:
-        rows_cat = np.concatenate(emitted_rows)
-        vals_cat = np.concatenate(emitted_vals)
-        # stable by row: per-row emit order is ascending by construction
-        # (each round's emitted minimum strictly increases)
-        order = np.argsort(rows_cat, kind="stable")
-        rows_sorted = rows_cat[order]
-        vals_sorted = vals_cat[order]
-        breaks = np.nonzero(np.diff(rows_sorted))[0] + 1
-        for row_chunk, val_chunk in zip(
-            np.split(rows_sorted, breaks), np.split(vals_sorted, breaks)
-        ):
-            out[int(row_chunk[0])] = val_chunk
-    return out
+    def cursor(self) -> "_IdCursor":
+        return self
+
+    @property
+    def exhausted(self) -> bool:
+        return self._index >= len(self._ids)
+
+    def value(self) -> int:
+        return self._ids[self._index]
+
+    def advance(self) -> None:
+        self._index += 1
+
+    def seek(self, key: int) -> None:
+        """Advance to the first id ``>= key`` (never moves backwards)."""
+        ids, index = self._ids, self._index
+        if index < len(ids) and ids[index] < key:
+            self._index = bisect_left(ids, key, index + 1)
 
 
 def batch_candidates(
@@ -338,15 +260,23 @@ def batch_candidates(
     needs: Optional[np.ndarray] = None,
     lengths: Optional[np.ndarray] = None,
 ) -> List[np.ndarray]:
-    """Dispatch one batch of T-occurrence problems to the named kernel
-    (a DivideSkip batch is the divided ScanCount, whose long lists the
-    searcher set aside; MergeSkip takes no per-record-size bound)."""
+    """One batch of T-occurrence problems over decoded lists, by algorithm.
+
+    ScanCount and DivideSkip (the divided ScanCount, whose long lists the
+    searcher set aside) go to :func:`batch_scan_count`; MergeSkip, which
+    takes no per-record-size bound, runs
+    :func:`~repro.search.toccurrence.merge_skip` once per query.
+    """
     if algorithm in ("scancount", "divideskip"):
         return batch_scan_count(
             per_query_arrays, thresholds, universe, needs, lengths
         )
     if algorithm == "mergeskip":
-        return batch_merge_skip(per_query_arrays, thresholds)
+        _validate_thresholds(thresholds, len(per_query_arrays))
+        return [
+            merge_skip([_IdCursor(ids) for ids in arrays], int(threshold))
+            for arrays, threshold in zip(per_query_arrays, thresholds)
+        ]
     raise ValueError(
         f"algorithm must be one of {tuple(ALGORITHMS)}, got {algorithm!r}"
     )

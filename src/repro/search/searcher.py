@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from contextlib import ExitStack
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -198,6 +199,21 @@ class InvertedIndex(PostingIndex):
         )
 
 
+@lru_cache(maxsize=1024)
+def _needs_row(
+    low: int, high: int, signature_size: int, threshold: float, metric: str
+) -> np.ndarray:
+    """One query's need per record size, :data:`UNREACHABLE` outside its
+    window ``[low, high]``; the last column, one past ``high``, is what
+    every larger size reads.  Memoized: a batch, even of one, reads it
+    instead of re-deriving the bounds."""
+    sizes = np.arange(high + 2)
+    row = required_overlap_array(signature_size, sizes, threshold, metric)
+    row[(sizes < low) | (sizes > high)] = UNREACHABLE
+    row.flags.writeable = False
+    return row
+
+
 class JaccardSearcher(CountFilterSearcher):
     """Count-filter similarity search for Jaccard (and Cosine/Dice) metrics."""
 
@@ -255,15 +271,21 @@ class JaccardSearcher(CountFilterSearcher):
     def _overlap_needs(self, plans: Sequence[QueryPlan]) -> np.ndarray:
         """``required_overlap(|q|, s)`` for every record size ``s`` inside
         each query's length window, :data:`UNREACHABLE` outside it."""
-        windows = np.asarray([plan.payload[1:] for plan in plans])
-        low, high, signature_size = windows.T[:, :, None]
-        largest = min(int(high.max()), int(self.index.collection.lengths.max()))
-        sizes = np.arange(largest + 2)
-        thresholds = np.asarray([plan.threshold for plan in plans])[:, None]
-        needs = required_overlap_array(
-            signature_size, sizes, thresholds, self.metric
-        )
-        needs[(sizes < low) | (sizes > high)] = UNREACHABLE
+        # no record is longer than the longest: wider rows would only add
+        # unreachable columns, and a row's width is what the memo holds
+        longest = int(self.index.collection.lengths.max())
+        rows = []
+        for plan in plans:
+            low, high, signature_size = plan.payload[1:]
+            rows.append(
+                _needs_row(
+                    low, min(high, longest), signature_size, plan.threshold,
+                    self.metric,
+                )
+            )
+        needs = np.full((len(rows), max(row.size for row in rows)), UNREACHABLE)
+        for index, row in enumerate(rows):
+            needs[index, : row.size] = row
         return needs
 
     def _verify(self, plan: QueryPlan, candidates: List[int]) -> List[int]:

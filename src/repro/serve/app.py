@@ -231,8 +231,8 @@ class ServeApp:
         engine = self._engine_for(key.metric)
         # child span under the coalescer's "serve.batch" trace (or a root
         # trace of its own on the explicit-batch and rescue paths) — either
-        # way the engine call runs inside an active trace, which keeps the
-        # batch kernels engaged (see CountFilterSearcher.search_many_batched)
+        # way the engine's spans land in this request tree, and the engine
+        # opens no root trace of its own
         with _TRACER.trace(
             "serve.execute",
             queries=len(queries),

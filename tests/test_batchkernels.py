@@ -8,7 +8,6 @@ import pytest
 from repro.compression import CSSList, UncompressedList
 from repro.search.batchkernels import (
     batch_candidates,
-    batch_merge_skip,
     batch_scan_count,
     decode_postings,
 )
@@ -78,51 +77,72 @@ class TestBatchScanCount:
             batch_scan_count([[np.asarray([1])]], [1, 2], universe=10)
 
 
+def _merge_skip_batch(per_query_arrays, thresholds):
+    return batch_candidates("mergeskip", per_query_arrays, thresholds, 0)
+
+
 class TestBatchMergeSkip:
+    """A MergeSkip batch is ``toccurrence.merge_skip`` run once per row
+    over cursors on the row's decoded ids."""
+
     def test_matches_serial_merge_skip(self, rng):
         per_query, thresholds = _random_batch(rng)
-        got = batch_merge_skip(per_query, thresholds)
+        got = _merge_skip_batch(per_query, thresholds)
         for arrays, threshold, answer in zip(per_query, thresholds, got):
-            lists = [UncompressedList(a) for a in arrays]
+            lists = [CSSList(a) for a in arrays if a.size]
             assert answer.tolist() == merge_skip(lists, threshold).tolist()
+            assert answer.tolist() == _expected(arrays, threshold)
 
     def test_skewed_rows_and_thresholds(self, rng):
-        """Rows finishing at very different round counts must not bleed
-        into each other (row compaction under way)."""
+        """Rows of very different lengths and thresholds in one batch."""
         per_query = [
             [np.arange(0, 50_000, 3), np.arange(0, 50_000, 5)],
             [np.asarray([1, 2]), np.asarray([2, 3]), np.asarray([2])],
             [np.asarray([7])],
         ]
         thresholds = [2, 3, 1]
-        got = batch_merge_skip(per_query, thresholds)
+        got = _merge_skip_batch(per_query, thresholds)
         for arrays, threshold, answer in zip(per_query, thresholds, got):
             assert answer.tolist() == _expected(arrays, threshold)
 
     def test_duplicate_heavy_lists(self, rng):
-        """Many cursors parked on the same value: the emit/advance path."""
+        """Many cursors parked on the same value: the emit/advance path;
+        a row may share one decoded array with another."""
         shared = np.arange(100)
-        per_query = [[shared, shared.copy(), shared.copy()]]
-        got = batch_merge_skip(per_query, [3])
-        assert got[0].tolist() == shared.tolist()
+        per_query = [[shared, shared.copy(), shared.copy()], [shared, shared]]
+        got = _merge_skip_batch(per_query, [3, 2])
+        assert got[0].tolist() == got[1].tolist() == shared.tolist()
 
     def test_empty_batch_and_degenerate_rows(self):
-        assert batch_merge_skip([], []) == []
-        got = batch_merge_skip([[], [np.empty(0, np.int64)]], [1, 1])
+        assert _merge_skip_batch([], []) == []
+        got = _merge_skip_batch([[], [np.empty(0, np.int64)]], [1, 1])
         assert [a.size for a in got] == [0, 0]
+        # fewer populated lists than T: no answers
+        got = _merge_skip_batch([[np.asarray([4]), np.empty(0, np.int64)]], [2])
+        assert got[0].size == 0
 
     def test_threshold_validation(self):
         with pytest.raises(ValueError):
-            batch_merge_skip([[np.asarray([1])]], [0])
+            _merge_skip_batch([[np.asarray([1])]], [0])
+        with pytest.raises(ValueError):
+            _merge_skip_batch([[np.asarray([1])]], [1, 2])
 
 
 class TestBatchDispatch:
     def test_dispatch_matches_kernels(self, rng):
         per_query, thresholds = _random_batch(rng, batch=6)
+        for name in ("scancount", "divideskip"):
+            by_name = batch_candidates(name, per_query, thresholds, 3000)
+            direct = batch_scan_count(per_query, thresholds, 3000)
+            assert [a.tolist() for a in by_name] == [
+                b.tolist() for b in direct
+            ]
         by_name = batch_candidates("mergeskip", per_query, thresholds, 3000)
-        direct = batch_merge_skip(per_query, thresholds)
-        for a, b in zip(by_name, direct):
-            assert a.tolist() == b.tolist()
+        serial = [
+            merge_skip([UncompressedList(a) for a in arrays], threshold)
+            for arrays, threshold in zip(per_query, thresholds)
+        ]
+        assert [a.tolist() for a in by_name] == [b.tolist() for b in serial]
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(ValueError):

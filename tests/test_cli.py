@@ -638,8 +638,13 @@ class TestTraceFlag:
         )
         capsys.readouterr()
         traces = load_traces(trace_path)
-        assert len(traces) == 12  # worker traces shipped back with chunks
-        assert all(t["name"] == "search" for t in traces)
+        # one trace for the engine call, plus one per chunk a worker
+        # answered, shipped back with the chunk
+        assert len(traces) > 2
+        assert all(t["name"] == "engine.batch" for t in traces)
+        sizes = sorted(t["meta"]["queries"] for t in traces)
+        assert sizes[-1] == 12  # the engine call's own trace
+        assert sum(sizes[:-1]) == 12  # the chunks cover the batch
 
     def test_trace_sampling(self, corpus, queries_file, tmp_path, capsys):
         from repro.obs import load_traces
@@ -658,9 +663,11 @@ class TestTraceFlag:
             == 0
         )
         out = capsys.readouterr().out
-        assert len(load_traces(trace_path)) == 6  # exactly 1 in 2
-        assert "6 trace(s) written" in out
-        assert "(6 sampled out)" in out
+        # the rate samples engine calls, and the batch is one call: at
+        # 0.5 the first call is sampled out (the sampler keeps every 2nd)
+        assert load_traces(trace_path) == []
+        assert "0 trace(s) written" in out
+        assert "(1 sampled out)" in out
 
     def test_invalid_sample_rate_rejected(
         self, corpus, word_strings, capsys

@@ -95,6 +95,5 @@ class TestEditDistanceSearcherBehaviour:
             InvertedIndex(qgram_collection, scheme="css")
         )
         queries = qgram_collection.strings[:4]
-        assert searcher.search_many(queries, 1) == [
-            searcher.search(q, 1) for q in queries
-        ]
+        serial = [searcher.search(q, 1) for q in queries]
+        assert searcher.search_many_batched(queries, 1) == serial

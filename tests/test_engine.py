@@ -126,6 +126,27 @@ class TestEngineSingleQuery:
         assert stats["hits"] > 0
         assert stats["insertions"] > 0
 
+    @pytest.mark.parametrize("algorithm", ["scancount", "divideskip"])
+    def test_divided_count_caches_only_the_short_lists(
+        self, word_collection, algorithm
+    ):
+        """A single ScanCount or DivideSkip query is the divided count: it
+        decodes, and misses on, only the short lists it counts (the parent
+        decoded every probed list on this path)."""
+        engine = SimilarityEngine(
+            word_collection, scheme="css", algorithm=algorithm
+        )
+        query = word_collection.strings[0]
+        plan = engine.searcher._plan(query, 0.6)
+        (counted,), _, _ = engine.searcher._count_rows([plan])
+        assert len(counted) < len(plan.lists)
+        expected = engine.search(query, 0.6)
+        first = engine.cache_stats()
+        assert first["misses"] == first["insertions"] == len(counted)
+        assert engine.search(query, 0.6) == expected
+        assert engine.cache_stats()["hits"] == len(counted)
+        assert expected == brute_similarity_search(word_collection, query, 0.6)
+
     def test_cache_disabled(self, word_collection):
         engine = SimilarityEngine(word_collection, scheme="css", cache_entries=0)
         query = word_collection.strings[0]
@@ -336,10 +357,24 @@ class TestWorkerTelemetry:
         finally:
             TRACER.configure(enabled=False)
             TRACER.clear()
-        assert len(documents) == len(queries)
-        pids = {document["trace_id"].split("-")[0] for document in documents}
-        assert f"{os.getpid():x}" not in pids  # traced in the workers
-        assert all(document["spans"] for document in documents)
+        # the engine call is one root trace in this process; each chunk a
+        # worker answered is a root trace of its own, shipped back with it
+        here = f"{os.getpid():x}"
+        (parent,) = [d for d in documents if d["trace_id"].startswith(here)]
+        chunks = [d for d in documents if d is not parent]
+        assert parent["name"] == "engine.batch"
+        assert parent["meta"]["queries"] == len(queries)
+        assert "engine.batch.parallel" in {s["name"] for s in parent["spans"]}
+        assert len(chunks) > 1
+        assert all(d["name"] == "engine.batch" for d in chunks)
+        assert sum(d["meta"]["queries"] for d in chunks) == len(queries)
+        verifies = [
+            span
+            for document in chunks
+            for span in document["spans"]
+            if span["name"] == "search.verify"
+        ]
+        assert len(verifies) == len(queries)
 
 
 class _PoisonedSearcher:

@@ -281,10 +281,31 @@ class TestEngineAccounting:
         for query in queries:
             engine.search(query, 0.8)
         stats = engine.cache_stats()
+        # MergeSkip decodes every probed list: the parent's numbers too
         assert (stats["hits"], stats["misses"], stats["insertions"]) == (
             641,
             306,
             306,
+        )
+
+    @pytest.mark.parametrize("algorithm", ["scancount", "divideskip"])
+    def test_single_divided_count_queries_decode_short_lists(
+        self, corpus, algorithm
+    ):
+        """A single query is a batch of one, so a ScanCount or DivideSkip
+        query reads only the short lists of its divided count."""
+        collection, queries = corpus
+        engine = SimilarityEngine(
+            collection, cache_entries=100000, algorithm=algorithm
+        )
+        for query in queries:
+            engine.search(query, 0.8)
+        stats = engine.cache_stats()
+        # the parent decoded every probed list here: (641, 306, 306)
+        assert (stats["hits"], stats["misses"], stats["insertions"]) == (
+            34,
+            231,
+            231,
         )
 
     def test_interleaved_paths_insert_every_miss(self, corpus):

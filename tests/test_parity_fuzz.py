@@ -200,10 +200,28 @@ class TestOnlineSchemesInterleaved:
 
 
 class TestBatchKernelParity:
-    """The batch kernels' acceptance gate: for every offline scheme and
+    """The batch path's acceptance gate: for every offline scheme and
     every algorithm, ``search_many_batched`` must be bit-identical to the
     serial per-query path (the parity oracle) — same ids, and for MergeSkip
-    the same candidate and verification counts."""
+    the same candidate and verification counts.  ``engine.search``, a
+    batch of one, must match both the oracle and brute force, with the
+    decode cache on and off."""
+
+    @staticmethod
+    def _engine_ids(index, queries, threshold, **serving):
+        """``engine.search`` ids per query, cache off then on (the cached
+        engine answers every query twice, so its second pass is all
+        hits)."""
+        answers = []
+        for cache_entries in (0, 1024):
+            engine = SimilarityEngine(
+                index=index, cache_entries=cache_entries, **serving
+            )
+            for _ in range(1 + bool(cache_entries)):
+                answers.append(
+                    [engine.search(q, threshold).ids for q in queries]
+                )
+        return answers
 
     @pytest.mark.parametrize("scheme", sorted(OFFLINE_SCHEMES))
     def test_jaccard_batched_matches_serial(self, scheme):
@@ -234,6 +252,15 @@ class TestBatchKernelParity:
                         assert a.stats.candidates == b.stats.candidates
                         assert a.stats.verifications == b.stats.verifications
                     assert a.stats.count_threshold == b.stats.count_threshold
+                expected = [
+                    tuple(brute_similarity_search(collection, q, threshold))
+                    for q in queries
+                ]
+                assert [r.ids for r in serial] == expected
+                for answered in self._engine_ids(
+                    index, queries, threshold, algorithm=algorithm
+                ):
+                    assert answered == expected, (scheme, algorithm, threshold)
 
     @pytest.mark.parametrize("scheme", sorted(OFFLINE_SCHEMES))
     def test_edit_distance_batched_matches_serial(self, scheme):
@@ -243,9 +270,7 @@ class TestBatchKernelParity:
         # "dddddddd" drives the destruction bound negative: the length-scan
         # fallback rides inside a kernel batch
         queries = _sample_queries(SEED + 11, strings, ["abcd", "dddddddd"])
-        for algorithm in ("scancount", "mergeskip"):
-            if algorithm not in _supported_algorithms(index):
-                continue
+        for algorithm in _supported_algorithms(index):
             searcher = EditDistanceSearcher(index, algorithm=algorithm)
             for delta in (1, 2):
                 serial = [searcher.search(q, delta) for q in queries]
@@ -253,6 +278,15 @@ class TestBatchKernelParity:
                 for a, b in zip(serial, batched):
                     assert a.ids == b.ids, (scheme, algorithm, delta, a.query)
                     assert a.stats.candidates == b.stats.candidates
+                expected = [
+                    tuple(brute_edit_distance_search(collection, q, delta))
+                    for q in queries
+                ]
+                assert [r.ids for r in serial] == expected
+                for answered in self._engine_ids(
+                    index, queries, delta, algorithm=algorithm, metric="ed"
+                ):
+                    assert answered == expected, (scheme, algorithm, delta)
 
     def test_divideskip_batch_matches_serial(self):
         """A DivideSkip batch is the divided ScanCount; the edit-distance

@@ -121,8 +121,8 @@ class TestJaccardSearcherBehaviour:
     def test_search_many(self, word_collection):
         searcher = JaccardSearcher(InvertedIndex(word_collection, scheme="css"))
         queries = word_collection.strings[:5]
-        batched = searcher.search_many(queries, 0.7)
-        assert batched == [searcher.search(q, 0.7) for q in queries]
+        serial = [searcher.search(q, 0.7) for q in queries]
+        assert searcher.search_many_batched(queries, 0.7) == serial
 
     def test_cosine_metric(self, word_collection):
         index = InvertedIndex(word_collection, scheme="css")

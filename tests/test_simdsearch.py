@@ -5,7 +5,7 @@ import bisect
 import numpy as np
 import pytest
 
-from repro.compression.simdsearch import KarySearcher, kary_lower_bound_many
+from repro.compression.simdsearch import KarySearcher
 
 
 class TestKarySearcher:
@@ -66,98 +66,3 @@ class TestKarySearcher:
             assert searcher.lower_bound(key) == bisect.bisect_left(
                 values, key
             ), key
-
-
-class TestBulkLowerBound:
-    def test_matches_searchsorted(self, rng, random_ids):
-        keys = rng.integers(0, 600_000, size=500)
-        got = kary_lower_bound_many(random_ids, keys)
-        expected = np.searchsorted(random_ids, keys, side="left")
-        assert np.array_equal(got, expected)
-
-    def test_empty_keys(self, random_ids):
-        assert kary_lower_bound_many(random_ids, np.empty(0, np.int64)).size == 0
-
-    def test_empty_values(self):
-        out = kary_lower_bound_many(
-            np.empty(0, np.int64), np.asarray([1, 2, 3])
-        )
-        assert out.tolist() == [0, 0, 0]
-
-    def test_all_keys_past_end(self, random_ids):
-        top = int(random_ids[-1])
-        keys = np.asarray([top + 1, top + 100, top + 10_000])
-        out = kary_lower_bound_many(random_ids, keys)
-        assert out.tolist() == [random_ids.size] * 3
-
-    def test_segment_windows_match_searchsorted(self, rng):
-        """Per-key lo/hi windows: each key searches only its own segment
-        of a concatenated arena (the batch MergeSkip seek pattern)."""
-        segments = [
-            np.unique(rng.integers(0, 5000, size=int(rng.integers(5, 200))))
-            for _ in range(12)
-        ]
-        arena = np.concatenate(segments)
-        ends = np.cumsum([s.size for s in segments])
-        starts = ends - np.asarray([s.size for s in segments])
-        keys, lo, hi, expected = [], [], [], []
-        for segment, start, end in zip(segments, starts, ends):
-            for key in (int(segment[0]), int(segment[-1]) + 1, 2500):
-                keys.append(key)
-                lo.append(int(start))
-                hi.append(int(end))
-                expected.append(
-                    int(start) + int(np.searchsorted(segment, key))
-                )
-        got = kary_lower_bound_many(
-            arena,
-            np.asarray(keys),
-            lo=np.asarray(lo),
-            hi=np.asarray(hi),
-        )
-        assert got.tolist() == expected
-
-    def test_window_from_current_position(self, random_ids):
-        """Seeking forward from a cursor: lo pins the floor of the answer."""
-        key = int(random_ids[10])
-        out = kary_lower_bound_many(
-            random_ids,
-            np.asarray([key]),
-            lo=np.asarray([20]),
-            hi=np.asarray([random_ids.size]),
-        )
-        assert out.tolist() == [20]
-
-    def test_empty_window(self, random_ids):
-        out = kary_lower_bound_many(
-            random_ids,
-            np.asarray([0]),
-            lo=np.asarray([7]),
-            hi=np.asarray([7]),
-        )
-        assert out.tolist() == [7]
-
-    def test_mismatched_windows_rejected(self, random_ids):
-        with pytest.raises(ValueError):
-            kary_lower_bound_many(
-                random_ids,
-                np.asarray([1, 2]),
-                lo=np.asarray([0]),
-                hi=np.asarray([2, 3]),
-            )
-
-    def test_out_of_range_windows_rejected(self, random_ids):
-        with pytest.raises(ValueError):
-            kary_lower_bound_many(
-                random_ids,
-                np.asarray([1]),
-                lo=np.asarray([-1]),
-                hi=np.asarray([2]),
-            )
-        with pytest.raises(ValueError):
-            kary_lower_bound_many(
-                random_ids,
-                np.asarray([1]),
-                lo=np.asarray([0]),
-                hi=np.asarray([random_ids.size + 1]),
-            )

@@ -459,7 +459,7 @@ class TestSearchAndJoinIntegration:
         assert METRICS.counters == counters_before
 
     def test_cross_process_slow_log_is_ordered_and_newest(
-        self, word_collection, global_tracer
+        self, word_collection, global_tracer, two_usable_cpus
     ):
         # regression: slow traces drained from pool workers arrive in
         # chunk-completion order, which interleaves across workers; the
@@ -467,9 +467,9 @@ class TestSearchAndJoinIntegration:
         # traces in start order, not whatever arrived last
         from repro.engine import SimilarityEngine
 
-        queries = word_collection.strings[:24]
+        queries = word_collection.strings[:48]
         global_tracer.configure(
-            sample_rate=0.0, slow_ms=0.0, slow_log_size=8
+            sample_rate=0.0, slow_ms=0.0, slow_log_size=4
         )
         try:
             with SimilarityEngine(word_collection, scheme="css") as engine:
@@ -478,12 +478,19 @@ class TestSearchAndJoinIntegration:
             documents = global_tracer.drain()  # every slow doc (buffer)
         finally:
             global_tracer.configure(slow_log_size=64)
-        assert len(documents) == len(queries)  # slow_ms=0: all are slow
-        assert len(log) == 8
-        starts = [document["started_s"] for document in log]
+        # slow_ms=0: all are slow — the engine call's trace and one per
+        # worker chunk (8 chunks of 6)
+        assert len(documents) == 9
+        assert len(log) == 4
+        # the engine call's own trace finishes after its chunks, so it is
+        # admitted last; before it, the newest chunks in start order
+        *chunk_log, call = log
+        assert call["meta"]["queries"] == len(queries)
+        chunks = [d for d in documents if d["meta"]["queries"] < len(queries)]
+        starts = [document["started_s"] for document in chunk_log]
         assert starts == sorted(starts)
-        newest = sorted(documents, key=lambda d: d["started_s"])[-8:]
-        assert [d["trace_id"] for d in log] == [
+        newest = sorted(chunks, key=lambda d: d["started_s"])[-3:]
+        assert [d["trace_id"] for d in chunk_log] == [
             d["trace_id"] for d in newest
         ]
 
@@ -551,9 +558,10 @@ class TestExternalDocumentSurface:
 
 
 class TestBatchKernelUnderActiveTrace:
-    """The serving regression: inside an already-active trace the batched
-    kernel path must be kept (one batched search.filter span), while a
-    bare enabled tracer still falls back to one trace per query."""
+    """Trace granularity is one document per engine call: inside an
+    already-active trace the batch path's spans join the caller's tree
+    (one batched search.filter span), and with a bare enabled tracer each
+    ``engine.search`` / ``engine.search_batch`` call is a root trace."""
 
     def test_kernel_path_kept_inside_active_trace(self, word_collection):
         from repro.search import InvertedIndex, JaccardSearcher
@@ -582,22 +590,37 @@ class TestBatchKernelUnderActiveTrace:
             assert list(result) == list(searcher.search(query, 0.5))
 
     def test_bare_enabled_tracer_still_traces_per_query(
-        self, word_collection
+        self, word_collection, global_tracer
     ):
-        from repro.search import InvertedIndex, JaccardSearcher
+        from repro.engine import SimilarityEngine
 
-        index = InvertedIndex(word_collection, scheme="css")
-        searcher = JaccardSearcher(index, algorithm="mergeskip")
+        engine = SimilarityEngine(word_collection, scheme="css")
         queries = list(word_collection.strings[:4])
-        TRACER.configure(enabled=True, sample_rate=1.0, slow_ms=None)
-        TRACER.clear()
-        try:
-            searcher.search_many_batched(queries, 0.5)
-            documents = TRACER.drain()
-        finally:
-            TRACER.configure(enabled=False, sample_rate=1.0, slow_ms=None)
-            TRACER.clear()
-        assert len(documents) == len(queries)  # one root trace per query
+        for query in queries:
+            engine.search(query, 0.5)
+        documents = global_tracer.drain()
+        assert len(documents) == len(queries)  # one root trace per call
+        for query, document in zip(queries, documents):
+            assert document["name"] == "search"
+            assert document["meta"]["query"] == query
+            assert document["meta"]["threshold"] == 0.5
+            names = [span["name"] for span in document["spans"]]
+            assert names.count("search.filter") == 1
+
+    def test_bare_enabled_tracer_traces_a_batch_as_one_call(
+        self, word_collection, global_tracer
+    ):
+        from repro.engine import SimilarityEngine
+
+        engine = SimilarityEngine(word_collection, scheme="css")
+        queries = list(word_collection.strings[:6])
+        engine.search_batch(queries, 0.5)
+        (document,) = global_tracer.drain()
+        assert document["name"] == "engine.batch"
+        assert document["meta"]["queries"] == len(queries)
+        names = [span["name"] for span in document["spans"]]
+        assert names.count("search.filter") == 1
+        assert names.count("search.verify") == len(queries)
 
 
 class TestStageSumsReconcile:
