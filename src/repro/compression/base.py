@@ -24,7 +24,7 @@ tables report.
 from __future__ import annotations
 
 import abc
-from typing import Iterator, Sequence, Union
+from typing import Iterator, List, Sequence, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "SortedIDList",
     "ListCursor",
     "as_id_array",
+    "check_sorted_id_list",
     "check_sorted_ids",
 ]
 
@@ -63,6 +64,19 @@ def check_sorted_ids(values: np.ndarray) -> None:
             f"ids must fit in {ELEMENT_BITS} bits, got {int(values[-1])}"
         )
     if values.size > 1 and not (np.diff(values) > 0).all():
+        raise ValueError("ids must be strictly increasing")
+
+
+def check_sorted_id_list(values: List[int]) -> None:
+    """:func:`check_sorted_ids` of a list of Python ints, without numpy:
+    the same checks, in the same order, with the same errors."""
+    if not values:
+        return
+    if values[0] < 0:
+        raise ValueError(f"ids must be non-negative, got {values[0]}")
+    if values[-1] > MAX_ELEMENT:
+        raise ValueError(f"ids must fit in {ELEMENT_BITS} bits, got {values[-1]}")
+    if any(left >= right for left, right in zip(values, values[1:])):
         raise ValueError("ids must be strictly increasing")
 
 

@@ -7,12 +7,16 @@ bits in the stream, and random access to the *t*-th delta reads ``n`` bits at
 ``offset + n * (t - 1)`` (Example 3).
 
 :class:`BitBuffer` implements that stream on top of a numpy ``uint64`` array.
-Appends and bulk reads are vectorized; single-field reads and writes are
-cheap Python integer arithmetic, which is what the in-block binary search
-and the join's position side vectors use.
+Appends of numpy arrays (the offline builds) and bulk reads are vectorized;
+single-field reads (the in-block binary search) and appends of a short run
+of Python ints (:meth:`BitBuffer.append_ints`, an online list sealing its
+buffer) are plain integer arithmetic, where numpy's per-call set-up would
+cost more than the work.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -95,34 +99,43 @@ class BitBuffer:
         self._num_bits = start + width * values.size
         return start
 
-    def append_one(self, value: int, width: int) -> int:
-        """Append one ``width``-bit field; return its start bit offset.
+    def append_ints(self, values: Sequence[int], width: int) -> int:
+        """Append each Python int as a ``width``-bit field; return the start
+        bit offset.
 
-        The scalar twin of :meth:`append` — same checks, same errors, same
-        packed words — in plain integer arithmetic, for callers that grow a
-        stream one field at a time (the join's position side vectors), where
-        :meth:`append`'s numpy set-up would dominate the write.
+        The integer twin of :meth:`append` — same checks, same errors, same
+        packed words — for callers that hold a short run of Python ints (an
+        online list sealing its buffer): the run is packed into one integer
+        and lands in the words with a single copy, where :meth:`append`'s
+        numpy set-up would cost more than the write.
         """
         if not 1 <= width <= MAX_DELTA_WIDTH:
             raise ValueError(
                 f"width must be in [1, {MAX_DELTA_WIDTH}], got {width}"
             )
-        value = int(value)
-        if value >> width:
-            # a negative value is reported as append's uint64 cast shows it
-            raise ValueError(
-                f"value {value & _WORD_MASK} does not fit in {width} bits"
-            )
         start = self._num_bits
-        self._ensure_capacity(width)
-        word, shift = divmod(start, _WORD_BITS)
-        words = self._words
-        words[word] = int(words[word]) | ((value << shift) & _WORD_MASK)
-        if shift + width > _WORD_BITS:
-            words[word + 1] = int(words[word + 1]) | (
-                value >> (_WORD_BITS - shift)
-            )
-        self._num_bits = start + width
+        if not values:
+            return start
+        shift = start & 63
+        stream = 0
+        position = shift
+        for value in values:
+            if value >> width:
+                # negative values are reported as append's uint64 cast shows them
+                top = max(field & _WORD_MASK for field in values)
+                raise ValueError(f"value {top} does not fit in {width} bits")
+            stream |= value << position
+            position += width
+        self._ensure_capacity(position - shift)
+        first = start >> 6
+        count = (position + 63) >> 6
+        # the first word's bits below `shift` are earlier fields; every bit
+        # from `start` on is still zero
+        stream |= int(self._words[first])
+        self._words[first : first + count] = np.frombuffer(
+            stream.to_bytes(8 * count, "little"), dtype="<u8"
+        )
+        self._num_bits = start + position - shift
         return start
 
     def read(self, bit_offset: int, width: int, count: int) -> np.ndarray:

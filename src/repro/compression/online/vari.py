@@ -55,5 +55,5 @@ class VariList(OnlineSortedIDList):
         boundaries = optimal_partition(values, max_block=None)
         first_block_end = boundaries[1] if len(boundaries) > 1 else len(self._buffer)
         self._record_seal(len(self._buffer))
-        self._store.append_block(values[:first_block_end])
+        self._store.append_block(self._buffer[:first_block_end])
         del self._buffer[:first_block_end]

@@ -13,9 +13,10 @@ dataset to stress the online compression schemes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List
 
-from ..similarity.measures import required_overlaps
+from ..similarity.measures import length_bounds, required_overlaps
 from ..similarity.verify import verify_overlap_from
 from .base import SelfJoin
 
@@ -28,21 +29,25 @@ class CountFilterJoin(SelfJoin):
     def _probe(self, sid: int, record) -> List[int]:
         records, sizes = self._records, self._sizes
         lists, stats = self._lists, self._stats
+        threshold, metric = self._threshold, self.metric
         size_s = record.size
-        # records arrive size-ascending and only non-empty ones are indexed:
-        # every candidate has 1 <= size_r <= size_s
-        required = required_overlaps(1, size_s, self._threshold, self.metric)
+        low, _ = length_bounds(size_s, threshold, metric)
+        # records arrive size-ascending and rid order is size order: every
+        # candidate has low <= size_r <= size_s, and the length filter is a
+        # seek (a shorter record shares fewer tokens than it would need)
+        required = required_overlaps(low, size_s, threshold, metric)
+        first = bisect_left(sizes, low)
         tokens = record.tolist()
         counts: Dict[int, int] = {}
         for token in tokens:
             posting = lists.get(token)
             if posting is None:
                 continue
-            for rid in posting.to_array().tolist():
+            for rid in posting.suffix(first)[1]:
                 counts[rid] = counts.get(rid, 0) + 1
         stats.candidates += len(counts)
         for rid, shared in counts.items():
-            needed = required[sizes[rid] - 1]
+            needed = required[sizes[rid] - low]
             if shared < needed:
                 continue
             stats.verifications += 1

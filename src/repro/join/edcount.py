@@ -18,6 +18,7 @@ schemes.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List, Sequence, Union
 
 from ..similarity.edit_distance import within_edit_distance
@@ -68,20 +69,21 @@ class EDCountFilterJoin(SelfJoin):
         tokens = record.tolist()
         if record.size - slack >= 1:
             # every qualifying partner must share >= 1 gram with s, so
-            # the gram lists enumerate all candidates
+            # the gram lists enumerate all candidates; strings arrive
+            # length-ascending and rid order is length order, so the
+            # length filter |r| >= |s| - delta is a seek
             lists = self._lists
+            first = bisect_left(self._sizes, len(text) - delta)
             counts: Dict[int, int] = {}
             for token in tokens:
                 posting = lists.get(token)
                 if posting is None:
                     continue
-                for rid in posting.to_array().tolist():
+                for rid in posting.suffix(first)[1]:
                     counts[rid] = counts.get(rid, 0) + 1
             stats.candidates += len(counts)
             for rid, shared in counts.items():
                 other = strings[rid]
-                if abs(len(other) - len(text)) > delta:
-                    continue
                 if shared < max(record.size, gram_ids[rid].size) - slack:
                     continue
                 stats.verifications += 1

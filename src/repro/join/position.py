@@ -19,6 +19,7 @@ exact merge, trading a few binary searches for skipped verifications.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List
 
 from ..compression.online import FixedWidthVector
@@ -60,6 +61,8 @@ class PositionFilterJoin(SelfJoin):
         low, _ = length_bounds(size_s, threshold, metric)
         # records arrive size-ascending: every candidate has size_r <= size_s
         required = required_overlaps(low, size_s, threshold, metric)
+        # ... and rid order is size order: the length filter is a seek
+        first = bisect_left(sizes, low)
         tokens = record[: prefix_length(size_s, threshold, metric)].tolist()
         overlaps: Dict[int, int] = {}
         for i, token in enumerate(tokens):
@@ -67,14 +70,12 @@ class PositionFilterJoin(SelfJoin):
             if posting is None:
                 continue
             positions = self._positions[token]
-            for entry, rid in enumerate(posting.to_array().tolist()):
+            start, rids = posting.suffix(first)
+            for entry, rid in enumerate(rids, start):
                 current = overlaps.get(rid, 0)
                 if current == _PRUNED:
                     continue
                 size_r = sizes[rid]
-                if size_r < low:
-                    overlaps[rid] = _PRUNED
-                    continue
                 j = positions[entry]
                 needed = required[size_r - low]
                 upper = current + 1 + min(size_s - i - 1, size_r - j - 1)

@@ -11,6 +11,7 @@ lists swapped for online compressed lists.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Dict, List
 
 from ..similarity.measures import length_bounds, prefix_length, required_overlaps
@@ -33,19 +34,19 @@ class PrefixFilterJoin(SelfJoin):
         low, _ = length_bounds(size_s, threshold, metric)
         # records arrive size-ascending: every candidate has size_r <= size_s
         required = required_overlaps(low, size_s, threshold, metric)
+        # ... and rid order is size order: the length filter is a seek
+        first = bisect_left(sizes, low)
         tokens = record[: prefix_length(size_s, threshold, metric)].tolist()
         seen: Dict[int, bool] = {}
         for token in tokens:
             posting = lists.get(token)
             if posting is None:
                 continue
-            for rid in posting.to_array().tolist():
+            for rid in posting.suffix(first)[1]:
                 if rid in seen:
                     continue
                 seen[rid] = True
                 size_r = sizes[rid]
-                if size_r < low:
-                    continue
                 stats.verifications += 1
                 needed = required[size_r - low]
                 if (

@@ -73,42 +73,53 @@ class TestBitBufferAppend:
 
 
 class TestBitBufferAppendOne:
-    """``append_one`` is ``append`` of one field: same offsets, same words,
-    same ``num_bits``, same errors."""
+    """The integer writer ``append_ints`` is ``append`` of a list of Python
+    ints: same offsets, same words, same ``num_bits``, same errors, one
+    field or a run at a time."""
 
     @staticmethod
-    def _pair(fields):
-        scalar, vector = BitBuffer(initial_words=2), BitBuffer(initial_words=2)
-        for value, width in fields:
-            assert scalar.append_one(value, width) == vector.append(
-                np.array([value]), width
+    def _pair(runs):
+        ints, vector = BitBuffer(initial_words=2), BitBuffer(initial_words=2)
+        for values, width in runs:
+            assert ints.append_ints(values, width) == vector.append(
+                np.array(values, dtype=np.int64), width
             )
-        return scalar, vector
+        return ints, vector
 
-    def _assert_same(self, fields):
-        scalar, vector = self._pair(fields)
-        assert scalar.num_bits == vector.num_bits
-        assert np.array_equal(scalar._words, vector._words)
+    def _assert_same(self, runs):
+        ints, vector = self._pair(runs)
+        assert ints.num_bits == vector.num_bits
+        assert np.array_equal(ints._words, vector._words)
 
     def test_random_field_sequences_match_append(self):
         rng = np.random.default_rng(25)
         for _ in range(60):
-            fields = []
-            for _ in range(int(rng.integers(1, 80))):
+            runs = []
+            for _ in range(int(rng.integers(1, 40))):
                 width = int(rng.integers(1, MAX_DELTA_WIDTH + 1))
-                fields.append((int(rng.integers(0, 2**width)), width))
-            self._assert_same(fields)
+                count = int(rng.integers(0, 20))
+                values = rng.integers(0, 2**width, size=count).tolist()
+                runs.append((values, width))
+            self._assert_same(runs)
 
     def test_word_straddling_field(self):
         # 11-bit fields: the sixth spans bits 55..65, across the word edge
-        self._assert_same([(1000 + i, 11) for i in range(12)])
+        self._assert_same([([1000 + i], 11) for i in range(12)])
+        # ... and a run starting mid-word that crosses three word edges
+        self._assert_same([([5], 7), ([2000 + i for i in range(20)], 11)])
 
     def test_widest_field_all_ones(self):
         top = 2**MAX_DELTA_WIDTH - 1
-        widest = (top, MAX_DELTA_WIDTH)
-        self._assert_same([widest] * 5 + [(1, 3), widest, widest])
-        scalar, _ = self._pair([(5, 7), (top, MAX_DELTA_WIDTH)])
-        assert scalar.read_one(7, MAX_DELTA_WIDTH, 0) == top
+        widest = ([top], MAX_DELTA_WIDTH)
+        self._assert_same([widest] * 5 + [([1], 3), widest, widest])
+        self._assert_same([([1], 3), ([top] * 9, MAX_DELTA_WIDTH)])
+        ints, _ = self._pair([([5], 7), ([top], MAX_DELTA_WIDTH)])
+        assert ints.read_one(7, MAX_DELTA_WIDTH, 0) == top
+
+    def test_empty_run_writes_nothing(self):
+        ints, vector = self._pair([([3], 5), ([], 9), ([4], 5)])
+        assert ints.num_bits == vector.num_bits == 10
+        assert np.array_equal(ints._words, vector._words)
 
     @pytest.mark.parametrize(
         "value, width",
@@ -121,13 +132,16 @@ class TestBitBufferAppendOne:
         ],
     )
     def test_same_errors_as_append(self, value, width):
-        scalar = BitBuffer()
-        with pytest.raises(ValueError) as scalar_error:
-            scalar.append_one(value, width)
-        with pytest.raises(ValueError) as vector_error:
-            BitBuffer().append(np.array([value]), width)
-        assert str(scalar_error.value) == str(vector_error.value)
-        assert scalar.num_bits == 0 and not scalar._words.any()
+        for values in ([value], [1, value, 2]):
+            ints = BitBuffer()
+            ints.append_ints([1], 1)
+            with pytest.raises(ValueError) as ints_error:
+                ints.append_ints(values, width)
+            with pytest.raises(ValueError) as vector_error:
+                BitBuffer().append(np.array(values), width)
+            assert str(ints_error.value) == str(vector_error.value)
+            # a refused run leaves the stream as it was
+            assert ints.num_bits == 1 and ints._words.tolist()[:2] == [1, 0]
 
 
 class TestBitBufferRead:

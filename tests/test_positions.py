@@ -50,12 +50,14 @@ class TestFixedWidthVector:
             vec.append(value)
             widths.append(vec.width)
         assert len(set(widths)) >= 5  # grown through several repacks
+        # the Python-int words hold BitBuffer's layout: one pack of every
+        # value at the final width, word for word, and not a word more
         packed = BitBuffer()
         packed.append(np.array(values), vec.width)
         used = -(-packed.num_bits // 64)
-        assert vec._data.num_bits == packed.num_bits
-        assert np.array_equal(vec._data._words[:used], packed._words[:used])
-        assert not vec._data._words[used:].any()
+        assert vec.size_bits() == packed.num_bits
+        assert vec._words == packed._words[:used].tolist()
+        assert not packed._words[used:].any()
 
     def test_size_accounting(self):
         vec = FixedWidthVector()

@@ -23,8 +23,9 @@ from repro.compression import (
     VByteList,
 )
 from repro.compression.bitpack import BitBuffer, width_for
-from repro.compression.online import AdaptList, FixList, VariList
+from repro.compression.online import AdaptList, FixList, ModelList, VariList
 from repro.compression.online.positions import FixedWidthVector
+from repro.core.framework import UncompressedOnlineList
 from repro.similarity.edit_distance import edit_distance
 from repro.similarity.measures import (
     jaccard,
@@ -98,6 +99,38 @@ class TestOnlineMatchesOffline:
             seen.append(cursor.value())
             cursor.advance()
         assert seen == values
+
+
+@pytest.mark.parametrize("cls", ONLINE + [ModelList, UncompressedOnlineList])
+class TestOnlineSuffixRead:
+    """``suffix(key)`` is ``(lower_bound(key), the decoded ids >= key)``
+    whichever region the key falls in."""
+
+    @given(values=sorted_ids, data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_suffix_is_lower_bound_and_tail(self, cls, values, data):
+        lst = cls()
+        # a sealed head, then a tail the seal policy may or may not seal
+        split = data.draw(st.integers(0, len(values)))
+        lst.extend(values[:split])
+        lst.finalize()
+        lst.extend(values[split:])
+        decoded = lst.to_array().tolist()
+        sealed = lst.compressed_length
+        # below, at and just past both ends of each region, and anywhere
+        edges = [
+            decoded[index] + shift
+            for index in (0, sealed - 1, sealed, len(decoded) - 1)
+            if 0 <= index < len(decoded)
+            for shift in (-1, 0, 1)
+        ]
+        keys = [0, 2**32] + edges + data.draw(
+            st.lists(st.integers(0, 2**32 - 1), max_size=5)
+        )
+        for key in keys:
+            start, ids = lst.suffix(key)
+            assert ids == [x for x in decoded if x >= key], key
+            assert start == lst.lower_bound(key), key
 
 
 class TestBitPackProperties:
