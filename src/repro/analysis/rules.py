@@ -422,8 +422,8 @@ def _is_broad(type_node: Optional[ast.expr]) -> bool:
 # RA08 — the two-layer storage model's private layout stays private
 # ---------------------------------------------------------------------- #
 #: the storage model's private layout vectors; everything outside the
-#: storage layer must go through the public surface (max_width_bits(),
-#: block_sizes(), decode_blocks(), ...) so the layout can evolve without
+#: storage layer must go through the public surface (to_arrays(),
+#: block_sizes(), block_widths(), ...) so the layout can evolve without
 #: breaking distant modules (as estimate_lookup_us once did by reading
 #: store._widths directly).
 _RA08_PRIVATE = {
@@ -469,7 +469,7 @@ class StorageModelPrivacy(Rule):
                     module,
                     node,
                     f"access to the storage model's private {node.attr!r}; "
-                    "use the public surface (max_width_bits(), "
-                    "block_sizes(), decode_blocks(), iter_blocks()) so the "
-                    "layout can evolve",
+                    "use the public surface (to_arrays(), check(), "
+                    "block_sizes(), block_widths(), max_width_bits()) so "
+                    "the layout can evolve",
                 )

@@ -4,9 +4,8 @@ The static rule RA10 *infers* which attributes a class guards with which
 lock; this module turns that same inference into runtime assertions.
 :func:`install` re-runs the whole-program pass over the installed sources,
 takes the guarded-attribute map of each target class (the coalescer, the
-engines' worker pool, the decode cache, the tracer, the metrics registry),
-and patches
-the class's ``__setattr__`` so that every write of a guarded attribute
+engines' worker pool, the decode cache, the tracer), and patches the
+class's ``__setattr__`` so that every write of a guarded attribute
 checks lock ownership — raising :class:`LockDisciplineError` from the
 exact offending frame instead of corrupting shared state silently.
 
@@ -54,7 +53,6 @@ _TARGETS: Tuple[Tuple[str, str], ...] = (
     ("repro.core.fork", "WorkerPool"),
     ("repro.engine.cache", "DecodeCache"),
     ("repro.obs.trace", "Tracer"),
-    ("repro.obs.registry", "MetricsRegistry"),
 )
 
 #: class -> original ``__setattr__`` from the class __dict__ (None when it
@@ -152,7 +150,7 @@ def install() -> None:
     for module_name, class_name in _TARGETS:
         guards = plans.get(class_name)
         if not guards:
-            continue  # e.g. MetricsRegistry owns no lock today
+            continue
         module = importlib.import_module(module_name)
         cls: Type[Any] = getattr(module, class_name)
         _PATCHED[cls] = cls.__dict__.get("__setattr__")

@@ -11,8 +11,6 @@ per line):
   through a persisted index (``--mmap`` serves bundles zero-copy),
 * ``serve``    — HTTP serving layer over an index: concurrent
   ``POST /search`` requests are coalesced into batch engine calls,
-* ``top``      — live terminal dashboard over a serving process's
-  ``/metrics`` (per-route rates, p50/p99, coalescing, gauges),
 * ``compact``  — seal a dynamic bundle's online lists into offline CSS
   blocks (the DP re-partition),
 * ``join``     — self-join a corpus and print the similar pairs.
@@ -42,7 +40,6 @@ from .obs import (
     render_profile,
     render_traces,
     sniff_dump,
-    top_frames,
     validate_profile,
 )
 from .join import JOIN_FILTERS
@@ -410,35 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
         "traces are always kept when --slow-ms is set)",
     )
 
-    top = commands.add_parser(
-        "top",
-        help="live terminal dashboard over a serving process's /metrics",
-        description="Poll a repro serve endpoint's Prometheus exposition "
-        "and render per-route request rates, error counts and p50/p99 "
-        "latency, plus coalescing and runtime gauges — `top` for the "
-        "serving stack. TARGET is the server's base URL (http://...) or "
-        "a file holding a saved /metrics exposition (rendered once).",
-    )
-    top.add_argument(
-        "target",
-        help="server base URL (e.g. http://127.0.0.1:8080) or a file "
-        "containing Prometheus exposition text",
-    )
-    top.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="S",
-        help="seconds between polls (default: 2.0)",
-    )
-    top.add_argument(
-        "--count",
-        type=int,
-        default=0,
-        metavar="N",
-        help="stop after N renders (default: 0, poll until ctrl-c)",
-    )
-
     join = commands.add_parser("join", help="similarity self-join a corpus")
     join.add_argument("corpus")
     _add_tokenize_args(join)
@@ -776,28 +744,6 @@ def _describe_served(app) -> str:
     return f"{engine.num_records} records ({engine.metric}){source}"
 
 
-def _cmd_top(args) -> int:
-    target = args.target
-    live = target.startswith(("http://", "https://"))
-    if not live and not Path(target).is_file():
-        print(
-            f"error: {target} is neither an http(s) URL nor a readable "
-            "exposition file"
-        )
-        return 2
-    # clear + home, so a live dashboard repaints in place
-    repaint = "\x1b[2J\x1b[H" if live and sys.stdout.isatty() else ""
-    try:
-        for frame in top_frames(target, args.interval, args.count):
-            print(repaint + frame, end="", flush=True)
-    except OSError as error:
-        print(f"error: cannot scrape {target}: {error}")
-        return 1
-    except KeyboardInterrupt:
-        pass
-    return 0
-
-
 def _cmd_compact(args) -> int:
     target = Path(args.index)
     if _reject_non_bundle(target):
@@ -916,7 +862,6 @@ _COMMANDS = {
     "compact": _cmd_compact,
     "check": _cmd_check,
     "lint": _cmd_lint,
-    "top": _cmd_top,
 }
 
 

@@ -432,28 +432,6 @@ class TwoLayerStore:
             out[1:] = self._bases[block] + deltas.astype(np.int64)
         return out
 
-    def decode_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        """Decode the given block indices in one vectorized gather pass.
-
-        Decode cost is paid once per touched block, not once per cursor
-        touch, which is what the batch T-occurrence kernels need.
-        """
-        blocks = np.asarray(blocks, dtype=np.int64)
-        if blocks.size == 0:
-            return np.empty(0, dtype=np.int64)
-        if int(blocks.min()) < 0 or int(blocks.max()) >= self.num_blocks:
-            raise IndexError(
-                f"block index out of range for {self.num_blocks} blocks"
-            )
-        self._sync()
-        return _decode_runs(
-            self._data,
-            self._bases_np[blocks],
-            self._offsets_np[blocks],
-            self._widths_np[blocks],
-            self._starts_np[blocks + 1] - self._starts_np[blocks],
-        )
-
     def to_array(self) -> np.ndarray:
         """Decode the whole store in one vectorized pass."""
         if not self.num_blocks:
@@ -499,10 +477,6 @@ class TwoLayerStore:
         if lo == count - 1:
             return start + count  # key greater than everything in this block
         return start + 1 + lo
-
-    def iter_blocks(self) -> Iterator[np.ndarray]:
-        for block in range(self.num_blocks):
-            yield self.decode_block(block)
 
 
 def decode_stores(stores: Sequence[TwoLayerStore]) -> List[np.ndarray]:
@@ -781,9 +755,6 @@ class TwoLayerList(SortedIDList):
 
     def max_width_bits(self) -> int:
         return self._store.max_width_bits()
-
-    def decode_blocks(self, blocks: np.ndarray) -> np.ndarray:
-        return self._store.decode_blocks(blocks)
 
     def __len__(self) -> int:
         return len(self._store)

@@ -33,7 +33,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from ..compression.base import SortedIDList
-from ..obs import METRICS as _METRICS
 
 __all__ = ["DecodeCache", "CachedListView"]
 
@@ -80,10 +79,8 @@ class DecodeCache:
         if entry is not None and entry.source is lst:
             self._entries.move_to_end(id(lst))
             self.hits += 1
-            _METRICS.inc("engine.cache.hits")
             return entry
         self.misses += 1
-        _METRICS.inc("engine.cache.misses")
         return None
 
     def _insert(self, lst, array: np.ndarray) -> _Entry:
@@ -98,7 +95,6 @@ class DecodeCache:
         self._entries.move_to_end(id(lst))
         self.current_bytes += array.nbytes
         self.insertions += 1
-        _METRICS.inc("engine.cache.bytes_added", int(array.nbytes))
         self._evict_over_capacity()
         return entry
 
@@ -110,7 +106,6 @@ class DecodeCache:
             _, victim = self._entries.popitem(last=False)
             self.current_bytes -= victim.array.nbytes
             self.evictions += 1
-            _METRICS.inc("engine.cache.evictions")
 
     # ------------------------------------------------------------------ #
     # public surface

@@ -134,8 +134,6 @@ class OnlineIndexMixin:
                 total += lst.size_bits()
         stats.index_bits = total
         stats.num_lists = len(self._lists)
-        if _METRICS.enabled:
-            _METRICS.inc("join.runs")
 
 
 class SelfJoin(OnlineIndexMixin):

@@ -50,7 +50,6 @@ from .export import (
     to_prometheus,
     traces_to_jsonl,
 )
-from .top import render_top, top_frames
 
 # registry spans feed the active trace tree (one attribute check when idle)
 METRICS.tracer = TRACER
@@ -80,6 +79,4 @@ __all__ = [
     "render_trace_tree",
     "render_traces",
     "sniff_dump",
-    "render_top",
-    "top_frames",
 ]

@@ -12,7 +12,7 @@ Standard wire shapes for everything :mod:`repro.obs` collects:
 * :func:`check_exposition` validates that shape — the format checker the
   tests and the CI serve smoke run over a live ``/metrics`` scrape — and
   :func:`parse_prometheus` reads an exposition back into samples (what
-  ``repro top`` polls).
+  they reconcile against ``/debug/vars``).
 * :func:`traces_to_jsonl` / :func:`dump_traces` write trace documents one
   JSON object per line (a span tree per query), and :func:`load_traces` /
   :func:`render_trace_tree` / :func:`render_traces` read them back and
@@ -297,7 +297,7 @@ def parse_prometheus(text: str) -> Dict[str, float]:
     """Samples of an exposition as ``{"name{labels}": value}``.
 
     The inverse of :func:`to_prometheus` down to sample granularity —
-    enough for a poller (``repro top``) to diff two scrapes; comments,
+    enough to reconcile a scrape against ``/debug/vars``; comments,
     HELP/TYPE lines and malformed lines are skipped, not errors.
     """
     samples: Dict[str, float] = {}

@@ -178,25 +178,8 @@ class ServeApp:
                 ),
                 slow_ms=slow_ms,
             )
-        self._register_gauges()
-
-    def _register_gauges(self) -> None:
-        """Live runtime gauges, resolved at scrape time (``/metrics``,
-        ``/debug/vars``); callbacks survive ``reset()``."""
-        # registrations are spelled out (no local alias for the bound
-        # method) so the RA13 telemetry-manifest rule sees each name
-        self.metrics.register_gauge(
-            "serve.uptime_seconds", lambda: time.time() - self.started_at
-        )
+        # resolved at scrape time (`/metrics`, `/debug/vars`); survives reset()
         self.metrics.register_gauge("process.rss_bytes", _rss_bytes)
-        self.metrics.register_gauge(
-            "engine.cache.entries",
-            lambda: self.engine.cache_stats()["entries"],
-        )
-        self.metrics.register_gauge(
-            "engine.cache.bytes",
-            lambda: self.engine.cache_stats()["bytes"],
-        )
 
     # ------------------------------------------------------------------ #
     # engine access (the coalescer's dispatcher thread, or a to_thread
@@ -499,8 +482,8 @@ class ServeApp:
         self.metrics.inc(f"serve.route.{route}.requests")
         self.metrics.inc(f"serve.route.{route}.status_{status}")
         if seconds is not None:
-            # log2-bucketed latency histogram: `repro top` derives rolling
-            # p50/p99 per route from the cumulative bucket counts
+            # log2-bucketed latency histogram: the difference of two
+            # scrapes' cumulative buckets gives a route's p50/p99
             self.metrics.observe(
                 f"serve.route.{route}.latency_ms", 1000.0 * seconds
             )

@@ -119,11 +119,7 @@ class BatchCoalescer:
         self._pending: List[_PendingRequest] = []
         self._thread: Optional[threading.Thread] = None
         self._closed = False
-        self._inflight = 0
         self.metrics.register_gauge("serve.queue.depth", self.pending_count)
-        self.metrics.register_gauge(
-            "serve.batch.inflight", lambda: self._inflight
-        )
 
     # ------------------------------------------------------------------ #
     # caller side
@@ -264,8 +260,6 @@ class BatchCoalescer:
         started = time.perf_counter()
         for request in live:
             request.dispatched = started
-        with self._wake:
-            self._inflight = len(live)
         trace_ctx = _TRACER.trace(
             "serve.batch",
             requests=len(live),
@@ -287,8 +281,6 @@ class BatchCoalescer:
             self._rescue(live, key, error)
             return
         finally:
-            with self._wake:
-                self._inflight = 0
             self.metrics.record_time(
                 "serve.batch.seconds", time.perf_counter() - started
             )

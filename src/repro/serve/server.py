@@ -91,6 +91,8 @@ async def _read_request(
         try:
             length = int(header_map[b"content-length"])
         except ValueError:
+            length = -1
+        if length < 0:
             raise _ParseError(400, "malformed Content-Length")
         if length > _MAX_BODY_BYTES:
             raise _ParseError(413, "request body over 1 MiB")

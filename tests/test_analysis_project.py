@@ -609,4 +609,5 @@ class TestRealTree:
         # metric names are dotted; bare trace roots (e.g. "join") are the
         # one sanctioned exception
         assert all(" " not in n for n in names)
-        assert sum("." in n for n in names) >= 40
+        assert [n for n in names if "." not in n] == ["join"]
+        assert len(names) >= 30

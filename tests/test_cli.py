@@ -473,7 +473,7 @@ class TestProfile:
         start = out.index('{')
         report = json.loads(out[start:])
         assert report["meta"]["command"] == "join"
-        assert report["counters"]["join.runs"] == 1
+        assert report["timers"]["join.probe"]["count"] == 1
         assert report["counters"]["online.seals"] > 0
         assert "join.probe" in report["timers"]
         assert "join.finalize" in report["timers"]
@@ -818,83 +818,3 @@ class TestStatsTelemetry:
     def test_corpus_table_still_works(self, corpus, capsys):
         assert main(["stats", corpus, "--schemes", "css"]) == 0
         assert "css" in capsys.readouterr().out
-
-
-class TestTopCommand:
-    """`repro top` — the /metrics dashboard (file mode and live polling)."""
-
-    @staticmethod
-    def _exposition():
-        from repro.obs import to_prometheus
-        from repro.obs.registry import MetricsRegistry
-
-        registry = MetricsRegistry(enabled=True)
-        registry.inc("serve.requests", 12)
-        registry.inc("serve.batches", 3)
-        registry.inc("serve.route.search.requests", 12)
-        registry.inc("serve.route.search.status_200", 11)
-        registry.inc("serve.route.search.status_500", 1)
-        for value in (2.0, 3.0, 40.0):
-            registry.observe("serve.route.search.latency_ms", value)
-        registry.set_gauge("serve.queue.depth", 4)
-        registry.set_gauge("serve.uptime_seconds", 90)
-        return to_prometheus(registry)
-
-    def test_renders_a_saved_exposition_file(self, tmp_path, capsys):
-        path = tmp_path / "metrics.prom"
-        path.write_text(self._exposition())
-        assert main(["top", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "repro top" in out
-        assert "12 requests in 3 batches (ratio 4.00)" in out
-        assert "queue 4" in out
-        line = next(l for l in out.splitlines() if l.strip().startswith("search"))
-        assert "12" in line  # request total
-        assert "1" in line  # the 5xx count
-        # log2 buckets: 2,3 land in le=3 (p50), 40 in le=63 (p99)
-        assert "3" in line.split()[-2]
-        assert "63" in line.split()[-1]
-
-    def test_missing_target_is_an_error(self, tmp_path, capsys):
-        assert main(["top", str(tmp_path / "nope.prom")]) == 2
-        assert "neither" in capsys.readouterr().out
-
-    def test_polls_a_live_server(self, word_strings, capsys):
-        import json as _json
-        import urllib.request
-
-        from repro.engine import SimilarityEngine
-        from repro.serve import ServeApp
-        from repro.serve.server import ServerThread
-        from repro.similarity import tokenize_collection
-
-        engine = SimilarityEngine(tokenize_collection(word_strings))
-        app = ServeApp(engine, window_ms=1.0)
-        try:
-            with ServerThread(app) as server:
-                request = urllib.request.Request(
-                    f"{server.url}/search",
-                    data=_json.dumps(
-                        {"query": word_strings[0], "threshold": 0.5}
-                    ).encode(),
-                    headers={"Content-Type": "application/json"},
-                )
-                urllib.request.urlopen(request, timeout=10).read()
-                assert (
-                    main(
-                        ["top", server.url, "--count", "2",
-                         "--interval", "0.05"]
-                    )
-                    == 0
-                )
-            out = capsys.readouterr().out
-            assert out.count("repro top") == 2  # two frames
-            assert "coalescing:" in out
-            assert "search" in out
-        finally:
-            app.close()
-            engine.close()
-
-    def test_unreachable_server_fails_cleanly(self, capsys):
-        assert main(["top", "http://127.0.0.1:9", "--count", "1"]) == 1
-        assert "cannot scrape" in capsys.readouterr().out

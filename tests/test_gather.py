@@ -192,25 +192,6 @@ def _random_store(rng, blocks):
 
 
 class TestDecodeBlocks:
-    def test_subset_matches_per_block_decode(self, rng):
-        store = _random_store(rng, 20)
-        blocks = np.asarray([0, 3, 17, 4])
-        expected = np.concatenate(
-            [store.decode_block(int(b)) for b in blocks]
-        )
-        assert np.array_equal(store.decode_blocks(blocks), expected)
-
-    def test_empty_selection(self, rng):
-        store = _random_store(rng, 3)
-        assert store.decode_blocks(np.empty(0, np.int64)).size == 0
-
-    def test_out_of_range_rejected(self, rng):
-        store = _random_store(rng, 3)
-        with pytest.raises(IndexError):
-            store.decode_blocks(np.asarray([3]))
-        with pytest.raises(IndexError):
-            store.decode_blocks(np.asarray([-1]))
-
     def test_max_width_bits(self, rng):
         store = _random_store(rng, 20)
         # repro: noqa RA08 -- asserting the public accessor against the raw

@@ -448,7 +448,7 @@ class TestInstrumentationEndToEnd:
         with enabled_metrics() as registry:
             PrefixFilterJoin(word_collection, scheme="adapt").join(0.8)
         assert registry.counter("online.seals") > 0
-        assert registry.counter("join.runs") == 1
+        assert registry.timers["join.probe"][1] == 1
         assert registry.timer_seconds("join.probe") > 0
         assert registry.timer_seconds("join.finalize") > 0
         occupancy = registry.histograms["online.seal_occupancy"]

@@ -74,8 +74,8 @@ class TestFires:
         coalescer = BatchCoalescer(lambda queries, key: [None] * len(queries))
         try:
             with coalescer._wake:
-                coalescer._inflight = 1
-                coalescer._inflight = 0
+                coalescer._closed = True
+                coalescer._closed = False
         finally:
             coalescer.close()
 
