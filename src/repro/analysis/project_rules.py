@@ -190,9 +190,7 @@ _RA11_SOCKET_METHODS = frozenset(
 _RA11_PATH_IO = frozenset(
     {"read_text", "write_text", "read_bytes", "write_bytes"}
 )
-_RA11_ENGINE_CALLS = frozenset(
-    {"search", "search_batch", "add", "add_many"}
-)
+_RA11_ENGINE_CALLS = frozenset({"search", "search_batch"})
 
 
 def _mentions_engine(expr: ast.expr) -> bool:
@@ -440,12 +438,10 @@ _RA13_METHODS = frozenset(
         "inc",
         "observe",
         "record_time",
-        "set_gauge",
         "register_gauge",
         "span",
         "trace",
         "counter",
-        "gauge",
         "timer_seconds",
     }
 )

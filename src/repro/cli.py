@@ -11,8 +11,6 @@ per line):
   through a persisted index (``--mmap`` serves bundles zero-copy),
 * ``serve``    — HTTP serving layer over an index: concurrent
   ``POST /search`` requests are coalesced into batch engine calls,
-* ``compact``  — seal a dynamic bundle's online lists into offline CSS
-  blocks (the DP re-partition),
 * ``join``     — self-join a corpus and print the similar pairs.
 
 Every command prints to stdout and exits non-zero on bad arguments, so the
@@ -426,21 +424,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_profile_arg(join)
     _add_trace_args(join)
 
-    compact = commands.add_parser(
-        "compact",
-        help="re-partition a dynamic bundle's online lists into offline "
-        "CSS blocks (Algorithm 2's DP), in place or to a new bundle",
-    )
-    compact.add_argument(
-        "index", help="a dynamic index bundle directory"
-    )
-    compact.add_argument(
-        "-o",
-        "--output",
-        default=None,
-        help="write the compacted bundle here instead of in place",
-    )
-
     check = commands.add_parser(
         "check", help="validate the integrity of a persisted index"
     )
@@ -744,31 +727,6 @@ def _describe_served(app) -> str:
     return f"{engine.num_records} records ({engine.metric}){source}"
 
 
-def _cmd_compact(args) -> int:
-    target = Path(args.index)
-    if _reject_non_bundle(target):
-        return 2
-    output = args.output or target
-    try:
-        engine = SimilarityEngine.open(target, mmap=False)
-        try:
-            stats = engine.compact()
-        except TypeError as error:  # a static (offline) index
-            print(f"error: {target}: {error}")
-            return 2
-        engine.save(output)
-    except ValueError as error:
-        print(f"error: {error}")
-        return 1
-    print(
-        f"compacted {stats.lists_compacted} lists ({stats.lists_skipped} "
-        f"skipped, {stats.postings} postings) in {stats.seconds:.3f} s: "
-        f"{stats.bits_before / 8 / 1024:.1f} KiB -> "
-        f"{stats.bits_after / 8 / 1024:.1f} KiB, saved to {output}"
-    )
-    return 0
-
-
 def _cmd_check(args) -> int:
     from .storage import check_path
 
@@ -859,7 +817,6 @@ _COMMANDS = {
     "serve": _cmd_serve,
     "join": _cmd_join,
     "report": _cmd_report,
-    "compact": _cmd_compact,
     "check": _cmd_check,
     "lint": _cmd_lint,
 }

@@ -34,9 +34,9 @@ class OnlineSortedIDList(SortedIDList):
     """
 
     scheme_name = "online"
-    #: whether the compaction pass may re-partition this list's two regions
-    #: into offline CSS blocks; schemes that are uncompressed *by contract*
-    #: (``uncomp``) opt out.
+    #: whether ``DynamicInvertedIndex.compact`` may re-partition this list's
+    #: two regions into offline CSS blocks; schemes that are uncompressed
+    #: *by contract* (``uncomp``) opt out.
     compactable = True
 
     def __init__(self) -> None:
@@ -44,28 +44,20 @@ class OnlineSortedIDList(SortedIDList):
         self._buffer: List[int] = []
 
     # ------------------------------------------------------------------ #
-    # persistence surface (used by repro.storage)
+    # layout surface (compaction, size reports, batch decode)
     # ------------------------------------------------------------------ #
     @property
     def store(self) -> TwoLayerStore:
         """The compressed region (read-only use; appends go through the list)."""
         return self._store
 
-    def buffer_values(self) -> np.ndarray:
-        """The uncompressed region as an int64 array (snapshot order)."""
-        return np.asarray(self._buffer, dtype=np.int64)
-
     def load_state(
         self, store: TwoLayerStore, buffer: Iterable[int]
     ) -> None:
-        """Adopt a reconstituted two-region state wholesale.
-
-        The persistence layer rebuilds the compressed region verbatim and
-        restores the buffered tail exactly as saved, so a reloaded list is
-        state-identical to the one that was dumped (seal-policy heuristics
-        that only affect *future* partitioning, e.g. Model's KDE
-        observations, are not part of the durable state).
-        """
+        """Adopt a new two-region state wholesale (compaction swaps in the
+        offline CSS store of the same ids with an empty buffer); seal-policy
+        heuristics that only shape *future* blocks, e.g. Model's KDE
+        observations, are kept."""
         self._store = store
         self._buffer = [int(value) for value in buffer]
 

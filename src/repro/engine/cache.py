@@ -69,7 +69,6 @@ class DecodeCache:
         self.misses = 0
         self.evictions = 0
         self.insertions = 0
-        self.invalidations = 0
 
     # ------------------------------------------------------------------ #
     # internals (call with the lock held)
@@ -160,25 +159,6 @@ class DecodeCache:
             return lst
         return CachedListView(lst, self.fetch(lst))
 
-    def invalidate(self, lst) -> bool:
-        """Drop ``lst``'s entry (dynamic ingest appended to the list)."""
-        with self._lock:
-            entry = self._entries.get(id(lst))
-            if entry is None or entry.source is not lst:
-                return False
-            del self._entries[id(lst)]
-            self.current_bytes -= entry.array.nbytes
-            self.invalidations += 1
-            return True
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept)."""
-        with self._lock:
-            dropped = len(self._entries)
-            self._entries.clear()
-            self.current_bytes = 0
-            self.invalidations += dropped
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
@@ -193,7 +173,6 @@ class DecodeCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "insertions": self.insertions,
-                "invalidations": self.invalidations,
             }
 
     @property
@@ -214,7 +193,6 @@ class DecodeCache:
                 "misses",
                 "evictions",
                 "insertions",
-                "invalidations",
             )
         }
         with self._lock:

@@ -1,7 +1,7 @@
 """:class:`SimilarityEngine` — the unified serving facade.
 
-One object owns the whole query path: an inverted index (offline or
-dynamic), the searcher for the configured metric, a shared
+One object owns the whole query path: an inverted index, the searcher
+for the configured metric, a shared
 :class:`~repro.engine.cache.DecodeCache`, and a lazily-created worker pool
 that :meth:`SimilarityEngine.search_batch` reuses across calls.
 
@@ -15,10 +15,6 @@ copy-on-write by the workers, only query chunks go out and
 scales with cores.  The pool pays once corpus × batch is large
 (EXPERIMENTS.md records the crossover).  It follows
 :mod:`repro.core.fork`, and either way the answers are a serial loop's.
-
-Dynamic ingest (:meth:`add`) invalidates exactly the cached posting lists
-the new record touched and retires the pool (forked workers hold the
-pre-ingest index image).
 """
 
 from __future__ import annotations
@@ -72,8 +68,8 @@ class SimilarityEngine:
         A :class:`~repro.similarity.tokenize.TokenizedCollection` to index
         (ignored when ``index`` is given).
     index:
-        A prebuilt :class:`InvertedIndex` / :class:`DynamicInvertedIndex`
-        to serve instead of building one.
+        A prebuilt :class:`InvertedIndex` to serve instead of building
+        one.
     scheme / algorithm / metric:
         Offline scheme name, T-occurrence algorithm, and similarity metric
         (``jaccard`` / ``cosine`` / ``dice`` / ``ed`` — ``ed`` thresholds
@@ -234,40 +230,11 @@ class SimilarityEngine:
             pass
 
     # ------------------------------------------------------------------ #
-    # dynamic ingest
-    # ------------------------------------------------------------------ #
-    def add(self, text: str) -> int:
-        """Ingest one record (dynamic indexes only) and invalidate exactly
-        the cached posting lists the record touched."""
-        if not hasattr(self.index, "add"):
-            raise TypeError(
-                "dynamic ingest requires a DynamicInvertedIndex-backed "
-                "engine; this one serves a static InvertedIndex"
-            )
-        record_id = self.index.add(text)
-        if self.cache is not None:
-            for token in self.index.collection.records[record_id].tolist():
-                posting = self.index.lists.get(token)
-                if posting is not None:
-                    self.cache.invalidate(posting)
-        # forked workers hold the pre-ingest index image
-        self.close()
-        return record_id
-
-    def add_many(self, texts: Sequence[str]) -> List[int]:
-        return [self.add(text) for text in texts]
-
-    # ------------------------------------------------------------------ #
-    # persistence (the unified save / open / compact API)
+    # persistence
     # ------------------------------------------------------------------ #
     def save(self, path) -> "Path":
-        """Persist this engine's index as a bundle directory at ``path``.
-
-        Static indexes produce an mmap-able bundle; dynamic indexes a
-        state-exact snapshot plus an append log that this engine keeps
-        journaling into (every later :meth:`add` lands in the bundle).
-        Returns the bundle path.  See :mod:`repro.storage`.
-        """
+        """Persist this engine's index as an mmap-able bundle directory at
+        ``path`` and return the path; see :mod:`repro.storage`."""
         from .. import storage
 
         return storage.save_index(self.index, path)
@@ -279,38 +246,15 @@ class SimilarityEngine:
         ``serving`` are the constructor's serving knobs (``algorithm``,
         ``metric``, ``cache_entries``), forwarded as given so their
         defaults live in ``__init__`` only.
-        ``mmap=True`` (the default, static bundles only) serves the
-        posting-list payloads zero-copy off memory-mapped files — N
-        engines opened from one bundle (or N fork workers of one engine)
-        share a single on-disk copy through the page cache.  ``mmap=False``
-        materializes an appendable in-memory copy; dynamic bundles are
-        always materialized and replay their append log.
+        ``mmap=True`` (the default) serves the posting-list payloads
+        zero-copy off memory-mapped files — N engines opened from one
+        bundle (or N fork workers of one engine) share a single on-disk
+        copy through the page cache.  ``mmap=False`` loads the arrays into
+        memory.
         """
         from .. import storage
 
         return cls(index=storage.open_index(path, mmap=mmap), **serving)
-
-    def compact(self):
-        """Seal a dynamic index's online lists into offline CSS blocks.
-
-        Runs the DP re-partition over every compactable posting list (see
-        :mod:`repro.storage.compaction`), drops the decode cache (every
-        list's store was rebuilt, so cached decodes are stale even though
-        the decoded ids are unchanged) and retires the worker pool (forked
-        workers hold the pre-compaction image).  The engine keeps
-        answering bit-identically, and dynamic ingest keeps working.
-        Returns the :class:`~repro.storage.compaction.CompactionStats`.
-        """
-        if not hasattr(self.index, "compact"):
-            raise TypeError(
-                "compaction applies to dynamic indexes; this engine serves "
-                "a static InvertedIndex (already optimally partitioned)"
-            )
-        stats = self.index.compact()
-        if self.cache is not None:
-            self.cache.clear()
-        self.close()
-        return stats
 
     # ------------------------------------------------------------------ #
     # introspection
@@ -329,6 +273,5 @@ class SimilarityEngine:
                 "misses": 0,
                 "evictions": 0,
                 "insertions": 0,
-                "invalidations": 0,
             }
         return self.cache.stats()

@@ -171,44 +171,25 @@ class Gauge:
     """Point-in-time value: a level, not a rate.
 
     Counters and timers only ever grow; a gauge answers "how much right
-    now" — queue depth, cache bytes, resident memory.  Two forms:
-
-    * **stored** — callers :meth:`set` / :meth:`add` the value explicitly
-      (a worker's contribution to a shared level, folded by
-      :meth:`MetricsRegistry.merge` by summing, like histogram buckets);
-    * **callback** — the gauge holds a zero-argument callable and reads
-      the live value at snapshot time (queue depth, RSS), so nothing has
-      to remember to update it on every transition.
+    now" — queue depth, resident memory.  It holds a zero-argument
+    callable and reads the live value at snapshot time, so nothing has to
+    remember to update it on every transition.
     """
 
-    __slots__ = ("_value", "_callback")
+    __slots__ = ("_callback",)
 
-    def __init__(
-        self,
-        value: float = 0.0,
-        callback: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self._value = float(value)
+    def __init__(self, callback: Callable[[], float]) -> None:
         self._callback = callback
 
-    def set(self, value: float) -> None:
-        self._value = float(value)
-        self._callback = None  # an explicit set overrides a stale callback
-
-    def add(self, delta: float) -> None:
-        self._value += float(delta)
-
     def resolve(self) -> float:
-        """The current value (callback gauges read their source live)."""
-        if self._callback is not None:
-            try:
-                return float(self._callback())
-            # a dead source (closed engine, vanished /proc entry) must
-            # never take /metrics down; the last stored value stands in
-            # repro: noqa RA07 -- degraded reading, not a hidden failure
-            except Exception:
-                return self._value
-        return self._value
+        """The current value, read from the source (0.0 if it fails)."""
+        try:
+            return float(self._callback())
+        # a dead source (closed engine, vanished /proc entry) must never
+        # take /metrics down
+        # repro: noqa RA07 -- degraded reading, not a hidden failure
+        except Exception:
+            return 0.0
 
 
 class _NullSpan:
@@ -314,15 +295,6 @@ class MetricsRegistry:
                 histogram = self.histograms[name] = Histogram()
             histogram.observe(value)
 
-    def set_gauge(self, name: str, value: float) -> None:
-        """Set gauge ``name`` to ``value`` (no-op while disabled)."""
-        if self.enabled:
-            gauge = self.gauges.get(name)
-            if gauge is None:
-                self.gauges[name] = Gauge(value)
-            else:
-                gauge.set(value)
-
     def register_gauge(
         self, name: str, callback: Callable[[], float]
     ) -> None:
@@ -333,12 +305,7 @@ class MetricsRegistry:
         value is *reported* still follows :attr:`enabled` through the
         snapshot/export paths.
         """
-        self.gauges[name] = Gauge(callback=callback)
-
-    def gauge(self, name: str) -> float:
-        """Current value of gauge ``name`` (0.0 if never touched)."""
-        gauge = self.gauges.get(name)
-        return gauge.resolve() if gauge is not None else 0.0
+        self.gauges[name] = Gauge(callback)
 
     def span(self, name: str) -> Union["_Span", "_NullSpan"]:
         """Context manager timing a pipeline stage into timer ``name``.
@@ -359,18 +326,13 @@ class MetricsRegistry:
     def reset(self) -> None:
         """Drop every recorded value (the enable switch is left untouched).
 
-        Callback gauges survive a reset: they are wiring to a live source,
-        not accumulated data, and a ``--profile`` reset must not silently
+        Gauges survive a reset: they are wiring to a live source, not
+        accumulated data, and a ``--profile`` reset must not silently
         unhook the serving layer's queue-depth/RSS gauges.
         """
         self.counters.clear()
         self.timers.clear()
         self.histograms.clear()
-        self.gauges = {
-            name: gauge
-            for name, gauge in self.gauges.items()
-            if gauge._callback is not None
-        }
 
     def counter(self, name: str) -> int:
         """Current value of counter ``name`` (0 if never incremented)."""
@@ -418,6 +380,8 @@ class MetricsRegistry:
         records into its own (fork-inherited) registry, ships the full
         snapshot back with its chunk result, and the parent folds every
         delta here, so ``--profile`` totals are identical to a serial run.
+        Gauges are not folded: each process's callbacks are authoritative
+        for its own levels.
 
         An explicit aggregation step, not hot-path recording: it applies
         even while ``self.enabled`` is False.  ``None`` is a no-op (the
@@ -450,15 +414,6 @@ class MetricsRegistry:
             if histogram is None:
                 histogram = self.histograms[name] = Histogram()
             histogram.merge(state)
-        # gauges fold by summing, like histogram buckets: each worker's
-        # stored gauge is its contribution to a shared level.  A local
-        # callback gauge is authoritative for this process and wins.
-        for name, value in other.get("gauges", {}).items():
-            gauge = self.gauges.get(name)
-            if gauge is None:
-                self.gauges[name] = Gauge(float(value))
-            elif gauge._callback is None:
-                gauge.add(float(value))
 
 
 #: the process-global registry every instrumentation point records into.

@@ -16,12 +16,11 @@ Tables 7.2/7.3).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, List, Optional, Sequence, TextIO, Union
+from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..compression.css import CSSList
 from ..compression.online import OnlineSortedIDList
 from ..core.framework import online_factory
 from ..similarity.tokenize import TokenizedCollection, qgrams, word_tokens
@@ -35,7 +34,10 @@ class DynamicInvertedIndex(PostingIndex):
 
     The same :class:`~repro.search.searcher.PostingIndex` protocol as the
     offline :class:`~repro.search.searcher.InvertedIndex`, so the existing
-    searchers run on it unchanged.
+    searchers run on it unchanged.  It lives in memory only: grow it with
+    :meth:`add`, query it through a searcher built without a decode cache
+    (``add`` appends to lists in place, so a cached decode would go
+    stale), and :meth:`compact` it to the offline layout.
     """
 
     supports_random_access = True
@@ -73,10 +75,6 @@ class DynamicInvertedIndex(PostingIndex):
         # for prefix-filter joins, which require the frequency order.
         self._lengths: List[int] = []
         self._lengths_dirty = False
-        # durability hook: once a snapshot has been saved, every later
-        # add() is journaled here so open() can replay it (repro.storage)
-        self._append_log: Optional[TextIO] = None
-        self._append_log_path: Optional[Path] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -100,50 +98,10 @@ class DynamicInvertedIndex(PostingIndex):
                 posting = self._factory(**self._scheme_kwargs)
                 self.lists[token] = posting
             posting.append(record_id)
-        if self._append_log is not None:
-            self._append_log.write(
-                json.dumps({"seq": record_id, "text": text}) + "\n"
-            )
-            self._append_log.flush()
         return record_id
 
     def add_many(self, texts: Sequence[str]) -> List[int]:
         return [self.add(text) for text in texts]
-
-    # ------------------------------------------------------------------ #
-    # durability (snapshot + append log, managed by repro.storage)
-    # ------------------------------------------------------------------ #
-    @property
-    def append_log_path(self) -> Optional[Path]:
-        """Where post-snapshot ``add()``s are journaled (``None`` = not armed)."""
-        return self._append_log_path
-
-    def attach_append_log(self, path: Union[str, Path]) -> None:
-        """Journal every subsequent ``add()`` to ``path`` (JSONL, appended).
-
-        Called by the storage layer right after a snapshot is written (or
-        replayed): the snapshot plus the log reconstructs the exact current
-        state, so the pair stays loadable without re-snapshotting on every
-        ingest.
-        """
-        self.detach_append_log()
-        self._append_log_path = Path(path)
-        self._append_log = open(path, "a", encoding="utf-8")
-
-    def detach_append_log(self) -> None:
-        """Stop journaling (e.g. before the bundle is rewritten in place)."""
-        if self._append_log is not None:
-            self._append_log.close()
-        self._append_log = None
-        self._append_log_path = None
-
-    def __getstate__(self):
-        # fork/spawn workers get a read-only replica: journaling stays with
-        # the parent process (an inherited file handle cannot be pickled)
-        state = self.__dict__.copy()
-        state["_append_log"] = None
-        state["_append_log_path"] = None
-        return state
 
     def _refresh_lengths(self) -> None:
         if self._lengths_dirty:
@@ -154,16 +112,17 @@ class DynamicInvertedIndex(PostingIndex):
         self._refresh_lengths()
         return super().posting_lists(tokens)
 
-    def compact(self):
+    def compact(self) -> None:
         """Seal every online list into offline CSS blocks (DP re-partition).
 
         Each compactable list is decoded once and re-partitioned with the
         paper's Algorithm-2 dynamic program, replacing whatever block
         boundaries the online seal policy happened to produce with the
-        space-optimal offline ones — the index stays appendable and
-        answers queries bit-identically.  Returns the
-        :class:`~repro.storage.compaction.CompactionStats`.
+        space-optimal offline ones; the buffered tail folds into the
+        blocks.  The list objects survive with new stores, so the index
+        stays appendable and answers queries bit-identically.  Lists that
+        are uncompressed by contract (``uncomp``) are skipped.
         """
-        from ..storage.compaction import compact_index
-
-        return compact_index(self)
+        for lst in self.lists.values():
+            if lst.compactable:
+                lst.load_state(CSSList(lst.to_array()).store, [])

@@ -1,25 +1,20 @@
-"""The directory-bundle index format: mmap-able, self-contained, appendable.
+"""The directory-bundle index format: mmap-able and self-contained.
 
 One bundle directory holds everything an engine needs to come back up —
 ``manifest.json``, the consolidated posting-list arrays as *plain* ``.npy``
 files (an ``.npz`` is a zip archive, which numpy cannot memory-map), and
 the tokenized collection (strings, dictionary in id order, per-record
-token arrays).  Two layouts share the container:
+token arrays) of an offline :class:`~repro.search.searcher.InvertedIndex`.
+Opened with ``mmap=True`` every array is ``np.load(..., mmap_mode='r')``
+and the per-list stores are zero-copy, read-only
+:meth:`TwoLayerStore.from_arrays(..., copy=False)
+<repro.compression.twolayer.TwoLayerStore.from_arrays>` views, so N fork
+workers (or N processes opening the same bundle) share one on-disk copy of
+the posting-list payloads through the page cache.
 
-* **static** (``"dynamic": false``) — an offline
-  :class:`~repro.search.searcher.InvertedIndex`.  Opened with
-  ``mmap=True`` every array is ``np.load(..., mmap_mode='r')`` and the
-  per-list stores are zero-copy, read-only
-  :meth:`TwoLayerStore.from_arrays(..., copy=False)
-  <repro.compression.twolayer.TwoLayerStore.from_arrays>` views, so N
-  fork workers (or N processes opening the same bundle) share one on-disk
-  copy of the posting-list payloads through the page cache.
-* **dynamic** (``"dynamic": true``) — a snapshot of a
-  :class:`~repro.search.dynamic.DynamicInvertedIndex` (compressed region
-  *and* uncompressed buffer per list, saved state-exactly) plus a JSONL
-  **append log**: every ``add()`` after the snapshot is journaled, and
-  ``open()`` replays the log before re-arming it, so an ingesting service
-  survives restarts without re-snapshotting per record.
+A :class:`~repro.search.dynamic.DynamicInvertedIndex` is in-memory only:
+saving one is a ``ValueError``, and so is opening a bundle whose manifest
+says ``"dynamic": true`` (a removed layout).
 """
 
 from __future__ import annotations
@@ -40,7 +35,6 @@ __all__ = [
     "require",
     "BUNDLE_KIND",
     "BUNDLE_VERSION",
-    "LOG_NAME",
     "save_index",
     "open_index",
     "read_manifest",
@@ -52,8 +46,9 @@ BUNDLE_VERSION = 1
 #: the kind of a removed bundle layout (one sub-bundle per shard), refused
 #: by name so an old directory fails with a way out, not a bare mismatch
 _REMOVED_KIND = "repro.sharded_bundle"
+#: the rebuild hint every refused layout ends with
+_REBUILD = "rebuild it with `repro index CORPUS OUT`"
 MANIFEST_NAME = "manifest.json"
-LOG_NAME = "log.jsonl"
 
 _KIND_TWOLAYER = 0
 _KIND_UNCOMP = 1
@@ -75,10 +70,6 @@ _ARRAY_DTYPES = {
     "uncomp_values": np.int64,
     "records_values": np.int64,
     "records_offsets": np.int64,
-}
-_DYNAMIC_ARRAY_DTYPES = {
-    "buffer_counts": np.int64,
-    "buffer_values": np.int64,
 }
 
 
@@ -128,7 +119,8 @@ def read_manifest(
     With ``kind`` the manifest must declare that kind at the version this
     code reads; without it the caller dispatches on ``manifest["kind"]``.
     A manifest of the removed multi-shard layout is always a
-    ``ValueError`` that names the kind and how to rebuild.
+    ``ValueError`` that names the kind and how to rebuild, and so is a
+    dynamic snapshot (``"dynamic": true``), a layout that is also gone.
     """
     path = Path(path)
     manifest_path = path / MANIFEST_NAME
@@ -138,7 +130,12 @@ def read_manifest(
     if manifest.get("kind") == _REMOVED_KIND:
         raise ValueError(
             f"{path} is a {_REMOVED_KIND} directory, a layout this version "
-            "no longer reads; rebuild it with `repro index CORPUS OUT`"
+            f"no longer reads; {_REBUILD}"
+        )
+    if manifest.get("dynamic"):
+        raise ValueError(
+            f"{path} is a dynamic index bundle (snapshot plus append log), "
+            f"a layout this version no longer reads; {_REBUILD}"
         )
     if kind is not None:
         if manifest.get("kind") != kind:
@@ -166,8 +163,8 @@ def write_manifest(path: Path, manifest: Dict[str, Any]) -> None:
 def _collect_store_arrays(
     items: List,
 ) -> Dict[str, np.ndarray]:
-    """Consolidate (token, kind, store-or-values[, buffer]) rows into the
-    bundle's flat arrays."""
+    """Consolidate (token, kind, store-or-values) rows into the bundle's
+    flat arrays."""
     tokens: List[int] = []
     kinds: List[int] = []
     bases, offsets, widths, starts = [], [], [], []
@@ -259,34 +256,26 @@ def _prepare_directory(path: Union[str, Path]) -> Path:
     return path
 
 
-def save_index(index: Any, path: Union[str, Path]) -> Path:
-    """Persist any supported index to a bundle directory at ``path``.
-
-    Dispatches on the index's nature: offline
-    :class:`~repro.search.searcher.InvertedIndex` objects produce a static
-    bundle, :class:`~repro.search.dynamic.DynamicInvertedIndex` objects a
-    dynamic snapshot with a fresh (empty) append log, armed on the live
-    index so subsequent ``add()``s land in the bundle.  Returns ``path``.
-    """
-    from ..search.dynamic import DynamicInvertedIndex
-
-    if isinstance(index, DynamicInvertedIndex):
-        return _save_dynamic(index, path)
-    return _save_static(index, path)
-
-
 def _save_arrays(path: Path, arrays: Dict[str, np.ndarray]) -> None:
     for key, array in arrays.items():
         np.save(path / f"{key}.npy", array)
 
 
-def _save_static(index: Any, path: Union[str, Path]) -> Path:
+def save_index(index: Any, path: Union[str, Path]) -> Path:
+    """Persist an offline :class:`~repro.search.searcher.InvertedIndex` to
+    a bundle directory at ``path``; returns ``path``.
+
+    An index of online (two-region) lists, such as a
+    :class:`~repro.search.dynamic.DynamicInvertedIndex`, is in-memory only
+    and raises ``ValueError``.
+    """
     if any(
         isinstance(lst, OnlineSortedIDList) for lst in index.lists.values()
     ):
         raise ValueError(
-            "index has online (two-region) lists but is not a "
-            "DynamicInvertedIndex; cannot choose a bundle layout for it"
+            "dynamic indexes (online two-region lists) are in-memory only "
+            "and cannot be saved; build an offline index with "
+            "`repro index CORPUS OUT`"
         )
     items = []
     for token, lst in index.lists.items():
@@ -314,58 +303,7 @@ def _save_static(index: Any, path: Union[str, Path]) -> Path:
     _save_arrays(path, _collect_store_arrays(items))
     _save_arrays(path, _collection_arrays(collection))
     _write_collection_json(path, collection)
-    # stale logs from an earlier dynamic bundle at this path must not be
-    # replayed into a static index
-    (path / LOG_NAME).unlink(missing_ok=True)
     write_manifest(path, manifest)
-    return path
-
-
-def _save_dynamic(index: Any, path: Union[str, Path]) -> Path:
-    # a live log pointing into this bundle must be released before the
-    # snapshot overwrites it
-    index.detach_append_log()
-    items = []
-    buffer_counts: List[int] = []
-    buffer_chunks: List[np.ndarray] = []
-    for token, lst in index.lists.items():
-        items.append((token, _KIND_TWOLAYER, lst.store))
-        tail = lst.buffer_values()
-        buffer_counts.append(int(tail.size))
-        buffer_chunks.append(tail)
-    path = _prepare_directory(path)
-    collection = index.collection
-    index._refresh_lengths()
-    manifest = {
-        "kind": BUNDLE_KIND,
-        "version": BUNDLE_VERSION,
-        "dynamic": True,
-        "scheme": index.scheme,
-        "scheme_kwargs": index._scheme_kwargs,
-        "mode": index.mode,
-        "q": int(index.q),
-        "num_records": len(collection),
-        "num_lists": len(index.lists),
-    }
-    _save_arrays(path, _collect_store_arrays(items))
-    _save_arrays(
-        path,
-        {
-            "buffer_counts": np.asarray(buffer_counts, dtype=np.int64),
-            "buffer_values": (
-                np.concatenate(buffer_chunks).astype(np.int64)
-                if buffer_chunks
-                else np.empty(0, dtype=np.int64)
-            ),
-        },
-    )
-    _save_arrays(path, _collection_arrays(collection))
-    _write_collection_json(path, collection)
-    write_manifest(path, manifest)
-    # fresh snapshot: the log restarts empty, journaling from here on
-    log_path = path / LOG_NAME
-    log_path.write_text("", encoding="utf-8")
-    index.attach_append_log(log_path)
     return path
 
 
@@ -452,7 +390,7 @@ def _load_collection(
 
 
 def _iter_lists(path: Path, arrays: Dict[str, np.ndarray], *, copy: bool):
-    """Yield ``(position, token, kind, store_or_values)`` per list,
+    """Yield ``(token, kind, store_or_values)`` per list,
     validating the consolidated extents.
 
     Two-layer lists arrive as stores rebuilt by
@@ -532,7 +470,7 @@ def _iter_lists(path: Path, arrays: Dict[str, np.ndarray], *, copy: bool):
                     key=error.key,
                     token=token,
                 ) from error
-            yield position, token, _KIND_TWOLAYER, store
+            yield token, _KIND_TWOLAYER, store
             b += nb
             s += ns
             w += nw
@@ -546,29 +484,21 @@ def _iter_lists(path: Path, arrays: Dict[str, np.ndarray], *, copy: bool):
                 key="uncomp_values",
                 token=token,
             )
-            yield position, token, _KIND_UNCOMP, uncomp_values[u : u + count]
+            yield token, _KIND_UNCOMP, uncomp_values[u : u + count]
             u += count
 
 
 def open_index(path: Union[str, Path], *, mmap: bool = True) -> Any:
     """Reconstitute the index saved in the bundle at ``path``.
 
-    Static bundles honor ``mmap``: ``True`` (the default) serves every
-    posting-list payload zero-copy off the memory-mapped files; ``False``
-    materializes an appendable in-memory copy.  Dynamic bundles are always
-    eager — an appendable index cannot alias read-only pages — and replay
-    the append log before re-arming it.
+    ``mmap=True`` (the default) serves every posting-list payload
+    zero-copy off the memory-mapped files; ``False`` loads the arrays into
+    memory.
     """
-    path = Path(path)
-    manifest = read_manifest(path, BUNDLE_KIND)
-    if manifest.get("dynamic"):
-        return _open_dynamic(path, manifest)
-    return _open_static(path, manifest, mmap=mmap)
-
-
-def _open_static(path: Path, manifest: Dict[str, Any], *, mmap: bool) -> Any:
     from ..search.searcher import InvertedIndex
 
+    path = Path(path)
+    manifest = read_manifest(path, BUNDLE_KIND)
     arrays = _load_arrays(path, _ARRAY_DTYPES, mmap=mmap)
     collection = _load_collection(path, manifest, arrays)
     require(
@@ -582,7 +512,7 @@ def _open_static(path: Path, manifest: Dict[str, Any], *, mmap: bool) -> Any:
     index.scheme = manifest["scheme"]
     index.build_seconds = 0.0
     index.lists = {}
-    for _, token, kind, payload in _iter_lists(path, arrays, copy=not mmap):
+    for token, kind, payload in _iter_lists(path, arrays, copy=not mmap):
         if kind == _KIND_TWOLAYER:
             index.lists[token] = TwoLayerList.from_store(
                 payload, manifest["scheme"]
@@ -594,117 +524,4 @@ def _open_static(path: Path, manifest: Dict[str, Any], *, mmap: bool) -> Any:
     index.supports_random_access = all(
         lst.supports_random_access for lst in index.lists.values()
     )
-    return index
-
-
-def _replay_log(path: Path, index: Any, snapshot_records: int) -> int:
-    """Replay (and validate) the append log; returns replayed record count.
-
-    Every line must parse as ``{"seq": int, "text": str}`` with ``seq``
-    exactly continuing the snapshot's record ids — a truncated or
-    corrupted log fails here, naming the file and line number, instead of
-    silently resurrecting a partial corpus.
-    """
-    log_path = path / LOG_NAME
-    if not log_path.is_file():
-        raise corruption_error(
-            "dynamic bundle has no append log "
-            "(expected at least an empty one)",
-            file=log_path,
-        )
-    replayed = 0
-    with open(log_path, "r", encoding="utf-8") as log:
-        for lineno, line in enumerate(log, start=1):
-            stripped = line.strip()
-            if not line.endswith("\n") or not stripped:
-                raise corruption_error(
-                    f"append log truncated at line {lineno}", file=log_path
-                )
-            try:
-                record = json.loads(stripped)
-            except json.JSONDecodeError as error:
-                raise corruption_error(
-                    f"append log line {lineno} is not valid JSON "
-                    f"(truncated write?): {error}",
-                    file=log_path,
-                ) from error
-            if (
-                not isinstance(record, dict)
-                or not isinstance(record.get("text"), str)
-                or not isinstance(record.get("seq"), int)
-            ):
-                raise corruption_error(
-                    f"append log line {lineno} is missing 'seq'/'text'",
-                    file=log_path,
-                )
-            expected = snapshot_records + replayed
-            if record["seq"] != expected:
-                raise corruption_error(
-                    f"append log line {lineno} has seq {record['seq']}, "
-                    f"expected {expected} (snapshot holds "
-                    f"{snapshot_records} records)",
-                    file=log_path,
-                )
-            index.add(record["text"])
-            replayed += 1
-    return replayed
-
-
-def _open_dynamic(path: Path, manifest: Dict[str, Any]) -> Any:
-    from ..search.dynamic import DynamicInvertedIndex
-
-    arrays = _load_arrays(
-        path, {**_ARRAY_DTYPES, **_DYNAMIC_ARRAY_DTYPES}, mmap=False
-    )
-    collection = _load_collection(path, manifest, arrays)
-    require(
-        len(collection) == int(manifest["num_records"]),
-        f"manifest says {manifest['num_records']} records, snapshot holds "
-        f"{len(collection)}",
-        file=path / MANIFEST_NAME,
-    )
-    scheme_kwargs = manifest.get("scheme_kwargs") or {}
-    index = DynamicInvertedIndex(
-        mode=manifest["mode"],
-        q=int(manifest["q"]) or 3,
-        scheme=manifest["scheme"],
-        **scheme_kwargs,
-    )
-    # adopt the snapshot collection wholesale (records stay plain arrays:
-    # the index appends to them)
-    index.collection = collection
-    index._lengths = [int(record.size) for record in collection.records]
-    index._lengths_dirty = True
-
-    buffer_counts = arrays["buffer_counts"]
-    buffer_values = arrays["buffer_values"]
-    require(
-        buffer_counts.size == arrays["tokens"].size,
-        "per-list buffer counts disagree with the token listing",
-        file=path / "buffer_counts.npy",
-        key="buffer_counts",
-    )
-    require(
-        int(buffer_counts.sum()) == buffer_values.size,
-        "consolidated buffer extent disagrees with the per-list counts",
-        file=path / "buffer_values.npy",
-        key="buffer_values",
-    )
-    tails = np.cumsum(buffer_counts)
-    for position, token, kind, payload in _iter_lists(path, arrays, copy=True):
-        require(
-            kind == _KIND_TWOLAYER,
-            "dynamic bundles hold only two-region lists",
-            file=path / "kinds.npy",
-            key="kinds",
-            token=token,
-        )
-        lst = index._factory(**index._scheme_kwargs)
-        start = int(tails[position]) - int(buffer_counts[position])
-        lst.load_state(payload, buffer_values[start : int(tails[position])])
-        index.lists[token] = lst
-    _replay_log(path, index, int(manifest["num_records"]))
-    # journaling resumes only after a clean replay: an exception above
-    # leaves the on-disk log untouched for inspection
-    index.attach_append_log(path / LOG_NAME)
     return index

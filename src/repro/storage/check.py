@@ -3,10 +3,9 @@
 Mirrors :mod:`repro.compression.validate`'s contract: every checker
 returns a list of human-readable violations (empty = healthy) and never
 raises on untrusted input — a load failure *is* the finding.  Because the
-bundle loaders funnel all integrity checks through
+bundle loader funnels all integrity checks through
 :func:`repro.storage.bundle.corruption_error`, a violation names the
-offending file and array key, and a dynamic bundle's truncated or
-out-of-sequence append log surfaces with its line number.
+offending file and array key.
 """
 
 from __future__ import annotations
@@ -21,25 +20,17 @@ __all__ = ["check_bundle", "check_path"]
 
 
 def check_bundle(path: Union[str, Path], max_lists: int = 0) -> List[str]:
-    """Violations of an index bundle directory (static or dynamic).
+    """Violations of an index bundle directory.
 
-    Opens the bundle eagerly — for dynamic bundles that exercises the
-    full snapshot + append-log replay path — then runs the list-level
-    contract checks over the reconstituted index.
+    Opens the bundle eagerly, then runs the list-level contract checks
+    over the reconstituted index.
     """
     try:
         index = open_index(path, mmap=False)
     # repro: noqa RA07 -- load failure on untrusted input is the finding itself
     except Exception as error:
         return [f"load failed ({type(error).__name__}): {error}"]
-    try:
-        return check_index(index, max_lists=max_lists)
-    finally:
-        # a dynamic open arms the append log; checking must not keep a
-        # writable handle into the bundle
-        detach = getattr(index, "detach_append_log", None)
-        if detach is not None:
-            detach()
+    return check_index(index, max_lists=max_lists)
 
 
 def check_path(path: Union[str, Path], max_lists: int = 0) -> List[str]:

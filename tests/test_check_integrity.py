@@ -187,34 +187,13 @@ def saved_bundle(collection, tmp_path):
     )
 
 
-@pytest.fixture()
-def saved_dynamic_bundle(tmp_path):
-    from repro.search.dynamic import DynamicInvertedIndex
-
-    index = DynamicInvertedIndex(mode="word", scheme="adapt")
-    index.add_many(f"rec {i} tok{i % 9} tok{i % 4}" for i in range(40))
-    path = storage.save_index(index, tmp_path / "dynamic-bundle")
-    index.add_many(f"late {i} tok{i % 5}" for i in range(10))
-    index.detach_append_log()
-    return path
-
-
 class TestBundleChecks:
     """``check_path`` routes directory layouts by manifest kind; bundle
-    corruption — bad arrays, truncated append logs — must surface as
-    violations naming the offending file."""
+    corruption — bad arrays — must surface as violations naming the
+    offending file."""
 
     def test_clean_bundle_has_no_violations(self, saved_bundle):
         assert check_path(saved_bundle) == []
-
-    def test_clean_dynamic_bundle_with_log(self, saved_dynamic_bundle):
-        assert check_path(saved_dynamic_bundle) == []
-
-    def test_truncated_append_log_is_caught(self, saved_dynamic_bundle):
-        log = saved_dynamic_bundle / "log.jsonl"
-        log.write_text(log.read_text()[:-12])
-        issues = check_path(saved_dynamic_bundle)
-        assert issues and "log.jsonl" in issues[0]
 
     def test_corrupt_bundle_array_is_caught(self, saved_bundle):
         widths = np.load(saved_bundle / "widths.npy").copy()
@@ -241,21 +220,6 @@ class TestCheckCLI:
     def test_bundle_directory_passes(self, saved_bundle, capsys):
         assert cli_main(["check", str(saved_bundle)]) == 0
         assert "no violations" in capsys.readouterr().out
-
-    def test_dynamic_bundle_with_log_passes(
-        self, saved_dynamic_bundle, capsys
-    ):
-        assert cli_main(["check", str(saved_dynamic_bundle)]) == 0
-        assert "no violations" in capsys.readouterr().out
-
-    def test_truncated_log_fails_the_check(
-        self, saved_dynamic_bundle, capsys
-    ):
-        log = saved_dynamic_bundle / "log.jsonl"
-        log.write_text(log.read_text()[:-12])
-        assert cli_main(["check", str(saved_dynamic_bundle)]) == 1
-        out = capsys.readouterr().out
-        assert "integrity violations" in out and "log.jsonl" in out
 
     def test_corrupt_array_fails_the_check(self, saved_bundle, capsys):
         tamper(saved_bundle, "widths", assign(slice(None), 99))

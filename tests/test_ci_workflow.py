@@ -17,13 +17,15 @@ IMPORT_LINE = re.compile(r"^\s*from\s+(repro[\w.]*)\s+import\s+(.+?)\s*$")
 
 
 def _imports():
-    found = []
+    """``{(module, name): [ci.yml line, ...]}`` for every imported name."""
+    found = {}
     for number, line in enumerate(WORKFLOW.read_text().splitlines(), 1):
         match = IMPORT_LINE.match(line)
         if match:
             module, names = match.groups()
             for name in names.split(","):
-                found.append((number, module, name.split(" as ")[0].strip()))
+                key = (module, name.split(" as ")[0].strip())
+                found.setdefault(key, []).append(number)
     return found
 
 
@@ -31,11 +33,17 @@ def test_workflow_has_repro_imports():
     assert _imports(), "no `from repro... import` line found in ci.yml"
 
 
+# ids are `module.name`, so editing ci.yml above an import renames no test
 @pytest.mark.parametrize(
-    "line,module,name", _imports(), ids=lambda value: str(value)
+    "module,name,lines",
+    [
+        pytest.param(module, name, lines, id=f"{module}.{name}")
+        for (module, name), lines in _imports().items()
+    ],
 )
-def test_workflow_import_resolves(line, module, name):
+def test_workflow_import_resolves(module, name, lines):
     imported = importlib.import_module(module)
     assert hasattr(imported, name), (
-        f"ci.yml line {line}: `from {module} import {name}` fails"
+        f"ci.yml line(s) {', '.join(map(str, lines))}: "
+        f"`from {module} import {name}` fails"
     )

@@ -98,7 +98,6 @@ class TestLegacyNpzRejected:
             ["index", "CORPUS", "NPZ"],
             ["search", "CORPUS", "tok0", "--load-index", "NPZ"],
             ["serve", "NPZ"],
-            ["compact", "NPZ"],
             ["check", "NPZ"],
         ],
         ids=lambda argv: argv[0],
@@ -118,6 +117,13 @@ class TestLegacyNpzRejected:
         assert main(["search", corpus, "q", "--load-index", missing]) == 2
         assert main(["check", missing]) == 2
         assert "not an index bundle directory" in capsys.readouterr().out
+
+
+def test_compact_is_an_unknown_command(tmp_path, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compact", str(tmp_path)])
+    assert excinfo.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
 
 
 class TestMmapFailFast:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.compression.css import CSSList
 from repro.search import JaccardSearcher, InvertedIndex, brute_similarity_search
 from repro.search.dynamic import DynamicInvertedIndex
 from repro.search.edsearch import EditDistanceSearcher
@@ -111,3 +112,69 @@ class TestSizeAccounting:
         assert index.size_bits() == 0
         assert index.compression_ratio() == 1.0
         assert index.num_postings() == 0
+
+
+def _index(word_strings, scheme="adapt", count=100):
+    index = DynamicInvertedIndex(mode="word", scheme=scheme)
+    index.add_many(word_strings[:count])
+    return index
+
+
+def _answers(index, word_strings):
+    searcher = JaccardSearcher(index, algorithm="mergeskip")
+    return [
+        searcher.search(word_strings[qid], tau)
+        for qid in (0, 17, 40)
+        for tau in (0.6, 0.9)
+    ]
+
+
+class TestCompaction:
+    """``compact()`` seals every online list into offline CSS blocks in
+    memory: the ids and answers stay, the layout becomes the DP optimum."""
+
+    @pytest.mark.parametrize("scheme", ["fix", "vari", "adapt"])
+    def test_compacted_index_is_bit_identical(self, word_strings, scheme):
+        index = _index(word_strings, scheme=scheme)
+        before = {
+            token: lst.to_array().copy() for token, lst in index.lists.items()
+        }
+        lists = dict(index.lists)
+        answers = _answers(index, word_strings)
+        assert index.compact() is None
+        assert index.lists == lists  # same list objects, new stores
+        for token, expected in before.items():
+            lst = index.lists[token]
+            assert np.array_equal(lst.to_array(), expected)
+            assert len(lst.store) == len(lst)  # the buffer folded in
+        assert _answers(index, word_strings) == answers
+
+    def test_compaction_matches_the_offline_partitioner(self, word_strings):
+        """After compaction the block layout is the DP optimum — the same
+        blocks ``CSSList`` and a from-scratch offline CSS build produce."""
+        index = _index(word_strings, scheme="adapt")
+        index.compact()
+        offline = InvertedIndex(index.collection, scheme="css")
+        for token, lst in index.lists.items():
+            blocks = lst.store.block_sizes()
+            assert blocks == CSSList(lst.to_array()).store.block_sizes()
+            assert blocks == offline.lists[token].store.block_sizes()
+
+    def test_uncomp_lists_are_skipped(self, word_strings):
+        index = _index(word_strings, scheme="uncomp", count=60)
+        bits = index.size_bits()
+        index.compact()
+        assert index.size_bits() == bits
+        for lst in index.lists.values():
+            assert len(lst.store) == 0 and len(lst) > 0
+
+    def test_index_stays_appendable_after_compaction(self, word_strings):
+        index = _index(word_strings, count=60)
+        index.compact()
+        index.add_many(word_strings[60:80])
+        assert index.num_records == 80
+        searcher = JaccardSearcher(index)
+        query = word_strings[70]
+        assert searcher.search(query, 0.6) == brute_similarity_search(
+            index.collection, query, 0.6
+        )

@@ -17,7 +17,6 @@ from repro.compression import UncompressedList
 from repro.engine import SimilarityEngine
 from repro.obs import enabled_metrics
 from repro.search import (
-    DynamicInvertedIndex,
     InvertedIndex,
     JaccardSearcher,
     SearchResult,
@@ -565,39 +564,6 @@ class TestPoolSurvivesPickleAndFork:
             # still alive: the parent image owns its shutdown
             assert executor.submit(len, "ab").result(timeout=10) == 2
             executor.shutdown(wait=True)
-
-
-class TestDynamicIngest:
-    def test_static_index_rejects_add(self, word_collection):
-        engine = SimilarityEngine(word_collection, scheme="css")
-        with pytest.raises(TypeError, match="dynamic"):
-            engine.add("new record")
-
-    def test_ingest_invalidates_and_stays_correct(self, word_strings):
-        index = DynamicInvertedIndex(mode="word", scheme="adapt")
-        engine = SimilarityEngine(index=index)
-        engine.add_many(word_strings[:40])
-        query = word_strings[0]
-        for _ in range(3):  # warm the cache on the hot lists
-            engine.search(query, 1.0)
-        before = engine.search(query, 1.0)
-        assert 0 in before
-        engine.add(word_strings[0])  # duplicate record: must appear in results
-        after = engine.search(query, 1.0)
-        assert list(after) == sorted(set(before.ids) | {40})
-        assert engine.cache_stats()["invalidations"] > 0
-
-    def test_batch_after_ingest_consistent(self, word_strings, two_usable_cpus):
-        index = DynamicInvertedIndex(mode="word", scheme="adapt")
-        engine = SimilarityEngine(index=index)
-        engine.add_many(word_strings[:30])
-        queries = word_strings[:12]
-        with engine:
-            engine.search_batch(queries, 0.8, workers=2)
-            engine.add(word_strings[5])
-            serial = [engine.search(q, 0.8) for q in queries]
-            parallel = engine.search_batch(queries, 0.8, workers=2)
-        assert [list(r) for r in parallel] == [list(r) for r in serial]
 
 
 class TestRegisterScheme:

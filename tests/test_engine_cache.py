@@ -117,28 +117,6 @@ class TestEviction:
         assert cache.stats()["evictions"] == 1
 
 
-class TestInvalidation:
-    def test_invalidate_drops_entry(self):
-        cache = DecodeCache()
-        lst = make_list()
-        cache.fetch(lst)
-        assert cache.invalidate(lst)
-        assert len(cache) == 0
-        assert not cache.invalidate(lst)  # already gone
-        misses = cache.stats()["misses"]
-        cache.fetch(lst)
-        assert cache.stats()["misses"] == misses + 1
-
-    def test_clear(self):
-        cache = DecodeCache()
-        for i in range(4):
-            cache.fetch(make_list(i * 1000))
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.current_bytes == 0
-        assert cache.stats()["invalidations"] == 4
-
-
 class TestCachedListView:
     @pytest.mark.parametrize("cls", [UncompressedList, CSSList])
     def test_view_matches_inner_in_both_states(self, cls):

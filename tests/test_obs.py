@@ -476,35 +476,28 @@ class TestInstrumentationEndToEnd:
 
 
 class TestGauge:
-    def test_set_and_add(self):
+    """Gauges are callbacks: a level read live from its source."""
+
+    @staticmethod
+    def _read(registry, name):
+        return registry.snapshot()["gauges"][name]
+
+    def test_callback_gauge_resolves_live(self):
         from repro.obs import Gauge
 
         registry = MetricsRegistry(enabled=True)
-        registry.set_gauge("queue.depth", 3)
-        assert registry.gauge("queue.depth") == 3.0
-        registry.gauges["queue.depth"].add(2)
-        assert registry.gauge("queue.depth") == 5.0
-        assert isinstance(registry.gauges["queue.depth"], Gauge)
-        assert registry.gauge("never") == 0.0
-
-    def test_disabled_registry_ignores_set(self):
-        registry = MetricsRegistry(enabled=False)
-        registry.set_gauge("x", 1.0)
-        assert registry.gauges == {}
-
-    def test_callback_gauge_resolves_live(self):
-        registry = MetricsRegistry(enabled=True)
         cell = {"value": 7.0}
         registry.register_gauge("live", lambda: cell["value"])
-        assert registry.gauge("live") == 7.0
+        assert isinstance(registry.gauges["live"], Gauge)
+        assert self._read(registry, "live") == 7.0
         cell["value"] = 11.0
-        assert registry.gauge("live") == 11.0
+        assert self._read(registry, "live") == 11.0
 
     def test_register_gauge_is_wiring_not_recording(self):
         # like merge(), registration applies even while disabled
         registry = MetricsRegistry(enabled=False)
         registry.register_gauge("live", lambda: 1.0)
-        assert registry.gauge("live") == 1.0
+        assert self._read(registry, "live") == 1.0
 
     def test_failing_callback_degrades_to_last_value(self):
         registry = MetricsRegistry(enabled=True)
@@ -513,11 +506,11 @@ class TestGauge:
             raise RuntimeError("sensor gone")
 
         registry.register_gauge("flaky", explode)
-        assert registry.gauge("flaky") == 0.0  # degraded, not raised
+        assert self._read(registry, "flaky") == 0.0  # degraded, not raised
 
     def test_snapshot_includes_resolved_gauges(self):
         registry = MetricsRegistry(enabled=True)
-        registry.set_gauge("depth", 4)
+        registry.register_gauge("depth", lambda: 4)
         registry.register_gauge("live", lambda: 2.5)
         snapshot = registry.snapshot()
         assert snapshot["gauges"] == {"depth": 4.0, "live": 2.5}
@@ -528,28 +521,25 @@ class TestGauge:
         registry.inc("c")
         assert "gauges" not in registry.snapshot()
 
-    def test_merge_sums_value_gauges_keeps_callbacks_authoritative(self):
+    def test_merge_keeps_callbacks_authoritative(self):
         registry = MetricsRegistry(enabled=True)
-        registry.set_gauge("depth", 2)
         registry.register_gauge("live", lambda: 9.0)
-        registry.merge({"gauges": {"depth": 3, "live": 100, "new": 1}})
-        assert registry.gauge("depth") == 5.0
-        assert registry.gauge("live") == 9.0  # local callback wins
-        assert registry.gauge("new") == 1.0
+        registry.merge({"gauges": {"live": 100, "new": 1}})
+        assert registry.snapshot()["gauges"] == {"live": 9.0}
 
-    def test_reset_keeps_callback_gauges_drops_values(self):
+    def test_reset_keeps_callback_gauges(self):
         registry = MetricsRegistry(enabled=True)
-        registry.set_gauge("depth", 2)
         registry.register_gauge("live", lambda: 1.0)
+        registry.inc("c")
         registry.reset()
-        assert "depth" not in registry.gauges
-        assert registry.gauge("live") == 1.0
+        assert registry.counters == {}
+        assert self._read(registry, "live") == 1.0
 
     def test_prometheus_exposition_of_gauges(self):
         from repro.obs import to_prometheus
 
         registry = MetricsRegistry(enabled=True)
-        registry.set_gauge("serve.queue.depth", 3)
+        registry.register_gauge("serve.queue.depth", lambda: 3)
         text = to_prometheus(registry)
         assert "# TYPE repro_serve_queue_depth gauge" in text.splitlines()
         assert "repro_serve_queue_depth 3.0" in text
@@ -564,7 +554,7 @@ class TestExpositionChecker:
         registry.record_time("serve.batch.seconds", 0.5)
         for value in (1, 5, 9):
             registry.observe("serve.batch_size", value)
-        registry.set_gauge("serve.queue.depth", 2)
+        registry.register_gauge("serve.queue.depth", lambda: 2)
         return registry
 
     def test_real_exposition_passes(self):

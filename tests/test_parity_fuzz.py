@@ -8,12 +8,12 @@ original suite was written) rather than a hand-picked subset:
 * every offline scheme × every T-occurrence algorithm the built index
   supports, against :func:`brute_similarity_search` on a random word
   corpus and :func:`brute_edit_distance_search` on a random q-gram corpus;
-* every online scheme × every algorithm through a
-  :class:`DynamicInvertedIndex` behind a :class:`SimilarityEngine`, with
-  searches *interleaved* between ``add()`` rounds and a decode cache
-  that caches every list on its first touch, so a stale (un-invalidated) cached decode cannot hide;
-  each round also answers the same queries as ``workers=2`` fork-pool
-  chunks, so a worker holding a pre-ingest index image cannot hide either.
+* every online scheme × every algorithm through an in-memory
+  :class:`DynamicInvertedIndex` and a searcher over it, the way Ablation
+  A7 and ``examples/streaming_dedup.py`` use it, with searches
+  *interleaved* between ``add()`` rounds and before/after ``compact()``;
+  every round answers each query alone (``search``) and as one batch
+  (``search_many_batched``).
 
 Everything is seeded — a failure reproduces exactly.
 """
@@ -117,85 +117,68 @@ class TestOfflineSchemes:
                     assert got == expected, (scheme, algorithm, delta, query)
 
 
+def _searcher(index, algorithm="mergeskip", metric="jaccard"):
+    """A cache-free searcher over ``index`` (``add()`` appends to lists in
+    place, so a dynamic index is searched without a decode cache)."""
+    if metric == "ed":
+        return EditDistanceSearcher(index, algorithm=algorithm)
+    return JaccardSearcher(index, algorithm=algorithm)
+
+
+def _alone_and_batched(searcher, queries, threshold, context):
+    """Each query's ids alone, checked against the same round batched."""
+    alone = [list(searcher.search(q, threshold).ids) for q in queries]
+    batched = searcher.search_many_batched(queries, threshold)
+    assert [list(r.ids) for r in batched] == alone, (threshold, *context)
+    return alone
+
+
 class TestOnlineSchemesInterleaved:
     """Dynamic two-region lists: searches between add() rounds must track
-    the growing corpus exactly.  Every round is also answered as one
-    in-process batch, which caches every probed list on its first touch,
-    so a missing cache invalidation on ingest would surface next round as
-    a stale (smaller) result set."""
+    the growing corpus exactly, answered alone and as one batch."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
-    def test_matches_brute_jaccard(self, scheme, algorithm, two_usable_cpus):
+    def test_matches_brute_jaccard(self, scheme, algorithm):
         strings = _word_strings(SEED + 4, 90, vocab=40)
-        engine = SimilarityEngine(
-            index=DynamicInvertedIndex(mode="word", scheme=scheme),
-            algorithm=algorithm,
-        )
-        collection = engine.index.collection
+        index = DynamicInvertedIndex(mode="word", scheme=scheme)
+        searcher = _searcher(index, algorithm)
         queries = _sample_queries(SEED + 5, strings, ["w0 w1", "w39 w38"])
-        for text in strings[:30]:
-            engine.add(text)
+        index.add_many(strings[:30])
         cursor = 30
         while True:
             for threshold in (0.5, 0.75):
                 expected = [
-                    brute_similarity_search(collection, query, threshold)
+                    brute_similarity_search(index.collection, query, threshold)
                     for query in queries
                 ]
-                for query, ids in zip(queries, expected):
-                    got = list(engine.search(query, threshold).ids)
-                    assert got == ids, (
-                        scheme, algorithm, threshold, query, cursor,
-                    )
-                batched = engine.search_batch(queries, threshold)
-                assert [list(result.ids) for result in batched] == expected, (
-                    scheme, algorithm, threshold, cursor,
+                got = _alone_and_batched(
+                    searcher, queries, threshold, (scheme, algorithm, cursor)
                 )
-            # one more input: the same round as fork-pool chunks (every
-            # add() retired the pool, so these workers forked this round)
-            pooled = engine.search_batch(queries, 0.5, workers=2)
-            assert engine._pool._workers == 2, "the batch never reached a pool"
-            assert [list(result.ids) for result in pooled] == [
-                brute_similarity_search(collection, query, 0.5)
-                for query in queries
-            ], (scheme, algorithm, cursor)
+                assert got == expected, (scheme, algorithm, threshold, cursor)
             if cursor >= len(strings):
                 break
-            for text in strings[cursor : cursor + 12]:
-                engine.add(text)
+            index.add_many(strings[cursor : cursor + 12])
             cursor += 12
-        engine.close()
 
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_matches_brute_edit_distance(self, scheme):
         strings = _char_strings(SEED + 6, 70)
-        engine = SimilarityEngine(
-            index=DynamicInvertedIndex(mode="qgram", q=2, scheme=scheme),
-            algorithm="mergeskip",
-            metric="ed",
-        )
-        collection = engine.index.collection
+        index = DynamicInvertedIndex(mode="qgram", q=2, scheme=scheme)
+        searcher = _searcher(index, metric="ed")
         queries = _sample_queries(SEED + 7, strings, ["abab", "cccc"])
-        for text in strings[:25]:
-            engine.add(text)
+        index.add_many(strings[:25])
         cursor = 25
         while True:
             expected = [
-                brute_edit_distance_search(collection, query, 1)
+                brute_edit_distance_search(index.collection, query, 1)
                 for query in queries
             ]
-            for query, ids in zip(queries, expected):
-                got = list(engine.search(query, 1).ids)
-                assert got == ids, (scheme, query, cursor)
-            batched = engine.search_batch(queries, 1)
-            assert [list(result.ids) for result in batched] == expected, (
-                scheme, cursor,
-            )
+            got = _alone_and_batched(searcher, queries, 1, (scheme, cursor))
+            assert got == expected, (scheme, cursor)
             if cursor >= len(strings):
                 break
-            for text in strings[cursor : cursor + 15]:
-                engine.add(text)
+            index.add_many(strings[cursor : cursor + 15])
             cursor += 15
 
 
@@ -318,14 +301,12 @@ class TestBatchKernelParity:
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_dynamic_index_batched_matches_serial(self, scheme, algorithm):
         strings = _word_strings(SEED + 13, 60, vocab=40)
-        engine = SimilarityEngine(
-            index=DynamicInvertedIndex(mode="word", scheme=scheme),
-            algorithm=algorithm,
-        )
-        engine.add_many(strings)
+        index = DynamicInvertedIndex(mode="word", scheme=scheme)
+        index.add_many(strings)
+        searcher = _searcher(index, algorithm)
         queries = _sample_queries(SEED + 14, strings, ["w0 w1", "w39 w38"])
-        serial = [engine.search(q, 0.5) for q in queries]
-        batched = engine.search_batch(queries, 0.5)
+        serial = [searcher.search(q, 0.5) for q in queries]
+        batched = searcher.search_many_batched(queries, 0.5)
         assert [r.ids for r in serial] == [r.ids for r in batched]
 
 
@@ -400,80 +381,44 @@ class TestCompactionParity:
     change a single answer: the compacted index is checked against brute
     force *and* against the answers recorded before compaction, then the
     interleaved-ingest invariant is re-checked on top of the compacted
-    base (new adds land in a fresh online region).  Every round is also
-    answered as one in-process batch, which caches every probed list on
-    its first touch."""
+    base (new adds land in a fresh online region).  Every round is
+    answered alone and as one batch."""
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_compacted_answers_unchanged(self, scheme, algorithm):
         strings = _word_strings(SEED + 19, 90, vocab=40)
-        engine = SimilarityEngine(
-            index=DynamicInvertedIndex(mode="word", scheme=scheme),
-            algorithm=algorithm,
-        )
-        engine.add_many(strings[:70])
-        collection = engine.index.collection
+        index = DynamicInvertedIndex(mode="word", scheme=scheme)
+        index.add_many(strings[:70])
+        searcher = _searcher(index, algorithm)
         queries = _sample_queries(SEED + 20, strings, ["w0 w1", "w39 w38"])
-
-        def answers(threshold):
-            """Each query alone, checked against the same round batched."""
-            alone = [list(engine.search(q, threshold).ids) for q in queries]
-            batched = engine.search_batch(queries, threshold)
-            assert [list(r.ids) for r in batched] == alone, (
-                scheme, algorithm, threshold,
-            )
-            return alone
-
-        before = {threshold: answers(threshold) for threshold in (0.5, 0.75)}
-        engine.compact()
+        context = (scheme, algorithm)
+        before = {
+            threshold: _alone_and_batched(searcher, queries, threshold, context)
+            for threshold in (0.5, 0.75)
+        }
+        index.compact()
         for threshold, expected in before.items():
-            assert answers(threshold) == expected, (
-                scheme, algorithm, threshold,
-            )
-        engine.add_many(strings[70:])
-        assert answers(0.5) == [
-            brute_similarity_search(collection, query, 0.5)
+            got = _alone_and_batched(searcher, queries, threshold, context)
+            assert got == expected, (scheme, algorithm, threshold)
+        index.add_many(strings[70:])
+        assert _alone_and_batched(searcher, queries, 0.5, context) == [
+            brute_similarity_search(index.collection, query, 0.5)
             for query in queries
-        ], (scheme, algorithm)
+        ], context
 
     @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
     def test_compacted_edit_distance_matches_brute(self, scheme):
         strings = _char_strings(SEED + 21, 70)
-        engine = SimilarityEngine(
-            index=DynamicInvertedIndex(mode="qgram", q=2, scheme=scheme),
-            algorithm="mergeskip",
-            metric="ed",
-        )
-        engine.add_many(strings)
-        collection = engine.index.collection
-        engine.compact()
-        queries = _sample_queries(SEED + 22, strings, ["abab", "cccc"])
-        expected = [
-            brute_edit_distance_search(collection, query, 1)
-            for query in queries
-        ]
-        for query, ids in zip(queries, expected):
-            assert list(engine.search(query, 1).ids) == ids, (scheme, query)
-        batched = engine.search_batch(queries, 1)
-        assert [list(result.ids) for result in batched] == expected, scheme
-
-    @pytest.mark.parametrize("scheme", sorted(ONLINE_SCHEMES))
-    def test_compact_save_reopen_matches_brute(self, tmp_path, scheme):
-        from repro import storage
-
-        strings = _word_strings(SEED + 23, 60, vocab=40)
-        index = DynamicInvertedIndex(mode="word", scheme=scheme)
+        index = DynamicInvertedIndex(mode="qgram", q=2, scheme=scheme)
         index.add_many(strings)
         index.compact()
-        path = storage.save_index(index, tmp_path / "bundle")
-        index.detach_append_log()
-        loaded = storage.open_index(path)
-        loaded.detach_append_log()
-        searcher = JaccardSearcher(loaded, algorithm="mergeskip")
-        queries = _sample_queries(SEED + 24, strings, ["w0 w1"])
-        for query in queries:
-            expected = brute_similarity_search(loaded.collection, query, 0.5)
-            assert list(searcher.search(query, 0.5).ids) == expected, (
-                scheme, query,
-            )
+        queries = _sample_queries(SEED + 22, strings, ["abab", "cccc"])
+        expected = [
+            brute_edit_distance_search(index.collection, query, 1)
+            for query in queries
+        ]
+        got = _alone_and_batched(
+            _searcher(index, metric="ed"), queries, 1, (scheme,)
+        )
+        assert got == expected, scheme

@@ -92,8 +92,8 @@ class TestNormalOperationIsClean:
         for lst in lists:
             cache.fetch(lst)
             cache.get(lst)
-        for lst in lists:
-            cache.invalidate(lst)
+        cache.fetch_many(lists, lambda missed: [m.to_array() for m in missed])
+        assert cache.stats()["entries"] == len(cache) == 2
         assert cache.hits >= 1 and cache.evictions >= 1
 
     def test_coalescer_workload(self, sanitizer):

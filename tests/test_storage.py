@@ -1,10 +1,9 @@
 """Tests for the unified persistence subsystem (repro.storage).
 
-Covers the bundle directory format end to end: static round-trips (eager
-and zero-copy mmap), dynamic snapshot + append-log replay, online→offline
-compaction, the engine-level save/open/compact API, the refusal of the
-removed sharded layout, and the contract that every load error names the
-offending file and array key.
+Covers the bundle directory format end to end: round-trips (eager and
+zero-copy mmap), the engine-level save/open API, the refusal of the
+removed sharded and dynamic layouts, and the contract that every load
+error names the offending file and array key.
 """
 
 import json
@@ -34,12 +33,6 @@ def _mmap_base(array):
             return base
         base = getattr(base, "base", None)
     return None
-
-
-def _dynamic_index(word_strings, scheme="adapt", count=80):
-    index = DynamicInvertedIndex(mode="word", scheme=scheme)
-    index.add_many(word_strings[:count])
-    return index
 
 
 def _answers(index, word_strings, taus=(0.6, 0.9)):
@@ -160,18 +153,13 @@ class TestStaticBundle:
 # the on-disk format is a contract: docs/api.md's table, not to_arrays()
 # ---------------------------------------------------------------------- #
 def _documented_arrays():
-    """``{kind: {file stem: dtype name}}`` parsed from docs/api.md's table."""
+    """``{file stem: dtype name}`` parsed from docs/api.md's table."""
     text = (Path(__file__).parent.parent / "docs" / "api.md").read_text(
         encoding="utf-8"
     )
-    rows = re.findall(
-        r"^\| `(\w+)\.npy` \| `(\w+)` \| (both|dynamic) \|", text, re.M
-    )
-    assert len(rows) == 17
-    return {
-        "static": {name: dtype for name, dtype, where in rows if where == "both"},
-        "dynamic": {name: dtype for name, dtype, _ in rows},
-    }
+    rows = re.findall(r"^\| `(\w+)\.npy` \| `(\w+)` \|", text, re.M)
+    assert len(rows) == 15
+    return dict(rows)
 
 
 def _saved_arrays(path):
@@ -186,7 +174,7 @@ def _write_handmade_bundle(path, collection):
     for record_id, record in enumerate(collection.records):
         for token in record.tolist():
             postings.setdefault(token, []).append(record_id)
-    columns = {name: [] for name in _documented_arrays()["static"]}
+    columns = {name: [] for name in _documented_arrays()}
     for token, ids in postings.items():
         deltas = [rid - ids[0] for rid in ids[1:]]
         width = max(1, max(deltas, default=0).bit_length())
@@ -207,7 +195,7 @@ def _write_handmade_bundle(path, collection):
     columns["records_values"] = np.concatenate(collection.records).tolist()
     columns["records_offsets"] = np.cumsum([0] + sizes).tolist()
     path.mkdir()
-    for name, dtype in _documented_arrays()["static"].items():
+    for name, dtype in _documented_arrays().items():
         np.save(path / f"{name}.npy", np.asarray(columns[name], dtype=dtype))
     dictionary = collection.dictionary
     ids = range(len(dictionary))
@@ -238,19 +226,12 @@ def _write_handmade_bundle(path, collection):
 
 class TestFormatContract:
     def test_saved_arrays_match_the_documented_table(
-        self, tmp_path, word_collection, word_strings
+        self, tmp_path, word_collection
     ):
-        documented = _documented_arrays()
-        static = storage.save_index(
-            InvertedIndex(word_collection, scheme="css"), tmp_path / "static"
+        path = storage.save_index(
+            InvertedIndex(word_collection, scheme="css"), tmp_path / "bundle"
         )
-        assert _saved_arrays(static) == documented["static"]
-        index = _dynamic_index(word_strings)
-        try:
-            dynamic = storage.save_index(index, tmp_path / "dynamic")
-            assert _saved_arrays(dynamic) == documented["dynamic"]
-        finally:
-            index.detach_append_log()
+        assert _saved_arrays(path) == _documented_arrays()
 
     @pytest.mark.parametrize("mmap", [False, True])
     def test_handmade_bundle_opens_and_answers(self, tmp_path, mmap):
@@ -315,170 +296,6 @@ class TestLoadErrorsNameTheFile:
 
 
 # ---------------------------------------------------------------------- #
-# dynamic bundles: snapshot + append log
-# ---------------------------------------------------------------------- #
-class TestDynamicBundle:
-    def test_snapshot_roundtrip(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.detach_append_log()
-        loaded = storage.open_index(path)
-        assert loaded.num_records == index.num_records
-        assert _answers(loaded, word_strings) == _answers(index, word_strings)
-        loaded.detach_append_log()
-
-    def test_save_arms_the_append_log(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=60)
-        path = storage.save_index(index, tmp_path / "dyn")
-        assert index.append_log_path == path / "log.jsonl"
-        for text in word_strings[60:75]:
-            index.add(text)
-        index.detach_append_log()
-        lines = (path / "log.jsonl").read_text().splitlines()
-        assert len(lines) == 15
-        assert json.loads(lines[0])["seq"] == 60
-
-    def test_post_save_adds_survive_reopen(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=60)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.add_many(word_strings[60:80])
-        index.detach_append_log()
-        loaded = storage.open_index(path)
-        assert loaded.num_records == 80
-        assert _answers(loaded, word_strings) == _answers(index, word_strings)
-        # the reopened index resumes journaling where the log left off
-        assert loaded.append_log_path == path / "log.jsonl"
-        loaded.add(word_strings[80])
-        loaded.detach_append_log()
-        lines = (path / "log.jsonl").read_text().splitlines()
-        assert json.loads(lines[-1])["seq"] == 80
-
-    def test_mmap_open_of_dynamic_bundle_materializes(
-        self, tmp_path, word_strings
-    ):
-        index = _dynamic_index(word_strings, count=40)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.detach_append_log()
-        loaded = storage.open_index(path, mmap=True)  # silently eager
-        assert isinstance(loaded, DynamicInvertedIndex)
-        loaded.add(word_strings[40])
-        loaded.detach_append_log()
-
-    def test_truncated_log_rejected_with_file_and_line(
-        self, tmp_path, word_strings
-    ):
-        index = _dynamic_index(word_strings, count=40)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.add_many(word_strings[40:50])
-        index.detach_append_log()
-        log = path / "log.jsonl"
-        text = log.read_text()
-        log.write_text(text[: len(text) - 20])  # cut into the last record
-        with pytest.raises(ValueError) as excinfo:
-            storage.open_index(path)
-        assert "log.jsonl" in str(excinfo.value)
-        assert "line 10" in str(excinfo.value)
-
-    def test_bad_log_sequence_rejected(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=40)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.detach_append_log()
-        with (path / "log.jsonl").open("a") as handle:
-            handle.write(json.dumps({"seq": 99, "text": "tok0 tok1"}) + "\n")
-        with pytest.raises(ValueError, match=r"log\.jsonl"):
-            storage.open_index(path)
-
-    def test_resave_resets_the_log(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=40)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.add_many(word_strings[40:50])
-        path = storage.save_index(index, path)  # snapshot now covers 50
-        index.detach_append_log()
-        assert (path / "log.jsonl").read_text() == ""
-        loaded = storage.open_index(path)
-        assert loaded.num_records == 50
-        loaded.detach_append_log()
-
-    def test_static_save_over_dynamic_bundle_drops_stale_log(
-        self, tmp_path, word_strings, word_collection
-    ):
-        index = _dynamic_index(word_strings, count=40)
-        path = storage.save_index(index, tmp_path / "bundle")
-        index.add(word_strings[40])
-        index.detach_append_log()
-        static = InvertedIndex(word_collection, scheme="css")
-        storage.save_index(static, path)
-        assert not (path / "log.jsonl").exists()
-        loaded = storage.open_index(path)
-        assert isinstance(loaded, InvertedIndex)
-
-
-# ---------------------------------------------------------------------- #
-# compaction (online two-region lists -> offline CSS blocks)
-# ---------------------------------------------------------------------- #
-class TestCompaction:
-    @pytest.mark.parametrize("scheme", ["fix", "vari", "adapt"])
-    def test_compacted_index_is_bit_identical(self, word_strings, scheme):
-        index = _dynamic_index(word_strings, scheme=scheme, count=100)
-        before = {
-            token: lst.to_array().copy() for token, lst in index.lists.items()
-        }
-        answers = _answers(index, word_strings)
-        stats = index.compact()
-        assert stats.lists_compacted == len(before)
-        assert stats.lists_skipped == 0
-        assert stats.postings == sum(a.size for a in before.values())
-        for token, expected in before.items():
-            assert np.array_equal(index.lists[token].to_array(), expected)
-        assert _answers(index, word_strings) == answers
-
-    def test_compaction_matches_the_offline_partitioner(self, word_strings):
-        """After compaction the block layout is the DP optimum — the same
-        blocks a from-scratch offline CSS build would produce."""
-        index = _dynamic_index(word_strings, scheme="adapt", count=100)
-        index.compact()
-        offline = InvertedIndex(index.collection, scheme="css")
-        for token, lst in index.lists.items():
-            assert lst.store.block_sizes() == (
-                offline.lists[token].store.block_sizes()
-            )
-
-    def test_uncomp_lists_are_skipped(self, word_strings):
-        index = _dynamic_index(word_strings, scheme="uncomp", count=60)
-        stats = index.compact()
-        assert stats.lists_compacted == 0
-        assert stats.lists_skipped == len(index.lists)
-        assert stats.postings == 0
-
-    def test_index_stays_appendable_after_compaction(self, word_strings):
-        index = _dynamic_index(word_strings, count=60)
-        index.compact()
-        index.add_many(word_strings[60:80])
-        assert index.num_records == 80
-        searcher = JaccardSearcher(index)
-        query = word_strings[70]
-        assert searcher.search(query, 0.6) == brute_similarity_search(
-            index.collection, query, 0.6
-        )
-
-    def test_compact_then_save_then_open(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=80)
-        index.compact()
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.detach_append_log()
-        loaded = storage.open_index(path)
-        assert _answers(loaded, word_strings) == _answers(index, word_strings)
-        loaded.detach_append_log()
-
-    def test_stats_rendering(self, word_strings):
-        index = _dynamic_index(word_strings, count=60)
-        stats = index.compact()
-        rendered = str(stats)
-        assert "compacted" in rendered and "postings" in rendered
-        assert stats.bits_saved == stats.bits_before - stats.bits_after
-
-
-# ---------------------------------------------------------------------- #
 # the engine-level unified API
 # ---------------------------------------------------------------------- #
 class TestEnginePersistenceAPI:
@@ -492,38 +309,6 @@ class TestEnginePersistenceAPI:
         assert reopened.search(query, 0.7) == engine.search(query, 0.7)
         engine.close()
         reopened.close()
-
-    def test_dynamic_engine_survives_save_open(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=50)
-        engine = SimilarityEngine(index=index)
-        path = engine.save(tmp_path / "engine")
-        engine.add_many(word_strings[50:60])
-        index.detach_append_log()
-        reopened = SimilarityEngine.open(path)
-        assert reopened.index.num_records == 60
-        query = word_strings[55]
-        assert reopened.search(query, 0.6) == engine.search(query, 0.6)
-        reopened.index.detach_append_log()
-        engine.close()
-        reopened.close()
-
-    def test_compact_on_static_engine_raises(self, word_collection):
-        engine = SimilarityEngine(word_collection, scheme="css")
-        with pytest.raises(TypeError, match="static"):
-            engine.compact()
-        engine.close()
-
-    def test_engine_compact_returns_stats_and_stays_correct(
-        self, word_strings
-    ):
-        index = _dynamic_index(word_strings, count=60)
-        engine = SimilarityEngine(index=index)
-        query = word_strings[20]
-        before = engine.search(query, 0.6)
-        stats = engine.compact()
-        assert isinstance(stats, storage.CompactionStats)
-        assert engine.search(query, 0.6) == before
-        engine.close()
 
     def test_open_round_trip_has_one_surface(self, tmp_path, word_collection):
         """A reopened engine has the saved one's surface and answers, with
@@ -551,7 +336,7 @@ class TestEnginePersistenceAPI:
 
 
 # ---------------------------------------------------------------------- #
-# the removed sharded layout
+# the removed sharded and dynamic layouts
 # ---------------------------------------------------------------------- #
 def _open_bundle(path):
     SimilarityEngine.open(path)
@@ -564,10 +349,33 @@ def _cli(*argv):
     return run
 
 
+_ENTRY_POINTS = pytest.mark.parametrize(
+    "enter",
+    [
+        _open_bundle,
+        _cli("search", "{path}/corpus.txt", "q", "--load-index", "{path}"),
+        _cli("serve", "{path}"),
+        _cli("check", "{path}"),
+    ],
+    ids=["open", "search", "serve", "check"],
+)
+
+
+def _refusal(path, enter, capsys):
+    """What entering ``path`` through ``enter`` reports."""
+    (path / "corpus.txt").write_text("a b c\n")
+    try:
+        enter(path)
+    except ValueError as error:
+        return str(error)
+    return capsys.readouterr().out
+
+
 class TestRemovedShardedBundle:
-    """A sharded bundle left on disk by an older version fails cleanly
-    everywhere a bundle goes in: an error naming the kind and the rebuild,
-    never a traceback or a ``KeyError``."""
+    """A bundle of a removed layout left on disk by an older version — a
+    sharded directory, or a dynamic snapshot (``"dynamic": true``) — fails
+    cleanly everywhere a bundle goes in: an error naming the layout and the
+    rebuild, never a traceback or a ``KeyError``."""
 
     @pytest.fixture
     def old_bundle(self, tmp_path):
@@ -586,27 +394,53 @@ class TestRemovedShardedBundle:
         (path / "manifest.json").write_text(json.dumps(manifest))
         return path
 
-    @pytest.mark.parametrize(
-        "enter",
-        [
-            _open_bundle,
-            _cli("search", "{path}/corpus.txt", "q", "--load-index", "{path}"),
-            _cli("serve", "{path}"),
-            _cli("compact", "{path}"),
-            _cli("check", "{path}"),
-        ],
-        ids=["open", "search", "serve", "compact", "check"],
-    )
+    @pytest.fixture
+    def old_dynamic_bundle(self, tmp_path):
+        path = tmp_path / "dyn.bundle"
+        path.mkdir()
+        manifest = {
+            "kind": "repro.index_bundle",
+            "version": 1,
+            "dynamic": True,
+            "scheme": "adapt",
+            "scheme_kwargs": {},
+            "mode": "word",
+            "q": 0,
+            "num_records": 0,
+            "num_lists": 0,
+        }
+        (path / "manifest.json").write_text(json.dumps(manifest))
+        (path / "log.jsonl").write_text("")
+        return path
+
+    @_ENTRY_POINTS
     def test_fails_cleanly(self, old_bundle, enter, capsys):
-        (old_bundle / "corpus.txt").write_text("a b c\n")
-        try:
-            enter(old_bundle)
-        except ValueError as error:
-            message = str(error)
-        else:
-            message = capsys.readouterr().out
+        message = _refusal(old_bundle, enter, capsys)
         assert "repro.sharded_bundle" in message
         assert "rebuild it with `repro index CORPUS OUT`" in message
+
+    @_ENTRY_POINTS
+    def test_dynamic_snapshot_fails_cleanly(
+        self, old_dynamic_bundle, enter, capsys
+    ):
+        message = _refusal(old_dynamic_bundle, enter, capsys)
+        assert "is a dynamic index bundle" in message
+        assert "rebuild it with `repro index CORPUS OUT`" in message
+
+    @pytest.mark.parametrize("layout", ["old_bundle", "old_dynamic_bundle"])
+    def test_check_exits_1(self, layout, request, capsys):
+        path = request.getfixturevalue(layout)
+        assert cli_main(["check", str(path)]) == 1
+        assert "rebuild it with `repro index CORPUS OUT`" in (
+            capsys.readouterr().out
+        )
+
+    def test_saving_a_dynamic_index_raises(self, tmp_path, word_strings):
+        index = DynamicInvertedIndex(mode="word", scheme="adapt")
+        index.add_many(word_strings[:40])
+        with pytest.raises(ValueError, match="in-memory only"):
+            storage.save_index(index, tmp_path / "dyn")
+        assert not (tmp_path / "dyn").exists()
 
 
 # ---------------------------------------------------------------------- #
@@ -617,20 +451,3 @@ class TestCheckBundle:
         index = InvertedIndex(word_collection, scheme="css")
         path = storage.save_index(index, tmp_path / "bundle")
         assert storage.check_bundle(path) == []
-
-    def test_clean_dynamic_bundle_with_log(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=50)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.add_many(word_strings[50:60])
-        index.detach_append_log()
-        assert storage.check_bundle(path) == []
-
-    def test_truncated_log_is_a_finding(self, tmp_path, word_strings):
-        index = _dynamic_index(word_strings, count=50)
-        path = storage.save_index(index, tmp_path / "dyn")
-        index.add_many(word_strings[50:60])
-        index.detach_append_log()
-        log = path / "log.jsonl"
-        log.write_text(log.read_text()[:-15])
-        issues = storage.check_bundle(path)
-        assert issues and "log.jsonl" in issues[0]
