@@ -366,20 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=8080)
     _add_engine_args(serve)
     serve.add_argument(
-        "--batch-window-ms",
-        type=float,
-        default=2.0,
-        help="how long a request may wait for coalescing batchmates "
-        "before its batch dispatches anyway (default: 2.0)",
-    )
-    serve.add_argument(
-        "--max-batch",
-        type=int,
-        default=64,
-        help="dispatch a batch as soon as this many compatible requests "
-        "are pending (default: 64)",
-    )
-    serve.add_argument(
         "--slow-ms",
         type=float,
         default=None,
@@ -702,15 +688,12 @@ def _cmd_serve(args) -> int:
     app = ServeApp(
         engine,
         bundle_path=bundle,
-        window_ms=args.batch_window_ms,
-        max_batch=args.max_batch,
         slow_ms=args.slow_ms,
         max_pending=args.max_pending,
         trace_sample=args.trace_sample if args.trace_sample > 0 else None,
     )
     print(
         f"serving {_describe_served(app)} on http://{args.host}:{args.port} "
-        f"(window {args.batch_window_ms} ms, max batch {args.max_batch}) "
         "— ctrl-c stops"
     )
     try:

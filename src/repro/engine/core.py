@@ -30,6 +30,7 @@ from ..core import fork
 from ..obs import METRICS as _METRICS
 from ..obs import TRACER as _TRACER
 from ..obs import trace_query as _trace_query
+from ..search.dynamic import DynamicInvertedIndex
 from ..search.edsearch import EditDistanceSearcher
 from ..search.result import SearchResult
 from ..search.searcher import InvertedIndex, JaccardSearcher
@@ -106,6 +107,13 @@ class SimilarityEngine:
             raise TypeError(
                 f"unexpected keyword arguments for a prebuilt index: "
                 f"{sorted(scheme_kwargs)}"
+            )
+        if isinstance(index, DynamicInvertedIndex):
+            # its lists grow in place on add(), which the decode cache
+            # would never notice
+            raise ValueError(
+                "a DynamicInvertedIndex grows after it is built; search it "
+                "through JaccardSearcher(index) / EditDistanceSearcher(index)"
             )
         self.index = index
         self.metric = metric

@@ -5,8 +5,8 @@ reachable from the network, where traffic arrives as many concurrent
 single-query requests.  Three pieces:
 
 * :mod:`repro.serve.coalescer` — a micro-batching queue.  Concurrent
-  ``POST /search`` requests wait up to a configurable window (or until a
-  batch fills) and are coalesced into **one**
+  ``POST /search`` requests that queue while a batch runs are coalesced
+  into the next
   :meth:`~repro.engine.core.SimilarityEngine.search_batch` call, with the
   answers demuxed back per request — bit-identical to direct engine calls.
 * :mod:`repro.serve.app` — a framework-free ASGI 3 application fronting a
@@ -22,7 +22,7 @@ single-query requests.  Three pieces:
 Quick start::
 
     repro index corpus.txt corpus.bundle
-    repro serve corpus.bundle --port 8080 --mmap --batch-window-ms 2
+    repro serve corpus.bundle --port 8080 --mmap
 
     curl -s localhost:8080/search -d '{"query": "similar string", "threshold": 0.8}'
     curl -s localhost:8080/metrics | grep serve_

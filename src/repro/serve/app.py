@@ -16,7 +16,7 @@ Routes
     ``"metric"`` optionally overrides the engine's set-similarity metric
     per request (jaccard/cosine/dice interchange on the same index;
     ``ed`` needs an ed-built index).  A body with ``"queries": [...]``
-    is answered as one explicit batch, bypassing the coalescing window.
+    is answered as one explicit batch, bypassing the coalescer queue.
 
 ``GET /healthz``
     Liveness + integrity: re-runs the ``repro check`` structural bundle
@@ -29,8 +29,8 @@ Routes
     gauges) and, when enabled, the engine registry.
 
 ``GET /``
-    An info document: engine shape, records, coalescing knobs and
-    the achieved coalescing stats.
+    An info document: engine shape, records, admission limit and the
+    achieved coalescing stats.
 
 ``GET /debug/vars``
     A JSON snapshot of every live gauge, counter and coalescing stat —
@@ -118,8 +118,6 @@ class ServeApp:
     bundle_path:
         The bundle directory the engine was opened from, if any —
         ``/healthz`` runs the structural validator over it.
-    window_ms / max_batch:
-        Coalescing knobs (see :class:`BatchCoalescer`).
     slow_ms:
         When set, enables the global tracer with always-sample-slow:
         requests/batches slower than this land in ``TRACER.slow_log``
@@ -133,7 +131,7 @@ class ServeApp:
     max_pending:
         Admission control: when the coalescer's pending queue holds at
         least this many requests, new ``POST /search`` requests are shed
-        with ``429 Too Many Requests`` + ``Retry-After`` (counted as
+        with ``429 Too Many Requests`` + ``Retry-After: 1`` (counted as
         ``serve.shed``).  ``None`` (default) never sheds.
     health_max_age_s:
         ``/healthz`` re-runs the bundle validator at most this often.
@@ -144,8 +142,6 @@ class ServeApp:
         engine,
         *,
         bundle_path=None,
-        window_ms: float = 2.0,
-        max_batch: int = 64,
         slow_ms: Optional[float] = None,
         trace_sample: Optional[float] = None,
         max_pending: Optional[int] = None,
@@ -153,14 +149,10 @@ class ServeApp:
     ) -> None:
         self.engine = engine
         self.bundle_path = bundle_path
-        self.window_ms = window_ms
-        self.max_batch = max_batch
         self.max_pending = max_pending
         self.health_max_age_s = health_max_age_s
         self.started_at = time.time()
-        self.coalescer = BatchCoalescer(
-            self._run_batch, window_s=window_ms / 1000.0, max_batch=max_batch
-        )
+        self.coalescer = BatchCoalescer(self._run_batch)
         #: the one always-on serve-layer registry: route counters and the
         #: runtime gauges land next to the coalescer's own series
         self.metrics = self.coalescer.metrics
@@ -339,15 +331,13 @@ class ServeApp:
             self.max_pending is not None
             and self.coalescer.pending_count() >= self.max_pending
         ):
-            # shed instead of queueing without bound; Retry-After covers
-            # at least one coalescing window so the retry can drain
+            # shed instead of queueing without bound
             self.metrics.inc("serve.shed")
-            retry_s = max(1, int(self.window_ms / 1000.0) + 1)
             raise _HttpError(
                 429,
                 f"pending queue at max_pending={self.max_pending}; "
                 "retry shortly",
-                headers=((b"retry-after", str(retry_s).encode()),),
+                headers=((b"retry-after", b"1"),),
             )
         trace_id, parent_span = _parse_traceparent(scope.get("headers"))
         received = time.perf_counter()
@@ -469,8 +459,6 @@ class ServeApp:
             "algorithm": engine.algorithm,
             "records": engine.num_records,
             "bundle": str(self.bundle_path) if self.bundle_path else None,
-            "window_ms": self.window_ms,
-            "max_batch": self.max_batch,
             "max_pending": self.max_pending,
             "uptime_s": round(time.time() - self.started_at, 3),
             "coalescing": self.coalescer.stats(),
@@ -548,9 +536,9 @@ def _request_trace_document(
     An asyncio handler cannot host a thread-local tracer trace (request
     coroutines interleave on one event-loop thread), so the tree is built
     from the coalescer ticket's timestamps instead: a ``serve.request``
-    root, a ``serve.queue`` child covering the coalescing-window wait, the
-    shared batch's span tree grafted in (id-renumbered, time-rebased onto
-    this request's origin), and a ``serve.demux`` tail.
+    root, a ``serve.queue`` child covering the wait for the batch in
+    flight, the shared batch's span tree grafted in (id-renumbered,
+    time-rebased onto this request's origin), and a ``serve.demux`` tail.
     """
     duration = max(0.0, finished - received)
     dispatched = (

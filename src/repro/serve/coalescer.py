@@ -5,9 +5,12 @@ query; the engines are fastest when handed a whole batch (the vectorized
 T-occurrence kernels amortize planning, decoding and numpy dispatch across
 rows).  :class:`BatchCoalescer` bridges the two shapes: callers
 :meth:`~BatchCoalescer.submit` one query each and block on a future, while
-a single dispatcher thread groups compatible requests — same
-:class:`BatchKey`, i.e. same threshold/metric — that arrive within a short
-window into one ``search_batch`` call and demuxes the answers back.
+a single dispatcher thread hands every pending compatible request — same
+:class:`BatchKey`, i.e. same threshold/metric — to one ``search_batch``
+call and demuxes the answers back.  There is no clock: an idle dispatcher
+sends a lone request straight to the engine, and whatever queues while a
+batch runs becomes the next batch, so batches grow with load and nothing
+waits for batchmates.
 
 Correctness contract
 --------------------
@@ -41,7 +44,11 @@ from typing import Callable, List, NamedTuple, Optional, Sequence
 from ..obs import TRACER as _TRACER
 from ..obs.registry import MetricsRegistry
 
-__all__ = ["BatchCoalescer", "BatchKey"]
+__all__ = ["BatchCoalescer", "BatchKey", "MAX_BATCH"]
+
+#: most requests one engine call answers; more same-key requests pending
+#: than this split into consecutive batches
+MAX_BATCH = 64
 
 
 class BatchKey(NamedTuple):
@@ -55,7 +62,7 @@ class _PendingRequest:
     """One submitted query plus the telemetry the serving layer reads back.
 
     ``arrived``/``dispatched`` are ``perf_counter`` readings (same clock
-    as trace spans) bracketing the queue+coalesce wait, and
+    as trace spans) bracketing the wait in the queue, and
     ``batch_document`` is the trace document of the batch this request
     rode in (``None`` when tracing is off or the trace was sampled out).
     """
@@ -88,28 +95,12 @@ class BatchCoalescer:
         sharing one :class:`BatchKey` (the app binds this to
         ``engine.search_batch``).  It is also the rescue path: when a
         batch call raises, each request re-runs alone as a batch of one.
-    window_s:
-        How long the oldest pending request may wait for batchmates
-        before its batch is dispatched anyway.
-    max_batch:
-        Dispatch immediately once this many same-key requests are
-        pending (never hand the engine more than this per call).
     """
 
     def __init__(
-        self,
-        run_batch: Callable[[List[str], BatchKey], Sequence],
-        *,
-        window_s: float = 0.002,
-        max_batch: int = 64,
+        self, run_batch: Callable[[List[str], BatchKey], Sequence]
     ) -> None:
-        if window_s < 0:
-            raise ValueError(f"window_s must be >= 0, got {window_s}")
-        if max_batch < 1:
-            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self._run_batch = run_batch
-        self.window_s = window_s
-        self.max_batch = max_batch
         #: the serve layer's one always-on registry: :class:`ServeApp`
         #: records its route counters and gauges into this same object, so
         #: ``GET /metrics`` and ``GET /debug/vars`` read one source
@@ -209,43 +200,31 @@ class BatchCoalescer:
             batch = self._take_batch()
             if batch is None:
                 return
-            if batch:
-                self._flush(batch)
+            self._flush(batch)
 
     def _take_batch(self) -> Optional[List[_PendingRequest]]:
-        """Block until a batch is due; ``None`` means closed and drained."""
+        """Block until something is pending, then take the oldest request
+        and up to ``MAX_BATCH - 1`` more with its key; ``None`` means
+        closed and drained."""
         with self._wake:
             while not self._pending:
                 if self._closed:
                     return None
                 self._wake.wait()
-            # the head request anchors the batch: it has waited longest,
-            # so its window decides when the batch must go out
             head = self._pending[0]
-            deadline = head.arrived + self.window_s
-            while not self._closed:
-                same_key = sum(
-                    1 for p in self._pending if p.key == head.key
-                )
-                remaining = deadline - time.perf_counter()
-                if remaining <= 0 or same_key >= self.max_batch:
-                    break
-                self._wake.wait(remaining)
             taken: List[_PendingRequest] = []
             kept: List[_PendingRequest] = []
             for request in self._pending:
-                if request.key == head.key and len(taken) < self.max_batch:
+                if request.key == head.key and len(taken) < MAX_BATCH:
                     taken.append(request)
                 else:
                     kept.append(request)
             self._pending = kept
-            if kept:
-                self._wake.notify_all()
         return taken
 
     def _flush(self, batch: List[_PendingRequest]) -> None:
         # a caller may have given up (cancelled) while waiting in the
-        # window; drop those before spending engine time on them
+        # queue; drop those before spending engine time on them
         live = [
             request
             for request in batch

@@ -179,21 +179,18 @@ class TestServeCommand:
         assert main(["index", corpus, bundle]) == 0
         capsys.readouterr()
         assert (
-            main(
-                [
-                    "serve", bundle,
-                    "--mmap",
-                    "--batch-window-ms", "5",
-                    "--max-batch", "7",
-                ]
-            )
-            == 0
+            main(["serve", bundle, "--mmap", "--max-pending", "7"]) == 0
         )
         assert "serving" in capsys.readouterr().out
         (app,) = served_app
-        assert app.window_ms == 5.0
-        assert app.max_batch == 7
+        assert app.max_pending == 7
         assert str(app.bundle_path) == bundle
+        # the coalescer has no window and no batch-size knob to set
+        for flag, value in (("--batch-window-ms", "5"), ("--max-batch", "7")):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["serve", bundle, flag, value])
+            assert excinfo.value.code == 2
+        assert served_app == [app]
 
     def test_serves_a_corpus_file(self, corpus, served_app, capsys):
         assert main(["serve", corpus]) == 0

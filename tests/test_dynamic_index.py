@@ -64,6 +64,23 @@ class TestSearchOverDynamicIndex:
         after = searcher.search(word_strings[0], 1.0)
         assert set(after) == set(before) | {50}
 
+    def test_engine_refuses_a_growing_index(self):
+        # an engine's decode cache would keep serving a list's decode from
+        # before index.add() appended to it; the searcher reads live lists
+        from repro.engine import SimilarityEngine
+
+        dynamic = DynamicInvertedIndex()
+        dynamic.add_many(["a b c", "a b d", "x y"])
+        with pytest.raises(ValueError, match=r"JaccardSearcher\(index\)"):
+            SimilarityEngine(index=dynamic)
+        searcher = JaccardSearcher(dynamic)
+        assert searcher.search("a b c", 1.0) == [0]
+        dynamic.add("a b c")
+        assert searcher.search("a b c", 1.0) == [0, 3]
+        assert brute_similarity_search(
+            dynamic.collection, "a b c", 1.0
+        ) == [0, 3]
+
     def test_edit_distance_searcher_tracks_growth(self):
         from repro.search import brute_edit_distance_search
 

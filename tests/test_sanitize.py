@@ -98,8 +98,7 @@ class TestNormalOperationIsClean:
 
     def test_coalescer_workload(self, sanitizer):
         coalescer = BatchCoalescer(
-            lambda queries, key: [q.upper() for q in queries],
-            max_batch=4,
+            lambda queries, key: [q.upper() for q in queries]
         )
         try:
             key = BatchKey(metric="jaccard", threshold=0.7)

@@ -1,7 +1,7 @@
 """Tests for the HTTP serving layer: coalescer, ASGI app, socket server.
 
 The coalescer is exercised first in isolation with scripted runners
-(batch grouping, window/max-batch dispatch, failure isolation), then the
+(batch grouping, batch splitting, failure isolation), then the
 whole stack: the ASGI app invoked directly (no sockets) for routing and
 parity, and :class:`ServerThread` over real HTTP for the wire protocol.
 """
@@ -9,6 +9,7 @@ parity, and :class:`ServerThread` over real HTTP for the wire protocol.
 import asyncio
 import json
 import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -17,6 +18,7 @@ import pytest
 
 from repro.engine import SimilarityEngine
 from repro.serve import BatchCoalescer, BatchKey, ServeApp, ServerThread
+from repro.serve.coalescer import MAX_BATCH
 from repro.similarity import tokenize_collection
 
 
@@ -28,14 +30,46 @@ def engine(word_strings):
 
 @pytest.fixture
 def app(engine):
-    app = ServeApp(engine, window_ms=20.0, max_batch=32)
+    app = ServeApp(engine)
     yield app
     app.close()
+
+
+@pytest.fixture
+def gate(engine, monkeypatch):
+    """Holds the engine's first ``search_batch`` call (see :class:`_Gate`)."""
+    gate = _Gate(engine.search_batch)
+    monkeypatch.setattr(engine, "search_batch", gate)
+    return gate
 
 
 # ---------------------------------------------------------------------- #
 # scripted runners for coalescer-only tests
 # ---------------------------------------------------------------------- #
+class _Gate:
+    """Wraps a batch runner so that its first call blocks until
+    :meth:`release`: whatever a test submits meanwhile queues behind that
+    batch in flight and, with no clock in the coalescer, forms the next
+    batches deterministically."""
+
+    def __init__(self, run_batch):
+        self._run_batch = run_batch
+        self.entered = threading.Event()
+        self._released = threading.Event()
+
+    def __call__(self, queries, *args):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self._released.wait(30), "gate never released"
+        return self._run_batch(queries, *args)
+
+    def wait_entered(self):
+        assert self.entered.wait(30), "first batch never reached the runner"
+
+    def release(self):
+        self._released.set()
+
+
 class _Runner:
     """Records every batch call; a batch holding a query named 'poison'
     raises naming it."""
@@ -53,79 +87,115 @@ class _Runner:
         return [f"{query}@{key.metric}/{key.threshold}" for query in queries]
 
 
+@pytest.fixture
+def gated():
+    """``(runner, coalescer, hold)``: ``hold(submit)`` parks a first
+    request in the runner, calls ``submit()`` while it is held, then lets
+    everything through; the held request is batch 0."""
+    runner = _Runner()
+    gate = _Gate(runner.run_batch)
+    coalescer = BatchCoalescer(gate)
+
+    def hold(submit):
+        head = coalescer.submit("head", BatchKey("jaccard", 0.8))
+        gate.wait_entered()
+        try:
+            return submit()
+        finally:
+            gate.release()
+            assert head.result(timeout=30) == ("head@jaccard/0.8", 1)
+
+    with coalescer:
+        yield runner, coalescer, hold
+
+
 class TestCoalescer:
-    def test_same_key_requests_share_one_batch(self):
-        runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=0.05, max_batch=8
-        ) as coalescer:
-            key = BatchKey("jaccard", 0.8)
-            futures = [coalescer.submit(f"q{i}", key) for i in range(5)]
-            answers = [future.result(timeout=5) for future in futures]
-        assert len(runner.batches) == 1
-        assert sorted(runner.batches[0][0]) == [f"q{i}" for i in range(5)]
+    def test_same_key_requests_share_one_batch(self, gated):
+        runner, coalescer, hold = gated
+        key = BatchKey("jaccard", 0.8)
+        futures = hold(
+            lambda: [coalescer.submit(f"q{i}", key) for i in range(5)]
+        )
+        answers = [future.result(timeout=5) for future in futures]
+        assert [queries for queries, _ in runner.batches] == [
+            ["head"],
+            [f"q{i}" for i in range(5)],
+        ]
         for i, (result, batch_size) in enumerate(answers):
             assert result == f"q{i}@jaccard/0.8"
             assert batch_size == 5
 
-    def test_distinct_keys_never_share_a_batch(self):
-        runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=0.05, max_batch=8
-        ) as coalescer:
-            futures = {
-                (metric, threshold): coalescer.submit(
-                    "query", BatchKey(metric, threshold)
-                )
-                for metric in ("jaccard", "cosine")
-                for threshold in (0.5, 0.9)
-            }
-            for (metric, threshold), future in futures.items():
-                result, _ = future.result(timeout=5)
-                assert result == f"query@{metric}/{threshold}"
-        for queries, key in runner.batches:
-            assert len({key}) == 1  # each batch carries exactly one key
-        assert len(runner.batches) == 4
+    def test_distinct_keys_never_share_a_batch(self, gated):
+        runner, coalescer, hold = gated
+        keys = [
+            BatchKey(metric, threshold)
+            for metric in ("jaccard", "cosine")
+            for threshold in (0.5, 0.9)
+        ]
+        # interleaved: each key's requests are not adjacent in the queue
+        futures = hold(
+            lambda: [
+                (key, coalescer.submit(f"q{turn}", key))
+                for turn in range(2)
+                for key in keys
+            ]
+        )
+        for key, future in futures:
+            result, batch_size = future.result(timeout=5)
+            assert result.endswith(f"@{key.metric}/{key.threshold}")
+            assert batch_size == 2
+        # the held head, then one batch per key, oldest key first
+        assert runner.batches[1:] == [(["q0", "q1"], key) for key in keys]
 
-    def test_full_batch_dispatches_before_window(self):
-        runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=30.0, max_batch=3
-        ) as coalescer:
-            key = BatchKey("jaccard", 0.8)
-            futures = [coalescer.submit(f"q{i}", key) for i in range(3)]
-            # window is 30 s; only the size trigger can release these
-            for future in futures:
-                assert future.result(timeout=5)[1] == 3
+    def test_more_than_max_batch_splits_into_full_batches(self, gated):
+        runner, coalescer, hold = gated
+        key = BatchKey("jaccard", 0.8)
+        futures = hold(
+            lambda: [
+                coalescer.submit(f"q{i}", key)
+                for i in range(2 * MAX_BATCH + 1)
+            ]
+        )
+        sizes = [future.result(timeout=5)[1] for future in futures]
+        assert sizes == [MAX_BATCH] * (2 * MAX_BATCH) + [1]
+        assert [len(queries) for queries, _ in runner.batches] == [
+            1,
+            MAX_BATCH,
+            MAX_BATCH,
+            1,
+        ]
+        # the queue drains oldest first
+        assert runner.batches[1][0][0] == "q0"
+        assert coalescer.stats()["max_batch_size"] == MAX_BATCH
 
-    def test_window_releases_a_lone_request(self):
+    def test_idle_coalescer_dispatches_a_lone_request(self):
         runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=0.01, max_batch=64
-        ) as coalescer:
+        with BatchCoalescer(runner.run_batch) as coalescer:
             future = coalescer.submit("solo", BatchKey("jaccard", 0.8))
             result, batch_size = future.result(timeout=5)
-        assert batch_size == 1
+        assert (result, batch_size) == ("solo@jaccard/0.8", 1)
+        assert runner.batches == [(["solo"], BatchKey("jaccard", 0.8))]
 
-    def test_poisoned_request_fails_alone_batchmates_succeed(self):
-        # satellite: a request that raises mid-batch must receive its own
-        # exception while its innocent batchmates still get their results
-        runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=0.05, max_batch=8
-        ) as coalescer:
-            key = BatchKey("jaccard", 0.8)
-            good = [coalescer.submit(f"q{i}", key) for i in range(3)]
-            bad = coalescer.submit("poison", key)
-            for i, future in enumerate(good):
-                result, batch_size = future.result(timeout=5)
-                assert result == f"q{i}@jaccard/0.8"
-                assert batch_size == 1  # answered via the rescue path
-            with pytest.raises(ValueError, match="bad query: poison"):
-                bad.result(timeout=5)
+    def test_poisoned_request_fails_alone_batchmates_succeed(self, gated):
+        # a request that raises mid-batch must receive its own exception
+        # while its innocent batchmates still get their results
+        runner, coalescer, hold = gated
+        key = BatchKey("jaccard", 0.8)
+        good, bad = hold(
+            lambda: (
+                [coalescer.submit(f"q{i}", key) for i in range(3)],
+                coalescer.submit("poison", key),
+            )
+        )
+        for i, future in enumerate(good):
+            result, batch_size = future.result(timeout=5)
+            assert result == f"q{i}@jaccard/0.8"
+            assert batch_size == 1  # answered via the rescue path
+        with pytest.raises(ValueError, match="bad query: poison"):
+            bad.result(timeout=5)
         # every batchmate re-ran alone, as a batch of one
         sizes = [len(queries) for queries, _ in runner.batches]
-        assert sizes == [4, 1, 1, 1, 1]
+        assert sizes == [1, 4, 1, 1, 1, 1]
         assert coalescer.stats()["rescued_requests"] == 4
 
     def test_wrong_length_rescue_is_that_requests_error(self):
@@ -137,22 +207,23 @@ class TestCoalescer:
                 raise RuntimeError("batch failed")
             return [] if queries == ["empty"] else [f"{queries[0]}!"]
 
-        with BatchCoalescer(
-            run_batch, window_s=0.05, max_batch=8
-        ) as coalescer:
+        gate = _Gate(run_batch)
+        with BatchCoalescer(gate) as coalescer:
             key = BatchKey("jaccard", 0.8)
+            head = coalescer.submit("head", key)
+            gate.wait_entered()
             good = coalescer.submit("q", key)
             bad = coalescer.submit("empty", key)
+            gate.release()
+            assert head.result(timeout=5) == ("head!", 1)
             assert good.result(timeout=5) == ("q!", 1)
             with pytest.raises(ValueError):
                 bad.result(timeout=5)
-        assert calls == [["q", "empty"], ["q"], ["empty"]]
+        assert calls == [["head"], ["q", "empty"], ["q"], ["empty"]]
 
     def test_lone_poisoned_request_gets_the_batch_error_directly(self):
         runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=0.01, max_batch=8
-        ) as coalescer:
+        with BatchCoalescer(runner.run_batch) as coalescer:
             future = coalescer.submit("poison", BatchKey("jaccard", 0.8))
             with pytest.raises(ValueError, match="bad query: poison"):
                 future.result(timeout=5)
@@ -160,72 +231,72 @@ class TestCoalescer:
 
     def test_close_flushes_pending_then_rejects(self):
         runner = _Runner()
-        coalescer = BatchCoalescer(
-            runner.run_batch, window_s=5.0, max_batch=64
-        )
-        future = coalescer.submit("q", BatchKey("jaccard", 0.8))
-        coalescer.close()
-        assert future.result(timeout=5)[0] == "q@jaccard/0.8"
+        gate = _Gate(runner.run_batch)
+        coalescer = BatchCoalescer(gate)
+        key = BatchKey("jaccard", 0.8)
+        head = coalescer.submit("head", key)
+        gate.wait_entered()
+        queued = coalescer.submit("q", key)
+        closer = threading.Thread(target=coalescer.close)
+        closer.start()
+        gate.release()
+        closer.join(30)
+        assert not closer.is_alive()
+        assert head.result(timeout=5)[0] == "head@jaccard/0.8"
+        assert queued.result(timeout=5)[0] == "q@jaccard/0.8"
         with pytest.raises(RuntimeError, match="closed"):
-            coalescer.submit("late", BatchKey("jaccard", 0.8))
+            coalescer.submit("late", key)
 
-    def test_stats_shape(self):
-        runner = _Runner()
-        with BatchCoalescer(
-            runner.run_batch, window_s=0.02, max_batch=8
-        ) as coalescer:
-            key = BatchKey("jaccard", 0.8)
-            futures = [coalescer.submit(f"q{i}", key) for i in range(4)]
-            for future in futures:
-                future.result(timeout=5)
-            stats = coalescer.stats()
-        assert stats["requests"] == 4
-        assert stats["batches"] >= 1
-        assert stats["coalescing_ratio"] == pytest.approx(
-            4 / stats["batches"], abs=1e-3
+    def test_stats_shape(self, gated):
+        runner, coalescer, hold = gated
+        key = BatchKey("jaccard", 0.8)
+        futures = hold(
+            lambda: [coalescer.submit(f"q{i}", key) for i in range(4)]
         )
-        assert stats["max_batch_size"] <= 4
-        assert stats["rescued_requests"] == 0
-
-    def test_knob_validation(self):
-        runner = _Runner()
-        with pytest.raises(ValueError, match="window_s"):
-            BatchCoalescer(runner.run_batch, window_s=-1)
-        with pytest.raises(ValueError, match="max_batch"):
-            BatchCoalescer(runner.run_batch, max_batch=0)
+        for future in futures:
+            future.result(timeout=5)
+        stats = coalescer.stats()
+        assert stats == {
+            "requests": 5,
+            "batches": 2,
+            "coalescing_ratio": 2.5,
+            "mean_batch_size": 2.5,
+            "max_batch_size": 4,
+            "rescued_requests": 0,
+            "pending": 0,
+        }
 
 
 class TestCoalescedParity:
     def test_concurrent_distinct_thresholds_get_their_own_results(
         self, engine, word_strings
     ):
-        # satellite: N concurrent clients, each with its own tau — every
-        # future must resolve to exactly its own query's direct answer
-        coalescer = BatchCoalescer(
-            lambda queries, key: engine.search_batch(queries, key.threshold),
-            window_s=0.05,
-            max_batch=16,
+        # N concurrent clients, each with its own tau — every future must
+        # resolve to exactly its own query's direct answer
+        gate = _Gate(
+            lambda queries, key: engine.search_batch(queries, key.threshold)
         )
+        coalescer = BatchCoalescer(gate)
         jobs = [
-            (word_strings[i % 40], 0.4 + 0.1 * (i % 5)) for i in range(30)
+            (word_strings[i % 40], BatchKey("jaccard", 0.4 + 0.1 * (i % 5)))
+            for i in range(30)
         ]
         with coalescer:
+            first = coalescer.submit(*jobs[0])
+            gate.wait_entered()
             with ThreadPoolExecutor(10) as pool:
-                futures = list(
-                    pool.map(
-                        lambda job: coalescer.submit(
-                            job[0], BatchKey("jaccard", job[1])
-                        ),
-                        jobs,
-                    )
+                futures = [first] + list(
+                    pool.map(lambda job: coalescer.submit(*job), jobs[1:])
                 )
+            gate.release()
             answers = [future.result(timeout=30) for future in futures]
-        for (query, threshold), (result, _) in zip(jobs, answers):
-            direct = engine.search(query, threshold)
-            assert list(result) == list(direct), (query, threshold)
+        for (query, key), (result, _) in zip(jobs, answers):
+            direct = engine.search(query, key.threshold)
+            assert list(result) == list(direct), (query, key)
         stats = coalescer.stats()
         assert stats["requests"] == 30
-        assert stats["batches"] < 30  # sharing actually happened
+        # the held first request, then one batch per distinct threshold
+        assert stats["batches"] == 6
 
 
 # ---------------------------------------------------------------------- #
@@ -281,7 +352,7 @@ class TestServeApp:
     def test_single_search_parity(self, app, engine, word_strings):
         query = word_strings[0]
         status, document = _call_json(
-            app, "POST", "/search", {"query": query, "threshold": 0.6}
+            app, "POST", "/search", {"query": query, "tau": 0.6}
         )
         direct = engine.search(query, 0.6)
         assert status == 200
@@ -291,40 +362,18 @@ class TestServeApp:
         assert document["batch_size"] >= 1
 
     def test_concurrent_searches_coalesce_with_parity(
-        self, app, engine, word_strings
+        self, app, engine, gate, word_strings
     ):
         queries = word_strings[:12]
-
-        async def _one(query):
-            body = json.dumps({"query": query, "tau": 0.5}).encode()
-            scope = {
-                "type": "http",
-                "method": "POST",
-                "path": "/search",
-                "headers": [],
-            }
-            sent = []
-
-            async def receive():
-                return {
-                    "type": "http.request",
-                    "body": body,
-                    "more_body": False,
-                }
-
-            async def send(message):
-                sent.append(message)
-
-            await app(scope, receive, send)
-            return json.loads(sent[1]["body"])
-
-        async def _all():
-            return await asyncio.gather(*(_one(q) for q in queries))
-
-        documents = asyncio.run(_all())
+        documents = [
+            document for _, document in _gather(app, queries, gate=gate)
+        ]
         for query, document in zip(queries, documents):
             assert document["ids"] == list(engine.search(query, 0.5))
-        assert max(document["batch_size"] for document in documents) > 1
+        # the held first request, then everything that queued behind it
+        assert [document["batch_size"] for document in documents] == [1] + [
+            11
+        ] * 11
 
     def test_explicit_batch_bypasses_coalescer(
         self, app, engine, word_strings
@@ -424,7 +473,7 @@ class TestServeApp:
         assert document["bundle"] is None
 
     def test_lifespan_starts_and_stops_the_coalescer(self, engine):
-        app = ServeApp(engine, window_ms=1.0)
+        app = ServeApp(engine)
 
         async def _run():
             messages = [
@@ -518,32 +567,69 @@ def _post(url, document, timeout=10):
         return response.status, json.loads(response.read())
 
 
+def _post_or_error(url, document):
+    """:func:`_post` that returns an error status instead of raising:
+    ``(status, retry_after_header, document)``."""
+    try:
+        status, body = _post(url, document)
+        return status, None, body
+    except urllib.error.HTTPError as error:
+        with error:
+            return (
+                error.code,
+                error.headers.get("Retry-After"),
+                json.loads(error.read()),
+            )
+
+
+def _held_posts(url, queries, gate, arrived):
+    """POST /search every query at 0.5 from a client thread of its own.
+
+    The first request is held inside the engine by ``gate`` while the
+    rest arrive; the gate opens once ``arrived()`` holds.  Returns
+    :func:`_post_or_error` replies in query order."""
+
+    def post(query):
+        return _post_or_error(url, {"query": query, "threshold": 0.5})
+
+    with ThreadPoolExecutor(len(queries)) as pool:
+        first = pool.submit(post, queries[0])
+        gate.wait_entered()
+        try:
+            rest = [pool.submit(post, query) for query in queries[1:]]
+            deadline = time.monotonic() + 30
+            while not arrived():
+                assert time.monotonic() < deadline, "requests never arrived"
+                time.sleep(0.005)
+        finally:
+            gate.release()
+        return [future.result(timeout=30) for future in [first, *rest]]
+
+
 class TestServerThread:
     def test_parallel_clients_coalesce_with_parity(
-        self, engine, word_strings
+        self, engine, gate, word_strings
     ):
-        app = ServeApp(engine, window_ms=10.0, max_batch=32)
+        app = ServeApp(engine)
+        queries = [word_strings[i % 30] for i in range(16)]
         with ServerThread(app) as server:
-            url = f"{server.url}/search"
-            queries = [word_strings[i % 30] for i in range(24)]
-            with ThreadPoolExecutor(12) as pool:
-                responses = list(
-                    pool.map(
-                        lambda query: _post(
-                            url, {"query": query, "threshold": 0.5}
-                        ),
-                        queries,
-                    )
-                )
-            for query, (status, document) in zip(queries, responses):
+            replies = _held_posts(
+                f"{server.url}/search",
+                queries,
+                gate,
+                lambda: app.coalescer.pending_count() == len(queries) - 1,
+            )
+            for query, (status, _, document) in zip(queries, replies):
                 assert status == 200
                 assert document["ids"] == list(engine.search(query, 0.5))
             stats = app.coalescer.stats()
-        assert stats["requests"] == 24
-        assert stats["batches"] < 24
+        # the held first request, then everything that queued behind it
+        assert stats["requests"] == 16
+        assert stats["batches"] == 2
+        assert stats["max_batch_size"] == 15
 
     def test_http_error_statuses_reach_the_wire(self, engine):
-        app = ServeApp(engine, window_ms=1.0)
+        app = ServeApp(engine)
         with ServerThread(app) as server:
             with pytest.raises(urllib.error.HTTPError) as caught:
                 _post(f"{server.url}/search", {"query": "x"})
@@ -555,7 +641,7 @@ class TestServerThread:
     def test_keep_alive_serves_sequential_requests(self, engine):
         import http.client
 
-        app = ServeApp(engine, window_ms=1.0)
+        app = ServeApp(engine)
         with ServerThread(app) as server:
             connection = http.client.HTTPConnection(
                 "127.0.0.1", server.port, timeout=10
@@ -570,28 +656,40 @@ class TestServerThread:
                 connection.close()
 
     @pytest.mark.parametrize(
-        "head",
+        "head, status",
         [
-            b"NOT-HTTP",
-            b"POST /search HTTP/1.1\r\nContent-Length: -5",
-            b"POST /search HTTP/1.1\r\nContent-Length: abc",
+            (b"NOT-HTTP", 400),
+            (b"POST /search HTTP/1.1\r\nContent-Length: -5", 400),
+            (b"POST /search HTTP/1.1\r\nContent-Length: abc", 400),
+            # a head over 64 KiB
+            (b"GET / HTTP/1.1\r\nX-Pad: " + b"x" * (64 << 10), 431),
+            # a declared body over 1 MiB is refused before it is read
+            (b"POST /search HTTP/1.1\r\nContent-Length: 1048577", 413),
+            (b"POST /search HTTP/1.1\r\nTransfer-Encoding: chunked", 411),
         ],
-        ids=["not-http", "negative-length", "non-numeric-length"],
+        ids=[
+            "not-http",
+            "negative-length",
+            "non-numeric-length",
+            "oversized-head",
+            "oversized-body",
+            "chunked",
+        ],
     )
-    def test_malformed_http_answers_400_family(self, engine, head):
+    def test_malformed_http_answers_400_family(self, engine, head, status):
         import socket
 
-        app = ServeApp(engine, window_ms=1.0)
+        app = ServeApp(engine)
         with ServerThread(app) as server:
             with socket.create_connection(
                 ("127.0.0.1", server.port), timeout=10
             ) as sock:
                 sock.sendall(head + b"\r\n\r\n")
                 reply = sock.recv(4096)
-            assert reply.startswith(b"HTTP/1.1 400")
+            assert reply.startswith(b"HTTP/1.1 %d" % status)
 
     def test_server_shutdown_closes_coalescer(self, engine):
-        app = ServeApp(engine, window_ms=1.0)
+        app = ServeApp(engine)
         server = ServerThread(app).start()
         try:
             assert _post(
@@ -610,7 +708,7 @@ class TestServerThread:
 def traced_app(engine):
     from repro.obs import TRACER
 
-    app = ServeApp(engine, window_ms=20.0, max_batch=32, trace_sample=1.0)
+    app = ServeApp(engine, trace_sample=1.0)
     TRACER.clear()
     yield app
     app.close()
@@ -618,9 +716,12 @@ def traced_app(engine):
     TRACER.clear()
 
 
-def _gather(app, queries, threshold=0.5, headers=()):
+def _gather(app, queries, threshold=0.5, headers=(), gate=None):
     """Run concurrent /search requests through the ASGI app; returns
-    [(response_headers, body_document)] in request order."""
+    [(response_headers, body_document)] in request order.
+
+    With a ``gate`` on the engine, the first request is held in the engine
+    until every other one is pending, so those share the next batch."""
 
     async def _one(query):
         body = json.dumps({"query": query, "threshold": threshold}).encode()
@@ -641,8 +742,23 @@ def _gather(app, queries, threshold=0.5, headers=()):
         await app(scope, receive, send)
         return dict(sent[0].get("headers", [])), json.loads(sent[1]["body"])
 
+    async def _until(condition):
+        deadline = time.monotonic() + 30
+        while not condition():
+            assert time.monotonic() < deadline, "requests never arrived"
+            await asyncio.sleep(0.001)
+
     async def _all():
-        return await asyncio.gather(*(_one(query) for query in queries))
+        if gate is None:
+            return await asyncio.gather(*(_one(query) for query in queries))
+        first = asyncio.ensure_future(_one(queries[0]))
+        try:
+            await _until(gate.entered.is_set)
+            rest = [asyncio.ensure_future(_one(q)) for q in queries[1:]]
+            await _until(lambda: app.coalescer.pending_count() == len(rest))
+        finally:
+            gate.release()
+        return await asyncio.gather(first, *rest)
 
     return asyncio.run(_all())
 
@@ -692,13 +808,13 @@ class TestRequestTracing:
         assert len(document["trace_id"]) == 32
 
     def test_coalesced_request_trace_is_one_tree_with_all_stages(
-        self, traced_app, word_strings
+        self, traced_app, gate, word_strings
     ):
         # THE tentpole acceptance: one coalesced POST /search produces one
         # trace tree whose queue-wait, batch-execute and demux stages are
         # distinct spans, retrievable via GET /debug/trace
-        results = _gather(traced_app, word_strings[:6])
-        assert max(doc["batch_size"] for _, doc in results) > 1
+        results = _gather(traced_app, word_strings[:6], gate=gate)
+        assert max(doc["batch_size"] for _, doc in results) == 5
         status, payload = _call(traced_app, "GET", "/debug/trace")
         assert status == 200
         documents = [
@@ -708,7 +824,10 @@ class TestRequestTracing:
         assert len(requests) == 6
         batches = [d for d in documents if d["name"] == "serve.batch"]
         assert len(batches) >= 1  # the shared batch span is also retained
-        document = requests[0]
+        # a request that rode the five-query batch
+        (document, *_) = [
+            d for d in requests if d["meta"]["batch_size"] == 5
+        ]
         by_name = {}
         for span in document["spans"]:
             by_name.setdefault(span["name"], span)
@@ -728,7 +847,7 @@ class TestRequestTracing:
         assert len(ids) == len(set(ids))
         for span in document["spans"]:
             assert span["parent"] is None or span["parent"] in ids
-        # the batched kernel stays engaged under the batch trace: the six
+        # the batched kernel stays engaged under the batch trace: the five
         # coalesced queries share ONE batched filter stage
         names = [span["name"] for span in document["spans"]]
         assert names.count("search.filter") == 1
@@ -815,7 +934,7 @@ class TestDebugRoutes:
 
 class TestBackpressure:
     def test_shed_answers_429_with_retry_after(self, engine, word_strings):
-        app = ServeApp(engine, window_ms=20.0, max_pending=0)
+        app = ServeApp(engine, max_pending=0)
         try:
 
             async def _run():
@@ -846,7 +965,7 @@ class TestBackpressure:
             sent = asyncio.run(_run())
             assert sent[0]["status"] == 429
             headers = dict(sent[0]["headers"])
-            assert int(headers[b"retry-after"]) >= 1
+            assert headers[b"retry-after"] == b"1"
             document = json.loads(sent[1]["body"])
             assert "max_pending" in document["error"]
             assert app.metrics.counter("serve.shed") == 1
@@ -862,8 +981,37 @@ class TestBackpressure:
         assert all(doc["count"] >= 1 for _, doc in results)
         assert app.metrics.counter("serve.shed") == 0
 
+    def test_sustained_load_past_max_pending(
+        self, engine, gate, word_strings
+    ):
+        # the held first batch stops the queue draining: the pending queue
+        # fills to max_pending and every request past it is shed, never
+        # reaching the engine
+        app = ServeApp(engine, max_pending=4)
+        queries = word_strings[:13]
+        with ServerThread(app) as server:
+            replies = _held_posts(
+                f"{server.url}/search",
+                queries,
+                gate,
+                lambda: app.metrics.counter("serve.shed") == 8,
+            )
+            stats = app.coalescer.stats()
+        admitted = 0
+        for query, (status, retry_after, document) in zip(queries, replies):
+            if status == 200:
+                admitted += 1
+                assert retry_after is None
+                assert document["ids"] == list(engine.search(query, 0.5))
+            else:
+                assert status == 429
+                assert retry_after == "1"
+                assert "max_pending" in document["error"]
+        assert admitted == 1 + 4  # the held request and a full queue
+        assert stats["requests"] == admitted
+
     def test_shed_requests_never_reach_the_engine(self, engine):
-        app = ServeApp(engine, window_ms=20.0, max_pending=0)
+        app = ServeApp(engine, max_pending=0)
         try:
             status, document = _call_json(
                 app, "POST", "/search", {"query": "x", "threshold": 0.5}

@@ -658,7 +658,7 @@ class TestStageSumsReconcile:
             assert sent[0]["status"] == 200
 
         async def waves(app):
-            for wave in range(26):  # 4 coalesced requests per wave
+            for wave in range(26):  # 4 concurrent requests per wave
                 picks = [
                     word_strings[(4 * wave + i) % len(word_strings)]
                     for i in range(4)
@@ -666,7 +666,7 @@ class TestStageSumsReconcile:
                 await asyncio.gather(*(post(app, query) for query in picks))
 
         engine = SimilarityEngine(tokenize_collection(word_strings))
-        app = ServeApp(engine, window_ms=2.0, trace_sample=1.0)
+        app = ServeApp(engine, trace_sample=1.0)
         TRACER.clear()
         try:
             asyncio.run(waves(app))
