@@ -379,7 +379,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="shed POST /search with 429 + Retry-After once this many "
-        "requests are queued ahead of the engine (default: unbounded)",
+        "requests parsed in one turn of the serving loop wait for their "
+        "batch; a request that arrives while a batch runs waits in its "
+        "socket (default: unbounded)",
     )
     serve.add_argument(
         "--trace-sample",

@@ -21,7 +21,8 @@ Entries are keyed by posting-list *identity* — the cache holds a strong
 reference to the list object, so a key can never be silently reused while
 its entry is alive.  Capacity is bounded both by entry count and by total
 decoded bytes; eviction is LRU.  All operations are thread-safe (the
-serving layer's dispatcher and ``to_thread`` workers share one cache).
+serving loop's coalesced batches and ``to_thread`` workers share one
+cache).
 """
 
 from __future__ import annotations

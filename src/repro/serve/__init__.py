@@ -5,10 +5,11 @@ reachable from the network, where traffic arrives as many concurrent
 single-query requests.  Three pieces:
 
 * :mod:`repro.serve.coalescer` — a micro-batching queue.  Concurrent
-  ``POST /search`` requests that queue while a batch runs are coalesced
-  into the next
-  :meth:`~repro.engine.core.SimilarityEngine.search_batch` call, with the
-  answers demuxed back per request — bit-identical to direct engine calls.
+  ``POST /search`` requests parsed in one turn of the serving loop are
+  coalesced into one
+  :meth:`~repro.engine.core.SimilarityEngine.search_batch` call, which
+  runs on that same loop, with the answers demuxed back per request —
+  bit-identical to direct engine calls.
 * :mod:`repro.serve.app` — a framework-free ASGI 3 application fronting a
   :class:`~repro.engine.core.SimilarityEngine`: ``POST /search``,
   ``GET /metrics`` (Prometheus text via

@@ -12,7 +12,8 @@ Routes
     alias).  The request is enqueued on the :class:`BatchCoalescer` and
     coalesced with concurrent compatible requests into one
     ``search_batch`` call; the response carries this request's own
-    result — bit-identical to a direct ``engine.search``.
+    result — bit-identical to a direct ``engine.search``.  Once the
+    lifespan has started, that batch runs on the serving loop itself.
     ``"metric"`` optionally overrides the engine's set-similarity metric
     per request (jaccard/cosine/dice interchange on the same index;
     ``ed`` needs an ed-built index).  A body with ``"queries": [...]``
@@ -129,10 +130,12 @@ class ServeApp:
         every request's trace in the bounded buffer).  ``repro serve``
         passes ``1.0`` by default; ``None`` leaves the tracer alone.
     max_pending:
-        Admission control: when the coalescer's pending queue holds at
-        least this many requests, new ``POST /search`` requests are shed
+        Admission control: when the coalescer holds at least this many
+        pending requests — on the serving loop, those parsed in one loop
+        turn and not yet batched — new ``POST /search`` requests are shed
         with ``429 Too Many Requests`` + ``Retry-After: 1`` (counted as
-        ``serve.shed``).  ``None`` (default) never sheds.
+        ``serve.shed``).  A request that arrives while a batch runs waits
+        in its socket, not in the queue.  ``None`` (default) never sheds.
     health_max_age_s:
         ``/healthz`` re-runs the bundle validator at most this often.
     """
@@ -174,8 +177,9 @@ class ServeApp:
         self.metrics.register_gauge("process.rss_bytes", _rss_bytes)
 
     # ------------------------------------------------------------------ #
-    # engine access (the coalescer's dispatcher thread, or a to_thread
-    # worker for an explicit "queries" batch — the two can overlap)
+    # engine access (the coalescer's loop — the serving loop once the
+    # lifespan has started — or a to_thread worker for an explicit
+    # "queries" batch; the two can overlap)
     # ------------------------------------------------------------------ #
     def _engine_for(self, metric: str):
         if metric == self.engine.metric:
@@ -276,15 +280,20 @@ class ServeApp:
         while True:
             message = await receive()
             if message["type"] == "lifespan.startup":
+                # on the serving loop: every coalesced batch runs here, so
+                # a POST /search never changes threads
                 self.coalescer.start()
                 await send({"type": "lifespan.startup.complete"})
             elif message["type"] == "lifespan.shutdown":
+                # on the loop, close() answers what is pending right here
                 self.coalescer.close()
                 await send({"type": "lifespan.shutdown.complete"})
                 return
 
     def close(self) -> None:
-        """Shut the coalescer down."""
+        """Shut the coalescer down, answering every pending request —
+        also after the serving loop has closed without a lifespan
+        shutdown (a SIGINT on Python 3.10)."""
         self.coalescer.close()
 
     # ------------------------------------------------------------------ #
@@ -536,8 +545,8 @@ def _request_trace_document(
     An asyncio handler cannot host a thread-local tracer trace (request
     coroutines interleave on one event-loop thread), so the tree is built
     from the coalescer ticket's timestamps instead: a ``serve.request``
-    root, a ``serve.queue`` child covering the wait for the batch in
-    flight, the shared batch's span tree grafted in (id-renumbered,
+    root, a ``serve.queue`` child covering the wait for its loop turn's
+    batch to start, the shared batch's span tree grafted in (id-renumbered,
     time-rebased onto this request's origin), and a ``serve.demux`` tail.
     """
     duration = max(0.0, finished - received)

@@ -4,13 +4,28 @@ A serving process sees traffic as N concurrent requests, each carrying one
 query; the engines are fastest when handed a whole batch (the vectorized
 T-occurrence kernels amortize planning, decoding and numpy dispatch across
 rows).  :class:`BatchCoalescer` bridges the two shapes: callers
-:meth:`~BatchCoalescer.submit` one query each and block on a future, while
-a single dispatcher thread hands every pending compatible request — same
-:class:`BatchKey`, i.e. same threshold/metric — to one ``search_batch``
-call and demuxes the answers back.  There is no clock: an idle dispatcher
-sends a lone request straight to the engine, and whatever queues while a
-batch runs becomes the next batch, so batches grow with load and nothing
-waits for batchmates.
+:meth:`~BatchCoalescer.submit` one query each and get a future, while a
+drain callback on an asyncio event loop hands every pending compatible
+request — same :class:`BatchKey`, i.e. same threshold/metric — to one
+``search_batch`` call and demuxes the answers back.  There is no clock:
+the first request of a loop turn schedules a drain with ``call_soon``, so
+every request parsed in that turn shares the batch, and whatever arrives
+while a batch runs waits in its socket and makes the next one.  Batches
+grow with load and nothing waits for batchmates.
+
+Where batches run
+-----------------
+
+:meth:`~BatchCoalescer.start` called on a running event loop binds the
+coalescer to that loop.  :class:`ServeApp`'s lifespan does this, so the
+serving loop parses a ``POST /search``, runs its batch and writes the
+answer without changing threads.  ``start()`` called off any loop, and the
+auto-start inside ``submit()``, run the coalescer's own loop on one daemon
+thread instead; the coalescer never binds itself to a caller's loop, which
+may be as short-lived as one ``asyncio.run``.  Either way one drain path
+runs every batch, one at a time, and holds its loop while the engine
+works: under the GIL a separate thread would hold the interpreter through
+the same Python work and buy no concurrency.
 
 Correctness contract
 --------------------
@@ -26,16 +41,16 @@ Correctness contract
   error) receives exactly its own exception and its innocent batchmates
   still get their results.
 
-Every engine call the coalescer itself makes happens on its one dispatcher
-thread, so coalesced batches never overlap each other.  That is not a
-serialization point for the whole serving layer: :class:`ServeApp` answers
-an explicit ``"queries"`` batch on an ``asyncio.to_thread`` worker, which
-can run the same engine concurrently with the dispatcher (the engines'
-shared decode cache is lock-guarded for that).
+Coalesced batches never overlap each other.  That is not a serialization
+point for the whole serving layer: :class:`ServeApp` answers an explicit
+``"queries"`` batch on an ``asyncio.to_thread`` worker, which can run the
+same engine concurrently with a coalesced batch (the engines' shared
+decode cache is lock-guarded for that).
 """
 
 from __future__ import annotations
 
+import asyncio
 import threading
 import time
 from concurrent.futures import Future
@@ -106,9 +121,15 @@ class BatchCoalescer:
         #: ``GET /metrics`` and ``GET /debug/vars`` read one source
         self.metrics = MetricsRegistry(enabled=True)
         self._lock = threading.Lock()
+        #: notified when a drain ends, for a close() waiting off the loop
         self._wake = threading.Condition(self._lock)
         self._pending: List[_PendingRequest] = []
+        #: the loop every drain runs on, and the thread running it when
+        #: that loop is the coalescer's own
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._thread: Optional[threading.Thread] = None
+        #: a drain is scheduled on ``_loop`` or running there
+        self._draining = False
         self._closed = False
         self.metrics.register_gauge("serve.queue.depth", self.pending_count)
 
@@ -117,7 +138,8 @@ class BatchCoalescer:
     # ------------------------------------------------------------------ #
     def submit(self, query: str, key: BatchKey) -> Future:
         """Enqueue one request; the future resolves to ``(result, batch)``
-        where ``batch`` is the size of the engine call it rode in."""
+        where ``batch`` is the size of the engine call it rode in.  Safe to
+        call from any thread."""
         return self.submit_request(query, key).future
 
     def submit_request(self, query: str, key: BatchKey) -> _PendingRequest:
@@ -128,42 +150,87 @@ class BatchCoalescer:
         with self._wake:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
-            if self._thread is None:
-                self._start_locked()
+            if self._loop is None:
+                self._start_own_loop_locked()
             self._pending.append(request)
             self.metrics.inc("serve.requests")
-            self._wake.notify_all()
+            loop = None if self._draining else self._loop
+            self._draining = True
+        if loop is not None:
+            try:
+                if _running_loop() is loop:
+                    loop.call_soon(self._drain)
+                else:
+                    loop.call_soon_threadsafe(self._drain)
+            except RuntimeError:
+                # the bound loop closed under us: nothing will run a
+                # drain there, so answer on the caller's thread
+                self._drain_here()
         return request
 
     def pending_count(self) -> int:
-        """Requests queued but not yet handed to the engine (the value the
-        ``serve.queue.depth`` gauge and admission control read)."""
+        """Requests submitted but not yet handed to the engine (the value
+        the ``serve.queue.depth`` gauge and admission control read)."""
         with self._lock:
             return len(self._pending)
 
     def start(self) -> "BatchCoalescer":
-        """Start the dispatcher thread (idempotent; submit() auto-starts)."""
+        """Choose the loop batches run on (idempotent; submit() auto-starts).
+
+        On a running event loop, bind to it; off any loop, start the
+        coalescer's own loop on a daemon thread.
+        """
+        running = _running_loop()
         with self._wake:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
-            if self._thread is None:
-                self._start_locked()
+            if self._loop is None:
+                if running is not None:
+                    self._loop = running
+                else:
+                    self._start_own_loop_locked()
         return self
 
-    def _start_locked(self) -> None:
+    def _start_own_loop_locked(self) -> None:
+        self._loop = asyncio.new_event_loop()
         self._thread = threading.Thread(
-            target=self._dispatch_loop, name="repro-coalescer", daemon=True
+            target=_run_forever,
+            args=(self._loop,),
+            name="repro-coalescer",
+            daemon=True,
         )
         self._thread.start()
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Stop accepting requests, flush what is pending, join the thread."""
+        """Stop accepting requests and answer or fail every pending one.
+
+        On the coalescer's loop (a lifespan shutdown), or once a bound
+        loop has stopped or closed, the pending requests are drained right
+        here; otherwise close() waits up to ``timeout`` for the loop's
+        drain to answer them, and fails what is still pending after that.
+        The coalescer's own thread, if it has one, is stopped and joined.
+        """
         with self._wake:
             self._closed = True
-            self._wake.notify_all()
-            thread = self._thread
+            loop = self._loop
+            thread, self._thread = self._thread, None
+        if loop is None:
+            return
+        here = _running_loop() is loop
+        if here or (thread is None and not loop.is_running()):
+            self._drain_here()
+        else:
+            with self._wake:
+                if self._draining:
+                    # notified once the drain finds nothing left to take
+                    self._wake.wait(timeout)
+            self._fail_pending()
         if thread is not None:
-            thread.join(timeout)
+            if here:
+                loop.stop()
+            else:
+                loop.call_soon_threadsafe(loop.stop)
+                thread.join(timeout)
 
     def __enter__(self) -> "BatchCoalescer":
         return self.start()
@@ -193,9 +260,18 @@ class BatchCoalescer:
         }
 
     # ------------------------------------------------------------------ #
-    # dispatcher side
+    # drain side
     # ------------------------------------------------------------------ #
-    def _dispatch_loop(self) -> None:
+    def _drain(self) -> None:
+        """The loop callback: one batch, then again next turn until no
+        request is pending."""
+        batch = self._take_batch()
+        if batch is not None:
+            self._flush(batch)
+            asyncio.get_running_loop().call_soon(self._drain)
+
+    def _drain_here(self) -> None:
+        """Every pending batch, on the calling thread."""
         while True:
             batch = self._take_batch()
             if batch is None:
@@ -203,14 +279,13 @@ class BatchCoalescer:
             self._flush(batch)
 
     def _take_batch(self) -> Optional[List[_PendingRequest]]:
-        """Block until something is pending, then take the oldest request
-        and up to ``MAX_BATCH - 1`` more with its key; ``None`` means
-        closed and drained."""
+        """The oldest pending request and up to ``MAX_BATCH - 1`` more with
+        its key; ``None`` when nothing is pending, which ends the drain."""
         with self._wake:
-            while not self._pending:
-                if self._closed:
-                    return None
-                self._wake.wait()
+            if not self._pending:
+                self._draining = False
+                self._wake.notify_all()
+                return None
             head = self._pending[0]
             taken: List[_PendingRequest] = []
             kept: List[_PendingRequest] = []
@@ -221,6 +296,16 @@ class BatchCoalescer:
                     kept.append(request)
             self._pending = kept
         return taken
+
+    def _fail_pending(self) -> None:
+        """Fail what a timed-out close() left pending."""
+        with self._wake:
+            stranded, self._pending = self._pending, []
+        for request in stranded:
+            if request.future.set_running_or_notify_cancel():
+                request.future.set_exception(
+                    RuntimeError("coalescer closed before the request ran")
+                )
 
     def _flush(self, batch: List[_PendingRequest]) -> None:
         # a caller may have given up (cancelled) while waiting in the
@@ -283,3 +368,20 @@ class BatchCoalescer:
                 request.future.set_exception(single_error)
             else:
                 request.future.set_result((result, 1))
+
+
+def _running_loop() -> Optional[asyncio.AbstractEventLoop]:
+    """The event loop running on this thread, if any."""
+    try:
+        return asyncio.get_running_loop()
+    except RuntimeError:
+        return None
+
+
+def _run_forever(loop: asyncio.AbstractEventLoop) -> None:
+    """The coalescer's own thread: its loop until close() stops it."""
+    asyncio.set_event_loop(loop)
+    try:
+        loop.run_forever()
+    finally:
+        loop.close()

@@ -21,6 +21,7 @@ Two entry points:
 from __future__ import annotations
 
 import asyncio
+import signal
 import threading
 from typing import Dict, List, Optional, Tuple
 
@@ -55,14 +56,13 @@ async def _read_request(
 ) -> Optional[Tuple[str, str, List[Tuple[bytes, bytes]], bytes]]:
     """One request off the wire: (method, target, headers, body).
 
-    ``None`` means the client closed the connection between requests.
+    ``None`` means the client closed the connection, between requests or
+    partway through a head; a client that has gone gets no reply.
     """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None  # clean close between keep-alive requests
-        raise _ParseError(400, "truncated request head")
+    except asyncio.IncompleteReadError:
+        return None
     except asyncio.LimitOverrunError:
         raise _ParseError(431, "request head too large")
     if len(head) > _MAX_HEADER_BYTES:
@@ -330,7 +330,13 @@ async def serve(
 
 
 def run(app, host: str = "127.0.0.1", port: int = 8080) -> None:
-    """Blocking serve-forever (the ``repro serve`` entry point)."""
+    """Blocking serve-forever (the ``repro serve`` entry point).
+
+    SIGINT stops it, also when the process inherited SIGINT ignored, as
+    a background job of a shell script does.
+    """
+    if threading.current_thread() is threading.main_thread():
+        signal.signal(signal.SIGINT, signal.default_int_handler)
     try:
         asyncio.run(serve(app, host, port))
     except KeyboardInterrupt:

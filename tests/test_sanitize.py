@@ -44,6 +44,10 @@ class TestPlans:
         assert "Tracer" in plans
         # counters are guarded by the cache ring lock
         assert plans["DecodeCache"]["hits"] == ("_lock",)
+        # the queue, the loop binding and the scheduled-drain flag
+        assert {"_pending", "_loop", "_draining"} <= set(
+            plans["BatchCoalescer"]
+        )
         # the engines' pool trio is guarded by the pool lock
         assert plans["WorkerPool"]["_executor"] == ("_lock",)
 

@@ -3,23 +3,39 @@
 The coalescer is exercised first in isolation with scripted runners
 (batch grouping, batch splitting, failure isolation), then the
 whole stack: the ASGI app invoked directly (no sockets) for routing and
-parity, and :class:`ServerThread` over real HTTP for the wire protocol.
+parity, :class:`ServerThread` over real HTTP for the wire protocol, and
+``python -m repro serve`` as a subprocess for the shipped entry point.
+
+Without a lifespan the coalescer runs its batches on its own loop
+thread, so a gate that holds the engine leaves the caller's loop free;
+under a lifespan-started server the batches run on the serving loop, and
+a held batch holds the whole server (see :func:`_held_posts`).
 """
 
 import asyncio
+import http.client
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
 from repro.engine import SimilarityEngine
 from repro.serve import BatchCoalescer, BatchKey, ServeApp, ServerThread
 from repro.serve.coalescer import MAX_BATCH
+from repro.serve.server import _Lifespan
 from repro.similarity import tokenize_collection
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -567,43 +583,56 @@ def _post(url, document, timeout=10):
         return response.status, json.loads(response.read())
 
 
-def _post_or_error(url, document):
-    """:func:`_post` that returns an error status instead of raising:
-    ``(status, retry_after_header, document)``."""
+def _held_posts(port, queries, gate):
+    """POST /search every query at 0.5, one keep-alive connection each,
+    while the first is held in the engine by ``gate``.
+
+    The server's loop runs the batch, so while the gate holds it nothing
+    else is read.  The connections are opened first (a ``GET /healthz``
+    on each proves the server took it), the first request is sent and
+    held, the rest are written to their sockets, and only then does the
+    gate open: the loop reads and parses every one of them in its next
+    turn.  Returns ``(status, retry_after, document)`` in query order."""
+    connections = [
+        http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+        for _ in queries
+    ]
     try:
-        status, body = _post(url, document)
-        return status, None, body
-    except urllib.error.HTTPError as error:
-        with error:
-            return (
-                error.code,
-                error.headers.get("Retry-After"),
-                json.loads(error.read()),
+        for connection in connections:
+            connection.request("GET", "/healthz")
+            response = connection.getresponse()
+            response.read()
+            assert response.status == 200
+
+        def send(connection, query):
+            connection.request(
+                "POST",
+                "/search",
+                body=json.dumps({"query": query, "threshold": 0.5}),
+                headers={"Content-Type": "application/json"},
             )
 
-
-def _held_posts(url, queries, gate, arrived):
-    """POST /search every query at 0.5 from a client thread of its own.
-
-    The first request is held inside the engine by ``gate`` while the
-    rest arrive; the gate opens once ``arrived()`` holds.  Returns
-    :func:`_post_or_error` replies in query order."""
-
-    def post(query):
-        return _post_or_error(url, {"query": query, "threshold": 0.5})
-
-    with ThreadPoolExecutor(len(queries)) as pool:
-        first = pool.submit(post, queries[0])
+        send(connections[0], queries[0])
         gate.wait_entered()
         try:
-            rest = [pool.submit(post, query) for query in queries[1:]]
-            deadline = time.monotonic() + 30
-            while not arrived():
-                assert time.monotonic() < deadline, "requests never arrived"
-                time.sleep(0.005)
+            for connection, query in zip(connections[1:], queries[1:]):
+                send(connection, query)
         finally:
             gate.release()
-        return [future.result(timeout=30) for future in [first, *rest]]
+        replies = []
+        for connection in connections:
+            response = connection.getresponse()
+            replies.append(
+                (
+                    response.status,
+                    response.getheader("Retry-After"),
+                    json.loads(response.read()),
+                )
+            )
+        return replies
+    finally:
+        for connection in connections:
+            connection.close()
 
 
 class TestServerThread:
@@ -613,12 +642,7 @@ class TestServerThread:
         app = ServeApp(engine)
         queries = [word_strings[i % 30] for i in range(16)]
         with ServerThread(app) as server:
-            replies = _held_posts(
-                f"{server.url}/search",
-                queries,
-                gate,
-                lambda: app.coalescer.pending_count() == len(queries) - 1,
-            )
+            replies = _held_posts(server.port, queries, gate)
             for query, (status, _, document) in zip(queries, replies):
                 assert status == 200
                 assert document["ids"] == list(engine.search(query, 0.5))
@@ -639,8 +663,6 @@ class TestServerThread:
             assert caught.value.code == 404
 
     def test_keep_alive_serves_sequential_requests(self, engine):
-        import http.client
-
         app = ServeApp(engine)
         with ServerThread(app) as server:
             connection = http.client.HTTPConnection(
@@ -677,8 +699,6 @@ class TestServerThread:
         ],
     )
     def test_malformed_http_answers_400_family(self, engine, head, status):
-        import socket
-
         app = ServeApp(engine)
         with ServerThread(app) as server:
             with socket.create_connection(
@@ -701,6 +721,205 @@ class TestServerThread:
             app.coalescer.submit("q", BatchKey("jaccard", 0.5))
 
 
+async def _with_lifespan(app, body):
+    """``await body()`` between the app's lifespan startup and shutdown,
+    on the running loop — what a server does around its traffic."""
+    lifespan = _Lifespan(app)
+    await lifespan.startup()
+    try:
+        return await body()
+    finally:
+        await lifespan.shutdown()
+
+
+class TestServingLoop:
+    def test_lifespan_started_app_runs_batches_on_the_loop_thread(
+        self, engine, word_strings, monkeypatch
+    ):
+        app = ServeApp(engine)
+        search_batch = engine.search_batch
+        threads = []
+
+        def recording(queries, threshold):
+            threads.append(threading.get_ident())
+            return search_batch(queries, threshold)
+
+        monkeypatch.setattr(engine, "search_batch", recording)
+
+        async def body():
+            _, document = await _search_once(app, word_strings[0])
+            return threading.get_ident(), document
+
+        loop_thread, document = asyncio.run(_with_lifespan(app, body))
+        assert threads == [loop_thread]
+        assert document["ids"] == list(engine.search(word_strings[0], 0.5))
+
+    def test_requests_of_one_loop_turn_make_one_batch(
+        self, engine, word_strings
+    ):
+        app = ServeApp(engine)
+        queries = word_strings[:9]
+
+        async def body():
+            return await asyncio.gather(
+                *(_search_once(app, query) for query in queries)
+            )
+
+        replies = asyncio.run(_with_lifespan(app, body))
+        for query, (_, document) in zip(queries, replies):
+            assert document["ids"] == list(engine.search(query, 0.5))
+            assert document["batch_size"] == len(queries)
+        stats = app.coalescer.stats()
+        assert (stats["requests"], stats["batches"]) == (len(queries), 1)
+
+    def test_close_after_the_loop_closed_answers_every_pending_request(self):
+        # a SIGINT can end the serving loop before the lifespan shutdown
+        # runs; the close() after it must still answer what was pending
+        runner = _Runner()
+        coalescer = BatchCoalescer(runner.run_batch)
+        loop = asyncio.new_event_loop()
+
+        async def bind():
+            coalescer.start()
+
+        loop.run_until_complete(bind())
+        key = BatchKey("jaccard", 0.8)
+        futures = [coalescer.submit(f"q{i}", key) for i in range(3)]
+        loop.close()  # drops the drain the submits scheduled
+        assert not any(future.done() for future in futures)
+        coalescer.close()
+        assert [future.result(timeout=0) for future in futures] == [
+            (f"q{i}@jaccard/0.8", 3) for i in range(3)
+        ]
+        assert runner.batches == [(["q0", "q1", "q2"], key)]
+
+    def test_submit_after_the_bound_loop_closed_answers_in_place(self):
+        runner = _Runner()
+        coalescer = BatchCoalescer(runner.run_batch)
+        loop = asyncio.new_event_loop()
+
+        async def bind():
+            coalescer.start()
+
+        loop.run_until_complete(bind())
+        loop.close()
+        try:
+            future = coalescer.submit("late", BatchKey("jaccard", 0.8))
+            assert future.result(timeout=0) == ("late@jaccard/0.8", 1)
+        finally:
+            coalescer.close()
+
+
+class TestSlowClients:
+    def test_trickled_request_is_answered_and_stalls_no_one(
+        self, engine, word_strings
+    ):
+        # one byte every ~10 ms, head and body: the loop that runs the
+        # batches must keep answering other clients while it waits
+        app = ServeApp(engine)
+        query = word_strings[3]
+        body = json.dumps({"query": query, "threshold": 0.5}).encode()
+        request = (
+            b"POST /search HTTP/1.1\r\nContent-Type: application/json\r\n"
+            b"Content-Length: %d\r\n\r\n" % len(body)
+        ) + body
+        with ServerThread(app) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=30
+            ) as slow:
+                slow.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                trickled = threading.Event()
+
+                def trickle():
+                    for byte in request:
+                        slow.sendall(bytes([byte]))
+                        time.sleep(0.01)
+                    trickled.set()
+
+                trickler = threading.Thread(target=trickle)
+                trickler.start()
+                try:
+                    for other in word_strings[:5]:
+                        status, document = _post(
+                            f"{server.url}/search",
+                            {"query": other, "threshold": 0.5},
+                        )
+                        assert status == 200
+                        assert document["ids"] == list(
+                            engine.search(other, 0.5)
+                        )
+                        assert not trickled.is_set(), "answered only after"
+                finally:
+                    trickler.join(60)
+                response = http.client.HTTPResponse(slow)
+                response.begin()
+                assert response.status == 200
+                document = json.loads(response.read())
+        assert document["ids"] == list(engine.search(query, 0.5))
+
+    def test_half_a_head_then_close_gets_no_reply(self, engine):
+        app = ServeApp(engine)
+        with ServerThread(app) as server:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=10
+            ) as sock:
+                sock.sendall(b"POST /search HTTP/1.1\r\nContent-Le")
+                sock.shutdown(socket.SHUT_WR)
+                assert sock.recv(4096) == b""
+            status, _ = _post(
+                f"{server.url}/search", {"query": "x", "threshold": 0.9}
+            )
+            assert status == 200
+
+
+class TestServeEntryPoint:
+    def test_repro_serve_answers_then_exits_cleanly_on_sigint(
+        self, tmp_path, engine, word_strings
+    ):
+        bundle = tmp_path / "bundle"
+        engine.save(bundle)
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        environment = dict(os.environ)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(_SRC), environment.get("PYTHONPATH")])
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", str(bundle),
+             "--port", str(port), "--mmap"],
+            env=environment,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        url = f"http://127.0.0.1:{port}"
+        try:
+            deadline = time.monotonic() + 60
+            while True:
+                assert process.poll() is None, process.communicate()
+                try:
+                    urllib.request.urlopen(f"{url}/healthz", timeout=5).close()
+                    break
+                except OSError:
+                    assert time.monotonic() < deadline, "no /healthz answer"
+                    time.sleep(0.05)
+            query = word_strings[0]
+            status, document = _post(
+                f"{url}/search", {"query": query, "threshold": 0.5}
+            )
+            assert status == 200
+            assert document["ids"] == list(engine.search(query, 0.5))
+            process.send_signal(signal.SIGINT)
+            stdout, stderr = process.communicate(timeout=30)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, stderr.decode()
+        assert b"Traceback" not in stderr, stderr.decode()
+        assert b"serving" in stdout
+
+
 # ---------------------------------------------------------------------- #
 # observability: traces, gauges, debug routes, backpressure
 # ---------------------------------------------------------------------- #
@@ -716,31 +935,34 @@ def traced_app(engine):
     TRACER.clear()
 
 
+async def _search_once(app, query, threshold=0.5, headers=()):
+    """One ``POST /search`` through the ASGI app on the running loop;
+    ``(response_headers, body_document)``."""
+    body = json.dumps({"query": query, "threshold": threshold}).encode()
+    scope = {
+        "type": "http",
+        "method": "POST",
+        "path": "/search",
+        "headers": list(headers),
+    }
+    sent = []
+
+    async def receive():
+        return {"type": "http.request", "body": body, "more_body": False}
+
+    async def send(message):
+        sent.append(message)
+
+    await app(scope, receive, send)
+    return dict(sent[0].get("headers", [])), json.loads(sent[1]["body"])
+
+
 def _gather(app, queries, threshold=0.5, headers=(), gate=None):
     """Run concurrent /search requests through the ASGI app; returns
     [(response_headers, body_document)] in request order.
 
     With a ``gate`` on the engine, the first request is held in the engine
     until every other one is pending, so those share the next batch."""
-
-    async def _one(query):
-        body = json.dumps({"query": query, "threshold": threshold}).encode()
-        scope = {
-            "type": "http",
-            "method": "POST",
-            "path": "/search",
-            "headers": list(headers),
-        }
-        sent = []
-
-        async def receive():
-            return {"type": "http.request", "body": body, "more_body": False}
-
-        async def send(message):
-            sent.append(message)
-
-        await app(scope, receive, send)
-        return dict(sent[0].get("headers", [])), json.loads(sent[1]["body"])
 
     async def _until(condition):
         deadline = time.monotonic() + 30
@@ -750,11 +972,20 @@ def _gather(app, queries, threshold=0.5, headers=(), gate=None):
 
     async def _all():
         if gate is None:
-            return await asyncio.gather(*(_one(query) for query in queries))
-        first = asyncio.ensure_future(_one(queries[0]))
+            return await asyncio.gather(
+                *(_search_once(app, q, threshold, headers) for q in queries)
+            )
+        first = asyncio.ensure_future(
+            _search_once(app, queries[0], threshold, headers)
+        )
         try:
             await _until(gate.entered.is_set)
-            rest = [asyncio.ensure_future(_one(q)) for q in queries[1:]]
+            rest = [
+                asyncio.ensure_future(
+                    _search_once(app, q, threshold, headers)
+                )
+                for q in queries[1:]
+            ]
             await _until(lambda: app.coalescer.pending_count() == len(rest))
         finally:
             gate.release()
@@ -984,18 +1215,14 @@ class TestBackpressure:
     def test_sustained_load_past_max_pending(
         self, engine, gate, word_strings
     ):
-        # the held first batch stops the queue draining: the pending queue
-        # fills to max_pending and every request past it is shed, never
+        # the held first batch holds the server's loop: the twelve requests
+        # written meanwhile are parsed in one turn, the first four fill the
+        # pending queue to max_pending and the other eight are shed, never
         # reaching the engine
         app = ServeApp(engine, max_pending=4)
         queries = word_strings[:13]
         with ServerThread(app) as server:
-            replies = _held_posts(
-                f"{server.url}/search",
-                queries,
-                gate,
-                lambda: app.metrics.counter("serve.shed") == 8,
-            )
+            replies = _held_posts(server.port, queries, gate)
             stats = app.coalescer.stats()
         admitted = 0
         for query, (status, retry_after, document) in zip(queries, replies):
