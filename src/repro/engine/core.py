@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import Executor
-from contextlib import nullcontext
 from itertools import repeat
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence
@@ -38,7 +37,8 @@ from .cache import DecodeCache
 
 __all__ = ["SimilarityEngine"]
 
-#: byte cap of every engine's decode cache (entry count is the tuned knob)
+#: byte cap of every engine's decode cache: the bound by default, since a
+#: decoded list's size, not the count of lists, is what the cache costs
 _CACHE_MAX_BYTES = 64 << 20
 
 #: engine image inside a pool worker, installed by the pool initializer.
@@ -76,8 +76,10 @@ class SimilarityEngine:
         (``jaccard`` / ``cosine`` / ``dice`` / ``ed`` — ``ed`` thresholds
         are integer edit distances).
     cache_entries:
-        Decode-cache capacity; ``cache_entries=0`` disables the cache
-        entirely.
+        Decode-cache entry cap.  ``None`` (the default) bounds the cache
+        by decoded bytes alone (64 MiB), so an index whose decoded lists
+        fit is decoded once and never evicts; an int also caps the entry
+        count; ``cache_entries=0`` disables the cache entirely.
 
     Every query is answered by the searcher's
     :meth:`CountFilterSearcher.search_many_batched` (the batch
@@ -94,7 +96,7 @@ class SimilarityEngine:
         scheme: str = "css",
         algorithm: str = "mergeskip",
         metric: str = "jaccard",
-        cache_entries: Optional[int] = 1024,
+        cache_entries: Optional[int] = None,
         **scheme_kwargs,
     ) -> None:
         if index is None:
@@ -173,22 +175,22 @@ class SimilarityEngine:
         queries = list(queries)
         if not queries:
             return []
-        root = (
-            nullcontext()
-            if _TRACER.is_tracing()
-            else _TRACER.trace(
+        if _TRACER.enabled and not _TRACER.is_tracing():
+            with _TRACER.trace(
                 "engine.batch", queries=len(queries), threshold=threshold
-            )
-        )
-        with root:
-            return self._search_batch(queries, threshold, workers)
+            ):
+                return self._search_batch(queries, threshold, workers)
+        return self._search_batch(queries, threshold, workers)
 
     def _search_batch(
         self, queries: List[str], threshold, workers: Optional[int]
     ) -> List[SearchResult]:
         searcher = self.searcher
-        workers = fork.fork_workers(int(workers or 1))
-        if workers > 1 and len(queries) >= max(4, 2 * workers):
+        workers = int(workers or 1)
+        if workers > 1 and len(queries) >= 4:
+            # a batch of one (every served request) never asks the OS
+            workers = fork.fork_workers(workers)
+        if workers > 1 and len(queries) >= 2 * workers:
             chunk_size = max(1, math.ceil(len(queries) / (workers * 4)))
             chunks = [
                 queries[i : i + chunk_size]

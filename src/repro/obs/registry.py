@@ -315,7 +315,8 @@ class MetricsRegistry:
         fast path is still one shared no-op object.
         """
         tracer = self.tracer
-        tracing = tracer is not None and tracer.is_tracing()
+        # a disabled tracer opens no trace: skip the thread-local probe
+        tracing = tracer is not None and tracer.enabled and tracer.is_tracing()
         if not self.enabled and not tracing:
             return _NULL_SPAN
         return _Span(self, name, tracer if tracing else None)

@@ -93,9 +93,11 @@ class EditDistanceSearcher(CountFilterSearcher):
         started = time.perf_counter()
         stats = SearchStats()
         collection = self.index.collection
-        query_ids = collection.encode_query(query)
-        signature_size = collection.signature_size(query)
-        count_threshold = signature_size - self.q * delta
+        # one tokenization: unseen grams drop out of the ids but still
+        # count toward the signature size
+        grams = collection.tokenize(query)
+        query_ids = collection.dictionary.encode(grams)
+        count_threshold = len(grams) - self.q * delta
         stats.count_threshold = count_threshold
         plan = QueryPlan(
             query=query, threshold=delta, stats=stats, started=started

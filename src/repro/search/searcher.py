@@ -38,7 +38,7 @@ from ..similarity.measures import (
     required_overlap_array,
 )
 from ..similarity.tokenize import TokenizedCollection
-from ..similarity.verify import verify_overlap_from
+from ..similarity.verify import overlap_reaches
 from .base import CountFilterSearcher, QueryPlan
 from .batchkernels import UNREACHABLE
 from .result import SearchResult, SearchStats
@@ -233,8 +233,11 @@ class JaccardSearcher(CountFilterSearcher):
         started = time.perf_counter()
         stats = SearchStats()
         collection = self.index.collection
-        query_ids = collection.encode_query(query)
-        signature_size = collection.signature_size(query)
+        # one tokenization: unseen tokens drop out of the ids but still
+        # count toward the signature size
+        tokens = collection.tokenize(query)
+        query_ids = collection.dictionary.encode(tokens)
+        signature_size = len(tokens)
         plan = QueryPlan(
             query=query, threshold=threshold, stats=stats, started=started
         )
@@ -290,21 +293,19 @@ class JaccardSearcher(CountFilterSearcher):
 
     def _verify(self, plan: QueryPlan, candidates: List[int]) -> List[int]:
         query_ids, low, high, signature_size = plan.payload
-        collection = self.index.collection
+        records = self.index.collection.records
         threshold = plan.threshold
         stats = plan.stats
+        query_tokens = set(query_ids.tolist())
         results: List[int] = []
         for candidate in candidates:
-            record = collection.records[candidate]
+            record = records[candidate]
             if not low <= record.size <= high:
                 continue
             needed = required_overlap(
                 signature_size, record.size, threshold, self.metric
             )
             stats.verifications += 1
-            if (
-                verify_overlap_from(query_ids, record, 0, 0, 0, needed)
-                >= needed
-            ):
+            if overlap_reaches(query_tokens, record, needed):
                 results.append(candidate)
         return results

@@ -54,10 +54,10 @@ import asyncio
 import json
 import os
 import platform
+import random
 import re
 import threading
 import time
-import uuid
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
@@ -351,10 +351,12 @@ class ServeApp:
         trace_id, parent_span = _parse_traceparent(scope.get("headers"))
         received = time.perf_counter()
         request = self.coalescer.submit_request(query, key)
+        # on the coalescer's loop the ticket holds an asyncio future,
+        # which wrap_future hands back as it is
         result, batch_size = await asyncio.wrap_future(request.future)
         finished = time.perf_counter()
         if trace_id is None:
-            trace_id = uuid.uuid4().hex
+            trace_id = _random_hex(128)
         if _TRACER.enabled:
             _TRACER.offer(
                 _request_trace_document(
@@ -369,7 +371,7 @@ class ServeApp:
         extra_headers.append(
             (
                 b"traceparent",
-                f"00-{trace_id}-{uuid.uuid4().hex[:16]}-01".encode(),
+                f"00-{trace_id}-{_random_hex(64)}-01".encode(),
             )
         )
         return 200, {
@@ -511,6 +513,13 @@ def _build_info_exposition() -> str:
         f'repro_build_info{{version="{__version__}",'
         f'python="{platform.python_version()}"}} 1\n'
     )
+
+
+def _random_hex(bits: int) -> str:
+    """A random id of ``bits`` bits as lower-case hex, never all zeros
+    (W3C trace context forbids it).  Ids need uniqueness, not secrecy, so
+    this reads the process PRNG, not the OS entropy ``uuid4`` draws."""
+    return f"{random.getrandbits(bits) or 1:0{bits // 4}x}"
 
 
 def _parse_traceparent(

@@ -27,6 +27,17 @@ runs every batch, one at a time, and holds its loop while the engine
 works: under the GIL a separate thread would hold the interpreter through
 the same Python work and buy no concurrency.
 
+Futures
+-------
+
+:meth:`~BatchCoalescer.submit` always returns a thread-safe
+:class:`concurrent.futures.Future`.  :meth:`~BatchCoalescer.submit_request`
+(what the app calls) gives a request submitted on the coalescer's loop an
+:class:`asyncio.Future` of that loop, which the drain resolves in place:
+a thread-safe future awaited through ``asyncio.wrap_future`` would wake
+the loop a second time, through its self-pipe, for every request.  Off
+that loop ``submit_request`` hands out the thread-safe kind too.
+
 Correctness contract
 --------------------
 
@@ -54,7 +65,7 @@ import asyncio
 import threading
 import time
 from concurrent.futures import Future
-from typing import Callable, List, NamedTuple, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence, Union
 
 from ..obs import TRACER as _TRACER
 from ..obs.registry import MetricsRegistry
@@ -76,6 +87,9 @@ class BatchKey(NamedTuple):
 class _PendingRequest:
     """One submitted query plus the telemetry the serving layer reads back.
 
+    ``future`` is an :class:`asyncio.Future` of the coalescer's loop when
+    the request was submitted on that loop (:meth:`BatchCoalescer.\
+submit_request`), else a thread-safe :class:`concurrent.futures.Future`.
     ``arrived``/``dispatched`` are ``perf_counter`` readings (same clock
     as trace spans) bracketing the wait in the queue, and
     ``batch_document`` is the trace document of the batch this request
@@ -91,13 +105,41 @@ class _PendingRequest:
         "batch_document",
     )
 
-    def __init__(self, query: str, key: BatchKey) -> None:
+    def __init__(self, query: str, key: BatchKey, future) -> None:
         self.query = query
         self.key = key
-        self.future: Future = Future()
+        self.future: Union[Future, asyncio.Future] = future
         self.arrived = time.perf_counter()
         self.dispatched: Optional[float] = None
         self.batch_document: Optional[dict] = None
+
+    def claim(self) -> bool:
+        """Whether the caller still wants the answer; a claimed
+        thread-safe future can no longer be cancelled."""
+        future = self.future
+        if isinstance(future, Future):
+            return future.set_running_or_notify_cancel()
+        return not future.done()
+
+    def answer(self, result=None, error: Optional[BaseException] = None) -> None:
+        """Resolve the future to ``result``, or fail it with ``error``.
+
+        A loop-native future is resolved on its loop: directly when that
+        loop runs this thread or runs nowhere, else through
+        ``call_soon_threadsafe``.
+        """
+        future = self.future
+        if isinstance(future, Future):
+            if error is None:
+                future.set_result(result)
+            else:
+                future.set_exception(error)
+            return
+        loop = future.get_loop()
+        if loop.is_running() and _running_loop() is not loop:
+            loop.call_soon_threadsafe(_settle, future, result, error)
+        else:
+            _settle(future, result, error)
 
 
 class BatchCoalescer:
@@ -137,28 +179,47 @@ class BatchCoalescer:
     # caller side
     # ------------------------------------------------------------------ #
     def submit(self, query: str, key: BatchKey) -> Future:
-        """Enqueue one request; the future resolves to ``(result, batch)``
+        """Enqueue one request; the returned
+        :class:`concurrent.futures.Future` resolves to ``(result, batch)``
         where ``batch`` is the size of the engine call it rode in.  Safe to
-        call from any thread."""
-        return self.submit_request(query, key).future
+        call from any thread, the coalescer's loop included."""
+        return self._enqueue(query, key, loop_native=False).future
 
     def submit_request(self, query: str, key: BatchKey) -> _PendingRequest:
         """:meth:`submit`, but returning the whole :class:`_PendingRequest`
         ticket — the serving layer reads its queue/dispatch timestamps and
-        batch trace document after the future resolves."""
-        request = _PendingRequest(query, key)
+        batch trace document after the future resolves.
+
+        Submitted on the coalescer's own loop (a served ``POST /search``
+        once the lifespan has started), the ticket's future is an
+        :class:`asyncio.Future` of that loop, resolved by the drain without
+        waking the loop a second time; anywhere else it is a
+        :class:`concurrent.futures.Future`, for ``asyncio.wrap_future``.
+        """
+        return self._enqueue(query, key, loop_native=True)
+
+    def _enqueue(
+        self, query: str, key: BatchKey, loop_native: bool
+    ) -> _PendingRequest:
+        running = _running_loop()
         with self._wake:
             if self._closed:
                 raise RuntimeError("coalescer is closed")
             if self._loop is None:
                 self._start_own_loop_locked()
+            on_loop = running is not None and running is self._loop
+            request = _PendingRequest(
+                query,
+                key,
+                running.create_future() if on_loop and loop_native else Future(),
+            )
             self._pending.append(request)
             self.metrics.inc("serve.requests")
             loop = None if self._draining else self._loop
             self._draining = True
         if loop is not None:
             try:
-                if _running_loop() is loop:
+                if on_loop:
                     loop.call_soon(self._drain)
                 else:
                     loop.call_soon_threadsafe(self._drain)
@@ -302,19 +363,15 @@ class BatchCoalescer:
         with self._wake:
             stranded, self._pending = self._pending, []
         for request in stranded:
-            if request.future.set_running_or_notify_cancel():
-                request.future.set_exception(
-                    RuntimeError("coalescer closed before the request ran")
+            if request.claim():
+                request.answer(
+                    error=RuntimeError("coalescer closed before the request ran")
                 )
 
     def _flush(self, batch: List[_PendingRequest]) -> None:
         # a caller may have given up (cancelled) while waiting in the
         # queue; drop those before spending engine time on them
-        live = [
-            request
-            for request in batch
-            if request.future.set_running_or_notify_cancel()
-        ]
+        live = [request for request in batch if request.claim()]
         if not live:
             return
         key = live[0].key
@@ -351,13 +408,13 @@ class BatchCoalescer:
         batch_document = getattr(trace_ctx, "document", None)
         for request, result in zip(live, results):
             request.batch_document = batch_document
-            request.future.set_result((result, len(live)))
+            request.answer((result, len(live)))
 
     def _rescue(
         self, batch: List[_PendingRequest], key: BatchKey, error: BaseException
     ) -> None:
         if len(batch) == 1:
-            batch[0].future.set_exception(error)
+            batch[0].answer(error=error)
             return
         self.metrics.inc("serve.rescued_requests", len(batch))
         for request in batch:
@@ -365,9 +422,9 @@ class BatchCoalescer:
                 (result,) = self._run_batch([request.query], key)
             # repro: noqa RA07 -- the exception IS this request's answer
             except BaseException as single_error:
-                request.future.set_exception(single_error)
+                request.answer(error=single_error)
             else:
-                request.future.set_result((result, 1))
+                request.answer((result, 1))
 
 
 def _running_loop() -> Optional[asyncio.AbstractEventLoop]:
@@ -376,6 +433,23 @@ def _running_loop() -> Optional[asyncio.AbstractEventLoop]:
         return asyncio.get_running_loop()
     except RuntimeError:
         return None
+
+
+def _settle(
+    future: asyncio.Future, result, error: Optional[BaseException]
+) -> None:
+    """Resolve a loop-native future its caller has not cancelled."""
+    if future.done():
+        return
+    try:
+        if error is None:
+            future.set_result(result)
+        else:
+            future.set_exception(error)
+    except RuntimeError:
+        # its loop closed with a task still awaiting it: the result is
+        # set, but no callback can be scheduled, and nobody is waiting
+        pass
 
 
 def _run_forever(loop: asyncio.AbstractEventLoop) -> None:

@@ -4,16 +4,20 @@ After filtering, surviving candidate pairs are verified exactly.  For the
 prefix-filter family the verification can resume *after* the matched prefix
 positions and abort as soon as the remaining tokens cannot reach the
 required overlap (the PPJoin-style optimization the Position Filter
-enables) — :func:`verify_overlap_from` implements that.
+enables) — :func:`verify_overlap_from` implements that.  A search, which
+verifies every candidate from the start against one query, checks each
+against the query's token set instead (:func:`overlap_reaches`).
 """
 
 from __future__ import annotations
+
+from typing import AbstractSet
 
 import numpy as np
 
 from .measures import required_overlap
 
-__all__ = ["verify_pair", "verify_overlap_from"]
+__all__ = ["verify_pair", "verify_overlap_from", "overlap_reaches"]
 
 
 def verify_pair(
@@ -60,3 +64,16 @@ def verify_overlap_from(
         else:
             j += 1
     return count
+
+
+def overlap_reaches(
+    tokens: AbstractSet[int], record: np.ndarray, needed: int
+) -> bool:
+    """Whether ``record`` shares at least ``needed`` tokens with ``tokens``.
+
+    For a sorted, duplicate-free ``record`` (a signature is a set) this is
+    ``verify_overlap_from(query, record, 0, 0, 0, needed) >= needed`` with
+    ``tokens`` the query's ids: one set intersection over Python ints in
+    place of a merge that steps through numpy scalars one at a time.
+    """
+    return len(tokens.intersection(record.tolist())) >= needed

@@ -192,18 +192,22 @@ class TestBatchKernelParity:
 
     @staticmethod
     def _engine_ids(index, queries, threshold, **serving):
-        """``engine.search`` ids per query, cache off then on (the cached
-        engine answers every query twice, so its second pass is all
-        hits)."""
+        """``engine.search`` ids per query: cache off, then capped at two
+        entries (it evicts on nearly every query), then the default
+        byte-bounded cache, which never evicts here.  A cached engine
+        answers every query twice, so the default's second pass is all
+        hits."""
         answers = []
-        for cache_entries in (0, 1024):
+        for cache_entries in (0, 2, None):
             engine = SimilarityEngine(
                 index=index, cache_entries=cache_entries, **serving
             )
-            for _ in range(1 + bool(cache_entries)):
+            for _ in range(1 if cache_entries == 0 else 2):
                 answers.append(
                     [engine.search(q, threshold).ids for q in queries]
                 )
+            if cache_entries == 2:
+                assert engine.cache_stats()["evictions"] > 0
         return answers
 
     @pytest.mark.parametrize("scheme", sorted(OFFLINE_SCHEMES))

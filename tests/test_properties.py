@@ -33,6 +33,7 @@ from repro.similarity.measures import (
     prefix_length,
     required_overlap,
 )
+from repro.similarity.verify import overlap_reaches, verify_overlap_from
 
 sorted_ids = st.lists(
     st.integers(min_value=0, max_value=2**32 - 1),
@@ -198,6 +199,26 @@ class TestMeasureProperties:
         prefix_a = set(left[: prefix_length(a.size, tau)])
         prefix_b = set(right[: prefix_length(b.size, tau)])
         assert prefix_a & prefix_b, "Lemma 1 violated"
+
+
+class TestSetVerifyProperties:
+    """A search verifies against the query's token set
+    (:func:`overlap_reaches`); it must accept exactly the records the
+    merge (:func:`verify_overlap_from`) accepts, at every ``needed``."""
+
+    token_sets = st.lists(
+        st.integers(0, 60), min_size=0, max_size=30, unique=True
+    ).map(sorted)
+
+    @given(query=token_sets, record=token_sets)
+    @settings(max_examples=150, deadline=None)
+    def test_set_check_accepts_exactly_when_the_merge_does(self, query, record):
+        q = np.asarray(query, dtype=np.int64)
+        r = np.asarray(record, dtype=np.int64)
+        tokens = set(query)
+        for needed in range(-1, max(q.size, r.size) + 2):
+            merged = verify_overlap_from(q, r, 0, 0, 0, needed) >= needed
+            assert overlap_reaches(tokens, r, needed) == merged, needed
 
 
 class TestSerializeProperties:

@@ -7,7 +7,12 @@ from repro.search import (
     InvertedIndex,
     JaccardSearcher,
 )
+from repro.search.brute import (
+    brute_edit_distance_search,
+    brute_similarity_search,
+)
 from repro.search.searcher import SearchStats
+from repro.similarity.measures import length_bounds, required_overlap
 
 
 class TestJaccardSearchStats:
@@ -85,3 +90,71 @@ class TestEditDistanceSearchStats:
     def test_integral_float_delta_accepted(self, searcher, qgram_collection):
         query = qgram_collection.strings[10]
         assert searcher.search(query, 1.0) == searcher.search(query, 1)
+
+
+class TestUnseenQueryTokens:
+    """A query is tokenized once per plan; the tokens the collection has
+    never seen drop out of the probed ids but still count toward the
+    signature size, so the count threshold and the answers are the full
+    query's."""
+
+    @staticmethod
+    def _counting_tokenize(collection, monkeypatch):
+        calls = []
+        tokenize = collection.tokenize
+
+        def counting(text):
+            calls.append(text)
+            return tokenize(text)
+
+        monkeypatch.setattr(collection, "tokenize", counting)
+        return calls
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.8])
+    def test_jaccard(self, word_collection, monkeypatch, threshold):
+        searcher = JaccardSearcher(InvertedIndex(word_collection, scheme="css"))
+        queries = [
+            word_collection.strings[3] + " zzq_unseen_a zzq_unseen_b",
+            word_collection.strings[40] + " zzq_unseen_c",
+        ]
+        sizes = [word_collection.signature_size(q) for q in queries]
+        expected = [
+            brute_similarity_search(word_collection, q, threshold)
+            for q in queries
+        ]
+        calls = self._counting_tokenize(word_collection, monkeypatch)
+        for query, size, ids in zip(queries, sizes, expected):
+            calls.clear()
+            result = searcher.search(query, threshold)
+            assert calls == [query]
+            low, _ = length_bounds(size, threshold)
+            assert result.stats.count_threshold == required_overlap(
+                size, low, threshold
+            )
+            assert list(result.ids) == list(ids)
+        batched = searcher.search_many_batched(queries, threshold)
+        assert [list(r.ids) for r in batched] == [list(i) for i in expected]
+
+    def test_edit_distance(self, qgram_collection, monkeypatch):
+        searcher = EditDistanceSearcher(
+            InvertedIndex(qgram_collection, scheme="css")
+        )
+        # "#" appears in no record: its grams are unseen
+        queries = [
+            qgram_collection.strings[10] + "#",
+            "#" + qgram_collection.strings[20],
+        ]
+        sizes = [qgram_collection.signature_size(q) for q in queries]
+        expected = [
+            brute_edit_distance_search(qgram_collection, q, 1)
+            for q in queries
+        ]
+        calls = self._counting_tokenize(qgram_collection, monkeypatch)
+        for query, size, ids in zip(queries, sizes, expected):
+            calls.clear()
+            result = searcher.search(query, 1)
+            assert calls == [query]
+            assert result.stats.count_threshold == size - searcher.q
+            assert list(result.ids) == list(ids)
+        batched = searcher.search_many_batched(queries, 1)
+        assert [list(r.ids) for r in batched] == [list(i) for i in expected]

@@ -24,7 +24,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -808,6 +808,118 @@ class TestServingLoop:
             assert future.result(timeout=0) == ("late@jaccard/0.8", 1)
         finally:
             coalescer.close()
+
+
+class TestLoopNativeFutures:
+    """A request submitted on the coalescer's bound loop holds an asyncio
+    future of that loop; ``submit()`` always hands out a thread-safe
+    :class:`concurrent.futures.Future`."""
+
+    def test_served_request_cancelled_before_its_drain_never_reaches_the_engine(
+        self, engine, word_strings, monkeypatch
+    ):
+        app = ServeApp(engine)
+        search_batch = engine.search_batch
+        batches = []
+
+        def recording(queries, threshold):
+            batches.append(list(queries))
+            return search_batch(queries, threshold)
+
+        monkeypatch.setattr(engine, "search_batch", recording)
+        doomed_query, kept_query = word_strings[0], word_strings[1]
+
+        async def body():
+            doomed = asyncio.ensure_future(_search_once(app, doomed_query))
+            while app.coalescer.pending_count() == 0:
+                await asyncio.sleep(0)
+            # still pending, so its drain has not run yet
+            doomed.cancel()
+            _, document = await _search_once(app, kept_query)
+            with pytest.raises(asyncio.CancelledError):
+                await doomed
+            return document
+
+        document = asyncio.run(_with_lifespan(app, body))
+        assert batches == [[kept_query]]
+        assert document["batch_size"] == 1
+        assert document["ids"] == list(engine.search(kept_query, 0.5))
+
+    def test_raising_batch_rescues_each_request_with_its_own_error(self):
+        runner = _Runner()
+        coalescer = BatchCoalescer(runner.run_batch)
+        key = BatchKey("jaccard", 0.8)
+        queries = ["a", "poison-1", "b", "poison-2"]
+
+        async def body():
+            coalescer.start()
+            requests = [coalescer.submit_request(q, key) for q in queries]
+            assert all(
+                isinstance(request.future, asyncio.Future)
+                for request in requests
+            )
+            return await asyncio.gather(
+                *(request.future for request in requests),
+                return_exceptions=True,
+            )
+
+        try:
+            outcomes = asyncio.run(body())
+        finally:
+            coalescer.close()
+        assert outcomes[0] == ("a@jaccard/0.8", 1)
+        assert outcomes[2] == ("b@jaccard/0.8", 1)
+        for outcome, query in zip(outcomes[1::2], queries[1::2]):
+            assert isinstance(outcome, ValueError)
+            assert str(outcome) == f"bad query: {query}"
+        # one failed batch of four, then four batches of one
+        assert [len(batch) for batch, _ in runner.batches] == [4, 1, 1, 1, 1]
+        assert coalescer.stats()["rescued_requests"] == len(queries)
+
+    def test_submit_hands_out_a_thread_safe_future_on_and_off_the_loop(self):
+        runner = _Runner()
+        key = BatchKey("jaccard", 0.8)
+        with BatchCoalescer(runner.run_batch) as coalescer:
+            # started off any loop: batches run on the coalescer's thread
+            future = coalescer.submit("off", key)
+            assert isinstance(future, Future)
+            assert future.result(timeout=10) == ("off@jaccard/0.8", 1)
+            ticket = coalescer.submit_request("ticket", key)
+            assert isinstance(ticket.future, Future)
+            assert ticket.future.result(timeout=10) == ("ticket@jaccard/0.8", 1)
+
+        bound = BatchCoalescer(runner.run_batch)
+
+        async def body():
+            bound.start()
+            future = bound.submit("on", key)
+            assert isinstance(future, Future)
+            return await asyncio.wrap_future(future)
+
+        try:
+            assert asyncio.run(body()) == ("on@jaccard/0.8", 1)
+        finally:
+            bound.close()
+
+    def test_close_on_the_bound_loop_answers_pending_requests(self):
+        runner = _Runner()
+        coalescer = BatchCoalescer(runner.run_batch)
+        key = BatchKey("jaccard", 0.8)
+
+        async def body():
+            coalescer.start()
+            requests = [coalescer.submit_request(f"q{i}", key) for i in range(3)]
+            # before the drain the submits scheduled gets its turn
+            coalescer.close()
+            assert all(request.future.done() for request in requests)
+            with pytest.raises(RuntimeError, match="closed"):
+                coalescer.submit_request("late", key)
+            return [await request.future for request in requests]
+
+        assert asyncio.run(body()) == [
+            (f"q{i}@jaccard/0.8", 3) for i in range(3)
+        ]
+        assert runner.batches == [(["q0", "q1", "q2"], key)]
 
 
 class TestSlowClients:
